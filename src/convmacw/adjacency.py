@@ -16,7 +16,8 @@ from .exact import WePoly, we_of_affine
 from .field import enumerate_vectors
 from .linalg import FMat, vec_add, vec_mat
 from .statespace import (ControllerForm, PairSplit, StateSpace, connected_pairs,
-                         constant_code, coefficient_code, output_rep, pair_split)
+                         constant_code, coefficient_code, output_rep, pair_split,
+                         state_images)
 
 TRANSITION_LIMIT = 2 ** 24   # bound on q^(2*delta) * q^k
 PAIR_LIMIT = 2 ** 20         # bound on q^(delta+r)
@@ -44,9 +45,6 @@ class AdjMatrix:
 
     def entry(self, i: int, j: int) -> WePoly:
         return self.entries.get((i, j), WePoly.empty())
-
-    def entry_by_state(self, X, Y) -> WePoly:
-        return self.entry(self.space.index_of(X), self.space.index_of(Y))
 
     def support_size(self) -> int:
         return len(self.entries)
@@ -164,32 +162,31 @@ class StatePermutation:
     """Permutation of state indices induced by an invertible matrix acting
     on the state space by right multiplication."""
 
-    __slots__ = ("P", "space", "perm")
+    __slots__ = ("P", "size", "perm")
 
     def __init__(self, P: FMat, delta: int | None = None):
-        if not P.is_invertible():
-            raise ValueError("state transformation matrix is singular")
+        codes = np.array(P.to_int_rows(), dtype=np.int64).reshape(1, P.nrows, P.ncols)
+        images = state_images(P.field, codes)[0]
+        # a square map is a bijection iff only the zero state maps to zero
+        if (P.nrows != P.ncols or delta not in (None, P.nrows)
+                or np.count_nonzero(images == 0) != 1):
+            raise ValueError("state transformation matrix is singular or misshapen")
         self.P = P
-        self.space = StateSpace(P.field, P.nrows if delta is None else delta)
-        self.perm = tuple(self.space.index_of(vec_mat(s, P))
-                          for s in self.space.states)
+        self.size = len(images)
+        self.perm = tuple(images.tolist())
 
     def matrix01(self) -> tuple[tuple[int, ...], ...]:
         """Dense 0/1 permutation matrix, rows indexed by source state."""
-        size = self.space.size
         return tuple(
-            tuple(1 if self.perm[i] == j else 0 for j in range(size))
-            for i in range(size)
+            tuple(1 if self.perm[i] == j else 0 for j in range(self.size))
+            for i in range(self.size)
         )
 
 
 def conjugate(adj: AdjMatrix, P: FMat) -> AdjMatrix:
     """Relabel states by X -> X P: entry (X, Y) of the result is the old
     entry at (X P, Y P)."""
-    sp = StatePermutation(P, adj.delta)
-    inv = [0] * len(sp.perm)
-    for i, t in enumerate(sp.perm):
-        inv[t] = i
+    inv = np.argsort(StatePermutation(P, adj.delta).perm).tolist()
     entries = {(inv[a], inv[b]): w for (a, b), w in adj.entries.items()}
     return AdjMatrix(adj.field, adj.n, adj.delta, entries)
 

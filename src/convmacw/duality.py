@@ -11,11 +11,10 @@ per-exponent bucket counting.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,13 +22,14 @@ from .adjacency import AdjMatrix, StatePermutation, adjacency_by_cosets
 from .errors import GuardExceeded, InternalCheckError
 from .exact import (CycloNum, CycloPoly, WePoly, macwilliams_rows,
                     we_of_affine)
-from .field import FieldSpec
+from .field import FieldSpec, vector_index
 from .linalg import (FMat, Subspace, block_matrix, deterministic_complement,
-                     right_null_space, vec_dot, vec_mat, vec_neg, zero_vec)
+                     right_null_space, vec_mat, zero_vec)
 from .polymat import CodeProfile, PolyMatrix, dual_generator
 from .statespace import (ControllerForm, StateSpace, coefficient_code,
                          connected_pairs, connected_pairs_orth,
-                         controller_form, output_kernel, pair_split)
+                         controller_form, output_kernel, pair_split,
+                         state_images)
 
 GRID_LIMIT = 2 ** 16     # bound on q^(2*delta), the full pair grid
 SEARCH_LIMIT = 2 ** 17   # bound on q^(delta^2) candidate matrices
@@ -52,22 +52,18 @@ class PairGeometry:
         self.delta = delta
         self.space = StateSpace(field, delta)
         self.size = size
-        beta = np.zeros((size, size), dtype=np.int64)
-        if delta:
-            for i, x in enumerate(self.space.states):
-                for j, y in enumerate(self.space.states):
-                    beta[i, j] = vec_dot(x, y).code
-        self.beta_codes = beta
+        place = field.q ** np.arange(delta - 1, -1, -1, dtype=np.int64)
+        states = np.arange(size, dtype=np.int64)[:, None] // place % field.q
+        # row j is x . y_j for every state x; the form is symmetric
+        self.beta_codes = state_images(field, states[:, :, None])
         traces = np.array([field.trace(e) for e in field.elements], dtype=np.int64)
-        self.trace_exp = traces[beta]
+        self.trace_exp = traces[self.beta_codes]
         self.add_codes = np.array(
             [[(a + b).code for b in field.elements] for a in field.elements],
             dtype=np.int64,
         )
-        self.neg_perm = np.array(
-            [self.space.index_of(vec_neg(s)) for s in self.space.states],
-            dtype=np.int64,
-        )
+        minus_one = (-field.one).code * np.eye(delta, dtype=np.int64)
+        self.neg_perm = state_images(field, minus_one[None])[0]
 
     def orth_mask(self, basis) -> np.ndarray:
         """Boolean (size, size) grid marking pairs (X, Y) orthogonal to
@@ -160,13 +156,18 @@ class CharacterMatrix:
         if any(neg[neg[i]] != i for i in range(size)):
             raise InternalCheckError("negation permutation is not an involution")
         if self.P is not None:
-            perm = np.array(StatePermutation(self.P, self.delta).perm)
-            if not np.array_equal(self.exponents, E[perm, :]):
-                raise InternalCheckError("row-permutation identity failed")
-            # equivalently, columns reindexed through the transpose
-            perm_t = np.array(StatePermutation(self.P.transpose(), self.delta).perm)
-            if not np.array_equal(self.exponents, E[:, perm_t]):
-                raise InternalCheckError("column-permutation identity failed")
+            self.permutation_checks()
+
+    def permutation_checks(self):
+        """The P-grid is the plain grid with its rows permuted by P and,
+        equivalently, its columns permuted by P^t."""
+        E = (self.zeta_exponent * self._geom.trace_exp) % self.p
+        perm = np.array(StatePermutation(self.P, self.delta).perm)
+        if not np.array_equal(self.exponents, E[perm, :]):
+            raise InternalCheckError("row-permutation identity failed")
+        perm_t = np.array(StatePermutation(self.P.transpose(), self.delta).perm)
+        if not np.array_equal(self.exponents, E[:, perm_t]):
+            raise InternalCheckError("column-permutation identity failed")
 
 
 def _bucket_tensor(lam: np.ndarray, E: np.ndarray, p: int) -> np.ndarray:
@@ -263,12 +264,9 @@ def _fourier_closed_form(adj: AdjMatrix, cf: ControllerForm,
     in_ker_orth = geom.orth_mask(kernel.basis)
     in_delta_orth = geom.orth_mask(dspace.basis)
     lam = adj.dense_coefficients()
-    dspace_points = list(dspace.points())
-    dz1 = np.empty(len(dspace_points), dtype=np.int64)
-    dz2 = np.empty(len(dspace_points), dtype=np.int64)
-    for t, pair in enumerate(dspace_points):
-        dz1[t] = geom.space.index_of(pair[:delta])
-        dz2[t] = geom.space.index_of(pair[delta:])
+    basis = np.array(dspace.matrix().to_int_rows(), dtype=np.int64)
+    points = state_images(adj.field, basis.reshape(1, dspace.dim, 2 * delta))[0]
+    dz1, dz2 = np.divmod(points, size)
     lam_delta = lam[dz1, dz2, :]
     out = np.zeros((size, size, n + 1), dtype=np.int64)
     scale2 = q ** (delta - r_dual) * (q - 1)
@@ -350,14 +348,6 @@ def entrywise_h(fm: FourierMatrix, k: int) -> TransformedMatrix:
     ht = _h_matrix(fm.n, fm.field.q)
     hnum = np.einsum("xyj,jt->xyt", fm.numer, ht)
     return TransformedMatrix(fm.field, fm.n, k, fm.delta, hnum)
-
-
-def scaled_dense(adj: AdjMatrix, denom: int) -> np.ndarray:
-    return adj.dense_coefficients() * denom
-
-
-def count_mismatches(lhs: np.ndarray, rhs: np.ndarray) -> int:
-    return int(np.any(lhs != rhs, axis=2).sum())
 
 
 def state_pairing_matrix(cf: ControllerForm, cf_dual: ControllerForm) -> FMat:
@@ -489,7 +479,7 @@ class DualPair:
 
     @cached_property
     def dual_scaled(self) -> np.ndarray:
-        return scaled_dense(self.adj_dual, self.transformed.denom)
+        return self.adj_dual.dense_coefficients() * self.transformed.denom
 
     @cached_property
     def pairing(self) -> FMat:
@@ -507,11 +497,6 @@ class DualPair:
             "dual": one(self.cf_dual.profile, self.cf.r),
         }
 
-    def pair_index(self, vec) -> tuple[int, int]:
-        d = self.delta
-        return (self.geometry.space.index_of(vec[:d]),
-                self.geometry.space.index_of(vec[d:]))
-
 
 def check_pairing_lemma(pair: DualPair) -> PairingChecks:
     return verify_pairing_matrix(
@@ -525,11 +510,11 @@ def check_transport(pair: DualPair) -> int:
     MacWilliams transform of the conjugated entry at the transported
     index; returns the number of entries checked."""
     hl = pair.entrywise
+    size = pair.geometry.size
     checked = 0
     for v in connected_pairs(pair.cf_dual).points():
-        x, y = pair.pair_index(v)
-        w = vec_mat(v, pair.pairing)
-        wx, wy = pair.pair_index(w)
+        x, y = divmod(vector_index(v), size)
+        wx, wy = divmod(vector_index(vec_mat(v, pair.pairing)), size)
         if not np.array_equal(pair.dual_scaled[x, y], hl.numer[wx, wy]):
             raise InternalCheckError("transport identity failed at a dual pair")
         checked += 1
@@ -575,12 +560,8 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     geom = pair.geometry
     size = geom.size
     hl = pair.entrywise
-    fperm = np.empty(size * size, dtype=np.int64)
-    for xi, X in enumerate(geom.space.states):
-        for yi, Y in enumerate(geom.space.states):
-            w = vec_mat(X + Y, fmat)
-            wx, wy = pair.pair_index(w)
-            fperm[xi * size + yi] = wx * size + wy
+    # pair (X, Y) has index X * size + Y, its canonical index in F^(2 delta)
+    fperm = np.array(StatePermutation(fmat).perm, dtype=np.int64)
     flat_dual = pair.dual_scaled.reshape(size * size, -1)
     flat_hl = hl.numer.reshape(size * size, -1)
     if not np.array_equal(flat_dual, flat_hl[fperm]):
@@ -589,10 +570,7 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     inv_perm = np.empty_like(fperm)
     inv_perm[fperm] = np.arange(size * size)
     tnum = pair.transformed.numer.reshape(size * size, -1)
-    swap = np.empty(size * size, dtype=np.int64)
-    for xi in range(size):
-        for yi in range(size):
-            swap[xi * size + yi] = geom.neg_perm[yi] * size + xi
+    swap = (geom.neg_perm * size + np.arange(size)[:, None]).ravel()
     if not np.array_equal(flat_dual[inv_perm[swap]], tnum):
         raise InternalCheckError("transposed-form reordering failed")
     multiset_ok = sorted(map(tuple, flat_dual.tolist())) == sorted(
@@ -608,7 +586,7 @@ def _identity_holds(pair: DualPair, P: FMat) -> tuple[bool, int]:
     """Entrywise check of the conjugated identity for a given witness."""
     perm = np.array(StatePermutation(P, pair.delta).perm, dtype=np.int64)
     moved = pair.transformed.numer[np.ix_(perm, perm)]
-    mism = count_mismatches(pair.dual_scaled, moved)
+    mism = int(np.any(pair.dual_scaled != moved, axis=2).sum())
     return mism == 0, mism
 
 
@@ -671,33 +649,15 @@ def closed_form_witness_primal(pair: DualPair) -> FMat:
 def _corollary_grid_check(pair: DualPair, P: FMat):
     """The P-character matrix equals the permuted plain grid on both
     sides, so the identity can be stated with P-character matrices only."""
-    geom = pair.geometry
-    charm = CharacterMatrix(geom, P, pair.zeta_exponent)
-    base = (pair.zeta_exponent * geom.trace_exp) % pair.field.p
-    perm = np.array(StatePermutation(P, pair.delta).perm, dtype=np.int64)
-    if not np.array_equal(charm.exponents, base[perm, :]):
-        raise InternalCheckError("P-character grid is not the row-permuted grid")
-    perm_t = np.array(StatePermutation(P.transpose(), pair.delta).perm,
-                      dtype=np.int64)
-    if not np.array_equal(charm.exponents, base[:, perm_t]):
-        raise InternalCheckError("P-character grid is not the column-permuted grid")
+    CharacterMatrix(pair.geometry, P, pair.zeta_exponent).permutation_checks()
 
 
 def projective_candidates(field: FieldSpec, delta: int):
     """Invertible delta x delta matrices whose first nonzero entry in
     row-major order is 1, in lexicographic order of the flattened entry
     codes.  Exactly one representative per projective class."""
-    if delta == 0:
-        yield FMat(field, 0, 0, [])
-        return
-    for flat in itertools.product(field.elements, repeat=delta * delta):
-        first = next((a for a in flat if a), None)
-        if first is None or first != field.one:
-            continue
-        rows = [flat[i * delta:(i + 1) * delta] for i in range(delta)]
-        m = FMat(field, delta, delta, rows)
-        if m.is_invertible():
-            yield m
+    for codes in _cached_candidates(field, delta)[0]:
+        yield _code_matrix(field, codes)
 
 
 @dataclass
@@ -706,38 +666,70 @@ class SearchResult:
     tested: int
 
 
-_CANDIDATE_CACHE: dict = {}
+_CHUNK = 2 ** 18   # elements per transient array in the candidate build and scan
 
 
-def _cached_candidates(field: FieldSpec, delta: int):
-    """Projective representatives with their state permutations, computed
-    once per (field, delta)."""
-    key = (field._key, delta)
-    got = _CANDIDATE_CACHE.get(key)
-    if got is None:
-        got = [(m, np.array(StatePermutation(m, delta).perm, dtype=np.int64))
-               for m in projective_candidates(field, delta)]
-        _CANDIDATE_CACHE[key] = got
-    return got
+def _code_matrix(field: FieldSpec, codes: np.ndarray) -> FMat:
+    return FMat(field, len(codes), len(codes),
+                [[field.elements[c] for c in row] for row in codes.tolist()])
+
+
+@lru_cache(maxsize=None)
+def _cached_candidates(field: FieldSpec, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Projective representatives as (count, delta, delta) entry codes and
+    their (count, q^delta) state permutations, built once per field and
+    delta: the cache key is (field, delta), and a FieldSpec hashes and
+    compares by its ``_key``.  Both arrays are read-only, so no caller
+    can corrupt later searches."""
+    q, entries = field.q, delta * delta
+    place = q ** np.arange(entries - 1, -1, -1, dtype=np.int64)
+    step = max(1, _CHUNK // max(1, q ** delta * delta * field.s))
+    # flat codes whose first nonzero entry is 1 are, in lexicographic
+    # order, the integers in [q^m, 2 q^m) for m = 0, 1, ... in base q
+    spans = [(q ** m, 2 * q ** m) for m in range(entries)] or [(0, 1)]
+    codes, perms = [], []
+    for lo, hi in spans:
+        for start in range(lo, hi, step):
+            flat = np.arange(start, min(start + step, hi), dtype=np.int64)
+            mats = (flat[:, None] // place % q).reshape(len(flat), delta, delta)
+            images = state_images(field, mats)
+            # invertible iff the zero state is the only one mapped to zero
+            keep = np.count_nonzero(images == 0, axis=1) == 1
+            codes.append(mats[keep])
+            perms.append(images[keep])
+    out = np.concatenate(codes), np.concatenate(perms)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
     """Scan projective representatives in canonical order and return the
     first witness satisfying the full entrywise identity; exhaustion is a
-    first-class outcome, not an error."""
+    first-class outcome, not an error.  ``tested`` is the witness's
+    1-based canonical position, or the candidate total on exhaustion."""
     cost = pair.field.q ** (pair.delta * pair.delta)
     if cost > limit:
         raise GuardExceeded(
             f"candidate matrix count q^(delta^2) = {cost} > limit {limit}"
         )
-    tested = 0
+    codes, perms = _cached_candidates(pair.field, pair.delta)
     target = pair.dual_scaled
     tnum = pair.transformed.numer
-    for cand, perm in _cached_candidates(pair.field, pair.delta):
-        tested += 1
-        if np.array_equal(target, tnum[np.ix_(perm, perm)]):
-            return SearchResult(witness=cand, tested=tested)
-    return SearchResult(witness=None, tested=tested)
+    size = target.shape[0]
+    # a witness has target[x, x] == tnum[perm[x], perm[x]] for every x:
+    # compare class ids of the diagonal entries before the full check
+    _, cls = np.unique(np.concatenate([tnum.diagonal().T, target.diagonal().T]),
+                       axis=0, return_inverse=True)
+    have, want = cls.reshape(2, size)
+    step = max(1, _CHUNK // size)
+    for start in range(0, len(perms), step):
+        block = perms[start:start + step]
+        for i in np.flatnonzero((have[block] == want).all(axis=1)).tolist():
+            if np.array_equal(target, tnum[np.ix_(block[i], block[i])]):
+                return SearchResult(witness=_code_matrix(pair.field, codes[start + i]),
+                                    tested=start + i + 1)
+    return SearchResult(witness=None, tested=len(perms))
 
 
 def check_witness(pair: DualPair, P: FMat) -> tuple[bool, int]:

@@ -310,6 +310,3 @@ class CycloPoly:
     def __repr__(self):
         return f"CycloPoly(p={self.p}, scale_pow={self.scale_pow}, {list(self.coeffs)})"
 
-
-def hamming_weight(vec) -> int:
-    return sum(1 for a in vec if a)

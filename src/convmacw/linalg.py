@@ -25,16 +25,8 @@ def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vec_neg(a: Vec) -> Vec:
     return tuple(-x for x in a)
-
-
-def vec_scale(c: FieldElement, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
 
 
 def vec_dot(a: Vec, b: Vec) -> FieldElement:
@@ -49,10 +41,6 @@ def vec_dot(a: Vec, b: Vec) -> FieldElement:
     for x, y in it:
         acc = acc + x * y
     return acc
-
-
-def is_zero_vec(a: Vec) -> bool:
-    return not any(a)
 
 
 class FMat:
@@ -111,9 +99,7 @@ class FMat:
                     [vec_add(a, b) for a, b in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "FMat") -> "FMat":
-        self._same_shape(other)
-        return FMat(self.field, self.nrows, self.ncols,
-                    [vec_sub(a, b) for a, b in zip(self.rows, other.rows)])
+        return self + (-other)
 
     def __neg__(self) -> "FMat":
         return FMat(self.field, self.nrows, self.ncols,
@@ -138,7 +124,7 @@ class FMat:
         return FMat(self.field, self.nrows, other.ncols, out)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.rows)
+        return not any(any(r) for r in self.rows)
 
     def _same_shape(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -334,7 +320,7 @@ class Subspace:
             v = zero_vec(self.field, self.ambient)
             for c, b in zip(coeffs, self.basis):
                 if c:
-                    v = vec_add(v, vec_scale(c, b))
+                    v = vec_add(v, tuple(c * x for x in b))
             yield v
 
     def points_by_index(self) -> list[Vec]:

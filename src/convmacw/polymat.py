@@ -268,9 +268,6 @@ class PolyMatrix:
         return FMat(self.field, self.nrows, self.ncols,
                     [[p.coefficient(power) for p in r] for r in self.rows])
 
-    def at_zero(self) -> FMat:
-        return self.coefficient_matrix(0)
-
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.field, self.ncols, self.nrows,
                           [[self.rows[i][j] for i in range(self.nrows)]

@@ -204,7 +204,7 @@ def test_search_p_command(ternary_doc, capsys):
     assert main(["search-p", ternary_doc, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["theorem_used"] == "conjecture-search"
-    assert payload["details"]["candidates_tested"] <= 24
+    assert payload["details"]["candidates_tested"] == 16
 
 
 def test_macw_text_golden(capsys):

@@ -251,6 +251,7 @@ def test_search_finds_ternary_witness(ternary_pair):
     result = search_witness(ternary_pair)
     assert result.witness is not None
     assert result.witness.to_int_rows() == WITNESS_P_TERNARY
+    assert result.tested == 16
     ok, mism = check_witness(ternary_pair,
                              FMat.from_int_rows(ternary_pair.field,
                                                 WITNESS_P_TERNARY))
@@ -260,6 +261,7 @@ def test_search_finds_ternary_witness(ternary_pair):
 def test_search_agrees_with_closed_form(binary_pair):
     result = search_witness(binary_pair)
     assert result.witness is not None
+    assert result.tested == 109
     ok, _ = check_witness(binary_pair, result.witness)
     assert ok
     Q = closed_form_witness_dual(binary_pair)
