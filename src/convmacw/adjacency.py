@@ -20,7 +20,7 @@ from .statespace import (ControllerForm, PairSplit, StateSpace, connected_pairs,
                          state_images)
 
 TRANSITION_LIMIT = 2 ** 24   # bound on q^(2*delta) * q^k
-PAIR_LIMIT = 2 ** 20         # bound on q^(delta+r)
+PAIR_LIMIT = 2 ** 20         # bound on q^(delta+k) coset points
 
 
 class AdjMatrix:
@@ -139,11 +139,11 @@ def adjacency_by_transitions(cf: ControllerForm,
 def adjacency_by_cosets(cf: ControllerForm, limit: int = PAIR_LIMIT) -> AdjMatrix:
     """Walk only the connected pairs; each entry is the weight enumerator
     of the coset (representative output + constant code)."""
-    q = cf.field.q
-    npairs = q ** (cf.delta + cf.r)
-    if npairs > limit:
+    # q^(delta+r) connected pairs, each a coset of q^(k-r) points
+    points = cf.field.q ** (cf.delta + cf.k)
+    if points > limit:
         raise GuardExceeded(
-            f"connected pair count q^(delta+r) = {npairs} > limit {limit}"
+            f"coset enumeration needs q^(delta+k) = {points} points > limit {limit}"
         )
     space = StateSpace(cf.field, cf.delta)
     basis = constant_code(cf).basis

@@ -11,7 +11,8 @@ A code document is UTF-8 JSON:
     }
 
 Exit codes: 0 verified/ok, 1 usage or parse error, 2 size guard
-exceeded, 3 counterexample candidate or rejected witness.
+exceeded, 3 counterexample candidate or rejected witness, 4 internal
+check failed (a proved identity did not hold: a bug).
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import sys
 
 from . import adjacency as adjmod
 from . import duality as dualmod
-from .errors import GuardExceeded
+from .errors import GuardExceeded, InternalCheckError
 from .field import FieldSpec
 from .linalg import FMat
 from .polymat import (PolyMatrix, basic_diagnostic, code_degree, dual_generator,
-                      is_basic, is_minimal)
+                      is_minimal, make_minimal_basic)
 from .statespace import coefficient_code, constant_code, controller_form
 
 
@@ -48,8 +49,14 @@ class CodeDocument:
         fdecl = data["field"]
         if not isinstance(fdecl, dict) or "p" not in fdecl:
             raise ValueError('"field" must be an object with at least "p"')
-        field = FieldSpec(int(fdecl["p"]), int(fdecl.get("s", 1)),
-                          fdecl.get("modulus"))
+        modulus = fdecl.get("modulus")
+        try:
+            p, s = int(fdecl["p"]), int(fdecl.get("s", 1))
+            if modulus is not None:
+                modulus = [int(c) for c in modulus]
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError('"field" entries must be integers') from None
+        field = FieldSpec(p, s, modulus)
         grid = data["generator"]
         if (not isinstance(grid, list) or not grid
                 or any(not isinstance(r, list) or not r for r in grid)):
@@ -108,12 +115,10 @@ def _parse_limits(pairs) -> dict:
 
 def _require_minimal(doc: CodeDocument) -> PolyMatrix:
     G = doc.generator
-    if not is_basic(G):
-        raise ValueError(
-            "generator is not basic: " + (basic_diagnostic(G) or "no reason")
-        )
-    minimal, _ = is_minimal(G)
-    if not minimal:
+    diagnostic = basic_diagnostic(G)
+    if diagnostic is not None:
+        raise ValueError("generator is not basic: " + diagnostic)
+    if not is_minimal(G)[0]:
         raise ValueError(
             "generator is basic but not minimal; re-encode with a minimal "
             "generator (row degrees must sum to the code degree)"
@@ -124,7 +129,8 @@ def _require_minimal(doc: CodeDocument) -> PolyMatrix:
 def cmd_info(args) -> int:
     doc = CodeDocument.from_path(args.file)
     G = doc.generator
-    basic = is_basic(G)
+    diagnostic = basic_diagnostic(G)
+    basic = diagnostic is None
     info: dict = {
         "label": doc.label,
         "field": doc.field_dict(),
@@ -133,7 +139,7 @@ def cmd_info(args) -> int:
         "basic": basic,
     }
     if not basic:
-        info["diagnostic"] = basic_diagnostic(G)
+        info["diagnostic"] = diagnostic
         if args.format == "json":
             _emit_json(info)
         else:
@@ -145,7 +151,6 @@ def cmd_info(args) -> int:
     info["minimal"] = minimal
     cf = controller_form(G) if minimal else None
     if not minimal:
-        from .polymat import make_minimal_basic
         cf = controller_form(make_minimal_basic(G))
         info["note"] = "invariants computed from a canonicalized minimal encoder"
     prof = cf.profile
@@ -199,7 +204,7 @@ def cmd_adjacency(args) -> int:
         oracle = adjmod.adjacency_by_transitions(
             cf, limits.get("transitions", adjmod.TRANSITION_LIMIT))
         if oracle != adj:
-            raise AssertionError("oracle adjacency disagrees with coset route")
+            raise InternalCheckError("oracle adjacency disagrees with coset route")
         oracle_entries = adj.support_size()
     if args.format == "json":
         payload = adj.to_json_dict()
@@ -221,10 +226,10 @@ def cmd_dual(args) -> int:
     product_zero = (H @ G.transpose()).is_zero()
     out["certificate"] = {
         "orthogonal_to_input": product_zero,
-        "delta": code_degree(H) if H.nrows else 0,
+        "delta": code_degree(H),
     }
     if not product_zero:
-        raise AssertionError("dual certificate failed")
+        raise InternalCheckError("dual certificate failed")
     return _emit_json(out)
 
 
@@ -389,6 +394,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except InternalCheckError as e:
+        print(f"internal check failed: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

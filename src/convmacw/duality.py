@@ -294,10 +294,6 @@ def check_orth_translation_invariance(fm: FourierMatrix, cf: ControllerForm,
                                      "orthogonal failed")
 
 
-def _h_matrix(n: int, q: int) -> np.ndarray:
-    return np.array(macwilliams_rows(n, q), dtype=np.int64)
-
-
 class TransformedMatrix:
     """Candidate for the dual adjacency matrix: the MacWilliams transform
     applied entrywise to the conjugated, transposed, de-conjugated
@@ -335,19 +331,32 @@ def macwilliams_image(fm: FourierMatrix, k: int,
     the two-sided conjugation, because the grid squares to the negation
     permutation.
     """
-    ht = _h_matrix(fm.n, fm.field.q)
-    tmp = fm.numer[geom.neg_perm]
-    gamma = tmp.transpose(1, 0, 2)
-    tnum = np.einsum("xyj,jt->xyt", gamma, ht)
-    return TransformedMatrix(fm.field, fm.n, k, fm.delta, tnum)
+    return _scaled_transform(fm, fm.numer[geom.neg_perm].transpose(1, 0, 2), k)
 
 
 def entrywise_h(fm: FourierMatrix, k: int) -> TransformedMatrix:
     """q^(-k) times the MacWilliams transform of each conjugated entry,
     without the transpose reindexing."""
-    ht = _h_matrix(fm.n, fm.field.q)
-    hnum = np.einsum("xyj,jt->xyt", fm.numer, ht)
-    return TransformedMatrix(fm.field, fm.n, k, fm.delta, hnum)
+    return _scaled_transform(fm, fm.numer, k)
+
+
+def _scaled_transform(fm: FourierMatrix, numer: np.ndarray,
+                      k: int) -> TransformedMatrix:
+    """The MacWilliams transform of every entry of ``numer`` in int64.
+
+    No partial sum exceeds max|numer| times the largest column sum of
+    |H|, so that bound is checked, in exact integers, before the product.
+    """
+    rows = macwilliams_rows(fm.n, fm.field.q)
+    colsum = max(sum(abs(r[t]) for r in rows) for t in range(fm.n + 1))
+    bound = int(np.abs(numer).max(initial=0)) * colsum
+    if bound >= 2 ** 62:
+        raise GuardExceeded(
+            f"MacWilliams transform bound max|entry| * max column sum of |H| "
+            f"= {bound} >= 2^62 (int64 headroom)"
+        )
+    tnum = np.einsum("xyj,jt->xyt", numer, np.array(rows, dtype=np.int64))
+    return TransformedMatrix(fm.field, fm.n, k, fm.delta, tnum)
 
 
 def state_pairing_matrix(cf: ControllerForm, cf_dual: ControllerForm) -> FMat:
@@ -751,7 +760,7 @@ def check_unit_memory(pair: DualPair) -> int:
     if not ok:
         raise InternalCheckError(f"identity witness failed at {mism} entries")
     lam = pair.adj.dense_coefficients()
-    ht = _h_matrix(pair.n, q)
+    ht = np.array(macwilliams_rows(pair.n, q), dtype=np.int64)
     lam00 = lam[0, 0]
     lam01 = lam[0, 1]
     row1 = lam[1].sum(axis=0)

@@ -187,12 +187,13 @@ class FieldSpec:
                  "_mul_t", "_inv_t", "_neg_t")
 
     def __init__(self, p: int, s: int = 1, modulus=None):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if s < 1:
             raise ValueError("extension degree must be >= 1")
-        if p ** s > 2 ** 16:
+        # size first, so a huge p or s costs no trial division or power
+        if p > 2 ** 16 or s > 16 or (p > 1 and p ** s > 2 ** 16):
             raise ValueError("fields larger than 2^16 are not supported")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         if s == 1:
             if modulus is not None:
                 raise ValueError("a modulus is only accepted for s > 1")

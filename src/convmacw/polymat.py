@@ -9,7 +9,6 @@ Whitespace is insignificant; the zero polynomial is "0".
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ from .field import FieldElement, FieldSpec
 from .linalg import FMat, right_null_space
 
 NEG_INF = float("-inf")
+MAX_EXPONENT = 256  # largest power of z that parse_zpoly accepts
 
 
 class ZPoly:
@@ -162,6 +162,8 @@ _TERM_RE = re.compile(r"^(?:(-?\d+)|(\[[0-9,\s-]*\]))?(z(?:\^(\d+))?)?$")
 
 def parse_zpoly(text: str, field: FieldSpec) -> ZPoly:
     """Parse the polynomial grammar; raises ValueError with a column."""
+    if not isinstance(text, str):
+        raise ValueError(f"polynomial must be a string, got {type(text).__name__}")
     stripped = text.strip()
     if not stripped:
         raise ValueError("parse error at column 1: empty polynomial")
@@ -177,24 +179,22 @@ def parse_zpoly(text: str, field: FieldSpec) -> ZPoly:
         if not m or (m.group(1) is None and m.group(2) is None and m.group(3) is None):
             raise ValueError(f"parse error at column {col}: bad term {chunk.strip()!r}")
         int_c, list_c, zpart, exp = m.groups()
-        if list_c is not None:
-            digits = [d for d in list_c[1:-1].split(",") if d != ""]
-            if field.s == 1:
-                raise ValueError(
-                    f"parse error at column {col}: digit lists need an extension field"
-                )
-            try:
-                coeff = field.from_digits([int(d) for d in digits])
-            except ValueError as e:
-                raise ValueError(f"parse error at column {col}: {e}") from None
-        elif int_c is not None:
-            coeff = field.from_int(int(int_c))
-        else:
-            coeff = field.one
-        if zpart is None:
-            power = 0
-        else:
-            power = int(exp) if exp is not None else 1
+        if list_c is not None and field.s == 1:
+            raise ValueError(
+                f"parse error at column {col}: digit lists need an extension field"
+            )
+        try:
+            if list_c is not None:
+                coeff = field.from_digits(
+                    [int(d) for d in list_c[1:-1].split(",") if d != ""])
+            else:
+                coeff = field.one if int_c is None else field.from_int(int(int_c))
+            power = 0 if zpart is None else 1 if exp is None else int(exp)
+        except ValueError as e:
+            raise ValueError(f"parse error at column {col}: {e}") from None
+        if power > MAX_EXPONENT:
+            raise ValueError(f"parse error at column {col}: exponent {power} "
+                             f"exceeds {MAX_EXPONENT}")
         result = result + ZPoly.monomial(coeff, power)
     return result
 
@@ -433,45 +433,61 @@ def basic_diagnostic(G: PolyMatrix) -> str | None:
     return None
 
 
-def _det(field: FieldSpec, rows) -> ZPoly:
-    m = len(rows)
-    if m == 0:
-        return ZPoly.one(field)
-    if m == 1:
-        return rows[0][0]
-    acc = ZPoly.zero(field)
-    for i in range(m):
-        if rows[i][0].is_zero():
-            continue
-        minor = [r[1:] for t, r in enumerate(rows) if t != i]
-        term = rows[i][0] * _det(field, minor)
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
+def _leading_left_kernel(field: FieldSpec, rows, ncols: int):
+    """Row degrees of a polynomial matrix and the left kernel of its
+    highest-row-degree coefficient matrix.
+
+    The matrix is row-reduced iff that kernel is zero (Forney, "Minimal
+    bases of rational vector spaces", 1975); a zero row means the rows
+    are dependent and raises ValueError.
+    """
+    degs = [max(p.degree for p in r) for r in rows]
+    if NEG_INF in degs:
+        raise ValueError("rank-deficient matrix has degree undefined")
+    degs = [int(d) for d in degs]
+    hdc = FMat(field, len(rows), ncols,
+               [[p.coefficient(d) for p in r] for r, d in zip(rows, degs)])
+    return degs, right_null_space(field, hdc.transpose())
+
+
+def _row_reduce(M: PolyMatrix) -> PolyMatrix:
+    """Unimodular row reduction of a full-rank matrix to a row-reduced one,
+    rows ordered by descending degree; rank-deficient input raises."""
+    field = M.field
+    rows = [list(r) for r in M.rows]
+    while True:
+        degs, left_kernel = _leading_left_kernel(field, rows, M.ncols)
+        if not left_kernel:
+            break
+        # cancel the leading terms of the highest-degree row in the support
+        c = left_kernel[0]
+        support = [i for i, ci in enumerate(c) if ci]
+        j = min(i for i in support if degs[i] == max(degs[t] for t in support))
+        new_row = [ZPoly.zero(field)] * M.ncols
+        for i in support:
+            shift = degs[j] - degs[i]
+            for col in range(M.ncols):
+                new_row[col] = new_row[col] + rows[i][col].scale(c[i]).shift(shift)
+        rows[j] = new_row
+    order = sorted(range(M.nrows), key=lambda i: -degs[i])
+    return PolyMatrix(field, M.nrows, M.ncols, [rows[i] for i in order])
 
 
 def code_degree(G: PolyMatrix) -> int:
-    """Maximum degree over all k x k minors of G (explicit expansion)."""
-    k, n = G.nrows, G.ncols
-    if k > n:
+    """Maximum degree over all k x k minors of G, read off as the row-degree
+    sum of a row-reduced form (unimodular steps keep the minors up to a
+    unit factor)."""
+    if G.nrows > G.ncols:
         raise ValueError("more rows than columns; not an encoder")
-    best = NEG_INF
-    for cols in itertools.combinations(range(n), k):
-        minor = _det(G.field, [[G.rows[i][j] for j in cols] for i in range(k)])
-        if minor.degree > best:
-            best = minor.degree
-    if best is NEG_INF:
-        raise ValueError("rank-deficient matrix has degree undefined")
-    return int(best)
+    return sum(_row_reduce(G).row_degrees())
 
 
 def is_minimal(G: PolyMatrix) -> tuple[bool, tuple[int, ...] | None]:
     """(minimal?, Forney indices sorted descending when minimal)."""
     if not is_basic(G):
         raise ValueError("minimality is only defined for basic matrices")
-    degs = [int(d) for d in G.row_degrees()]
-    if sum(degs) == code_degree(G):
-        return True, tuple(sorted(degs, reverse=True))
-    return False, None
+    degs, left_kernel = _leading_left_kernel(G.field, G.rows, G.ncols)
+    return (False, None) if left_kernel else (True, tuple(sorted(degs, reverse=True)))
 
 
 def make_minimal_basic(G: PolyMatrix) -> PolyMatrix:
@@ -485,44 +501,25 @@ def make_minimal_basic(G: PolyMatrix) -> PolyMatrix:
             "input does not generate a (noncatastrophic, delay-free) code: "
             + (basic_diagnostic(G) or "not basic")
         )
-    field = G.field
-    rows = [list(r) for r in G.rows]
-    while True:
-        degs = [int(max(p.degree for p in r)) for r in rows]
-        hdc = FMat(field, G.nrows, G.ncols,
-                   [[p.coefficient(d) for p in r] for r, d in zip(rows, degs)])
-        left_kernel = right_null_space(field, hdc.transpose())
-        if not left_kernel:
-            break
-        c = left_kernel[0]
-        support = [i for i, ci in enumerate(c) if ci]
-        j = min(i for i in support if degs[i] == max(degs[t] for t in support))
-        new_row = [ZPoly.zero(field)] * G.ncols
-        for i in support:
-            shift = degs[j] - degs[i]
-            for col in range(G.ncols):
-                new_row[col] = new_row[col] + rows[i][col].scale(c[i]).shift(shift)
-        rows[j] = new_row
-    order = sorted(range(G.nrows),
-                   key=lambda i: -int(max(p.degree for p in rows[i])))
-    return PolyMatrix(field, G.nrows, G.ncols, [rows[i] for i in order])
+    return _row_reduce(G)
 
 
 def dual_generator(G: PolyMatrix) -> PolyMatrix:
     """Minimal basic generator of all polynomial vectors orthogonal to the
     row module of G, built from a Smith-form kernel basis."""
-    minimal, _ = is_minimal(G)
-    if not minimal:
-        raise ValueError("dual construction expects a basic minimal encoder")
     k, n = G.nrows, G.ncols
     _, S, V = smith_normal_form(G)
-    # G w^t = 0 iff w^t lies in the span of V's last n-k columns
+    if k > n or any(S.rows[t][t].degree != 0 for t in range(k)):
+        raise ValueError("minimality is only defined for basic matrices")
+    if _leading_left_kernel(G.field, G.rows, n)[1]:
+        raise ValueError("dual construction expects a basic minimal encoder")
+    # G w^t = 0 iff w^t lies in the span of V's last n-k columns; those
+    # columns of the unimodular V form a basic matrix
     kernel_rows = [tuple(V.rows[i][j] for i in range(n)) for j in range(k, n)]
-    K = PolyMatrix.from_rows(G.field, kernel_rows, n)
-    H = make_minimal_basic(K)
+    H = _row_reduce(PolyMatrix.from_rows(G.field, kernel_rows, n))
     if not (H @ G.transpose()).is_zero():
         raise InternalCheckError("kernel construction lost orthogonality")
-    if H.nrows and code_degree(H) != code_degree(G):
+    if sum(H.row_degrees()) != sum(G.row_degrees()):
         raise InternalCheckError("dual code degree mismatch")
     return H
 
@@ -618,12 +615,8 @@ def random_minimal_encoder(rng, field: FieldSpec, n: int, k: int, delta: int,
                 row[col] = ZPoly(field, coeffs)
             rows.append(row)
         G = PolyMatrix.from_rows(field, rows, n)
-        if [int(d) for d in G.row_degrees()] != degs:
-            continue
-        if not is_basic(G):
-            continue
-        minimal, _ = is_minimal(G)
-        if minimal:
+        if ([int(d) for d in G.row_degrees()] == degs and is_basic(G)
+                and not _leading_left_kernel(field, G.rows, n)[1]):
             return G
     raise RuntimeError(
         f"could not sample a minimal encoder for (n={n}, k={k}, delta={delta})"

@@ -161,6 +161,10 @@ def test_guards(binary_523):
         adjacency_by_transitions(cf, limit=10)
     with pytest.raises(GuardExceeded):
         adjacency_by_cosets(cf, limit=3)
+    # 2^(delta+r) = 16 connected pairs, each a coset of 2^(k-r) = 2 points
+    with pytest.raises(GuardExceeded, match=r"q\^\(delta\+k\) = 32 points"):
+        adjacency_by_cosets(cf, limit=31)
+    assert adjacency_by_cosets(cf, limit=32).support_size() == 16
 
 
 def test_json_and_text_rendering(binary_523):

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from convmacw import same_code
+from convmacw import adjacency, same_code
 from convmacw.cli import CodeDocument, main
 from conftest import (BINARY_523, CHAR_GRID_2_3, TERNARY_322,
                       WITNESS_P_TERNARY)
@@ -255,3 +256,45 @@ def test_non_minimal_input_message(tmp_path, capsys):
     assert main(["adjacency", str(path)]) == 1
     err = capsys.readouterr().err
     assert "not minimal" in err
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"field": {"p": None}, "generator": [["1"]]}, "must be integers"),
+    ({"field": {"p": 2, "s": [2]}, "generator": [["1"]]}, "must be integers"),
+    ({"field": {"p": 2, "s": 2, "modulus": [1, None, 1]}, "generator": [["1"]]},
+     "must be integers"),
+    ({"field": {"p": 2}, "generator": [[1, "z"]]}, "must be a string"),
+    ({"field": {"p": 10 ** 40 + 1}, "generator": [["1"]]}, "larger than 2^16"),
+    ({"field": {"p": 2, "s": 10 ** 40}, "generator": [["1"]]}, "larger than 2^16"),
+    ({"field": {"p": 2}, "generator": [["1+z^50000000"]]}, "column 3: exponent"),
+    ({"field": {"p": 2}, "generator": [["z^" + "9" * 5000]]}, "column 1"),
+])
+def test_malformed_documents_exit_1(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["info", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_coset_guard_counts_points(tmp_path, capsys):
+    """The dual of this (30,1) code has 29 rows: few pairs, 2^28 points each."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"field": {"p": 2},
+                                "generator": [["1+z"] + ["1"] * 29]}))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - start < 10
+    assert "q^(delta+k) = 1073741824 points" in capsys.readouterr().err
+
+
+def test_internal_check_failure_exit_4(binary_doc, capsys, monkeypatch):
+    def wrong_oracle(cf, limit):
+        adj = adjacency.adjacency_by_cosets(cf)
+        adj.entries.popitem()
+        return adj
+
+    monkeypatch.setattr(adjacency, "adjacency_by_transitions", wrong_oracle)
+    assert main(["adjacency", binary_doc, "--oracle"]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal check failed: oracle adjacency disagrees with coset route\n"

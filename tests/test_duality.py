@@ -9,11 +9,13 @@ from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, PolyMatrix,
                       check_witness, closed_form_witness_dual,
                       closed_form_witness_primal, run_verification,
                       search_witness, StatePermutation)
-from convmacw.duality import (CharacterMatrix, PairGeometry,
+from convmacw.duality import (CharacterMatrix, FourierMatrix, PairGeometry,
                               check_orth_translation_invariance,
                               check_pairing_lemma, check_transport,
-                              check_zeta_independence, fourier_conjugate,
+                              check_zeta_independence, entrywise_h,
+                              fourier_conjugate, macwilliams_image,
                               projective_candidates, state_pairing_matrix)
+from convmacw.exact import macwilliams_rows
 from convmacw.statespace import constant_code
 from conftest import (CHAR_GRID_2_3, PERM_Q_BINARY, WITNESS_P_TERNARY,
                       WITNESS_Q_BINARY, we)
@@ -358,3 +360,24 @@ def test_geometry_reuse_and_negation(f3):
     assert geom.beta_codes.shape == (9, 9)
     for i in range(9):
         assert geom.neg_perm[geom.neg_perm[i]] == i
+
+
+def test_transform_int64_headroom(f2):
+    n = 30
+    rows = macwilliams_rows(n, 2)
+    colsum = max(sum(abs(r[t]) for r in rows) for t in range(n + 1))
+    geom = PairGeometry(f2, 1)
+
+    def synthetic(peak):
+        numer = np.full((2, 2, n + 1), peak, dtype=np.int64)
+        return FourierMatrix(f2, 1, n, numer, np.zeros((2, 2, 2, n + 1), np.int64))
+
+    peak = (2 ** 62 - 1) // colsum
+    exact = [peak * sum(r[t] for r in rows) for t in range(n + 1)]
+    assert entrywise_h(synthetic(peak), 1).numer[0, 0].tolist() == exact
+    assert macwilliams_image(synthetic(peak), 1, geom).numer[1, 0].tolist() == exact
+    for fm in (synthetic(peak + 1), synthetic(2 ** 40)):
+        with pytest.raises(GuardExceeded, match="int64 headroom"):
+            entrywise_h(fm, 1)
+        with pytest.raises(GuardExceeded, match="int64 headroom"):
+            macwilliams_image(fm, 1, geom)

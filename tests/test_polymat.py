@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 
 import pytest
@@ -6,8 +8,11 @@ from convmacw import (CodeProfile, FieldSpec, PolyMatrix, ZPoly, code_degree,
                       codeword_weight, dual_generator, encode, is_basic,
                       is_minimal, make_minimal_basic, parse_zpoly,
                       random_minimal_encoder, same_code, smith_normal_form)
+from convmacw import polymat
+from convmacw.cli import main
 from convmacw.polymat import (NEG_INF, basic_diagnostic, format_zpoly,
                               module_contains)
+from conftest import BINARY_523
 
 
 def _poly_det(field, m: PolyMatrix) -> ZPoly:
@@ -200,3 +205,83 @@ def test_random_minimal_encoder(q, n, k, delta):
         assert is_basic(G)
         minimal, idx = is_minimal(G)
         assert minimal and sum(idx) == delta
+
+
+def _max_minor_degree(field, G: PolyMatrix):
+    """Largest degree over the k x k minors (the minor-expansion oracle)."""
+    return max(_poly_det(field, PolyMatrix.from_rows(
+        field, [[r[j] for j in cols] for r in G.rows], G.nrows)).degree
+        for cols in itertools.combinations(range(G.ncols), G.nrows))
+
+
+def _random_matrix(rng, field, k, n, max_deg):
+    return PolyMatrix.from_rows(field, [
+        [ZPoly(field, [field.element(rng.randrange(field.q))
+                       for _ in range(rng.randint(0, max_deg + 1))])
+         for _ in range(n)] for _ in range(k)], n)
+
+
+@pytest.mark.parametrize("spec", [(2,), (3,), (2, 2, [1, 1, 1])])
+def test_code_degree_matches_minor_oracle(spec):
+    field = FieldSpec(*spec)
+    rng = random.Random(41 + field.q)
+    seen = {"non-basic": 0, "not row-reduced": 0, "rank-deficient": 0}
+    for _ in range(60):
+        k = rng.randint(1, 3)
+        G = _random_matrix(rng, field, k, rng.randint(k, 4), 2)
+        oracle = _max_minor_degree(field, G)
+        if oracle is NEG_INF:
+            seen["rank-deficient"] += 1
+            with pytest.raises(ValueError, match="rank-deficient"):
+                code_degree(G)
+            continue
+        seen["non-basic"] += not is_basic(G)
+        seen["not row-reduced"] += sum(G.row_degrees()) != oracle
+        assert code_degree(G) == oracle
+    assert all(seen.values()), seen
+
+
+def test_code_degree_errors(f2):
+    with pytest.raises(ValueError, match="more rows than columns"):
+        code_degree(PolyMatrix.from_strings(f2, [["1"], ["z"]]))
+    with pytest.raises(ValueError, match="rank-deficient"):
+        code_degree(PolyMatrix.from_strings(f2, [["1+z", "z"], ["1+z^2", "z+z^2"]]))
+    with pytest.raises(ValueError, match="rank-deficient"):
+        code_degree(PolyMatrix.from_strings(f2, [["0", "0"]]))
+    assert code_degree(PolyMatrix.from_rows(f2, [], 3)) == 0
+
+
+@pytest.mark.parametrize("spec", [(2,), (3,), (2, 2, [1, 1, 1])])
+def test_is_minimal_matches_definition(spec):
+    field = FieldSpec(*spec)
+    rng = random.Random(73 + field.q)
+    outcomes = set()
+    tried = 0
+    while len(outcomes) < 2 or tried < 40:
+        tried += 1
+        k = rng.randint(1, 3)
+        G = _random_matrix(rng, field, k, rng.randint(k, 4), 2)
+        if not is_basic(G):
+            continue
+        degs = [int(d) for d in G.row_degrees()]
+        minimal = sum(degs) == _max_minor_degree(field, G)
+        indices = tuple(sorted(degs, reverse=True)) if minimal else None
+        assert is_minimal(G) == (minimal, indices)
+        outcomes.add(minimal)
+
+
+def test_verify_smith_form_count(tmp_path, monkeypatch, capsys):
+    """Encoder analysis of one verify run computes at most 5 Smith forms."""
+    path = tmp_path / "binary.json"
+    path.write_text(json.dumps({"field": {"p": 2}, "generator": BINARY_523}))
+    calls = []
+    real = polymat.smith_normal_form
+
+    def counting(M):
+        calls.append((M.nrows, M.ncols))
+        return real(M)
+
+    monkeypatch.setattr(polymat, "smith_normal_form", counting)
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 5, calls
