@@ -18,9 +18,9 @@ from .polymat import (CodeProfile, PolyMatrix, ZPoly, code_degree,
                       dual_generator, encode, codeword_weight, is_basic,
                       is_minimal, make_minimal_basic, parse_zpoly,
                       random_minimal_encoder, same_code, smith_normal_form)
-from .statespace import (ControllerForm, PairSplit, StateSpace,
-                         coefficient_code, connected_pairs,
-                         connected_pairs_orth, constant_code, controller_form,
-                         output_kernel, output_rep, pair_split)
+from .statespace import (ControllerForm, PairSplit, coefficient_code,
+                         connected_pairs, connected_pairs_orth, constant_code,
+                         controller_form, output_kernel, output_rep,
+                         pair_split)
 
 __version__ = "0.1.0"

@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GuardExceeded, InternalCheckError
-from .exact import WePoly, we_of_affine
-from .field import enumerate_vectors
-from .linalg import FMat, vec_add, vec_mat
-from .statespace import (ControllerForm, PairSplit, StateSpace, connected_pairs,
-                         constant_code, coefficient_code, output_rep, pair_split,
-                         state_images)
+from .exact import WePoly, we_of_affine, weight_counts
+from .field import code_index, span_blocks, span_indices, vector_codes
+from .linalg import FMat, block_matrix
+from .statespace import (ControllerForm, PairSplit, connected_pairs,
+                         constant_code, coefficient_code, pair_output_rep,
+                         pair_split)
 
 TRANSITION_LIMIT = 2 ** 24   # bound on q^(2*delta) * q^k
 PAIR_LIMIT = 2 ** 20         # bound on q^(delta+k) coset points
@@ -26,22 +26,18 @@ PAIR_LIMIT = 2 ** 20         # bound on q^(delta+k) coset points
 class AdjMatrix:
     """Sparse q^delta x q^delta matrix of weight enumerators."""
 
-    __slots__ = ("field", "n", "delta", "space", "entries")
+    __slots__ = ("field", "n", "delta", "size", "entries")
 
     def __init__(self, field, n: int, delta: int, entries: dict):
         self.field = field
         self.n = n
         self.delta = delta
-        self.space = StateSpace(field, delta)
+        self.size = field.q ** delta
         self.entries = dict(entries)
 
     @property
     def q(self) -> int:
         return self.field.q
-
-    @property
-    def size(self) -> int:
-        return self.space.size
 
     def entry(self, i: int, j: int) -> WePoly:
         return self.entries.get((i, j), WePoly.empty())
@@ -114,22 +110,17 @@ def adjacency_by_transitions(cf: ControllerForm,
         raise GuardExceeded(
             f"transition enumeration needs q^(2*delta+k) = {cost} > limit {limit}"
         )
-    space = StateSpace(cf.field, cf.delta)
+    # (X, u) -> (X A + u B, X C + u D) as one linear map, X varying slowest
+    gen = vector_codes(block_matrix(cf.field, [[cf.A, cf.C], [cf.B, cf.D]]).rows,
+                       cf.delta + cf.n)
     counts: dict[tuple[int, int], list[int]] = {}
-    inputs = enumerate_vectors(cf.field, cf.k)
-    for xi, X in enumerate(space.states):
-        xa = vec_mat(X, cf.A)
-        xc = vec_mat(X, cf.C)
-        for u in inputs:
-            Y = vec_add(xa, vec_mat(u, cf.B))
-            out = vec_add(xc, vec_mat(u, cf.D))
-            w = sum(1 for a in out if a)
-            key = (xi, space.index_of(Y))
-            bucket = counts.get(key)
-            if bucket is None:
-                bucket = [0] * (cf.n + 1)
-                counts[key] = bucket
-            bucket[w] += 1
+    for start, block in span_blocks(cf.field, gen):
+        xs = (start + np.arange(len(block))) // q ** cf.k
+        keys = ((xs * q ** cf.delta + code_index(cf.field, block[:, :cf.delta]))
+                * (cf.n + 1) + np.count_nonzero(block[:, cf.delta:], axis=1))
+        for key, c in zip(*(a.tolist() for a in np.unique(keys, return_counts=True))):
+            pair, w = divmod(key, cf.n + 1)
+            counts.setdefault(divmod(pair, q ** cf.delta), [0] * (cf.n + 1))[w] += c
     entries = {key: WePoly(c) for key, c in counts.items()}
     adj = AdjMatrix(cf.field, cf.n, cf.delta, entries)
     _check_invariants(adj, cf)
@@ -145,14 +136,15 @@ def adjacency_by_cosets(cf: ControllerForm, limit: int = PAIR_LIMIT) -> AdjMatri
         raise GuardExceeded(
             f"coset enumeration needs q^(delta+k) = {points} points > limit {limit}"
         )
-    space = StateSpace(cf.field, cf.delta)
-    basis = constant_code(cf).basis
-    entries = {}
-    for pair in connected_pairs(cf).points():
-        X, Y = pair[: cf.delta], pair[cf.delta:]
-        rep = output_rep(cf, X, Y)
-        key = (space.index_of(X), space.index_of(Y))
-        entries[key] = we_of_affine(rep, basis)
+    pairs, const = connected_pairs(cf), constant_code(cf)
+    # output representatives are linear in the pair, so c @ [reps; const]
+    # runs through the coset of each pair in turn, q^(k-r) points apiece
+    reps = [pair_output_rep(cf, b) for b in pairs.basis]
+    gen = vector_codes(reps + list(const.basis), cf.n)
+    group = cf.field.q ** const.dim
+    counts = weight_counts(cf.field, gen, 0, points, group).tolist()
+    xs, ys = np.divmod(pairs.point_indices(), cf.field.q ** cf.delta)
+    entries = {(x, y): WePoly(c) for x, y, c in zip(xs.tolist(), ys.tolist(), counts)}
     adj = AdjMatrix(cf.field, cf.n, cf.delta, entries)
     _check_invariants(adj, cf)
     return adj
@@ -166,7 +158,7 @@ class StatePermutation:
 
     def __init__(self, P: FMat, delta: int | None = None):
         codes = np.array(P.to_int_rows(), dtype=np.int64).reshape(1, P.nrows, P.ncols)
-        images = state_images(P.field, codes)[0]
+        images = span_indices(P.field, codes[0])
         # a square map is a bijection iff only the zero state maps to zero
         if (P.nrows != P.ncols or delta not in (None, P.nrows)
                 or np.count_nonzero(images == 0) != 1):
@@ -198,11 +190,10 @@ def entry_sums(adj: AdjMatrix, cf: ControllerForm,
     times it.  Both identities are asserted."""
     if split is None:
         split = pair_split(cf)
-    space = adj.space
+    xs, ys = np.divmod(split.transversal.point_indices(), adj.size)
     acc = WePoly.empty()
-    for pair in split.transversal.points():
-        X, Y = pair[: cf.delta], pair[cf.delta:]
-        acc = acc + adj.entry(space.index_of(X), space.index_of(Y))
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        acc = acc + adj.entry(x, y)
     total = adj.total()
     coeff_code, r_dual = coefficient_code(cf)
     cc_we = we_of_affine((cf.field.zero,) * cf.n, coeff_code.basis)

@@ -22,14 +22,14 @@ from .adjacency import AdjMatrix, StatePermutation, adjacency_by_cosets
 from .errors import GuardExceeded, InternalCheckError
 from .exact import (CycloNum, CycloPoly, WePoly, macwilliams_rows,
                     we_of_affine)
-from .field import FieldSpec, vector_index
+from .field import (FieldSpec, code_index, index_codes, linear_map,
+                    span_blocks, span_indices, vector_codes, vector_index)
 from .linalg import (FMat, Subspace, block_matrix, deterministic_complement,
                      right_null_space, vec_mat, zero_vec)
 from .polymat import CodeProfile, PolyMatrix, dual_generator
-from .statespace import (ControllerForm, StateSpace, coefficient_code,
-                         connected_pairs, connected_pairs_orth,
-                         controller_form, output_kernel, pair_split,
-                         state_images)
+from .statespace import (ControllerForm, coefficient_code, connected_pairs,
+                         connected_pairs_orth, controller_form, output_kernel,
+                         pair_split)
 
 GRID_LIMIT = 2 ** 16     # bound on q^(2*delta), the full pair grid
 SEARCH_LIMIT = 2 ** 17   # bound on q^(delta^2) candidate matrices
@@ -39,7 +39,7 @@ class PairGeometry:
     """Cached integer tables over the state space: pairing codes, trace
     exponents, the field addition table, and the negation permutation."""
 
-    __slots__ = ("field", "delta", "space", "size", "beta_codes", "trace_exp",
+    __slots__ = ("field", "delta", "size", "beta_codes", "trace_exp",
                  "add_codes", "neg_perm")
 
     def __init__(self, field: FieldSpec, delta: int, limit: int = GRID_LIMIT):
@@ -50,28 +50,25 @@ class PairGeometry:
             )
         self.field = field
         self.delta = delta
-        self.space = StateSpace(field, delta)
         self.size = size
-        place = field.q ** np.arange(delta - 1, -1, -1, dtype=np.int64)
-        states = np.arange(size, dtype=np.int64)[:, None] // place % field.q
+        states = index_codes(field, np.arange(size), delta)
         # row j is x . y_j for every state x; the form is symmetric
-        self.beta_codes = state_images(field, states[:, :, None])
+        self.beta_codes = span_indices(field, states[:, :, None]).T
         traces = np.array([field.trace(e) for e in field.elements], dtype=np.int64)
         self.trace_exp = traces[self.beta_codes]
-        self.add_codes = np.array(
-            [[(a + b).code for b in field.elements] for a in field.elements],
-            dtype=np.int64,
-        )
+        powers = field.p ** np.arange(field.s, dtype=np.int64)
+        digits = np.arange(field.q, dtype=np.int64)[:, None] // powers % field.p
+        self.add_codes = (digits[:, None] + digits[None]) % field.p @ powers
         minus_one = (-field.one).code * np.eye(delta, dtype=np.int64)
-        self.neg_perm = state_images(field, minus_one[None])[0]
+        self.neg_perm = span_indices(field, minus_one)
 
     def orth_mask(self, basis) -> np.ndarray:
         """Boolean (size, size) grid marking pairs (X, Y) orthogonal to
         every basis pair under the doubled bilinear form."""
         mask = np.ones((self.size, self.size), dtype=bool)
         for b in basis:
-            g1 = self.space.index_of(b[: self.delta])
-            g2 = self.space.index_of(b[self.delta:])
+            g1 = vector_index(b[: self.delta])
+            g2 = vector_index(b[self.delta:])
             vals = self.add_codes[
                 self.beta_codes[:, g1][:, None], self.beta_codes[:, g2][None, :]
             ]
@@ -79,12 +76,11 @@ class PairGeometry:
         return mask
 
     def shift_perm(self, state) -> np.ndarray:
-        """Index permutation of adding a fixed state to every state."""
-        return np.array(
-            [self.space.index_of(tuple(a + b for a, b in zip(s, state)))
-             for s in self.space.states],
-            dtype=np.int64,
-        ) if self.delta else np.zeros(1, dtype=np.int64)
+        """Index permutation of adding a fixed state, given by its entry
+        codes, to every state."""
+        states = index_codes(self.field, np.arange(self.size), self.delta)
+        shifted = self.add_codes[states, np.asarray(state, dtype=np.int64)]
+        return code_index(self.field, shifted)
 
 
 class CharacterMatrix:
@@ -172,15 +168,29 @@ class CharacterMatrix:
 
 def _bucket_tensor(lam: np.ndarray, E: np.ndarray, p: int) -> np.ndarray:
     """Two-sided product of the unnormalized character grid with a
-    coefficient tensor, bucketed by total zeta exponent."""
+    coefficient tensor, bucketed by total zeta exponent, in float64 (BLAS).
+
+    No partial sum exceeds the largest sum of |lam[:, :, t]|.  Integers
+    below 2^53 add exactly in float64, so that bound, summed first, is
+    exact below 2^53 and at least 2^52 above it: the check at 2^52 lets
+    only exact sums through."""
     size, _, nw = lam.shape
-    masks = [(E == e).astype(np.int64) for e in range(p)]
+    flat = lam.reshape(size, size * nw).astype(np.float64)  # [z, (y, t)]
+    bound = np.abs(flat).reshape(size * size, nw).sum(axis=0).max(initial=0)
+    if bound >= 2 ** 52:
+        raise GuardExceeded(
+            f"character product bound max_t sum |lam[:, :, t]| >= 2^52 "
+            f"(float64 headroom)"
+        )
+    masks = [(E == e).astype(np.float64) for e in range(p)]
     buckets = np.zeros((p, size, size, nw), dtype=np.int64)
     for e1 in range(p):
-        left = np.einsum("xz,zyt->xyt", masks[e1], lam)
+        # rows (x, t), columns y, so the right product is one matmul too
+        left = (masks[e1] @ flat).reshape(size, size, nw).transpose(0, 2, 1)
+        left = left.reshape(size * nw, size)
         for e2 in range(p):
-            prod = np.einsum("xyt,yw->xwt", left, masks[e2])
-            buckets[(e1 + e2) % p] += prod
+            prod = (left @ masks[e2]).reshape(size, nw, size).transpose(0, 2, 1)
+            buckets[(e1 + e2) % p] += prod.astype(np.int64)
     return buckets
 
 
@@ -253,32 +263,59 @@ def fourier_conjugate(adj: AdjMatrix, cf: ControllerForm,
 def _fourier_closed_form(adj: AdjMatrix, cf: ControllerForm,
                          geom: PairGeometry) -> np.ndarray:
     """Closed-form route, returned over the denominator q^delta (q-1)."""
-    q = adj.field.q
+    field, q = adj.field, adj.field.q
     size, n, delta = geom.size, adj.n, adj.delta
     kernel = output_kernel(cf)
     dspace = connected_pairs(cf)
     cc, r_dual = coefficient_code(cf)
     cc_we = np.array(
-        we_of_affine(zero_vec(adj.field, n), cc.basis).padded(n), dtype=np.int64
+        we_of_affine(zero_vec(field, n), cc.basis).padded(n), dtype=np.int64
     )
     in_ker_orth = geom.orth_mask(kernel.basis)
     in_delta_orth = geom.orth_mask(dspace.basis)
     lam = adj.dense_coefficients()
-    basis = np.array(dspace.matrix().to_int_rows(), dtype=np.int64)
-    points = state_images(adj.field, basis.reshape(1, dspace.dim, 2 * delta))[0]
-    dz1, dz2 = np.divmod(points, size)
+    dz1, dz2 = np.divmod(dspace.point_indices(), size)
     lam_delta = lam[dz1, dz2, :]
     out = np.zeros((size, size, n + 1), dtype=np.int64)
-    scale2 = q ** (delta - r_dual) * (q - 1)
-    out[in_delta_orth] = scale2 * cc_we
-    third = in_ker_orth & ~in_delta_orth
-    bx = geom.beta_codes[:, dz1]
-    by = geom.beta_codes[:, dz2]
-    for x, y in np.argwhere(third):
-        vals = geom.add_codes[bx[x], by[y]]
-        hyper_sum = (vals == 0) @ lam_delta
-        out[x, y] = q * hyper_sum - q ** (delta - r_dual) * cc_we
+    out[in_delta_orth] = q ** (delta - r_dual) * (q - 1) * cc_we
+    # elsewhere (X, Y) induces a nonzero functional on the connected pairs
+    # and the hyperplane sum depends only on its projective class: sum lam
+    # over each projective point (a line minus zero) of the coefficient
+    # space once, then add up the points on each class's hyperplane
+    xs, ys = np.nonzero(in_ker_orth & ~in_delta_orth)
+    g1, g2 = code_index(field, dspace.codes().reshape(dspace.dim, 2, delta)).T
+    funcs, cls = _projective_classes(
+        field, geom.add_codes[geom.beta_codes[xs[:, None], g1],
+                              geom.beta_codes[ys[:, None], g2]])
+    points, point_cls = _projective_classes(
+        field, index_codes(field, np.arange(1, len(lam_delta)), dspace.dim))
+    lines = lam_delta[1:][np.argsort(point_cls, kind="stable")]
+    # the coefficients count the q^(delta+k) coset points, far below 2^53,
+    # so the incidence sums are exact in float64
+    lines = lines.reshape(len(points), q - 1, n + 1).sum(axis=1).astype(np.float64)
+    hyper = np.zeros((len(funcs), n + 1), dtype=np.int64)
+    step = max(1, _CHUNK // (len(points) * field.s or 1))
+    for start in range(0, len(funcs), step):
+        on_plane = linear_map(field, funcs[start:start + step].T[None])(points)[:, 0] == 0
+        hyper[start:start + step] = lam_delta[0] + (on_plane.T @ lines).astype(np.int64)
+    out[xs, ys] = q * hyper[cls] - q ** (delta - r_dual) * cc_we
     return out
+
+
+def _projective_classes(field: FieldSpec, vectors: np.ndarray):
+    """Projective classes of nonzero code vectors: the distinct classes'
+    representatives (leading entry 1) in canonical order, and the class of
+    each vector."""
+    if not vectors.size:
+        return vectors, np.zeros(0, dtype=np.int64)
+    lead = vectors[np.arange(len(vectors)), np.argmax(vectors != 0, axis=1)]
+    scaled = np.empty_like(vectors)
+    for c in np.flatnonzero(np.bincount(lead)).tolist():
+        scale = linear_map(field, [[[field.element(c).inverse().code]]])
+        chosen = vectors[lead == c]
+        scaled[lead == c] = scale(chosen.reshape(-1, 1)).reshape(chosen.shape)
+    keys, cls = np.unique(code_index(field, scaled), return_inverse=True)
+    return index_codes(field, keys, vectors.shape[1]), cls
 
 
 def check_orth_translation_invariance(fm: FourierMatrix, cf: ControllerForm,
@@ -286,7 +323,7 @@ def check_orth_translation_invariance(fm: FourierMatrix, cf: ControllerForm,
     """The conjugated matrix is constant along translations by pairs
     orthogonal to the connected pairs."""
     orth = connected_pairs_orth(cf)
-    for pair in orth.points():
+    for pair in np.concatenate([b for _, b in span_blocks(cf.field, orth.codes())]):
         pu = geom.shift_perm(pair[: cf.delta])
         pv = geom.shift_perm(pair[cf.delta:])
         if not np.array_equal(fm.numer[np.ix_(pu, pv)], fm.numer):
@@ -518,16 +555,15 @@ def check_transport(pair: DualPair) -> int:
     """The dual entry at any connected dual pair equals the scaled
     MacWilliams transform of the conjugated entry at the transported
     index; returns the number of entries checked."""
-    hl = pair.entrywise
     size = pair.geometry.size
-    checked = 0
-    for v in connected_pairs(pair.cf_dual).points():
-        x, y = divmod(vector_index(v), size)
-        wx, wy = divmod(vector_index(vec_mat(v, pair.pairing)), size)
-        if not np.array_equal(pair.dual_scaled[x, y], hl.numer[wx, wy]):
-            raise InternalCheckError("transport identity failed at a dual pair")
-        checked += 1
-    return checked
+    dspace = connected_pairs(pair.cf_dual)
+    moved = vector_codes((dspace.matrix() @ pair.pairing).rows, 2 * pair.delta)
+    # the same coefficients c give v = c @ basis and v M = c @ (basis M)
+    x, y = np.divmod(dspace.point_indices(), size)
+    wx, wy = np.divmod(span_indices(pair.field, moved), size)
+    if not np.array_equal(pair.dual_scaled[x, y], pair.entrywise.numer[wx, wy]):
+        raise InternalCheckError("transport identity failed at a dual pair")
+    return len(x)
 
 
 @dataclass
@@ -582,10 +618,7 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     swap = (geom.neg_perm * size + np.arange(size)[:, None]).ravel()
     if not np.array_equal(flat_dual[inv_perm[swap]], tnum):
         raise InternalCheckError("transposed-form reordering failed")
-    multiset_ok = sorted(map(tuple, flat_dual.tolist())) == sorted(
-        map(tuple, tnum.tolist())
-    )
-    if not multiset_ok:
+    if not np.array_equal(flat_dual[np.lexsort(flat_dual.T)], tnum[np.lexsort(tnum.T)]):
         raise InternalCheckError("entry multisets differ")
     return WeakIdentityReport(entries_checked=size * size, multiset_equal=True,
                               reorder_matrix=fmat)
@@ -701,7 +734,7 @@ def _cached_candidates(field: FieldSpec, delta: int) -> tuple[np.ndarray, np.nda
         for start in range(lo, hi, step):
             flat = np.arange(start, min(start + step, hi), dtype=np.int64)
             mats = (flat[:, None] // place % q).reshape(len(flat), delta, delta)
-            images = state_images(field, mats)
+            images = span_indices(field, mats).T
             # invertible iff the zero state is the only one mapped to zero
             keep = np.count_nonzero(images == 0, axis=1) == 1
             codes.append(mats[keep])
@@ -761,21 +794,12 @@ def check_unit_memory(pair: DualPair) -> int:
         raise InternalCheckError(f"identity witness failed at {mism} entries")
     lam = pair.adj.dense_coefficients()
     ht = np.array(macwilliams_rows(pair.n, q), dtype=np.int64)
-    lam00 = lam[0, 0]
-    lam01 = lam[0, 1]
-    row1 = lam[1].sum(axis=0)
-    denom = q ** (pair.k + 1)
-    base = lam00 + (q - 1) * (lam01 + row1)
-    for x in range(size):
-        for y in range(size):
-            if x == 0 and y == 0:
-                inner = base
-            else:
-                inner = lam00 + q * lam[x, y] - lam01 - row1
-            rhs = inner @ ht
-            if not np.array_equal(pair.dual_scaled[x, y], rhs):
-                raise InternalCheckError("per-entry unit-memory formula failed")
-    if pair.transformed.denom != denom:
+    lam00, lam01, row1 = lam[0, 0], lam[0, 1], lam[1].sum(axis=0)
+    inner = lam00 + q * lam - lam01 - row1
+    inner[0, 0] = lam00 + (q - 1) * (lam01 + row1)
+    if not np.array_equal(pair.dual_scaled, inner @ ht):
+        raise InternalCheckError("per-entry unit-memory formula failed")
+    if pair.transformed.denom != q ** (pair.k + 1):
         raise InternalCheckError("scale bookkeeping mismatch for delta = 1")
     return size * size
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import enumerate_vectors
+import numpy as np
+
+from .field import FieldSpec, span_blocks, vector_codes
 
 
 class CycloNum:
@@ -132,7 +134,7 @@ class WePoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         n = len(coeffs)
         while n > 0 and coeffs[n - 1] == 0:
             n -= 1
@@ -200,31 +202,35 @@ class WePoly:
         return f"WePoly({self})"
 
 
+def weight_counts(field: FieldSpec, gen: np.ndarray, lo: int, hi: int,
+                  group: int) -> np.ndarray:
+    """Hamming-weight counts of the points c @ gen for every c with
+    canonical index in [lo, hi), one row per run of ``group`` consecutive
+    c: a ((hi - lo) // group, n + 1) array.  Weights are counted from the
+    entry codes, never from an index in F^n, which can overflow int64."""
+    out = np.zeros(((hi - lo) // group, gen.shape[1] + 1), dtype=np.int64)
+    for start, block in span_blocks(field, gen, lo, hi):
+        rows = (np.arange(start, start + len(block)) - lo) // group
+        np.add.at(out, (rows, np.count_nonzero(block, axis=1)), 1)
+    return out
+
+
 def we_of_affine(offset, basis) -> WePoly:
     """Weight enumerator of the coset offset + span(basis) in F^n.
 
     The basis vectors must be linearly independent (the caller guarantees
-    it); every one of the q^dim points is enumerated directly.
+    it).  The points are c @ [offset; basis] for every c whose leading
+    coordinate is 1, i.e. the canonical indices [q^dim, 2 q^dim).
     """
     n = len(offset)
-    field = offset[0].field if n else None
     for b in basis:
         if len(b) != n:
             raise ValueError("basis vector length does not match the offset")
-        if field is None and b:
-            field = b[0].field
-    counts = [0] * (n + 1)
-    if not basis:
-        counts[sum(1 for a in offset if a)] += 1
-        return WePoly(counts)
-    for coeffs in enumerate_vectors(field, len(basis)):
-        point = list(offset)
-        for c, b in zip(coeffs, basis):
-            if c:
-                for i in range(n):
-                    point[i] = point[i] + c * b[i]
-        counts[sum(1 for a in point if a)] += 1
-    return WePoly(counts)
+    if not n:
+        return WePoly((1,))
+    field, size = offset[0].field, offset[0].field.q ** len(basis)
+    gen = vector_codes([offset, *basis], n)
+    return WePoly(weight_counts(field, gen, size, 2 * size, size)[0].tolist())
 
 
 @lru_cache(maxsize=None)

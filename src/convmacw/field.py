@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 # Full multiplication/addition tables are only built below this size;
 # larger fields fall back to digit-wise arithmetic per operation.
 _TABLE_MAX = 256
@@ -369,3 +371,82 @@ def vector_index(vec: tuple[FieldElement, ...]) -> int:
     for a in vec:
         idx = idx * a.field.q + a.code
     return idx
+
+
+_CHUNK = 2 ** 16   # digits per block of the point kernel
+
+
+def linear_map(field: FieldSpec, matrices):
+    """The map sending an (M, m) array of entry-code vectors v to the
+    (M, N, k) entry codes of v P for every P of an (N, m, k) array of
+    entry-code matrices.
+
+    GF(p^s) is lifted to F_p once, so all images come from one matmul
+    mod p, with no q x q table and one path for every field.  The matmul
+    runs in float64 (BLAS): its sums are at most m s (p - 1)^2 < 2^53 for
+    every supported field (p < 2^16), so every integer in it is exact.
+    """
+    matrices = np.asarray(matrices, dtype=np.int64)
+    count, m, k = matrices.shape
+    p, s = field.p, field.s
+    powers = p ** np.arange(s, dtype=np.int64)
+    # multiplication by b is the s x s matrix over F_p whose row u holds the
+    # digits of alpha^u * b; alpha^t has code p^t, so row t of `basis` holds
+    # those of alpha^u * alpha^t for every u
+    basis = np.array([[field._digits(field._mul_raw(p ** t, p ** u)) for u in range(s)]
+                      for t in range(s)], dtype=np.int64).reshape(s, s * s)
+    lift = (matrices[..., None] // powers % p @ basis % p).reshape(count, m, k, s, s)
+    # lifted P has rows (i, u) and columns (j, v); lay all of them side by
+    # side so the images under every matrix come from one 2-d matmul
+    lift = lift.transpose(1, 3, 0, 2, 4).reshape(m * s, count * k * s).astype(np.float64)
+
+    def apply(vectors) -> np.ndarray:
+        digits = np.asarray(vectors, dtype=np.int64)[..., None] // powers % p
+        images = digits.reshape(len(digits), m * s).astype(np.float64) @ lift
+        images = (images.astype(np.int64) % p).reshape(len(digits), count, k, s)
+        codes = images[..., 0]
+        for v in range(1, s):
+            codes = codes + images[..., v] * p ** v
+        return codes
+
+    return apply
+
+
+def span_blocks(field: FieldSpec, basis, lo: int = 0, hi: int | None = None):
+    """Yield ``(start, codes)`` blocks of the entry codes of c @ basis for
+    every c with canonical index in [lo, hi) (default all q^dim), in order.
+    A (dim, ambient) basis gives (count, ambient) blocks, an (N, dim,
+    ambient) stack (count, N, ambient) ones; dim 0 gives the zero point.
+    Blocks hold about ``_CHUNK`` digits, so memory stays flat."""
+    basis = np.asarray(basis, dtype=np.int64)
+    stack = basis if basis.ndim == 3 else basis[None]
+    count, dim, ambient = stack.shape
+    hi = field.q ** dim if hi is None else hi
+    step = max(1, _CHUNK // ((dim + count * ambient) * field.s or 1))
+    image = linear_map(field, stack)
+    for start in range(lo, hi, step):
+        codes = image(index_codes(field, np.arange(start, min(start + step, hi)), dim))
+        yield start, codes if basis.ndim == 3 else codes[:, 0]
+
+
+def span_indices(field: FieldSpec, basis) -> np.ndarray:
+    """Canonical index of every point c @ basis, in canonical order of c."""
+    return np.concatenate([code_index(field, b) for _, b in span_blocks(field, basis)])
+
+
+def code_index(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
+    """Canonical index of each vector of entry codes along the last axis."""
+    return codes @ field.q ** np.arange(codes.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def index_codes(field: FieldSpec, indices, length: int) -> np.ndarray:
+    """Entry codes of the vectors of F^length with the given canonical
+    indices, along a new last axis; the inverse of :func:`code_index`."""
+    place = field.q ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    return np.asarray(indices, dtype=np.int64)[..., None] // place % field.q
+
+
+def vector_codes(vectors, length: int) -> np.ndarray:
+    """(count, length) array of the entry codes of FieldElement vectors."""
+    return np.array([[a.code for a in v] for v in vectors],
+                    dtype=np.int64).reshape(len(vectors), length)

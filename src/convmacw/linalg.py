@@ -8,7 +8,11 @@ state spaces, duals of full codes) work uniformly.
 
 from __future__ import annotations
 
-from .field import FieldElement, FieldSpec, enumerate_vectors, vector_index
+import numpy as np
+
+from .errors import InternalCheckError
+from .field import (FieldElement, FieldSpec, index_codes, span_blocks,
+                    span_indices, vector_codes)
 
 Vec = tuple  # tuple[FieldElement, ...]
 
@@ -311,21 +315,21 @@ class Subspace:
     def is_subspace_of(self, other: "Subspace") -> bool:
         return all(other.contains(r) for r in self.basis)
 
+    def codes(self) -> np.ndarray:
+        """The basis as a (dim, ambient) array of entry codes."""
+        return vector_codes(self.basis, self.ambient)
+
+    def point_indices(self) -> np.ndarray:
+        """Canonical ambient index of each of the q^dim points, in
+        span-coefficient order."""
+        return span_indices(self.field, self.codes())
+
     def points(self):
         """All q^dim points, in span-coefficient order."""
-        if self.dim == 0:
-            yield zero_vec(self.field, self.ambient)
-            return
-        for coeffs in enumerate_vectors(self.field, self.dim):
-            v = zero_vec(self.field, self.ambient)
-            for c, b in zip(coeffs, self.basis):
-                if c:
-                    v = vec_add(v, tuple(c * x for x in b))
-            yield v
-
-    def points_by_index(self) -> list[Vec]:
-        """All points sorted by their canonical ambient index."""
-        return sorted(self.points(), key=vector_index)
+        elems = self.field.elements
+        for _, block in span_blocks(self.field, self.codes()):
+            for row in block.tolist():
+                yield tuple(elems[c] for c in row)
 
     def _compatible(self, other):
         if self.ambient != other.ambient or self.field != other.field:
@@ -350,22 +354,24 @@ def deterministic_complement(base: Subspace, within: Subspace) -> Subspace:
     """Lexicographically first complement of ``base`` inside ``within``.
 
     Scans the points of ``within`` in canonical ambient-index order and
-    greedily extends; requires base <= within.
+    greedily extends; requires base <= within.  Each step picks the first
+    point outside the current span, which is what the greedy scan keeps.
     """
     if not base.is_subspace_of(within):
         raise ValueError("base is not contained in the enclosing space")
-    span = base
+    field, ambient = base.field, base.ambient
+    order = np.sort(within.point_indices())
     picked = []
-    target = within.dim - base.dim
-    for v in within.points_by_index():
-        if len(picked) == target:
-            break
-        if not span.contains(v):
-            picked.append(v)
-            span = span + Subspace.from_rows(base.field, base.ambient, (v,))
-    comp = Subspace.from_rows(base.field, base.ambient, picked)
-    if comp.dim != target:
-        raise AssertionError("complement extension failed")
+    for _ in range(within.dim - base.dim):
+        span = Subspace.from_rows(field, ambient, base.basis + tuple(picked))
+        covered = np.zeros(len(order), dtype=bool)
+        covered[np.searchsorted(order, span.point_indices())] = True
+        first = order[np.argmin(covered)]
+        picked.append(tuple(field.elements[c]
+                            for c in index_codes(field, first, ambient).tolist()))
+    comp = Subspace.from_rows(field, ambient, picked)
+    if comp.dim != within.dim - base.dim:
+        raise InternalCheckError("complement extension failed")
     return comp
 
 

@@ -10,60 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InternalCheckError
-from .field import FieldSpec, enumerate_vectors, vector_index
+from .field import FieldSpec
 from .linalg import (FMat, Subspace, Vec, coeff_preimage,
                      deterministic_complement, right_null_space, unit_vec,
                      vec_add, vec_mat, vec_neg, zero_vec)
 from .polymat import CodeProfile, PolyMatrix
-
-
-class StateSpace:
-    """Canonical enumeration of F^delta and index bookkeeping."""
-
-    __slots__ = ("field", "delta", "states", "size")
-
-    def __init__(self, field: FieldSpec, delta: int):
-        self.field = field
-        self.delta = delta
-        self.states = enumerate_vectors(field, delta)
-        self.size = len(self.states)
-
-    def index_of(self, vec: Vec) -> int:
-        return vector_index(vec) if self.delta else 0
-
-
-def state_images(field: FieldSpec, codes) -> np.ndarray:
-    """Canonical index in F^k of X P for every X in F^m (in canonical
-    order) and every P of an (N, m, k) array of entry codes, as an
-    (N, q^m) array.
-
-    GF(p^s) is lifted to F_p: multiplication by a fixed element is an
-    s x s matrix over F_p, so every image comes from one integer matmul
-    mod p, with no q x q table and one path for every field.
-    """
-    codes = np.asarray(codes, dtype=np.int64)
-    count, m, k = codes.shape
-    p, s = field.p, field.s
-    powers = p ** np.arange(s, dtype=np.int64)
-    # mul[t, u] = digits of alpha^u * alpha^t, where alpha^t has code p^t
-    mul = np.array([[field._digits(field._mul_raw(p ** t, p ** u))
-                     for u in range(s)] for t in range(s)], dtype=np.int64)
-    lift = codes.reshape(-1, 1) // powers % p @ mul.reshape(s, s * s) % p
-    # lifted P has rows (i, u) and columns (j, v); lay all of them side by
-    # side so the images of every matrix come from one 2-d matmul
-    lift = lift.reshape(count, m, k, s, s).transpose(1, 3, 0, 2, 4)
-
-    def weights(dim):
-        return (field.q ** np.arange(dim - 1, -1, -1, dtype=np.int64)[:, None]
-                * powers).ravel()
-
-    sources = np.arange(field.q ** m, dtype=np.int64)[:, None] // weights(m) % p
-    images = sources @ lift.reshape(m * s, count * k * s)
-    images %= p
-    return (images.reshape(len(sources), count, k * s) @ weights(k)).T
 
 
 @dataclass(frozen=True)
@@ -276,14 +228,8 @@ def output_kernel(cf: ControllerForm, delta_space: Subspace | None = None,
     if coeffs is None:
         kernel = Subspace.zero(field, 2 * cf.delta)
     else:
-        rows = []
-        for c in coeffs.basis:
-            v = zero_vec(field, 2 * cf.delta)
-            for ci, b in zip(c, delta_space.basis):
-                if ci:
-                    v = vec_add(v, tuple(ci * x for x in b))
-            rows.append(v)
-        kernel = Subspace.from_rows(field, 2 * cf.delta, rows)
+        kernel = Subspace.from_rows(field, 2 * cf.delta,
+                                    (coeffs.matrix() @ delta_space.matrix()).rows)
     _, r_dual = coefficient_code(cf)
     if kernel.dim != cf.delta - r_dual:
         raise InternalCheckError("output kernel has the wrong dimension")

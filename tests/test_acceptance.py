@@ -8,6 +8,7 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from convmacw import (DualPair, FieldSpec, FMat, PolyMatrix, Subspace, WePoly,
                       adjacency_by_cosets, adjacency_by_transitions,
@@ -15,9 +16,10 @@ from convmacw import (DualPair, FieldSpec, FMat, PolyMatrix, Subspace, WePoly,
                       closed_form_witness_dual, closed_form_witness_primal,
                       coefficient_code, constant_code,
                       controller_form, dual_generator, entry_sums,
-                      random_minimal_encoder, same_code, search_witness,
-                      StatePermutation, we_of_affine)
-from convmacw.duality import (CharacterMatrix, check_orth_translation_invariance,
+                      random_minimal_encoder, run_verification, same_code,
+                      search_witness, StatePermutation, we_of_affine)
+from convmacw.duality import (CharacterMatrix, _fourier_closed_form,
+                              check_orth_translation_invariance,
                               check_pairing_lemma, check_transport,
                               check_zeta_independence, projective_candidates)
 from convmacw.field import enumerate_vectors
@@ -313,3 +315,27 @@ def test_criterion_7_block_code_degeneration():
             assert transformed == WePoly(counts)
             assert pair.adj_dual.entry(0, 0) == WePoly(counts)
     _stamp("7 (degree-zero codes reduce to block duality)", started)
+
+
+@pytest.mark.parametrize("spec", [(5,), (7,), (2, 3, [1, 1, 0, 1]), (3, 2, [2, 2, 1])],
+                         ids=["q=5", "q=7", "q=8", "q=9"])
+def test_criterion_8_larger_fields_end_to_end(spec):
+    """Random minimal encoders over GF(5), GF(7), GF(8) and GF(9) at
+    delta <= 2 verify end to end; both adjacency routes agree, the
+    conjugated matrix passes its closed-form cross-check, and the weak
+    identity and the transport identity hold."""
+    started = time.perf_counter()
+    field = FieldSpec(*spec)
+    rng = random.Random(field.q)
+    shapes = [(3, 1, 1), (3, 2, 1), (3, 1, 2), (4, 2, 2), (5, 2, 2), (4, 2, 2)]
+    for n, k, delta in shapes:
+        G = random_minimal_encoder(rng, field, n, k, delta)
+        assert run_verification(G).verdict == "verified"
+        pair = DualPair(G)
+        assert pair.adj == adjacency_by_transitions(pair.cf)
+        assert pair.adj_dual == adjacency_by_transitions(pair.cf_dual)
+        closed = _fourier_closed_form(pair.adj, pair.cf, pair.geometry)
+        assert np.array_equal(pair.fourier.numer * (field.q - 1), closed)
+        assert check_weak_identity(pair).multiset_equal
+        check_transport(pair)
+    _stamp(f"8 (GF({field.q}): {len(shapes)} codes verified end to end)", started)

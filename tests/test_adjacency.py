@@ -7,6 +7,7 @@ from convmacw import (FieldSpec, FMat, GuardExceeded, PolyMatrix, WePoly,
                       controller_form, entry_sums, random_minimal_encoder,
                       same_code, StatePermutation)
 from convmacw.polymat import make_minimal_basic, parse_zpoly
+from convmacw.field import vector_index
 from convmacw.statespace import pair_split
 from conftest import ADJ_BINARY_523, ADJ_BINARY_523_DUAL, we
 
@@ -112,13 +113,11 @@ def test_entries_invariant_along_kernel(binary_pair):
     cfd = binary_pair.cf_dual
     adj = binary_pair.adj_dual
     split = pair_split(cfd)
-    space = adj.space
     for v in split.transversal.points():
-        base = adj.entry(*[space.index_of(v[:3]), space.index_of(v[3:])])
+        base = adj.entry(vector_index(v[:3]), vector_index(v[3:]))
         for w in split.kernel.points():
             shifted = tuple(a + b for a, b in zip(v, w))
-            got = adj.entry(space.index_of(shifted[:3]),
-                            space.index_of(shifted[3:]))
+            got = adj.entry(vector_index(shifted[:3]), vector_index(shifted[3:]))
             assert got == base
 
 
@@ -128,7 +127,7 @@ def test_support_is_connected_pairs(binary_523):
     from convmacw.statespace import connected_pairs
     expected = set()
     for v in connected_pairs(cf).points():
-        expected.add((adj.space.index_of(v[:3]), adj.space.index_of(v[3:])))
+        expected.add((vector_index(v[:3]), vector_index(v[3:])))
     assert set(adj.entries) == expected
 
 

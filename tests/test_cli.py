@@ -5,6 +5,7 @@ import pytest
 
 from convmacw import adjacency, same_code
 from convmacw.cli import CodeDocument, main
+from convmacw.field import FieldElement
 from conftest import (BINARY_523, CHAR_GRID_2_3, TERNARY_322,
                       WITNESS_P_TERNARY)
 
@@ -298,3 +299,30 @@ def test_internal_check_failure_exit_4(binary_doc, capsys, monkeypatch):
     assert main(["adjacency", binary_doc, "--oracle"]) == 4
     err = capsys.readouterr().err
     assert err == "internal check failed: oracle adjacency disagrees with coset route\n"
+
+
+GF9_422 = {"field": {"p": 3, "s": 2, "modulus": [1, 0, 1]},
+           "generator": [["[1,1]+[2,0]z", "[1,1]", "[1,0]", "[1,1]+[0,1]z"],
+                         ["[2,2]+[0,2]z", "[2,2]", "[0,2]", "[2,0]+[2,1]z"]]}
+BINARY_727 = {"field": {"p": 2},
+              "generator": [["1", "1", "1+z^2+z^4", "1+z^2+z^3", "z^2+z^3",
+                             "z^3+z^4", "0"],
+                            ["0", "1", "z+z^3", "1+z+z^3", "z^2+z^3", "1", "1"]]}
+
+
+@pytest.mark.parametrize("doc,mode", [(GF9_422, "auto"), (BINARY_727, "weak")],
+                         ids=["gf9-delta2", "binary-delta7-weak"])
+def test_verify_field_arithmetic_count(tmp_path, monkeypatch, capsys, doc, mode):
+    """Points, cosets and grids are enumerated on int-code arrays, so one
+    verify run makes under 50 000 FieldElement additions and products."""
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    for name in ("__add__", "__mul__"):
+        def counting(self, other, real=getattr(FieldElement, name)):
+            calls.append(None)
+            return real(self, other)
+        monkeypatch.setattr(FieldElement, name, counting)
+    assert main(["verify", str(path), "--mode", mode]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) < 50_000

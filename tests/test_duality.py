@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, PolyMatrix,
                       closed_form_witness_primal, run_verification,
                       search_witness, StatePermutation)
 from convmacw.duality import (CharacterMatrix, FourierMatrix, PairGeometry,
+                              _bucket_tensor,
                               check_orth_translation_invariance,
                               check_pairing_lemma, check_transport,
                               check_zeta_independence, entrywise_h,
@@ -381,3 +383,34 @@ def test_transform_int64_headroom(f2):
             entrywise_h(fm, 1)
         with pytest.raises(GuardExceeded, match="int64 headroom"):
             macwilliams_image(fm, 1, geom)
+
+
+def _reference_buckets(lam, E, p):
+    size, _, nw = lam.shape
+    out = [[[[0] * nw for _ in range(size)] for _ in range(size)] for _ in range(p)]
+    for x, z, y, w in itertools.product(range(size), repeat=4):
+        for t in range(nw):
+            out[(E[x][z] + E[y][w]) % p][x][w][t] += int(lam[z, y, t])
+    return out
+
+
+def test_bucket_tensor_headroom(f2, f3):
+    # random signed tensors against the Python-int reference
+    rng = np.random.default_rng(5)
+    for field, delta in ((f2, 2), (f3, 1)):
+        E = PairGeometry(field, delta).trace_exp
+        lam = rng.integers(-50, 50, size=(len(E), len(E), 4))
+        got = _bucket_tensor(lam, E, field.p)
+        assert got.tolist() == _reference_buckets(lam, E.tolist(), field.p)
+    # four entries per column: the bound is 4 * peak, checked against 2^52
+    E = PairGeometry(f2, 1).trace_exp.tolist()
+    nw = 3
+    peak = (2 ** 52 - 1) // 4
+    lam = np.full((2, 2, nw), peak, dtype=np.int64)
+    lam[0, 1, 1] = -peak
+    got = _bucket_tensor(lam, np.array(E), 2)
+    assert got.tolist() == _reference_buckets(lam, E, 2)
+    for lam in (np.full((2, 2, nw), peak + 1, dtype=np.int64),
+                np.full((2, 2, nw), 2 ** 61, dtype=np.int64)):
+        with pytest.raises(GuardExceeded, match="float64 headroom"):
+            _bucket_tensor(lam, np.array(E), 2)

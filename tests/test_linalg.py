@@ -3,6 +3,7 @@ import random
 import pytest
 
 from convmacw import FieldSpec, FMat, Subspace
+from convmacw.field import vector_index
 from convmacw.linalg import (block_matrix, coeff_preimage,
                              deterministic_complement, right_null_space,
                              unit_vec, vec_mat, zero_vec)
@@ -130,6 +131,6 @@ def test_coeff_preimage(f2):
 
 def test_points_by_index_order(f3):
     s = Subspace.from_rows(f3, 2, [tuple(f3.element(c) for c in (1, 2))])
-    pts = s.points_by_index()
+    pts = sorted(s.points(), key=vector_index)
     codes = [tuple(a.code for a in p) for p in pts]
     assert codes == [(0, 0), (1, 2), (2, 1)]

@@ -12,9 +12,8 @@ import pytest
 from convmacw import (DualPair, FieldSpec, FMat, StatePermutation,
                       random_minimal_encoder, search_witness)
 from convmacw.duality import SEARCH_LIMIT, _cached_candidates
-from convmacw.field import enumerate_vectors, vector_index
+from convmacw.field import enumerate_vectors, span_indices, vector_index
 from convmacw.linalg import vec_mat
-from convmacw.statespace import state_images
 
 GF4 = (2, 2, [1, 1, 1])
 GF8 = (2, 3, [1, 1, 0, 1])
@@ -109,7 +108,7 @@ def test_state_images_rectangular(f4):
     # a 2 x 3 map sends F^2 into F^3; indices are canonical in F^3
     rows = [[1, 2, 0], [3, 1, 1]]
     P = FMat(f4, 2, 3, [[f4.element(c) for c in r] for r in rows])
-    got = state_images(f4, np.array([rows]))[0]
+    got = span_indices(f4, np.array(rows))
     assert got.tolist() == _reference_perm(P, 2)
 
 
