@@ -11,10 +11,11 @@ per-exponent bucket counting.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,8 @@ from .statespace import (ControllerForm, coefficient_code, connected_pairs,
                          pair_split)
 
 GRID_LIMIT = 2 ** 16     # bound on q^(2*delta), the full pair grid
-SEARCH_LIMIT = 2 ** 17   # bound on q^(delta^2) candidate matrices
+SEARCH_LIMIT = 2 ** 17   # bound on candidate row images the witness search examines
+_CHUNK = 2 ** 18         # elements per transient array in the closed-form incidence sum
 
 
 class PairGeometry:
@@ -694,21 +696,11 @@ def _corollary_grid_check(pair: DualPair, P: FMat):
     CharacterMatrix(pair.geometry, P, pair.zeta_exponent).permutation_checks()
 
 
-def projective_candidates(field: FieldSpec, delta: int):
-    """Invertible delta x delta matrices whose first nonzero entry in
-    row-major order is 1, in lexicographic order of the flattened entry
-    codes.  Exactly one representative per projective class."""
-    for codes in _cached_candidates(field, delta)[0]:
-        yield _code_matrix(field, codes)
-
-
 @dataclass
 class SearchResult:
     witness: FMat | None
     tested: int
-
-
-_CHUNK = 2 ** 18   # elements per transient array in the candidate build and scan
+    examined: int = 0   # candidate row images looked at, the guarded cost
 
 
 def _code_matrix(field: FieldSpec, codes: np.ndarray) -> FMat:
@@ -716,62 +708,103 @@ def _code_matrix(field: FieldSpec, codes: np.ndarray) -> FMat:
                 [[field.elements[c] for c in row] for row in codes.tolist()])
 
 
-@lru_cache(maxsize=None)
-def _cached_candidates(field: FieldSpec, delta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projective representatives as (count, delta, delta) entry codes and
-    their (count, q^delta) state permutations, built once per field and
-    delta: the cache key is (field, delta), and a FieldSpec hashes and
-    compares by its ``_key``.  Both arrays are read-only, so no caller
-    can corrupt later searches."""
-    q, entries = field.q, delta * delta
-    place = q ** np.arange(entries - 1, -1, -1, dtype=np.int64)
-    step = max(1, _CHUNK // max(1, q ** delta * delta * field.s))
-    # flat codes whose first nonzero entry is 1 are, in lexicographic
-    # order, the integers in [q^m, 2 q^m) for m = 0, 1, ... in base q
-    spans = [(q ** m, 2 * q ** m) for m in range(entries)] or [(0, 1)]
-    codes, perms = [], []
-    for lo, hi in spans:
-        for start in range(lo, hi, step):
-            flat = np.arange(start, min(start + step, hi), dtype=np.int64)
-            mats = (flat[:, None] // place % q).reshape(len(flat), delta, delta)
-            images = span_indices(field, mats).T
-            # invertible iff the zero state is the only one mapped to zero
-            keep = np.count_nonzero(images == 0, axis=1) == 1
-            codes.append(mats[keep])
-            perms.append(images[keep])
-    out = np.concatenate(codes), np.concatenate(perms)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+def _mix(h: np.ndarray) -> np.ndarray:
+    """splitmix64 finaliser; uint64 arithmetic wraps by definition."""
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
+
+
+def _state_colours(tables: np.ndarray) -> np.ndarray:
+    """Colour of every state of each (size, size, w) table in a stack: a
+    hash of its diagonal entry and of the sorted entries of its row and of
+    its column.  A witness maps each state to one of the same colour, and
+    equal entries hash equal, so a collision only weakens the pruning."""
+    size, w = tables.shape[-2:]
+    entry = _mix(np.ascontiguousarray(tables, dtype=np.int64).view(np.uint64)
+                 @ _mix(np.arange(1, w + 1, dtype=np.uint64)))
+    place = _mix(np.arange(1, size + 1, dtype=np.uint64))
+    rows = _mix(np.sort(entry, axis=-1) @ place)
+    cols = _mix(np.sort(entry, axis=-2).swapaxes(-1, -2) @ place)
+    # compared as int64, whose loops the pipeline has already loaded: uint64
+    # comparisons touch about 0.16 MB of fresh pages in every process
+    return _mix(_mix(entry.diagonal(axis1=-2, axis2=-1) + rows) + cols).view(np.int64)
+
+
+def _candidate_position(field: FieldSpec, rows: list[int]) -> int:
+    """1-based position of the matrix with these row state indices among
+    the invertible matrices whose first nonzero entry is 1, in
+    lexicographic order of the flattened entry codes: the number of valid
+    smaller values of each row, given the rows before it, times the
+    completions of the rows after it."""
+    q, delta = field.q, len(rows)
+    position = 1
+    for i, w in enumerate(rows):
+        if i == 0:   # nonzero, first nonzero digit 1: [q^m, 2 q^m) per m
+            below = sum(min(max(w - q ** m, 0), q ** m) for m in range(delta))
+        else:
+            span = span_indices(field, index_codes(field, rows[:i], delta))
+            below = w - int(np.count_nonzero(span < w))
+        position += below * math.prod(q ** delta - q ** l for l in range(i + 1, delta))
+    return position
 
 
 def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
-    """Scan projective representatives in canonical order and return the
-    first witness satisfying the full entrywise identity; exhaustion is a
-    first-class outcome, not an error.  ``tested`` is the witness's
-    1-based canonical position, or the candidate total on exhaustion."""
-    cost = pair.field.q ** (pair.delta * pair.delta)
-    if cost > limit:
-        raise GuardExceeded(
-            f"candidate matrix count q^(delta^2) = {cost} > limit {limit}"
-        )
-    codes, perms = _cached_candidates(pair.field, pair.delta)
-    target = pair.dual_scaled
-    tnum = pair.transformed.numer
-    size = target.shape[0]
-    # a witness has target[x, x] == tnum[perm[x], perm[x]] for every x:
-    # compare class ids of the diagonal entries before the full check
-    _, cls = np.unique(np.concatenate([tnum.diagonal().T, target.diagonal().T]),
-                       axis=0, return_inverse=True)
-    have, want = cls.reshape(2, size)
-    step = max(1, _CHUNK // size)
-    for start in range(0, len(perms), step):
-        block = perms[start:start + step]
-        for i in np.flatnonzero((have[block] == want).all(axis=1)).tolist():
-            if np.array_equal(target, tnum[np.ix_(block[i], block[i])]):
-                return SearchResult(witness=_code_matrix(pair.field, codes[start + i]),
-                                    tested=start + i + 1)
-    return SearchResult(witness=None, tested=len(perms))
+    """First witness, in lexicographic order of its flattened entry codes
+    among the invertible matrices whose first nonzero entry is 1 (one per
+    projective class), satisfying the full entrywise identity; exhaustion
+    is a first-class outcome, not an error.
+
+    Depth-first over the rows of P: row i is the image of e_i, tried in
+    increasing state index, so the order is the lexicographic one.  A row
+    is admissible when its state has the colour of e_i and lies outside
+    the span of the rows before it; a node survives when the identity
+    holds on the span of its rows, which at depth delta is the full check.
+    ``tested`` is the witness's 1-based position in that order, or the
+    class count on exhaustion.  ``limit`` bounds the candidate row images
+    examined, q^delta per expanded node."""
+    field, delta = pair.field, pair.delta
+    q, size = field.q, field.q ** delta
+    target, tnum = pair.dual_scaled, pair.transformed.numer
+    want, have = _state_colours(np.stack([target, tnum]))
+    first = np.zeros(size, dtype=bool)
+    for m in range(delta):
+        first[q ** m:2 * q ** m] = True
+    examined = 0
+
+    def visit(rows: list[int], image: np.ndarray) -> list[int] | None:
+        nonlocal examined
+        depth = len(rows)
+        span = np.arange(q ** depth) * q ** (delta - depth)
+        if not np.array_equal(target[span[:, None], span], tnum[image[:, None], image]):
+            return None
+        if depth == delta:
+            return rows
+        if examined + size > limit:
+            raise GuardExceeded(f"witness search would examine more than "
+                                f"{limit} candidate row images")
+        examined += size
+        ok = have == want[q ** (delta - depth - 1)]
+        if depth == 0:
+            ok &= first
+        ok[image] = False
+        children = np.flatnonzero(ok)
+        prefixes = np.broadcast_to(np.array(rows, dtype=np.int64), (len(children), depth))
+        images = span_indices(field, index_codes(
+            field, np.column_stack([prefixes, children]), delta))
+        fits = (have[images] == want[np.arange(q ** (depth + 1)) * q ** (delta - depth - 1), None])
+        for j in np.flatnonzero(fits.all(axis=0)).tolist():
+            found = visit(rows + [int(children[j])], images[:, j])
+            if found is not None:
+                return found
+        return None
+
+    rows = visit([], np.zeros(1, dtype=np.int64))
+    if rows is None:   # |GL(delta, q)| / (q - 1) classes, one for delta = 0
+        total = math.prod(size - q ** l for l in range(delta)) // (q - 1) if delta else 1
+        return SearchResult(witness=None, tested=total, examined=examined)
+    return SearchResult(witness=_code_matrix(field, index_codes(field, rows, delta)),
+                        tested=_candidate_position(field, rows), examined=examined)
 
 
 def check_witness(pair: DualPair, P: FMat) -> tuple[bool, int]:

@@ -186,7 +186,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "s", "q", "modulus", "_key", "_elems", "_add_t",
-                 "_mul_t", "_inv_t", "_neg_t")
+                 "_mul_t", "_inv_t", "_neg_t", "_lift")
 
     def __init__(self, p: int, s: int = 1, modulus=None):
         if s < 1:
@@ -216,23 +216,26 @@ class FieldSpec:
         self.modulus = mod
         self._key = (p, s, mod)
         self._elems = tuple(FieldElement(self, c) for c in range(self.q))
+        # multiplication by b is the s x s matrix over F_p whose row u holds
+        # the digits of alpha^u * b; alpha^t has code p^t, so row t of
+        # `_lift` holds those of alpha^u * alpha^t for every u
+        self._lift = np.array([[self._digits(self._mul_raw(p ** t, p ** u)) for u in range(s)]
+                               for t in range(s)], dtype=np.int64).reshape(s, s * s)
+        self._lift.setflags(write=False)
+        self._add_t = self._mul_t = self._inv_t = self._neg_t = None
         if self.q <= _TABLE_MAX:
-            add, mul = [], []
-            for a in range(self.q):
-                add.append(tuple(self._elems[self._add_raw(a, b)] for b in range(self.q)))
-                mul.append(tuple(self._elems[self._mul_raw(a, b)] for b in range(self.q)))
-            self._add_t = tuple(add)
-            self._mul_t = tuple(mul)
-            self._neg_t = tuple(self._elems[self._neg_raw(a)] for a in range(self.q))
-            inv = [None] + [None] * (self.q - 1)
-            for a in range(1, self.q):
-                for b in range(1, self.q):
-                    if self._mul_raw(a, b) == 1:
-                        inv[a] = self._elems[b]
-                        break
-            self._inv_t = tuple(inv)
-        else:
-            self._add_t = self._mul_t = self._inv_t = self._neg_t = None
+            # digit-wise sums, and products from the F_p lift of the kernel
+            codes = np.arange(self.q, dtype=np.int64)
+            powers = p ** np.arange(s, dtype=np.int64)
+            digits = codes[:, None] // powers % p
+            add = (digits[:, None] + digits[None]) % p @ powers
+            mul = linear_map(self, codes.reshape(-1, 1, 1))(codes[:, None])[..., 0]
+            inv = np.argmax(mul == 1, axis=1)
+            elems = self._elems
+            self._add_t = tuple(tuple(elems[c] for c in row) for row in add.tolist())
+            self._mul_t = tuple(tuple(elems[c] for c in row) for row in mul.tolist())
+            self._neg_t = tuple(elems[c] for c in ((-digits) % p @ powers).tolist())
+            self._inv_t = (None,) + tuple(elems[c] for c in inv[1:].tolist())
 
     # raw code-level arithmetic (digit vectors packed in base p)
     def _digits(self, c):
@@ -390,12 +393,7 @@ def linear_map(field: FieldSpec, matrices):
     count, m, k = matrices.shape
     p, s = field.p, field.s
     powers = p ** np.arange(s, dtype=np.int64)
-    # multiplication by b is the s x s matrix over F_p whose row u holds the
-    # digits of alpha^u * b; alpha^t has code p^t, so row t of `basis` holds
-    # those of alpha^u * alpha^t for every u
-    basis = np.array([[field._digits(field._mul_raw(p ** t, p ** u)) for u in range(s)]
-                      for t in range(s)], dtype=np.int64).reshape(s, s * s)
-    lift = (matrices[..., None] // powers % p @ basis % p).reshape(count, m, k, s, s)
+    lift = (matrices[..., None] // powers % p @ field._lift % p).reshape(count, m, k, s, s)
     # lifted P has rows (i, u) and columns (j, v); lay all of them side by
     # side so the images under every matrix come from one 2-d matmul
     lift = lift.transpose(1, 3, 0, 2, 4).reshape(m * s, count * k * s).astype(np.float64)

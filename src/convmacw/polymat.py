@@ -218,7 +218,7 @@ def format_zpoly(p: ZPoly) -> str:
 class PolyMatrix:
     """k x n matrix over F_q[z]."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_smith")
 
     def __init__(self, field: FieldSpec, nrows: int, ncols: int, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -228,6 +228,7 @@ class PolyMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
+        self._smith = None   # (U, S, V), see _smith_form
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows, ncols: int | None = None) -> "PolyMatrix":
@@ -403,8 +404,15 @@ def smith_normal_form(M: PolyMatrix):
     )
 
 
+def _smith_form(M: PolyMatrix):
+    """:func:`smith_normal_form` of M, once per (immutable) instance."""
+    if M._smith is None:
+        M._smith = smith_normal_form(M)
+    return M._smith
+
+
 def invariant_factors(M: PolyMatrix) -> tuple[ZPoly, ...]:
-    _, S, _ = smith_normal_form(M)
+    _, S, _ = _smith_form(M)
     out = []
     for t in range(min(M.nrows, M.ncols)):
         if S.rows[t][t].is_zero():
@@ -508,7 +516,7 @@ def dual_generator(G: PolyMatrix) -> PolyMatrix:
     """Minimal basic generator of all polynomial vectors orthogonal to the
     row module of G, built from a Smith-form kernel basis."""
     k, n = G.nrows, G.ncols
-    _, S, V = smith_normal_form(G)
+    _, S, V = _smith_form(G)
     if k > n or any(S.rows[t][t].degree != 0 for t in range(k)):
         raise ValueError("minimality is only defined for basic matrices")
     if _leading_left_kernel(G.field, G.rows, n)[1]:
@@ -546,7 +554,7 @@ def module_contains(G: PolyMatrix, w) -> bool:
     """Whether the row module of G contains the polynomial vector w."""
     if len(w) != G.ncols:
         raise ValueError("vector length does not match the code length")
-    _, S, V = smith_normal_form(G)
+    _, S, V = _smith_form(G)
     wv = encode(w, V)  # 1 x n row times V
     rank = sum(1 for t in range(min(G.nrows, G.ncols)) if not S.rows[t][t].is_zero())
     for j in range(G.ncols):

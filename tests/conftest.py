@@ -3,12 +3,13 @@ randomized code corpus used by the acceptance property suite."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
 import pytest
 
-from convmacw import (DualPair, FieldSpec, PolyMatrix, WePoly,
+from convmacw import (DualPair, FieldSpec, FMat, PolyMatrix, WePoly,
                       random_minimal_encoder)
 
 # (5,2,3) binary demo code and a hand-checked minimal generator of its dual
@@ -96,6 +97,21 @@ def we(text: str) -> WePoly:
         coeffs[d] = coeffs.get(d, 0) + c
     top = max(coeffs)
     return WePoly([coeffs.get(j, 0) for j in range(top + 1)])
+
+
+def projective_candidates(field: FieldSpec, delta: int):
+    """Reference enumeration of the witness search's candidates: every
+    delta x delta matrix in lexicographic order of its flattened entry
+    codes, kept when its first nonzero entry is 1 and it is invertible,
+    so exactly one representative per projective class."""
+    for flat in itertools.product(range(field.q), repeat=delta * delta):
+        if delta and next((c for c in flat if c), None) != 1:
+            continue
+        P = FMat(field, delta, delta,
+                 [[field.element(c) for c in flat[i * delta:(i + 1) * delta]]
+                  for i in range(delta)])
+        if P.is_invertible():
+            yield P
 
 
 @pytest.fixture(scope="session")

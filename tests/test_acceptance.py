@@ -21,11 +21,12 @@ from convmacw import (DualPair, FieldSpec, FMat, PolyMatrix, Subspace, WePoly,
 from convmacw.duality import (CharacterMatrix, _fourier_closed_form,
                               check_orth_translation_invariance,
                               check_pairing_lemma, check_transport,
-                              check_zeta_independence, projective_candidates)
+                              check_zeta_independence)
 from convmacw.field import enumerate_vectors
 from convmacw.linalg import vec_dot, zero_vec
 from conftest import (ADJ_BINARY_523, ADJ_BINARY_523_DUAL, CHAR_GRID_2_3,
-                      PERM_Q_BINARY, WITNESS_P_TERNARY, WITNESS_Q_BINARY, we)
+                      PERM_Q_BINARY, WITNESS_P_TERNARY, WITNESS_Q_BINARY,
+                      projective_candidates, we)
 
 
 def _stamp(name: str, started: float, bound: float | None = None) -> None:

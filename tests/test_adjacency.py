@@ -9,7 +9,8 @@ from convmacw import (FieldSpec, FMat, GuardExceeded, PolyMatrix, WePoly,
 from convmacw.polymat import make_minimal_basic, parse_zpoly
 from convmacw.field import vector_index
 from convmacw.statespace import pair_split
-from conftest import ADJ_BINARY_523, ADJ_BINARY_523_DUAL, we
+from conftest import (ADJ_BINARY_523, ADJ_BINARY_523_DUAL, projective_candidates,
+                      we)
 
 
 def _assert_matches_grid(adj, grid):
@@ -135,7 +136,6 @@ def test_support_is_connected_pairs(binary_523):
 def test_encoder_independence_up_to_conjugation(q, delta):
     field = FieldSpec(q)
     rng = random.Random(300 + 10 * q + delta)
-    from convmacw.duality import projective_candidates
     for _ in range(3):
         n = rng.randint(2, 4)
         k = rng.randint(1, n - 1)

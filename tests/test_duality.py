@@ -16,11 +16,11 @@ from convmacw.duality import (CharacterMatrix, FourierMatrix, PairGeometry,
                               check_pairing_lemma, check_transport,
                               check_zeta_independence, entrywise_h,
                               fourier_conjugate, macwilliams_image,
-                              projective_candidates, state_pairing_matrix)
+                              state_pairing_matrix)
 from convmacw.exact import macwilliams_rows
 from convmacw.statespace import constant_code
 from conftest import (CHAR_GRID_2_3, PERM_Q_BINARY, WITNESS_P_TERNARY,
-                      WITNESS_Q_BINARY, we)
+                      WITNESS_Q_BINARY, projective_candidates, we)
 
 
 def test_character_grid_golden(f2):

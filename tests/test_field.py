@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,3 +132,27 @@ def test_element_rendering(f2, f4):
     assert str(f2.one) == "1"
     assert str(f4.element(2)) == "[0,1]"
     assert repr(f4.element(3)) == "F4([1,1])"
+
+
+def _assert_tables_match_raw(field, pairs):
+    for a, b in pairs:
+        assert field._add_t[a][b].code == field._add_raw(a, b), (a, b)
+        assert field._mul_t[a][b].code == field._mul_raw(a, b), (a, b)
+    for a in {a for a, _ in pairs}:
+        assert field._neg_t[a].code == field._neg_raw(a)
+        if a:
+            assert field._mul_raw(a, field._inv_t[a].code) == 1
+    assert field._inv_t[0] is None
+
+
+@pytest.mark.parametrize("spec", [(2, 5, [1, 0, 1, 0, 0, 1]), (3, 3, [1, 2, 0, 1])])
+def test_tables_match_digit_arithmetic(spec):
+    field = FieldSpec(*spec)
+    _assert_tables_match_raw(field, [(a, b) for a in range(field.q) for b in range(field.q)])
+
+
+def test_tables_match_digit_arithmetic_gf256_sample():
+    field = FieldSpec(2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1])
+    rng = random.Random(256)
+    pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(2000)]
+    _assert_tables_match_raw(field, pairs + [(0, 0), (255, 255), (1, 255)])

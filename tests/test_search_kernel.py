@@ -1,19 +1,23 @@
-"""The int-code state-map kernel, the projective candidate arrays built on
-it, and the block scan of the witness search, each against a plain
-per-state reference kept here."""
+"""The int-code state-map kernel and the depth-first witness search, each
+against a plain per-state reference: the candidate positions, the
+exhaustion count, the search's witness and its guard."""
 
-import itertools
 import math
 import random
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from convmacw import (DualPair, FieldSpec, FMat, StatePermutation,
-                      random_minimal_encoder, search_witness)
-from convmacw.duality import SEARCH_LIMIT, _cached_candidates
-from convmacw.field import enumerate_vectors, span_indices, vector_index
+from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded,
+                      StatePermutation, random_minimal_encoder,
+                      run_verification, search_witness)
+from convmacw.duality import SEARCH_LIMIT, _candidate_position
+from convmacw.field import (code_index, enumerate_vectors, span_indices,
+                            vector_index)
 from convmacw.linalg import vec_mat
+from conftest import projective_candidates
 
 GF4 = (2, 2, [1, 1, 1])
 GF8 = (2, 3, [1, 1, 0, 1])
@@ -28,20 +32,24 @@ def _reference_perm(P: FMat, delta: int) -> list[int]:
     return [vector_index(vec_mat(s, P)) for s in enumerate_vectors(P.field, delta)]
 
 
-def _reference_candidates(field: FieldSpec, delta: int):
-    """Every delta x delta matrix in lexicographic order of its flattened
-    codes, kept when its first nonzero entry is 1 and it is invertible."""
-    codes, perms = [], []
-    for flat in itertools.product(range(field.q), repeat=delta * delta):
-        if next((c for c in flat if c), None) != 1 and delta:
-            continue
-        rows = [[field.element(c) for c in flat[i * delta:(i + 1) * delta]]
-                for i in range(delta)]
-        P = FMat(field, delta, delta, rows)
-        if P.is_invertible():
-            codes.append(P.to_int_rows())
-            perms.append(_reference_perm(P, delta))
-    return codes, perms
+def _row_indices(P: FMat) -> list[int]:
+    """Row i of P as the state index of the image of e_i."""
+    return code_index(P.field, np.array(P.to_int_rows(), dtype=np.int64)
+                      .reshape(P.nrows, P.ncols)).tolist()
+
+
+def _gl_order(q: int, delta: int) -> int:
+    return math.prod(q ** delta - q ** i for i in range(delta))
+
+
+def _unpruned_examined(q: int, delta: int) -> int:
+    """Row images a search with no pruning examines: q^delta for every
+    node above the leaves, one node per valid choice of its rows."""
+    nodes, partial = 1, 1
+    for depth in range(1, delta):
+        partial *= q ** delta - q ** (depth - 1)
+        nodes += partial // (q - 1)
+    return q ** delta * nodes
 
 
 @pytest.mark.parametrize("spec,delta", [
@@ -49,31 +57,56 @@ def _reference_candidates(field: FieldSpec, delta: int):
     (GF4, 2), (GF8, 2), (GF9, 2),
 ])
 def test_candidate_arrays_match_reference(spec, delta):
+    """Every candidate's closed-form rank is its 1-based position in the
+    itertools reference list, and the kernel maps its states as the
+    per-state reference does."""
     field = _field(spec)
-    codes, perms = _cached_candidates(field, delta)
-    ref_codes, ref_perms = _reference_candidates(field, delta)
-    assert codes.shape == (len(ref_codes), delta, delta)
-    assert codes.tolist() == ref_codes
-    assert perms.tolist() == ref_perms
+    reference = list(projective_candidates(field, delta))
+    positions = [_candidate_position(field, _row_indices(P)) for P in reference]
+    assert positions == list(range(1, len(reference) + 1))
+    assert len(reference) == (_gl_order(field.q, delta) // (field.q - 1) if delta else 1)
+    stack = np.array([P.to_int_rows() for P in reference],
+                     dtype=np.int64).reshape(len(reference), delta, delta)
+    assert span_indices(field, stack).T.tolist() == [_reference_perm(P, delta)
+                                                     for P in reference]
 
 
 @pytest.mark.parametrize("spec", [2, 3, GF4, 5, 7, GF8, GF9])
 def test_candidate_count_is_projective_linear_group_order(spec):
     field = _field(spec)
     q = field.q
-    deltas = [d for d in range(1, 6) if q ** (d * d) <= SEARCH_LIMIT]
-    assert deltas
-    for delta in deltas:
-        gl = math.prod(q ** delta - q ** i for i in range(delta))
-        assert len(_cached_candidates(field, delta)[0]) == gl // (q - 1)
+    if q ** 4 <= 2 ** 12:
+        assert len(list(projective_candidates(field, 2))) == _gl_order(q, 2) // (q - 1)
+    # an exhausted search reports the class count
+    rng = random.Random(q)
+    for delta in (1, 2):
+        pair = DualPair(random_minimal_encoder(rng, field, 3, 1, delta))
+        perturbed = pair.dual_scaled.copy()
+        perturbed[0, 0, 0] += 1    # every linear map fixes state 0
+        pair.dual_scaled = perturbed
+        result = search_witness(pair)
+        assert result.witness is None
+        assert result.tested == _gl_order(q, delta) // (q - 1)
 
 
-def test_candidate_arrays_are_read_only(f3):
-    codes, perms = _cached_candidates(f3, 2)
-    assert _cached_candidates(FieldSpec(3), 2)[0] is codes
-    for arr in (codes, perms):
-        with pytest.raises(ValueError):
-            arr[0, 0] = 0
+def test_repeated_searches_are_identical(f3, ternary_322, ternary_322_dual):
+    """Searches share no mutable state: repeating them, on one pair and on
+    several pairs of one field, gives the same results and leaves the
+    searched tables unchanged."""
+    rng = random.Random(5)
+    pairs = [DualPair(ternary_322, ternary_322_dual)]
+    while len(pairs) < 3:
+        pair = DualPair(random_minimal_encoder(rng, f3, 4, 2, 2))
+        if pair.r_dual < pair.delta and pair.cf.r < pair.delta:
+            pairs.append(pair)
+    tables = [(p.dual_scaled.copy(), p.transformed.numer.copy()) for p in pairs]
+    first = [search_witness(p) for p in pairs]
+    assert all(r.witness is not None for r in first)
+    for _ in range(2):
+        assert [search_witness(p) for p in reversed(pairs)] == first[::-1]
+    for p, (target, tnum) in zip(pairs, tables):
+        assert np.array_equal(p.dual_scaled, target)
+        assert np.array_equal(p.transformed.numer, tnum)
 
 
 @pytest.mark.parametrize("spec", [257, (2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1])])
@@ -125,35 +158,79 @@ def test_singular_and_misshapen_matrices_raise(f2, f4):
 
 def _reference_search(pair: DualPair):
     """Plain scan: one full comparison per candidate, in canonical order."""
-    codes, _ = _cached_candidates(pair.field, pair.delta)
-    for tested, rows in enumerate(codes.tolist(), start=1):
-        P = FMat(pair.field, pair.delta, pair.delta,
-                 [[pair.field.element(c) for c in r] for r in rows])
+    tested = 0
+    for tested, P in enumerate(projective_candidates(pair.field, pair.delta), start=1):
         perm = list(StatePermutation(P).perm)
         if np.array_equal(pair.dual_scaled,
                           pair.transformed.numer[np.ix_(perm, perm)]):
             return P, tested
-    return None, len(codes)
+    return None, tested
 
 
-def test_block_scan_matches_reference_scan(binary_pair, ternary_pair, f2, f3):
-    pairs = [binary_pair, ternary_pair]
-    rng = random.Random(2024)
-    for field, n, delta in ((f2, 5, 3), (f2, 4, 2), (f3, 4, 2)):
-        generic = []
-        for _ in range(60):
-            pair = DualPair(random_minimal_encoder(rng, field, n, 2, delta))
-            if pair.r_dual < pair.delta and pair.cf.r < pair.delta:
-                generic.append(pair)
-            if len(generic) == 2:
-                break
-        assert generic
-        pairs += generic
-    for pair in pairs:
+def _generic_pairs(field, n, delta, count, seed):
+    """Random codes that no closed form covers (r < delta on both sides)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(100):
+        pair = DualPair(random_minimal_encoder(rng, field, n, rng.randint(1, n - 1), delta))
+        if pair.r_dual < pair.delta and pair.cf.r < pair.delta:
+            out.append(pair)
+        if len(out) == count:
+            break
+    assert out
+    return out
+
+
+@pytest.mark.parametrize("spec,n,delta,count", [
+    (2, 5, 3, 3), (2, 4, 2, 2), (3, 4, 2, 3), (GF4, 4, 2, 2), (5, 4, 2, 2),
+    (GF8, 3, 2, 1), (GF9, 3, 2, 1),
+])
+def test_search_matches_reference_scan(spec, n, delta, count):
+    field = _field(spec)
+    for pair in _generic_pairs(field, n, delta, count, seed=2024 + field.q):
         result = search_witness(pair)
         ref_witness, ref_tested = _reference_search(pair)
         assert result.witness == ref_witness
         assert result.tested == ref_tested
+        assert result.examined <= _unpruned_examined(field.q, delta)
+
+
+def test_search_matches_reference_on_demo_pairs(binary_pair, ternary_pair):
+    for pair in (binary_pair, ternary_pair):
+        result = search_witness(pair)
+        assert (result.witness, result.tested) == _reference_search(pair)
+
+
+def _table_pair(field, delta, target, tnum):
+    """Just what the search reads from a pair, for synthetic tables."""
+    return SimpleNamespace(field=field, delta=delta, dual_scaled=target,
+                           transformed=SimpleNamespace(numer=tnum))
+
+
+@pytest.mark.parametrize("spec,delta", [(2, 3), (3, 2), (GF4, 2)])
+def test_search_matches_reference_on_synthetic_tables(spec, delta):
+    """Tables over a small alphabet have many colour collisions and often
+    several witnesses, so the search's order, span exclusion and
+    normalisation all decide its answer; a constant table makes every
+    candidate a witness, so the first one must be returned."""
+    field = _field(spec)
+    size = field.q ** delta
+    rng = np.random.default_rng(field.q * 10 + delta)
+    reference = list(projective_candidates(field, delta))
+    const = np.ones((size, size, 2), dtype=np.int64)
+    result = search_witness(_table_pair(field, delta, const, const))
+    assert (result.witness, result.tested) == (reference[0], 1)
+    for trial in range(6):
+        tnum = rng.integers(0, 2, size=(size, size, 2))
+        tnum[0, 0] = 5    # every linear map fixes state 0
+        codes = rng.integers(0, field.q, size=(delta, delta))
+        M = FMat(field, delta, delta, [[field.element(int(c)) for c in r] for r in codes])
+        if not M.is_invertible():
+            continue
+        perm = np.array(StatePermutation(M).perm)
+        pair = _table_pair(field, delta, tnum[np.ix_(perm, perm)], tnum)
+        result = search_witness(pair)
+        assert (result.witness, result.tested) == _reference_search(pair)
 
 
 def test_search_exhaustion_is_an_outcome(ternary_322, ternary_322_dual):
@@ -163,4 +240,40 @@ def test_search_exhaustion_is_an_outcome(ternary_322, ternary_322_dual):
     pair.dual_scaled = perturbed
     result = search_witness(pair)
     assert result.witness is None
-    assert result.tested == len(_cached_candidates(pair.field, pair.delta)[0]) == 24
+    assert result.tested == len(list(projective_candidates(pair.field, pair.delta))) == 24
+
+
+def test_search_guard_boundary(binary_pair, ternary_pair):
+    for pair in (binary_pair, ternary_pair):
+        result = search_witness(pair)
+        assert result.examined > 0
+        assert search_witness(pair, limit=result.examined) == result
+        with pytest.raises(GuardExceeded, match="candidate row images"):
+            search_witness(pair, limit=result.examined - 1)
+
+
+def test_unpruned_search_fits_the_default_limit():
+    """Every (q, delta) the former q^(delta^2) <= 2^17 rule admitted still
+    runs without pruning: delta = 1 examines q <= 2^16 images (the field
+    size bound), and above it the largest cost is binary delta = 4."""
+    worst = {}
+    for delta in range(1, 6):
+        q = 2
+        while q ** (delta * delta) <= 2 ** 17 and q <= 2 ** 16:
+            worst[(q, delta)] = _unpruned_examined(q, delta)
+            q += 1
+    assert max(worst.values()) <= SEARCH_LIMIT
+    assert max(v for (q, d), v in worst.items() if d > 1) == worst[(2, 4)] == 43936
+    assert _unpruned_examined(2, 5) > SEARCH_LIMIT
+
+
+def test_search_envelope_binary_delta_6(f2):
+    """A generic binary delta = 6 code, refused by the former guard
+    (2^36 candidate matrices), now finds its witness."""
+    pair = _generic_pairs(f2, 4, 6, 1, seed=6)[0]
+    started = time.perf_counter()
+    report = run_verification(pair.G)
+    assert report.theorem_used == "conjecture-search"
+    assert report.verdict == "verified"
+    assert report.details["candidates_tested"] <= _gl_order(2, 6)
+    assert time.perf_counter() - started < 10.0
