@@ -24,39 +24,42 @@ PAIR_LIMIT = 2 ** 20         # bound on q^(delta+k) coset points
 
 
 class AdjMatrix:
-    """Sparse q^delta x q^delta matrix of weight enumerators."""
+    """Sparse q^delta x q^delta matrix of weight enumerators: ``index``
+    holds the sorted flat pair indices X * q^delta + Y of the support,
+    ``counts`` their (support, n+1) coefficient rows, both read-only int64."""
 
-    __slots__ = ("field", "n", "delta", "size", "entries")
+    __slots__ = ("field", "n", "delta", "size", "index", "counts")
 
-    def __init__(self, field, n: int, delta: int, entries: dict):
+    def __init__(self, field, n: int, delta: int, index, counts):
         self.field = field
         self.n = n
         self.delta = delta
         self.size = field.q ** delta
-        self.entries = dict(entries)
+        order = np.argsort(index, kind="stable")
+        self.index = np.asarray(index, dtype=np.int64)[order]
+        self.counts = np.asarray(counts, dtype=np.int64)[order]
+        self.index.flags.writeable = self.counts.flags.writeable = False
 
     @property
-    def q(self) -> int:
-        return self.field.q
+    def entries(self) -> dict:
+        """{(X, Y): WePoly} over the support, built for output."""
+        xs, ys = np.divmod(self.index, self.size)
+        return {(x, y): WePoly(c) for x, y, c in
+                zip(xs.tolist(), ys.tolist(), self.counts.tolist())}
 
     def entry(self, i: int, j: int) -> WePoly:
-        return self.entries.get((i, j), WePoly.empty())
+        k = np.searchsorted(self.index, i * self.size + j)
+        found = k < len(self.index) and self.index[k] == i * self.size + j
+        return WePoly(self.counts[k].tolist() if found else ())
 
     def support_size(self) -> int:
-        return len(self.entries)
-
-    def total(self) -> WePoly:
-        acc = WePoly.empty()
-        for v in self.entries.values():
-            acc = acc + v
-        return acc
+        return len(self.index)
 
     def dense_coefficients(self) -> np.ndarray:
         """(size, size, n+1) int64 coefficient tensor."""
-        out = np.zeros((self.size, self.size, self.n + 1), dtype=np.int64)
-        for (i, j), w in self.entries.items():
-            out[i, j, : len(w.coeffs)] = w.coeffs
-        return out
+        out = np.zeros((self.size * self.size, self.n + 1), dtype=np.int64)
+        out[self.index] = self.counts
+        return out.reshape(self.size, self.size, self.n + 1)
 
     def __eq__(self, other):
         return (
@@ -64,24 +67,25 @@ class AdjMatrix:
             and self.field == other.field
             and self.n == other.n
             and self.delta == other.delta
-            and self.entries == other.entries
+            and np.array_equal(self.index, other.index)
+            and np.array_equal(self.counts, other.counts)
         )
 
     def to_json_dict(self) -> dict:
-        items = [
-            {"row": i, "col": j, "we": list(self.entries[(i, j)].padded(self.n))}
-            for (i, j) in sorted(self.entries)
-        ]
+        xs, ys = np.divmod(self.index, self.size)
+        items = [{"row": x, "col": y, "we": c} for x, y, c in
+                 zip(xs.tolist(), ys.tolist(), self.counts.tolist())]
         return {
             "delta": self.delta,
-            "q": self.q,
+            "q": self.field.q,
             "n": self.n,
             "ordering": "lex-enc",
             "entries": items,
         }
 
     def render_text(self) -> str:
-        cells = [[str(self.entry(i, j)) for j in range(self.size)]
+        entries, zero = self.entries, WePoly.empty()
+        cells = [[str(entries.get((i, j), zero)) for j in range(self.size)]
                  for i in range(self.size)]
         widths = [max(len(cells[i][j]) for i in range(self.size))
                   for j in range(self.size)]
@@ -94,10 +98,8 @@ class AdjMatrix:
 def _check_invariants(adj: AdjMatrix, cf: ControllerForm):
     if adj.support_size() != cf.field.q ** (cf.delta + cf.r):
         raise InternalCheckError("adjacency support is not the connected pair count")
-    expected_total = cf.field.q ** (cf.k - cf.r)
-    for w in adj.entries.values():
-        if w.total() != expected_total:
-            raise InternalCheckError("entry does not enumerate a full coset")
+    if np.any(adj.counts.sum(axis=1) != cf.field.q ** (cf.k - cf.r)):
+        raise InternalCheckError("entry does not enumerate a full coset")
 
 
 def adjacency_by_transitions(cf: ControllerForm,
@@ -113,16 +115,18 @@ def adjacency_by_transitions(cf: ControllerForm,
     # (X, u) -> (X A + u B, X C + u D) as one linear map, X varying slowest
     gen = vector_codes(block_matrix(cf.field, [[cf.A, cf.C], [cf.B, cf.D]]).rows,
                        cf.delta + cf.n)
-    counts: dict[tuple[int, int], list[int]] = {}
+    width, blocks = cf.n + 1, []
     for start, block in span_blocks(cf.field, gen):
         xs = (start + np.arange(len(block))) // q ** cf.k
         keys = ((xs * q ** cf.delta + code_index(cf.field, block[:, :cf.delta]))
-                * (cf.n + 1) + np.count_nonzero(block[:, cf.delta:], axis=1))
-        for key, c in zip(*(a.tolist() for a in np.unique(keys, return_counts=True))):
-            pair, w = divmod(key, cf.n + 1)
-            counts.setdefault(divmod(pair, q ** cf.delta), [0] * (cf.n + 1))[w] += c
-    entries = {key: WePoly(c) for key, c in counts.items()}
-    adj = AdjMatrix(cf.field, cf.n, cf.delta, entries)
+                * width + np.count_nonzero(block[:, cf.delta:], axis=1))
+        blocks.append(np.unique(keys, return_counts=True))
+    # one merge: a pair's transitions can straddle two blocks
+    keys, hits = (np.concatenate(parts) for parts in zip(*blocks))
+    index, rows = np.unique(keys // width, return_inverse=True)
+    counts = np.zeros((len(index), width), dtype=np.int64)
+    np.add.at(counts, (rows, keys % width), hits)
+    adj = AdjMatrix(cf.field, cf.n, cf.delta, index, counts)
     _check_invariants(adj, cf)
     return adj
 
@@ -142,10 +146,8 @@ def adjacency_by_cosets(cf: ControllerForm, limit: int = PAIR_LIMIT) -> AdjMatri
     reps = [pair_output_rep(cf, b) for b in pairs.basis]
     gen = vector_codes(reps + list(const.basis), cf.n)
     group = cf.field.q ** const.dim
-    counts = weight_counts(cf.field, gen, 0, points, group).tolist()
-    xs, ys = np.divmod(pairs.point_indices(), cf.field.q ** cf.delta)
-    entries = {(x, y): WePoly(c) for x, y, c in zip(xs.tolist(), ys.tolist(), counts)}
-    adj = AdjMatrix(cf.field, cf.n, cf.delta, entries)
+    adj = AdjMatrix(cf.field, cf.n, cf.delta, pairs.point_indices(),
+                    weight_counts(cf.field, gen, 0, points, group))
     _check_invariants(adj, cf)
     return adj
 
@@ -154,7 +156,7 @@ class StatePermutation:
     """Permutation of state indices induced by an invertible matrix acting
     on the state space by right multiplication."""
 
-    __slots__ = ("P", "size", "perm")
+    __slots__ = ("size", "perm")
 
     def __init__(self, P: FMat, delta: int | None = None):
         codes = np.array(P.to_int_rows(), dtype=np.int64).reshape(1, P.nrows, P.ncols)
@@ -163,7 +165,6 @@ class StatePermutation:
         if (P.nrows != P.ncols or delta not in (None, P.nrows)
                 or np.count_nonzero(images == 0) != 1):
             raise ValueError("state transformation matrix is singular or misshapen")
-        self.P = P
         self.size = len(images)
         self.perm = tuple(images.tolist())
 
@@ -178,9 +179,10 @@ class StatePermutation:
 def conjugate(adj: AdjMatrix, P: FMat) -> AdjMatrix:
     """Relabel states by X -> X P: entry (X, Y) of the result is the old
     entry at (X P, Y P)."""
-    inv = np.argsort(StatePermutation(P, adj.delta).perm).tolist()
-    entries = {(inv[a], inv[b]): w for (a, b), w in adj.entries.items()}
-    return AdjMatrix(adj.field, adj.n, adj.delta, entries)
+    inv = np.argsort(StatePermutation(P, adj.delta).perm)
+    xs, ys = np.divmod(adj.index, adj.size)
+    return AdjMatrix(adj.field, adj.n, adj.delta, inv[xs] * adj.size + inv[ys],
+                     adj.counts)
 
 
 def entry_sums(adj: AdjMatrix, cf: ControllerForm,
@@ -190,11 +192,9 @@ def entry_sums(adj: AdjMatrix, cf: ControllerForm,
     times it.  Both identities are asserted."""
     if split is None:
         split = pair_split(cf)
-    xs, ys = np.divmod(split.transversal.point_indices(), adj.size)
-    acc = WePoly.empty()
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        acc = acc + adj.entry(x, y)
-    total = adj.total()
+    on_transversal = np.isin(adj.index, split.transversal.point_indices())
+    acc = WePoly(adj.counts[on_transversal].sum(axis=0).tolist())
+    total = WePoly(adj.counts.sum(axis=0).tolist())
     coeff_code, r_dual = coefficient_code(cf)
     cc_we = we_of_affine((cf.field.zero,) * cf.n, coeff_code.basis)
     if acc != cc_we:

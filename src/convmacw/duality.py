@@ -95,7 +95,7 @@ class CharacterMatrix:
     """
 
     __slots__ = ("field", "delta", "p", "q", "P", "zeta_exponent",
-                 "exponents", "scale_pow", "_geom")
+                 "exponents", "scale_pow", "_geom", "_plain")
 
     def __init__(self, geom: PairGeometry, P: FMat | None = None,
                  zeta_exponent: int = 1):
@@ -111,11 +111,9 @@ class CharacterMatrix:
         self.zeta_exponent = zeta_exponent
         self.scale_pow = -geom.delta
         self._geom = geom
-        base = geom.trace_exp
+        self._plain = self.exponents = (zeta_exponent * geom.trace_exp) % p
         if P is not None:
-            perm = StatePermutation(P, geom.delta).perm
-            base = base[np.array(perm), :]
-        self.exponents = (zeta_exponent * base) % p
+            self.exponents = self._plain[np.array(StatePermutation(P, geom.delta).perm)]
 
     @classmethod
     def build(cls, field: FieldSpec, delta: int, P: FMat | None = None,
@@ -137,8 +135,7 @@ class CharacterMatrix:
     def structure_checks(self):
         """Verify the square, fourth power, and permutation-conjugation
         identities of the character grid, exactly."""
-        p, size = self.p, self._geom.size
-        E = (self.zeta_exponent * self._geom.trace_exp) % p
+        p, size, E = self.p, self._geom.size, self._plain
         # square: sum_Z zeta^(E[X,Z] + E[Z,Y]) must be q^delta at Y = -X, else 0
         total = (E[:, :, None] + E[None, :, :]) % p  # [x, z, y]
         neg = self._geom.neg_perm
@@ -159,7 +156,7 @@ class CharacterMatrix:
     def permutation_checks(self):
         """The P-grid is the plain grid with its rows permuted by P and,
         equivalently, its columns permuted by P^t."""
-        E = (self.zeta_exponent * self._geom.trace_exp) % self.p
+        E = self._plain
         perm = np.array(StatePermutation(self.P, self.delta).perm)
         if not np.array_equal(self.exponents, E[perm, :]):
             raise InternalCheckError("row-permutation identity failed")
@@ -229,37 +226,33 @@ class FourierMatrix:
 
 
 def fourier_conjugate(adj: AdjMatrix, cf: ControllerForm,
-                      zeta_exponent: int = 1, crosscheck: bool = True,
+                      zeta_exponent: int = 1,
                       geom: PairGeometry | None = None,
                       limit: int = GRID_LIMIT) -> FourierMatrix:
     """Conjugate the adjacency matrix on both sides by the character grid
     and collapse to exact rationals.
 
-    With ``crosscheck`` the same matrix is recomputed from the three-case
-    closed form (zero off the kernel-orthogonal grid, a scaled
-    coefficient-code enumerator on the pair-orthogonal grid, a hyperplane
-    sum elsewhere) and any disagreement raises, never resolves silently.
+    The same matrix is then recomputed from the three-case closed form
+    (zero off the kernel-orthogonal grid, a scaled coefficient-code
+    enumerator on the pair-orthogonal grid, a hyperplane sum elsewhere)
+    and any disagreement raises, never resolves silently.
     """
     if geom is None:
         geom = PairGeometry(adj.field, adj.delta, limit)
     p = adj.field.p
-    E = (zeta_exponent * geom.trace_exp) % p
-    lam = adj.dense_coefficients()
-    buckets = _bucket_tensor(lam, E, p)
+    E = CharacterMatrix(geom, zeta_exponent=zeta_exponent).exponents
+    buckets = _bucket_tensor(adj.dense_coefficients(), E, p)
     for j in range(1, p - 1):
         if not np.array_equal(buckets[j], buckets[p - 1]):
             raise InternalCheckError(
                 "cyclotomic coefficients did not collapse to rationals"
             )
     numer = buckets[0] - buckets[p - 1]
-    fm = FourierMatrix(adj.field, adj.delta, adj.n, numer, buckets)
-    if crosscheck:
-        closed = _fourier_closed_form(adj, cf, geom)
-        if not np.array_equal(numer * (adj.field.q - 1), closed):
-            raise InternalCheckError(
-                "direct product and closed form disagree on the conjugated matrix"
-            )
-    return fm
+    if not np.array_equal(numer * (adj.field.q - 1), _fourier_closed_form(adj, cf, geom)):
+        raise InternalCheckError(
+            "direct product and closed form disagree on the conjugated matrix"
+        )
+    return FourierMatrix(adj.field, adj.delta, adj.n, numer, buckets)
 
 
 def _fourier_closed_form(adj: AdjMatrix, cf: ControllerForm,
@@ -275,9 +268,8 @@ def _fourier_closed_form(adj: AdjMatrix, cf: ControllerForm,
     )
     in_ker_orth = geom.orth_mask(kernel.basis)
     in_delta_orth = geom.orth_mask(dspace.basis)
-    lam = adj.dense_coefficients()
-    dz1, dz2 = np.divmod(dspace.point_indices(), size)
-    lam_delta = lam[dz1, dz2, :]
+    # the support is the connected pairs, so every point has a row
+    lam_delta = adj.counts[np.searchsorted(adj.index, dspace.point_indices())]
     out = np.zeros((size, size, n + 1), dtype=np.int64)
     out[in_delta_orth] = q ** (delta - r_dual) * (q - 1) * cc_we
     # elsewhere (X, Y) induces a nonzero functional on the connected pairs
@@ -515,7 +507,7 @@ class DualPair:
     @cached_property
     def fourier(self) -> FourierMatrix:
         return fourier_conjugate(self.adj, self.cf, self.zeta_exponent,
-                                 crosscheck=True, geom=self.geometry)
+                                 geom=self.geometry)
 
     @cached_property
     def transformed(self) -> TransformedMatrix:
@@ -527,7 +519,9 @@ class DualPair:
 
     @cached_property
     def dual_scaled(self) -> np.ndarray:
-        return self.adj_dual.dense_coefficients() * self.transformed.denom
+        denom = self.transformed.denom   # first: the grid guard precedes the scatter
+        dense = self.adj_dual.dense_coefficients()
+        return np.multiply(dense, denom, out=dense)
 
     @cached_property
     def pairing(self) -> FMat:
@@ -580,6 +574,9 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     plus deterministic basis-matching isomorphisms, and verify that it
     carries the transformed matrix onto the dual adjacency matrix
     entrywise; also verifies plain multiset equality of entries."""
+    # adj (pairs guard), then the geometry (grid guard), before the
+    # complement below scans all q^(2 delta) pairs
+    hl = pair.entrywise
     f = pair.field
     two_delta = 2 * pair.delta
     M_image = Subspace.from_rows(f, two_delta, pair.pairing.rows)
@@ -606,7 +603,6 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
 
     geom = pair.geometry
     size = geom.size
-    hl = pair.entrywise
     # pair (X, Y) has index X * size + Y, its canonical index in F^(2 delta)
     fperm = np.array(StatePermutation(fmat).perm, dtype=np.int64)
     flat_dual = pair.dual_scaled.reshape(size * size, -1)
@@ -628,8 +624,9 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
 
 def _identity_holds(pair: DualPair, P: FMat) -> tuple[bool, int]:
     """Entrywise check of the conjugated identity for a given witness."""
+    tnum = pair.transformed.numer   # the size guards fire before the permutation
     perm = np.array(StatePermutation(P, pair.delta).perm, dtype=np.int64)
-    moved = pair.transformed.numer[np.ix_(perm, perm)]
+    moved = tnum[np.ix_(perm, perm)]
     mism = int(np.any(pair.dual_scaled != moved, axis=2).sum())
     return mism == 0, mism
 
@@ -637,9 +634,9 @@ def _identity_holds(pair: DualPair, P: FMat) -> tuple[bool, int]:
 def closed_form_witness_dual(pair: DualPair) -> FMat:
     """Closed-form witness when every dual Forney index is at most one.
 
-    Asserts the algebraic relation between the pairing matrix and the
-    complementary block matrix, invertibility, and the full entrywise
-    identity."""
+    Asserts invertibility, the full entrywise identity, and the algebraic
+    relation between the pairing matrix and the complementary block
+    matrix."""
     if pair.r_dual != pair.delta:
         raise ValueError(
             "closed-form dual witness needs every dual Forney index <= 1; "
@@ -650,6 +647,11 @@ def closed_form_witness_dual(pair: DualPair) -> FMat:
     Q = -(pair.cf_dual.BtD @ pair.cf.C.transpose())
     if not Q.is_invertible():
         raise InternalCheckError("closed-form dual witness is singular")
+    # first, so the size guards fire before the dual split scans its
+    # q^(delta + r_dual) = q^(2 delta) connected pairs
+    ok, mism = _identity_holds(pair, Q)
+    if not ok:
+        raise InternalCheckError(f"dual-side identity failed at {mism} entries")
     cc_t = pair.cf_dual.C @ pair.cf.C.transpose()
     M1 = block_matrix(f, [[-cc_t, cc_t @ pair.cf.A],
                           [FMat.zero(f, d, d), FMat.zero(f, d, d)]])
@@ -666,9 +668,6 @@ def closed_form_witness_dual(pair: DualPair) -> FMat:
         raise InternalCheckError("correction kills dual kernel directions")
     if M1_image.dim != d - pair.cf.r:
         raise InternalCheckError("correction rank is not delta - r")
-    ok, mism = _identity_holds(pair, Q)
-    if not ok:
-        raise InternalCheckError(f"dual-side identity failed at {mism} entries")
     _corollary_grid_check(pair, Q)
     return Q
 
@@ -842,7 +841,7 @@ def check_zeta_independence(pair: DualPair) -> bool:
     p = pair.field.p
     for d in range(2, p):
         other = fourier_conjugate(pair.adj, pair.cf, zeta_exponent=d,
-                                  crosscheck=False, geom=pair.geometry)
+                                  geom=pair.geometry)
         if not np.array_equal(other.numer, pair.fourier.numer):
             raise InternalCheckError("conjugated matrix depends on the root choice")
     return True

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -164,6 +166,23 @@ def test_guards(binary_523):
     with pytest.raises(GuardExceeded, match=r"q\^\(delta\+k\) = 32 points"):
         adjacency_by_cosets(cf, limit=31)
     assert adjacency_by_cosets(cf, limit=32).support_size() == 16
+
+
+def test_coset_builder_allocates_no_pair_grid(f2):
+    """delta = 14: 2^15 connected pairs out of a 2^28 grid, whose dense
+    coefficient tensor would take 6.4 GB."""
+    cf = controller_form(PolyMatrix.from_strings(f2, [["1", "1+z^14"]]))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        adj = adjacency_by_cosets(cf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 10
+    assert adj.support_size() == len(adj.entries) == 2 ** 15
+    assert peak < 2 ** 26   # the 2^28 grid would need 2^28 bytes as bools alone
+    assert not adj.index.flags.writeable and not adj.counts.flags.writeable
 
 
 def test_json_and_text_rendering(binary_523):

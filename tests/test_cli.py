@@ -1,9 +1,10 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
-from convmacw import adjacency, same_code
+from convmacw import WePoly, adjacency, same_code
 from convmacw.cli import CodeDocument, main
 from convmacw.field import FieldElement
 from conftest import (BINARY_523, CHAR_GRID_2_3, TERNARY_322,
@@ -194,12 +195,17 @@ def test_verify_modes(binary_doc, ternary_doc, capsys):
     assert "dual Forney" in err
 
 
-def test_verify_zeta_exponent(ternary_doc, capsys):
+def test_verify_zeta_exponent(ternary_doc, binary_doc, capsys):
     assert main(["verify", ternary_doc, "--zeta-exponent", "2",
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "verified"
     assert payload["witness"] == WITNESS_P_TERNARY
+    # 0 and multiples of p are not primitive roots: a usage error
+    for doc, exponent, p in ((ternary_doc, "0", 3), (ternary_doc, "3", 3),
+                             (binary_doc, "2", 2)):
+        assert main(["verify", doc, "--zeta-exponent", exponent]) == 1
+        assert f"zeta exponent must be in [1, {p})" in capsys.readouterr().err
 
 
 def test_search_p_command(ternary_doc, capsys):
@@ -289,11 +295,35 @@ def test_coset_guard_counts_points(tmp_path, capsys):
     assert "q^(delta+k) = 1073741824 points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("generator,mode", [
+    ([["1", "1+z^12"]], "auto"),
+    ([["1", "1+z^12"]], "weak"),
+    ([["1", "1+z^12"]], "search"),
+    ([["1"] + [f"z^{i}" for i in range(1, 13)]], "auto"),   # dual indices all 1
+], ids=["weak-route", "weak-mode", "search-mode", "dual-closed-form"])
+def test_verify_guards_precede_pair_space_scans(tmp_path, capsys, generator, mode):
+    """delta = 12: the grid guard fires before anything walks or allocates
+    the 2^24 state pairs (the reordering complement, the dual transversal,
+    the dense dual matrix)."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field": {"p": 2}, "generator": generator}))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert main(["verify", str(path), "--mode", mode]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert peak < 2 ** 26   # the dense dual matrix alone is 2^24 * 3 int64 values
+    assert "pair grid q^(2*delta) = 16777216" in capsys.readouterr().err
+
+
 def test_internal_check_failure_exit_4(binary_doc, capsys, monkeypatch):
     def wrong_oracle(cf, limit):
         adj = adjacency.adjacency_by_cosets(cf)
-        adj.entries.popitem()
-        return adj
+        return adjacency.AdjMatrix(adj.field, adj.n, adj.delta,
+                                   adj.index[:-1], adj.counts[:-1])
 
     monkeypatch.setattr(adjacency, "adjacency_by_transitions", wrong_oracle)
     assert main(["adjacency", binary_doc, "--oracle"]) == 4
@@ -326,3 +356,24 @@ def test_verify_field_arithmetic_count(tmp_path, monkeypatch, capsys, doc, mode)
     assert main(["verify", str(path), "--mode", mode]) == 0
     capsys.readouterr()
     assert 0 < len(calls) < 50_000
+
+
+@pytest.mark.parametrize("doc,mode", [
+    (BINARY_727, "weak"),
+    ({"field": {"p": 2}, "generator": [["1", "1+z^8"]]}, "auto"),
+], ids=["binary-delta7-weak", "binary-delta8"])
+def test_verify_weight_enumerator_count(tmp_path, monkeypatch, capsys, doc, mode):
+    """Adjacency matrices stay integer arrays on every verify route: the
+    only WePoly built is the coefficient-code enumerator."""
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    real = WePoly.__init__
+
+    def counting(self, *args):
+        calls.append(None)
+        real(self, *args)
+    monkeypatch.setattr(WePoly, "__init__", counting)
+    assert main(["verify", str(path), "--mode", mode]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 1
