@@ -2,7 +2,7 @@
 convolutional codes over finite fields."""
 
 from .adjacency import (AdjMatrix, StatePermutation, adjacency_by_cosets,
-                        adjacency_by_transitions, conjugate, entry_sums)
+                        adjacency_by_transitions)
 from .duality import (CharacterMatrix, DualityReport, DualPair, FourierMatrix,
                       SearchResult, TransformedMatrix, check_unit_memory,
                       check_weak_identity, check_witness,
@@ -10,14 +10,12 @@ from .duality import (CharacterMatrix, DualityReport, DualPair, FourierMatrix,
                       fourier_conjugate, macwilliams_image, run_verification,
                       search_witness, state_pairing_matrix)
 from .errors import GuardExceeded, InternalCheckError
-from .exact import (CycloNum, CycloPoly, WePoly, macwilliams_transform,
-                    macwilliams_we, root_power, we_of_affine)
-from .field import FieldElement, FieldSpec, enumerate_vectors, trace
+from .exact import WePoly, we_of_affine
+from .field import FieldElement, FieldSpec
 from .linalg import FMat, Subspace
 from .polymat import (CodeProfile, PolyMatrix, ZPoly, code_degree,
-                      dual_generator, encode, codeword_weight, is_basic,
-                      is_minimal, make_minimal_basic, parse_zpoly,
-                      random_minimal_encoder, same_code, smith_normal_form)
+                      dual_generator, is_basic, is_minimal, make_minimal_basic,
+                      parse_zpoly, smith_normal_form)
 from .statespace import (ControllerForm, PairSplit, coefficient_code,
                          connected_pairs, connected_pairs_orth, constant_code,
                          controller_form, output_kernel, output_rep,

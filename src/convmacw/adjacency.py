@@ -12,12 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GuardExceeded, InternalCheckError
-from .exact import WePoly, we_of_affine, weight_counts
+from .exact import WePoly, weight_counts
 from .field import code_index, span_blocks, span_indices, vector_codes
 from .linalg import FMat, block_matrix
-from .statespace import (ControllerForm, PairSplit, connected_pairs,
-                         constant_code, coefficient_code, pair_output_rep,
-                         pair_split)
+from .statespace import (ControllerForm, connected_pairs, constant_code,
+                         pair_output_rep)
 
 TRANSITION_LIMIT = 2 ** 24   # bound on q^(2*delta) * q^k
 PAIR_LIMIT = 2 ** 20         # bound on q^(delta+k) coset points
@@ -131,15 +130,22 @@ def adjacency_by_transitions(cf: ControllerForm,
     return adj
 
 
-def adjacency_by_cosets(cf: ControllerForm, limit: int = PAIR_LIMIT) -> AdjMatrix:
-    """Walk only the connected pairs; each entry is the weight enumerator
-    of the coset (representative output + constant code)."""
-    # q^(delta+r) connected pairs, each a coset of q^(k-r) points
-    points = cf.field.q ** (cf.delta + cf.k)
+def coset_guard(q: int, delta: int, k: int, limit: int = PAIR_LIMIT) -> int:
+    """The coset point count q^(delta+k) of a code of dimension k; raises
+    past ``limit``."""
+    points = q ** (delta + k)
     if points > limit:
         raise GuardExceeded(
             f"coset enumeration needs q^(delta+k) = {points} points > limit {limit}"
         )
+    return points
+
+
+def adjacency_by_cosets(cf: ControllerForm, limit: int = PAIR_LIMIT) -> AdjMatrix:
+    """Walk only the connected pairs; each entry is the weight enumerator
+    of the coset (representative output + constant code)."""
+    # q^(delta+r) connected pairs, each a coset of q^(k-r) points
+    points = coset_guard(cf.field.q, cf.delta, cf.k, limit)
     pairs, const = connected_pairs(cf), constant_code(cf)
     # output representatives are linear in the pair, so c @ [reps; const]
     # runs through the coset of each pair in turn, q^(k-r) points apiece
@@ -156,7 +162,7 @@ class StatePermutation:
     """Permutation of state indices induced by an invertible matrix acting
     on the state space by right multiplication."""
 
-    __slots__ = ("size", "perm")
+    __slots__ = ("perm",)
 
     def __init__(self, P: FMat, delta: int | None = None):
         codes = np.array(P.to_int_rows(), dtype=np.int64).reshape(1, P.nrows, P.ncols)
@@ -165,40 +171,4 @@ class StatePermutation:
         if (P.nrows != P.ncols or delta not in (None, P.nrows)
                 or np.count_nonzero(images == 0) != 1):
             raise ValueError("state transformation matrix is singular or misshapen")
-        self.size = len(images)
         self.perm = tuple(images.tolist())
-
-    def matrix01(self) -> tuple[tuple[int, ...], ...]:
-        """Dense 0/1 permutation matrix, rows indexed by source state."""
-        return tuple(
-            tuple(1 if self.perm[i] == j else 0 for j in range(self.size))
-            for i in range(self.size)
-        )
-
-
-def conjugate(adj: AdjMatrix, P: FMat) -> AdjMatrix:
-    """Relabel states by X -> X P: entry (X, Y) of the result is the old
-    entry at (X P, Y P)."""
-    inv = np.argsort(StatePermutation(P, adj.delta).perm)
-    xs, ys = np.divmod(adj.index, adj.size)
-    return AdjMatrix(adj.field, adj.n, adj.delta, inv[xs] * adj.size + inv[ys],
-                     adj.counts)
-
-
-def entry_sums(adj: AdjMatrix, cf: ControllerForm,
-               split: PairSplit | None = None) -> tuple[WePoly, WePoly]:
-    """(sum over the transversal, sum over everything); the first equals
-    the coefficient-code enumerator, the second is q^(delta - r_dual)
-    times it.  Both identities are asserted."""
-    if split is None:
-        split = pair_split(cf)
-    on_transversal = np.isin(adj.index, split.transversal.point_indices())
-    acc = WePoly(adj.counts[on_transversal].sum(axis=0).tolist())
-    total = WePoly(adj.counts.sum(axis=0).tolist())
-    coeff_code, r_dual = coefficient_code(cf)
-    cc_we = we_of_affine((cf.field.zero,) * cf.n, coeff_code.basis)
-    if acc != cc_we:
-        raise InternalCheckError("transversal sum is not the coefficient-code enumerator")
-    if total != cc_we * (cf.field.q ** (cf.delta - r_dual)):
-        raise InternalCheckError("full entry sum identity failed")
-    return acc, total

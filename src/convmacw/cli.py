@@ -101,14 +101,16 @@ def _emit_json(obj) -> int:
     return 0
 
 
-def _parse_limits(pairs) -> dict:
+def _parse_limits(args) -> dict:
+    """The --limit overrides, each a guard the command applies."""
     out = {}
-    for item in pairs or []:
+    for item in args.limit or []:
         name, _, value = item.partition("=")
         if not value:
             raise ValueError(f"--limit wants NAME=VALUE, got {item!r}")
-        if name not in ("transitions", "pairs", "grid", "search"):
-            raise ValueError(f"unknown limit {name!r}")
+        if name not in args.limit_names:
+            raise ValueError(f"unknown limit {name!r} for {args.command}; "
+                             f"accepted: {', '.join(args.limit_names)}")
         out[name] = int(value)
     return out
 
@@ -194,7 +196,7 @@ def cmd_info(args) -> int:
 
 def cmd_adjacency(args) -> int:
     doc = CodeDocument.from_path(args.file)
-    limits = _parse_limits(args.limit)
+    limits = _parse_limits(args)
     G = _require_minimal(doc)
     cf = controller_form(G)
     adj = adjmod.adjacency_by_cosets(
@@ -211,6 +213,8 @@ def cmd_adjacency(args) -> int:
         if oracle_entries is not None:
             payload["oracle"] = {"match": True, "entries": oracle_entries}
         return _emit_json(payload)
+    # the text grid has a cell for every state pair
+    dualmod.grid_guard(cf.field.q, cf.delta, limits.get("grid", dualmod.GRID_LIMIT))
     print(adj.render_text())
     if oracle_entries is not None:
         print(f"oracle: match ({oracle_entries} entries)")
@@ -268,7 +272,7 @@ def _report_out(report, fmt: str) -> int:
 
 def cmd_verify(args) -> int:
     doc = CodeDocument.from_path(args.file)
-    limits = _parse_limits(args.limit)
+    limits = _parse_limits(args)
     G = _require_minimal(doc)
     witness = None
     if args.check_witness is not None:
@@ -284,7 +288,7 @@ def cmd_verify(args) -> int:
 
 def cmd_search_p(args) -> int:
     doc = CodeDocument.from_path(args.file)
-    limits = _parse_limits(args.limit)
+    limits = _parse_limits(args)
     G = _require_minimal(doc)
     report = dualmod.run_verification(
         G, mode="search",
@@ -297,7 +301,7 @@ def cmd_search_p(args) -> int:
 def cmd_macw(args) -> int:
     field = FieldSpec(args.p, args.s,
                       [int(d) for d in args.modulus.split(",")] if args.modulus else None)
-    limits = _parse_limits(args.limit)
+    limits = _parse_limits(args)
     charm = dualmod.CharacterMatrix.build(
         field, args.delta, zeta_exponent=args.zeta_exponent,
         limit=limits.get("grid", dualmod.GRID_LIMIT))
@@ -330,28 +334,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_limit=True):
+    def add_common(p, limits=()):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if with_limit:
+        if limits:
             p.add_argument("--limit", action="append", metavar="NAME=VALUE",
-                           help="override a size guard (transitions, pairs, "
-                                "grid, search)")
+                           help=f"override a size guard ({', '.join(limits)})")
+            p.set_defaults(limit_names=limits)
 
     p = sub.add_parser("info", help="print code invariants")
     p.add_argument("file")
-    add_common(p, with_limit=False)
+    add_common(p)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("adjacency", help="print the weight adjacency matrix")
     p.add_argument("file")
     p.add_argument("--oracle", action="store_true",
                    help="also run the transition-enumeration oracle and compare")
-    add_common(p)
+    add_common(p, ("pairs", "transitions", "grid"))
     p.set_defaults(func=cmd_adjacency)
 
     p = sub.add_parser("dual", help="emit a code document for the dual code")
     p.add_argument("file")
-    add_common(p, with_limit=False)
+    add_common(p)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("verify", help="verify the duality transformation")
@@ -363,12 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="validate a given witness matrix (nested int arrays)")
     p.add_argument("--zeta-exponent", type=int, default=1,
                    help="use the d-th power of the primitive root")
-    add_common(p)
+    add_common(p, ("grid", "search"))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search-p", help="projective witness search only")
     p.add_argument("file")
-    add_common(p)
+    add_common(p, ("grid", "search"))
     p.set_defaults(func=cmd_search_p)
 
     p = sub.add_parser("macw", help="dump the character matrix for (q, delta)")
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", help="comma-separated digits, constant first")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--zeta-exponent", type=int, default=1)
-    add_common(p)
+    add_common(p, ("grid",))
     p.set_defaults(func=cmd_macw)
 
     return parser

@@ -153,9 +153,6 @@ class FieldElement:
             n >>= 1
         return result
 
-    def trace(self) -> int:
-        return self.field.trace(self)
-
     def __bool__(self):
         return self.code != 0
 
@@ -353,23 +350,10 @@ class FieldSpec:
         return f"FieldSpec({self.p}, {self.s}, modulus={list(self.modulus)})"
 
 
-def trace(a: FieldElement) -> int:
-    return a.field.trace(a)
-
-
-def enumerate_vectors(field: FieldSpec, dim: int) -> tuple[tuple[FieldElement, ...], ...]:
-    """All q^dim vectors, ordered so the last coordinate varies fastest.
-
-    The position of a vector in this tuple is its canonical state index;
-    every matrix indexed by states in this package uses this ordering.
-    """
-    if dim < 0:
-        raise ValueError("dimension must be >= 0")
-    return tuple(itertools.product(field.elements, repeat=dim))
-
-
 def vector_index(vec: tuple[FieldElement, ...]) -> int:
-    """Position of ``vec`` in :func:`enumerate_vectors` for its field."""
+    """Canonical index of ``vec``: its digits in base q, the last
+    coordinate varying fastest.  Every matrix indexed by states in this
+    package uses this ordering."""
     idx = 0
     for a in vec:
         idx = idx * a.field.q + a.code

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InternalCheckError
-from .field import (FieldElement, FieldSpec, index_codes, span_blocks,
-                    span_indices, vector_codes)
+from .field import (FieldElement, FieldSpec, index_codes, span_indices,
+                    vector_codes)
 
 Vec = tuple  # tuple[FieldElement, ...]
 
@@ -31,20 +31,6 @@ def vec_add(a: Vec, b: Vec) -> Vec:
 
 def vec_neg(a: Vec) -> Vec:
     return tuple(-x for x in a)
-
-
-def vec_dot(a: Vec, b: Vec) -> FieldElement:
-    """Canonical bilinear form sum(a_i * b_i); needs at least one entry
-    to infer the field, so zero-length vectors are handled by callers."""
-    it = iter(zip(a, b, strict=True))
-    try:
-        x, y = next(it)
-    except StopIteration:
-        raise ValueError("cannot infer the field of an empty pairing") from None
-    acc = x * y
-    for x, y in it:
-        acc = acc + x * y
-    return acc
 
 
 class FMat:
@@ -77,15 +63,6 @@ class FMat:
     @classmethod
     def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "FMat":
         return cls(field, nrows, ncols, [zero_vec(field, ncols)] * nrows)
-
-    @classmethod
-    def from_int_rows(cls, field: FieldSpec, rows, ncols: int | None = None) -> "FMat":
-        """Rows of integers, reduced into the prime subfield."""
-        conv = [tuple(field.from_int(v) for v in r) for r in rows]
-        return cls.from_rows(field, conv, ncols)
-
-    def row(self, i: int) -> Vec:
-        return self.rows[i]
 
     def column(self, j: int) -> Vec:
         return tuple(r[j] for r in self.rows)
@@ -323,13 +300,6 @@ class Subspace:
         """Canonical ambient index of each of the q^dim points, in
         span-coefficient order."""
         return span_indices(self.field, self.codes())
-
-    def points(self):
-        """All q^dim points, in span-coefficient order."""
-        elems = self.field.elements
-        for _, block in span_blocks(self.field, self.codes()):
-            for row in block.tolist():
-                yield tuple(elems[c] for c in row)
 
     def _compatible(self, other):
         if self.ambient != other.ambient or self.field != other.field:

@@ -17,7 +17,7 @@ from .field import FieldElement, FieldSpec
 from .linalg import FMat, right_null_space
 
 NEG_INF = float("-inf")
-MAX_EXPONENT = 256  # largest power of z that parse_zpoly accepts
+MAX_EXPONENT = 256  # largest power of z parse_zpoly accepts, and largest delta
 
 
 class ZPoly:
@@ -39,10 +39,6 @@ class ZPoly:
     @classmethod
     def one(cls, field: FieldSpec) -> "ZPoly":
         return cls(field, (field.one,))
-
-    @classmethod
-    def const(cls, value: FieldElement) -> "ZPoly":
-        return cls(value.field, (value,))
 
     @classmethod
     def monomial(cls, coeff: FieldElement, power: int) -> "ZPoly":
@@ -125,20 +121,6 @@ class ZPoly:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def monic(self) -> "ZPoly":
-        if self.is_zero():
-            return self
-        return self.scale(self.leading().inverse())
-
-    def evaluate(self, x: FieldElement) -> FieldElement:
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def weight(self) -> int:
-        return sum(1 for c in self.coeffs if c)
 
     def __eq__(self, other):
         return (
@@ -532,49 +514,6 @@ def dual_generator(G: PolyMatrix) -> PolyMatrix:
     return H
 
 
-def encode(u, G: PolyMatrix):
-    """Codeword u @ G for a message vector of polynomials."""
-    if len(u) != G.nrows:
-        raise ValueError(f"message length {len(u)} does not match k={G.nrows}")
-    zero = ZPoly.zero(G.field)
-    out = [zero] * G.ncols
-    for ui, row in zip(u, G.rows):
-        if not ui.is_zero():
-            for j in range(G.ncols):
-                out[j] = out[j] + ui * row[j]
-    return tuple(out)
-
-
-def codeword_weight(v) -> int:
-    """Sum of Hamming weights of all coefficient vectors."""
-    return sum(p.weight() for p in v)
-
-
-def module_contains(G: PolyMatrix, w) -> bool:
-    """Whether the row module of G contains the polynomial vector w."""
-    if len(w) != G.ncols:
-        raise ValueError("vector length does not match the code length")
-    _, S, V = _smith_form(G)
-    wv = encode(w, V)  # 1 x n row times V
-    rank = sum(1 for t in range(min(G.nrows, G.ncols)) if not S.rows[t][t].is_zero())
-    for j in range(G.ncols):
-        if j < rank:
-            if not (wv[j] % S.rows[j][j]).is_zero():
-                return False
-        elif not wv[j].is_zero():
-            return False
-    return True
-
-
-def same_code(G1: PolyMatrix, G2: PolyMatrix) -> bool:
-    """Row-module equality via mutual membership."""
-    if G1.ncols != G2.ncols or G1.field != G2.field:
-        return False
-    return all(module_contains(G2, r) for r in G1.rows) and all(
-        module_contains(G1, r) for r in G2.rows
-    )
-
-
 @dataclass(frozen=True)
 class CodeProfile:
     """Invariants of a code read off a minimal basic encoder."""
@@ -598,34 +537,3 @@ class CodeProfile:
             forney_indices=indices,
             r=sum(1 for d in indices if d > 0),
         )
-
-
-def random_minimal_encoder(rng, field: FieldSpec, n: int, k: int, delta: int,
-                           tries: int = 5000) -> PolyMatrix:
-    """Rejection-sample a basic minimal encoder with the given parameters."""
-    if k > n:
-        raise ValueError("need k <= n")
-    for _ in range(tries):
-        degs = [0] * k
-        for _ in range(delta):
-            degs[rng.randrange(k)] += 1
-        degs.sort(reverse=True)
-        rows = []
-        for d in degs:
-            row = [ZPoly(field, [field.element(rng.randrange(field.q))
-                                 for _ in range(d + 1)]) for _ in range(n)]
-            if all(p.degree < d for p in row):
-                col = rng.randrange(n)
-                lead = field.element(rng.randrange(1, field.q))
-                coeffs = list(row[col].coeffs)
-                coeffs += [field.zero] * (d + 1 - len(coeffs))
-                coeffs[d] = lead
-                row[col] = ZPoly(field, coeffs)
-            rows.append(row)
-        G = PolyMatrix.from_rows(field, rows, n)
-        if ([int(d) for d in G.row_degrees()] == degs and is_basic(G)
-                and not _leading_left_kernel(field, G.rows, n)[1]):
-            return G
-    raise RuntimeError(
-        f"could not sample a minimal encoder for (n={n}, k={k}, delta={delta})"
-    )

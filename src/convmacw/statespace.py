@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalCheckError
+from .errors import GuardExceeded, InternalCheckError
 from .field import FieldSpec
 from .linalg import (FMat, Subspace, Vec, coeff_preimage,
                      deterministic_complement, right_null_space, unit_vec,
                      vec_add, vec_mat, vec_neg, zero_vec)
-from .polymat import CodeProfile, PolyMatrix
+from .polymat import MAX_EXPONENT, CodeProfile, PolyMatrix
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,13 @@ def controller_form(G: PolyMatrix) -> ControllerForm:
     """Build the controller canonical form, reordering rows so that the
     nonzero row degrees come first (descending, stable); the applied row
     order is recorded.  The transfer function is re-expanded from
-    (A, B, C, D) and compared against G coefficient by coefficient."""
+    (A, B, C, D) and compared against G coefficient by coefficient, in
+    time cubic in delta, which is therefore bounded by MAX_EXPONENT."""
     profile = CodeProfile.from_encoder(G)  # rejects non-basic/non-minimal
+    if profile.delta > MAX_EXPONENT:
+        raise GuardExceeded(
+            f"code degree delta = {profile.delta} > limit {MAX_EXPONENT}"
+        )
     field = G.field
     k, n = G.nrows, G.ncols
     degs = [int(d) for d in G.row_degrees()]

@@ -9,8 +9,8 @@ import re
 
 import pytest
 
-from convmacw import (DualPair, FieldSpec, FMat, PolyMatrix, WePoly,
-                      random_minimal_encoder)
+from convmacw import DualPair, FieldSpec, FMat, PolyMatrix, WePoly
+from oracles import random_minimal_encoder
 
 # (5,2,3) binary demo code and a hand-checked minimal generator of its dual
 BINARY_523 = [["1+z+z^3", "z^2", "z^2", "1", "z"],

@@ -1,0 +1,288 @@
+"""Second routes kept for the tests: identity checks the production
+pipeline does not need, and FieldElement-level helpers to compare its
+int-code kernels against.  A check raises InternalCheckError when its
+identity fails."""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+
+from convmacw import (FMat, InternalCheckError, PolyMatrix, StatePermutation,
+                      Subspace, WePoly, ZPoly)
+from convmacw.adjacency import AdjMatrix
+from convmacw.duality import fourier_conjugate
+from convmacw.exact import macwilliams_rows, we_of_affine
+from convmacw.field import code_index, index_codes, span_blocks, span_indices, vector_codes
+from convmacw.linalg import right_null_space, vec_mat
+from convmacw.polymat import _leading_left_kernel, _smith_form, is_basic
+from convmacw.statespace import (coefficient_code, connected_pairs,
+                                 connected_pairs_orth, pair_split)
+
+
+# -- vectors, matrices and subspaces ---------------------------------------
+
+def enumerate_vectors(field, dim: int):
+    """All q^dim vectors in canonical index order (last coordinate fastest)."""
+    return tuple(itertools.product(field.elements, repeat=dim))
+
+
+def vec_dot(a, b):
+    """The canonical bilinear form sum(a_i * b_i) of two nonempty vectors."""
+    acc = a[0].field.zero
+    for x, y in zip(a, b, strict=True):
+        acc = acc + x * y
+    return acc
+
+
+def int_matrix(field, rows) -> FMat:
+    """Matrix of integers, reduced into the prime subfield."""
+    return FMat.from_rows(field, [[field.from_int(v) for v in r] for r in rows])
+
+
+def points(space: Subspace):
+    """All q^dim points of a subspace, in span-coefficient order."""
+    elems = space.field.elements
+    return [tuple(elems[c] for c in row)
+            for _, block in span_blocks(space.field, space.codes())
+            for row in block.tolist()]
+
+
+def matrix01(perm) -> tuple[tuple[int, ...], ...]:
+    """Dense 0/1 permutation matrix, rows indexed by source state."""
+    return tuple(tuple(1 if perm[i] == j else 0 for j in range(len(perm)))
+                 for i in range(len(perm)))
+
+
+# -- polynomial codes -------------------------------------------------------
+
+def encode(u, G: PolyMatrix):
+    """Codeword u @ G for a message vector of polynomials."""
+    zero = ZPoly.zero(G.field)
+    out = [zero] * G.ncols
+    for ui, row in zip(u, G.rows, strict=True):
+        for j in range(G.ncols):
+            out[j] = out[j] + ui * row[j]
+    return tuple(out)
+
+
+def codeword_weight(v) -> int:
+    """Sum of Hamming weights of all coefficient vectors."""
+    return sum(1 for p in v for c in p.coeffs if c)
+
+
+def module_contains(G: PolyMatrix, w) -> bool:
+    """Whether the row module of G contains the polynomial vector w: with
+    U G V = S, w is in it iff each entry of w V is divisible by the
+    diagonal entry of S in its column (zero past the rank)."""
+    _, S, V = _smith_form(G)
+    wv = encode(w, V)
+    rank = sum(1 for t in range(min(G.nrows, G.ncols)) if not S.rows[t][t].is_zero())
+    return all((wv[j] % S.rows[j][j]).is_zero() if j < rank else wv[j].is_zero()
+               for j in range(G.ncols))
+
+
+def same_code(G1: PolyMatrix, G2: PolyMatrix) -> bool:
+    """Row-module equality via mutual membership."""
+    if G1.ncols != G2.ncols or G1.field != G2.field:
+        return False
+    return (all(module_contains(G2, r) for r in G1.rows)
+            and all(module_contains(G1, r) for r in G2.rows))
+
+
+def random_minimal_encoder(rng, field, n: int, k: int, delta: int,
+                           tries: int = 5000) -> PolyMatrix:
+    """Rejection-sample a basic minimal encoder with the given parameters."""
+    for _ in range(tries):
+        degs = [0] * k
+        for _ in range(delta):
+            degs[rng.randrange(k)] += 1
+        degs.sort(reverse=True)
+        rows = []
+        for d in degs:
+            row = [ZPoly(field, [field.element(rng.randrange(field.q))
+                                 for _ in range(d + 1)]) for _ in range(n)]
+            if all(p.degree < d for p in row):
+                col = rng.randrange(n)
+                coeffs = list(row[col].coeffs)
+                coeffs += [field.zero] * (d + 1 - len(coeffs))
+                coeffs[d] = field.element(rng.randrange(1, field.q))
+                row[col] = ZPoly(field, coeffs)
+            rows.append(row)
+        G = PolyMatrix.from_rows(field, rows, n)
+        if ([int(d) for d in G.row_degrees()] == degs and is_basic(G)
+                and not _leading_left_kernel(field, G.rows, n)[1]):
+            return G
+    raise RuntimeError(f"no minimal encoder for (n={n}, k={k}, delta={delta})")
+
+
+# -- weight enumerators and adjacency matrices ------------------------------
+
+def macwilliams_transform(coeffs, n: int, q: int):
+    """(1+(q-1)W)^n f((1-W)/(1+(q-1)W)) for f of degree at most n, in the
+    numeric type of the input; linear, and squares to q^n times the
+    identity."""
+    coeffs = tuple(coeffs)
+    if len(coeffs) > n + 1:
+        raise ValueError(f"polynomial degree {len(coeffs) - 1} exceeds bound {n}")
+    rows = macwilliams_rows(n, q)
+    return tuple(sum(c * rows[j][t] for j, c in enumerate(coeffs))
+                 for t in range(n + 1))
+
+
+def macwilliams_we(f: WePoly, n: int, q: int) -> WePoly:
+    return WePoly(macwilliams_transform(f.padded(n), n, q))
+
+
+def conjugate(adj: AdjMatrix, P: FMat) -> AdjMatrix:
+    """Relabel states by X -> X P: entry (X, Y) of the result is the old
+    entry at (X P, Y P)."""
+    inv = np.argsort(StatePermutation(P, adj.delta).perm)
+    xs, ys = np.divmod(adj.index, adj.size)
+    return AdjMatrix(adj.field, adj.n, adj.delta, inv[xs] * adj.size + inv[ys],
+                     adj.counts)
+
+
+def entry_sums(adj: AdjMatrix, cf) -> tuple[WePoly, WePoly]:
+    """(sum over the transversal, sum over everything); the first equals
+    the coefficient-code enumerator, the second is q^(delta - r_dual)
+    times it.  Both identities are asserted."""
+    on_transversal = np.isin(adj.index, pair_split(cf).transversal.point_indices())
+    acc = WePoly(adj.counts[on_transversal].sum(axis=0).tolist())
+    total = WePoly(adj.counts.sum(axis=0).tolist())
+    coeff_code, r_dual = coefficient_code(cf)
+    cc_we = we_of_affine((cf.field.zero,) * cf.n, coeff_code.basis)
+    if acc != cc_we:
+        raise InternalCheckError("transversal sum is not the coefficient-code enumerator")
+    if total != cc_we * (cf.field.q ** (cf.delta - r_dual)):
+        raise InternalCheckError("full entry sum identity failed")
+    return acc, total
+
+
+def fraction_entry(matrix, i: int, j: int) -> tuple[Fraction, ...]:
+    """Entry (i, j) of a FourierMatrix or TransformedMatrix as rationals."""
+    return tuple(Fraction(int(c), matrix.denom) for c in matrix.numer[i, j])
+
+
+def entry_we(matrix, i: int, j: int) -> WePoly:
+    """Entry (i, j) as an integer enumerator; raises if not integral."""
+    vals = fraction_entry(matrix, i, j)
+    if any(v.denominator != 1 for v in vals):
+        raise ValueError("entry is not an integer polynomial")
+    return WePoly([int(v) for v in vals])
+
+
+# -- identities of the duality pipeline -------------------------------------
+
+def character_structure_checks(geom, zeta_exponent: int = 1, P: FMat | None = None):
+    """The square and fourth-power identities of the character grid and,
+    for an invertible P, the equality of its rows permuted by P with its
+    columns permuted by P^t."""
+    p, size = geom.field.p, geom.size
+    E = (zeta_exponent * geom.trace_exp) % p
+    # square: sum_Z zeta^(E[X,Z] + E[Z,Y]) must be q^delta at Y = -X, else
+    # 0; with the roots of unity summing to zero, per-exponent counts c_e
+    # stand for the rational c_0 - c_(p-1) when c_1 = ... = c_(p-1)
+    total = (E[:, :, None] + E[None, :, :]) % p  # [x, z, y]
+    counts = np.stack([np.count_nonzero(total == e, axis=1) for e in range(p)])
+    want = np.zeros((size, size), dtype=np.int64)
+    want[np.arange(size), geom.neg_perm] = size
+    if not (np.all(counts[1:] == counts[p - 1])
+            and np.array_equal(counts[0] - counts[p - 1], want)):
+        raise InternalCheckError("character grid square identity failed")
+    # fourth power: negation applied twice is the identity permutation
+    if not np.array_equal(geom.neg_perm[geom.neg_perm], np.arange(size)):
+        raise InternalCheckError("negation permutation is not an involution")
+    if P is not None:
+        perm = np.array(StatePermutation(P, geom.delta).perm)
+        perm_t = np.array(StatePermutation(P.transpose(), geom.delta).perm)
+        if not np.array_equal(E[perm], E[:, perm_t]):
+            raise InternalCheckError("column-permutation identity failed")
+
+
+def shift_perm(geom, state) -> np.ndarray:
+    """Index permutation of adding a fixed state, given by its entry
+    codes, to every state."""
+    states = index_codes(geom.field, np.arange(geom.size), geom.delta)
+    shifted = geom.add_codes[states, np.asarray(state, dtype=np.int64)]
+    return code_index(geom.field, shifted)
+
+
+def check_orth_translation_invariance(fm, cf, geom):
+    """The conjugated matrix is constant along translations by pairs
+    orthogonal to the connected pairs."""
+    orth = connected_pairs_orth(cf)
+    for pair in np.concatenate([b for _, b in span_blocks(cf.field, orth.codes())]):
+        pu = shift_perm(geom, pair[: cf.delta])
+        pv = shift_perm(geom, pair[cf.delta:])
+        if not np.array_equal(fm.numer[np.ix_(pu, pv)], fm.numer):
+            raise InternalCheckError("translation invariance along the pair "
+                                     "orthogonal failed")
+
+
+def check_zeta_independence(pair) -> bool:
+    """The conjugated matrix is the same for every primitive root choice."""
+    for d in range(2, pair.field.p):
+        other = fourier_conjugate(pair.adj, pair.cf, pair.geometry, d)
+        if not np.array_equal(other.numer, pair.fourier.numer):
+            raise InternalCheckError("conjugated matrix depends on the root choice")
+    return True
+
+
+def check_pairing_lemma(pair) -> int:
+    """All structural facts about the pairing matrix M: image inside the
+    kernel orthogonal, dual kernel and disconnected part inside its
+    kernel, trivial intersection with the pair orthogonal, injectivity on
+    the dual transversal, rank r + r_dual, and the direct sum with the
+    pair orthogonal filling the kernel orthogonal.  Returns the rank."""
+    M, f, split_dual = pair.pairing, pair.field, pair.split_dual
+    kernel_orth, delta_perp = pair.kernel_orth, pair.delta_perp
+    two_delta = 2 * pair.delta
+    image = Subspace.from_rows(f, two_delta, M.rows)
+    for row in image.basis:
+        if not kernel_orth.contains(row):
+            raise InternalCheckError("pairing image leaves the kernel orthogonal")
+    for b in split_dual.kernel.basis + split_dual.complement.basis:
+        if any(vec_mat(b, M)):
+            raise InternalCheckError("dual kernel directions survive the pairing")
+    if split_dual.kernel.intersect(split_dual.complement).dim != 0:
+        raise InternalCheckError("dual kernel and disconnected part overlap")
+    if image.intersect(delta_perp).dim != 0:
+        raise InternalCheckError("pairing image meets the pair orthogonal")
+    left_kernel = Subspace(f, two_delta, right_null_space(f, M.transpose()))
+    if left_kernel.intersect(split_dual.transversal).dim != 0:
+        raise InternalCheckError("pairing is not injective on the transversal")
+    if image.dim != pair.cf.r + pair.cf_dual.r:
+        raise InternalCheckError("pairing rank is not r + r_dual")
+    transversal_image = Subspace.from_rows(
+        f, two_delta, [vec_mat(b, M) for b in split_dual.transversal.basis])
+    if transversal_image != image:
+        raise InternalCheckError("transversal does not cover the pairing image")
+    if (image + delta_perp) != kernel_orth or image.dim + delta_perp.dim != kernel_orth.dim:
+        raise InternalCheckError("pairing image plus pair orthogonal is not the "
+                                 "kernel orthogonal")
+    return image.dim
+
+
+def check_transport(pair) -> int:
+    """The dual entry at any connected dual pair equals the scaled
+    MacWilliams transform of the conjugated entry at the transported
+    index; returns the number of entries checked."""
+    size = pair.geometry.size
+    dspace = connected_pairs(pair.cf_dual)
+    moved = vector_codes((dspace.matrix() @ pair.pairing).rows, 2 * pair.delta)
+    # the same coefficients c give v = c @ basis and v M = c @ (basis M)
+    x, y = np.divmod(dspace.point_indices(), size)
+    wx, wy = np.divmod(span_indices(pair.field, moved), size)
+    if not np.array_equal(pair.dual_scaled[x, y], pair.entrywise.numer[wx, wy]):
+        raise InternalCheckError("transport identity failed at a dual pair")
+    return len(x)
+
+
+def entry_multisets_equal(pair) -> bool:
+    """The dual matrix and the transformed matrix hold the same multiset
+    of entries (the weak identity without its reordering)."""
+    size = pair.geometry.size
+    flat_dual = pair.dual_scaled.reshape(size * size, -1)
+    tnum = pair.transformed.numer.reshape(size * size, -1)
+    return np.array_equal(flat_dual[np.lexsort(flat_dual.T)], tnum[np.lexsort(tnum.T)])

@@ -5,14 +5,15 @@ import tracemalloc
 import pytest
 
 from convmacw import (FieldSpec, FMat, GuardExceeded, PolyMatrix, WePoly,
-                      adjacency_by_cosets, adjacency_by_transitions, conjugate,
-                      controller_form, entry_sums, random_minimal_encoder,
-                      same_code, StatePermutation)
+                      adjacency_by_cosets, adjacency_by_transitions,
+                      controller_form, StatePermutation)
 from convmacw.polymat import make_minimal_basic, parse_zpoly
 from convmacw.field import vector_index
 from convmacw.statespace import pair_split
 from conftest import (ADJ_BINARY_523, ADJ_BINARY_523_DUAL, projective_candidates,
                       we)
+from oracles import (conjugate, entry_sums, int_matrix, matrix01, points,
+                     random_minimal_encoder, same_code)
 
 
 def _assert_matches_grid(adj, grid):
@@ -72,7 +73,7 @@ def test_conjugate_identity_and_scalars(binary_523, f3):
     assert conjugate(adj, FMat.identity(adj.field, 3)) == adj
     G3 = PolyMatrix.from_strings(f3, [["1+z", "1", "2"]])
     adj3 = adjacency_by_cosets(controller_form(G3))
-    two = FMat.from_int_rows(f3, [[2]])
+    two = int_matrix(f3, [[2]])
     assert conjugate(adj3, two) == adj3  # scalar matrices act trivially
 
 
@@ -84,7 +85,7 @@ def test_conjugate_rejects_singular(binary_523, f2):
 
 def test_conjugation_moves_entries(binary_523, f2):
     adj = adjacency_by_cosets(controller_form(binary_523))
-    P = FMat.from_int_rows(f2, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    P = int_matrix(f2, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     moved = conjugate(adj, P)
     perm = StatePermutation(P).perm
     for (i, j), w in adj.entries.items():
@@ -116,9 +117,9 @@ def test_entries_invariant_along_kernel(binary_pair):
     cfd = binary_pair.cf_dual
     adj = binary_pair.adj_dual
     split = pair_split(cfd)
-    for v in split.transversal.points():
+    for v in points(split.transversal):
         base = adj.entry(vector_index(v[:3]), vector_index(v[3:]))
-        for w in split.kernel.points():
+        for w in points(split.kernel):
             shifted = tuple(a + b for a, b in zip(v, w))
             got = adj.entry(vector_index(shifted[:3]), vector_index(shifted[3:]))
             assert got == base
@@ -129,7 +130,7 @@ def test_support_is_connected_pairs(binary_523):
     adj = adjacency_by_cosets(cf)
     from convmacw.statespace import connected_pairs
     expected = set()
-    for v in connected_pairs(cf).points():
+    for v in points(connected_pairs(cf)):
         expected.add((vector_index(v[:3]), vector_index(v[3:])))
     assert set(adj.entries) == expected
 
@@ -201,7 +202,7 @@ def test_json_and_text_rendering(binary_523):
 
 
 def test_permutation_matrix_rendering(f2):
-    P = FMat.from_int_rows(f2, [[0, 1], [1, 0]])
+    P = int_matrix(f2, [[0, 1], [1, 0]])
     sp = StatePermutation(P)
-    assert sp.matrix01() == ((1, 0, 0, 0), (0, 0, 1, 0),
-                             (0, 1, 0, 0), (0, 0, 0, 1))
+    assert matrix01(sp.perm) == ((1, 0, 0, 0), (0, 0, 1, 0),
+                                 (0, 1, 0, 0), (0, 0, 0, 1))

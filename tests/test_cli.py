@@ -4,11 +4,12 @@ import tracemalloc
 
 import pytest
 
-from convmacw import WePoly, adjacency, same_code
+from convmacw import WePoly, adjacency
 from convmacw.cli import CodeDocument, main
 from convmacw.field import FieldElement
 from conftest import (BINARY_523, CHAR_GRID_2_3, TERNARY_322,
                       WITNESS_P_TERNARY)
+from oracles import same_code
 
 
 @pytest.fixture
@@ -138,6 +139,52 @@ def test_adjacency_degree_zero(tmp_path, capsys):
 def test_adjacency_guard_exit_code(binary_doc, capsys):
     assert main(["adjacency", binary_doc, "--limit", "pairs=2"]) == 2
     assert "limit" in capsys.readouterr().err
+
+
+def test_adjacency_text_grid_guard(tmp_path, capsys):
+    """delta = 14: the 2^15 support pairs list in JSON, but the text grid
+    would print 2^28 cells."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"field": {"p": 2}, "generator": [["1", "1+z^14"]]}))
+    assert main(["adjacency", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pair grid q^(2*delta) = 268435456 > limit 65536\n"
+    assert main(["adjacency", str(path), "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["entries"]) == 2 ** 15
+
+
+@pytest.mark.parametrize("argv,accepted", [
+    (["adjacency", "DOC", "--limit", "search=1"], "pairs, transitions, grid"),
+    (["verify", "DOC", "--limit", "pairs=2"], "grid, search"),
+    (["verify", "DOC", "--limit", "transitions=1"], "grid, search"),
+    (["search-p", "DOC", "--limit", "pairs=1"], "grid, search"),
+    (["macw", "--p", "2", "--delta", "1", "--limit", "search=1",
+      "--limit", "pairs=1"], "grid"),
+], ids=["adjacency-search", "verify-pairs", "verify-transitions",
+        "search-p-pairs", "macw-search"])
+def test_limit_names_a_command_ignores_exit_1(binary_doc, capsys, argv, accepted):
+    assert main([binary_doc if a == "DOC" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown limit ")
+    assert captured.err.endswith(f"; accepted: {accepted}\n")
+
+
+def test_code_degree_guard(tmp_path, capsys):
+    """The controller form is cubic in delta: delta = 300 exits 2 at
+    once, delta = 256 still runs."""
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"field": {"p": 2},
+                                "generator": [["1", "z^200", "0"], ["0", "1", "z^100"]]}))
+    start = time.perf_counter()
+    assert main(["info", str(path)]) == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == "error: code degree delta = 300 > limit 256\n"
+    path.write_text(json.dumps({"field": {"p": 2},
+                                "generator": [["1+z^256", "1+z+z^255"]]}))
+    assert main(["info", str(path)]) == 0
+    assert "(n, k, delta) = (2, 1, 256)" in capsys.readouterr().out
 
 
 def test_dual_roundtrip(binary_doc, capsys, tmp_path):
@@ -295,16 +342,19 @@ def test_coset_guard_counts_points(tmp_path, capsys):
     assert "q^(delta+k) = 1073741824 points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("generator,mode", [
-    ([["1", "1+z^12"]], "auto"),
-    ([["1", "1+z^12"]], "weak"),
-    ([["1", "1+z^12"]], "search"),
-    ([["1"] + [f"z^{i}" for i in range(1, 13)]], "auto"),   # dual indices all 1
-], ids=["weak-route", "weak-mode", "search-mode", "dual-closed-form"])
-def test_verify_guards_precede_pair_space_scans(tmp_path, capsys, generator, mode):
-    """delta = 12: the grid guard fires before anything walks or allocates
-    the 2^24 state pairs (the reordering complement, the dual transversal,
-    the dense dual matrix)."""
+@pytest.mark.parametrize("generator,mode,grid", [
+    ([["1", "1+z^12"]], "auto", 2 ** 24),
+    ([["1", "1+z^12"]], "weak", 2 ** 24),
+    ([["1", "1+z^12"]], "search", 2 ** 24),
+    ([["1"] + [f"z^{i}" for i in range(1, 13)]], "auto", 2 ** 24),   # dual indices all 1
+    # the dual of [1, z, ..., z^10]: 2^20 primal coset points, within the guard
+    ([["z" if j == i else "1" if j == i + 1 else "0" for j in range(11)]
+      for i in range(10)], "weak", 2 ** 20),
+], ids=["weak-route", "weak-mode", "search-mode", "dual-closed-form", "wide-primal-cosets"])
+def test_verify_guards_precede_pair_space_scans(tmp_path, capsys, generator, mode, grid):
+    """delta = 12 (delta = 10): the grid guard fires before anything walks
+    or allocates the 2^24 (2^20) state pairs (the reordering complement,
+    the dual transversal, the dense dual matrix) or the primal cosets."""
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"field": {"p": 2}, "generator": generator}))
     tracemalloc.start()
@@ -316,7 +366,7 @@ def test_verify_guards_precede_pair_space_scans(tmp_path, capsys, generator, mod
         tracemalloc.stop()
     assert time.perf_counter() - start < 5
     assert peak < 2 ** 26   # the dense dual matrix alone is 2^24 * 3 int64 values
-    assert "pair grid q^(2*delta) = 16777216" in capsys.readouterr().err
+    assert f"pair grid q^(2*delta) = {grid} > limit" in capsys.readouterr().err
 
 
 def test_internal_check_failure_exit_4(binary_doc, capsys, monkeypatch):

@@ -1,61 +1,33 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convmacw import (CycloNum, CycloPoly, FieldSpec, WePoly,
-                      macwilliams_transform, macwilliams_we, root_power,
-                      we_of_affine)
+from convmacw import FieldSpec, WePoly, we_of_affine
+from convmacw.duality import PairGeometry
 from conftest import we
-
-
-def test_cyclo_char_two():
-    minus_one = root_power(2, 1)
-    assert minus_one * minus_one == CycloNum.rational(2, 1)
-    assert minus_one.coeffs == (Fraction(-1),)
-
-
-def test_cyclo_reduction_rule():
-    z = root_power(3, 1)
-    assert (z * z).coeffs == (Fraction(-1), Fraction(-1))
-    assert root_power(3, 2) == z * z
-
-
-def test_cyclo_product_collapses():
-    # (1 + z)(1 + z^2) = 1 once z^2 is rewritten over the basis
-    one = CycloNum.rational(3, 1)
-    z = root_power(3, 1)
-    z2 = root_power(3, 2)
-    assert (one + z) * (one + z2) == one
-
-
-def test_root_power_goldens():
-    assert root_power(2, 1) == CycloNum(2, (-1,))
-    assert root_power(3, 2) == CycloNum(3, (-1, -1))
-    assert root_power(5, 0) == CycloNum.rational(5, 1)
+from oracles import enumerate_vectors, macwilliams_transform, macwilliams_we
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_root_powers_sum_to_zero(p):
-    acc = CycloNum.zero(p)
-    for k in range(p):
-        acc = acc + root_power(p, k)
-    assert acc == CycloNum.zero(p)
-    assert not acc
-
-
-def test_cyclo_mixed_orders_rejected():
-    with pytest.raises(ValueError):
-        root_power(3, 1) + root_power(5, 1)
+    """Bucketed exponent counts c_e collapse to the rational c_0 - c_(p-1)
+    because the p-th roots of unity sum to zero: each nonzero row of the
+    GF(p) character grid holds every root power once and sums to 0, the
+    zero row holds p copies of 1."""
+    E = PairGeometry(FieldSpec(p), 1).trace_exp
+    counts = np.stack([np.count_nonzero(E == e, axis=1) for e in range(p)])
+    assert (counts[1:] == counts[p - 1]).all()
+    assert (counts[0] - counts[p - 1]).tolist() == [p] + [0] * (p - 1)
 
 
 def test_wepoly_basics():
     w = WePoly((1, 0, 0, 1))
     assert str(w) == "1 + W^3"
     assert w.degree == 3
-    assert w.total() == 2
     assert w + WePoly((0, 1)) == WePoly((1, 1, 0, 1))
     assert 2 * WePoly((1, 1)) == WePoly((2, 2))
     assert WePoly((0, 0)) == WePoly.empty()
@@ -109,7 +81,6 @@ def test_macwilliams_degree_guard():
 
 def _brute_force_dual(field, rows, n):
     """All vectors orthogonal to every generator, by full enumeration."""
-    from convmacw.field import enumerate_vectors
     out = []
     for v in enumerate_vectors(field, n):
         if all(sum((a * b for a, b in zip(v, g)), field.zero) == field.zero
@@ -138,17 +109,3 @@ def test_block_macwilliams_against_brute_force(q):
         transformed = macwilliams_we(code_we, n, q)
         scale = q ** code.dim
         assert tuple(c * scale for c in dual_we.padded(n)) == transformed.padded(n)
-
-
-def test_cyclopoly_demotion():
-    one = CycloNum.rational(3, 6)
-    poly = CycloPoly(3, [one, CycloNum.zero(3)], scale_pow=-2)
-    assert poly.is_rational()
-    assert poly.demote(3) == (Fraction(2), Fraction(0))
-    odd = CycloPoly(3, [one], scale_pow=-1)
-    with pytest.raises(ValueError):
-        odd.demote(3)
-    irr = CycloPoly(3, [root_power(3, 1)], scale_pow=0)
-    assert not irr.is_rational()
-    with pytest.raises(ValueError):
-        irr.demote(3)

@@ -7,6 +7,7 @@ from convmacw.field import vector_index
 from convmacw.linalg import (block_matrix, coeff_preimage,
                              deterministic_complement, right_null_space,
                              unit_vec, vec_mat, zero_vec)
+from oracles import int_matrix, points
 
 
 def _random_subspace(rng, field, ambient, max_rows=None):
@@ -16,12 +17,12 @@ def _random_subspace(rng, field, ambient, max_rows=None):
 
 
 def test_fmat_basics(f2, f3):
-    m = FMat.from_int_rows(f3, [[1, 2], [0, 1]])
+    m = int_matrix(f3, [[1, 2], [0, 1]])
     assert m.rank() == 2
     inv = m.inverse()
     assert m @ inv == FMat.identity(f3, 2)
     assert m.transpose().to_int_rows() == [[1, 0], [2, 1]]
-    singular = FMat.from_int_rows(f2, [[1, 1], [1, 1]])
+    singular = int_matrix(f2, [[1, 1], [1, 1]])
     assert singular.rank() == 1
     with pytest.raises(ValueError):
         singular.inverse()
@@ -88,7 +89,7 @@ def test_sum_intersection(q):
         assert s.dim + i.dim == u.dim + v.dim
         assert i.is_subspace_of(u) and i.is_subspace_of(v)
         assert u.is_subspace_of(s) and v.is_subspace_of(s)
-        for w in i.points():
+        for w in points(i):
             assert u.contains(w) and v.contains(w)
 
 
@@ -105,7 +106,7 @@ def test_deterministic_complement(f2):
 
 
 def test_right_null_space(f2):
-    m = FMat.from_int_rows(f2, [[1, 1, 0], [0, 1, 1]])
+    m = int_matrix(f2, [[1, 1, 0], [0, 1, 1]])
     basis = right_null_space(f2, m)
     assert len(basis) == 1
     assert [a.code for a in basis[0]] == [1, 1, 1]
@@ -121,7 +122,7 @@ def test_coeff_preimage(f2):
     pre = coeff_preimage(f2, vectors, target)
     # c1 v1 + c2 v2 + c3 v3 lands in span(e3) iff c1 = c2
     assert pre.dim == 2
-    for c in pre.points():
+    for c in points(pre):
         combo = zero_vec(f2, 3)
         for ci, v in zip(c, vectors):
             if ci:
@@ -131,6 +132,6 @@ def test_coeff_preimage(f2):
 
 def test_points_by_index_order(f3):
     s = Subspace.from_rows(f3, 2, [tuple(f3.element(c) for c in (1, 2))])
-    pts = sorted(s.points(), key=vector_index)
+    pts = sorted(points(s), key=vector_index)
     codes = [tuple(a.code for a in p) for p in pts]
     assert codes == [(0, 0), (1, 2), (2, 1)]

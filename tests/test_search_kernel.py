@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded,
-                      StatePermutation, random_minimal_encoder,
-                      run_verification, search_witness)
+                      StatePermutation, run_verification, search_witness)
 from convmacw.duality import SEARCH_LIMIT, _candidate_position
-from convmacw.field import (code_index, enumerate_vectors, span_indices,
-                            vector_index)
+from convmacw.field import code_index, span_indices, vector_index
 from convmacw.linalg import vec_mat
 from conftest import projective_candidates
+from oracles import enumerate_vectors, int_matrix, random_minimal_encoder
 
 GF4 = (2, 2, [1, 1, 1])
 GF8 = (2, 3, [1, 1, 0, 1])
@@ -148,8 +147,8 @@ def test_state_images_rectangular(f4):
 def test_singular_and_misshapen_matrices_raise(f2, f4):
     a = f4.element(2)
     rank_one = FMat(f4, 2, 2, [[f4.one, a], [a, a * a]])
-    for P in (FMat.zero(f2, 3, 3), FMat.from_int_rows(f2, [[1, 1], [1, 1]]),
-              rank_one, FMat.from_int_rows(f2, [[1, 0, 0], [0, 1, 0]])):
+    for P in (FMat.zero(f2, 3, 3), int_matrix(f2, [[1, 1], [1, 1]]),
+              rank_one, int_matrix(f2, [[1, 0, 0], [0, 1, 0]])):
         with pytest.raises(ValueError):
             StatePermutation(P)
     with pytest.raises(ValueError):

@@ -2,11 +2,10 @@ import random
 
 from convmacw import (FieldSpec, PolyMatrix, Subspace, coefficient_code,
                       connected_pairs, connected_pairs_orth, constant_code,
-                      controller_form, output_kernel, output_rep, pair_split,
-                      random_minimal_encoder)
-from convmacw.field import enumerate_vectors
-from convmacw.linalg import vec_dot, zero_vec
+                      controller_form, output_kernel, output_rep, pair_split)
+from convmacw.linalg import zero_vec
 from convmacw.statespace import pair_output_rep
+from oracles import enumerate_vectors, points, random_minimal_encoder, vec_dot
 
 
 def _sub(field, ambient, int_rows):
@@ -98,12 +97,12 @@ def test_connected_pairs_orth_brute_force(binary_523, f2):
     cf = controller_form(binary_523)
     orth = connected_pairs_orth(cf)
     # independent oracle: test orthogonality against all 16 connected pairs
-    delta_points = list(connected_pairs(cf).points())
+    delta_points = list(points(connected_pairs(cf)))
     expected = []
     for cand in enumerate_vectors(f2, 6):
         if all(vec_dot(cand, d) == f2.zero for d in delta_points):
             expected.append(cand)
-    assert set(expected) == set(orth.points())
+    assert set(expected) == set(points(orth))
     # explicit shape: (x1, x2, 0 | 0, x1, x2)
     assert orth == _sub(f2, 6, [[1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 1]])
     assert orth.dim == 2
@@ -125,7 +124,7 @@ def test_output_rep_goldens(binary_523, f2):
     assert [a.code for a in output_rep(cf, X, Y)] == [1, 1, 1, 0, 0]
     # the representative vanishes on the disconnected directions
     split = pair_split(cf)
-    for v in split.complement.points():
+    for v in points(split.complement):
         assert pair_output_rep(cf, v) == zero_vec(f2, 5)
 
 
@@ -168,7 +167,7 @@ def test_transversal_hits_every_coset_once(binary_523_dual, f2):
     cc = constant_code(cfd)
     span, r_hat = coefficient_code(cfd)
     seen = set()
-    for v in split.transversal.points():
+    for v in points(split.transversal):
         rep = pair_output_rep(cfd, v)
         # canonicalize the coset by reducing against the constant code
         red = list(rep)
