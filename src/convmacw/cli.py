@@ -165,8 +165,8 @@ def cmd_info(args) -> int:
         "r_hat": r_hat,
         "dim_constant_code": const.dim,
         "dim_coefficient_code": coeff.dim,
-        "constant_code_basis": [[a.code for a in row] for row in const.basis],
-        "coefficient_code_basis": [[a.code for a in row] for row in coeff.basis],
+        "constant_code_basis": [list(row) for row in const.basis],
+        "coefficient_code_basis": [list(row) for row in coeff.basis],
     })
     if args.format == "json":
         return _emit_json(info)
@@ -187,7 +187,7 @@ def cmd_info(args) -> int:
         if not basis:
             print("  (zero space)")
         for row in basis:
-            print("  " + " ".join(str(a).rjust(2) for a in row))
+            print("  " + " ".join(str(doc.field.elements[a]).rjust(2) for a in row))
 
     dump_basis("constant code", const.basis)
     dump_basis("coefficient code", coeff.basis)

@@ -23,14 +23,13 @@ from .adjacency import (AdjMatrix, StatePermutation, adjacency_by_cosets,
                         coset_guard)
 from .errors import GuardExceeded, InternalCheckError
 from .exact import macwilliams_rows, we_of_affine
-from .field import (FieldSpec, code_index, index_codes, linear_map,
-                    span_indices, vector_index)
+from .field import FieldSpec, code_index, index_codes, linear_map, span_indices
 from .linalg import (FMat, Subspace, block_matrix, deterministic_complement,
-                     right_null_space, vec_mat, zero_vec)
+                     right_null_space, vec_mat)
 from .polymat import CodeProfile, PolyMatrix, dual_generator
 from .statespace import (ControllerForm, coefficient_code, connected_pairs,
-                         connected_pairs_orth, controller_form, output_kernel,
-                         pair_split)
+                         connected_pairs_orth, controller_form, degree_guard,
+                         output_kernel, pair_split)
 
 GRID_LIMIT = 2 ** 16     # bound on q^(2*delta), the full pair grid
 SEARCH_LIMIT = 2 ** 17   # bound on candidate row images the witness search examines
@@ -60,12 +59,12 @@ class PairGeometry:
         states = index_codes(field, np.arange(size), delta)
         # row j is x . y_j for every state x; the form is symmetric
         self.beta_codes = span_indices(field, states[:, :, None]).T
-        traces = np.array([field.trace(e) for e in field.elements], dtype=np.int64)
+        traces = np.array([field.trace(c) for c in range(field.q)], dtype=np.int64)
         self.trace_exp = traces[self.beta_codes]
         powers = field.p ** np.arange(field.s, dtype=np.int64)
         digits = np.arange(field.q, dtype=np.int64)[:, None] // powers % field.p
         self.add_codes = (digits[:, None] + digits[None]) % field.p @ powers
-        minus_one = (-field.one).code * np.eye(delta, dtype=np.int64)
+        minus_one = field.neg(1) * np.eye(delta, dtype=np.int64)
         self.neg_perm = span_indices(field, minus_one)
 
     def orth_mask(self, basis) -> np.ndarray:
@@ -73,8 +72,7 @@ class PairGeometry:
         every basis pair under the doubled bilinear form."""
         mask = np.ones((self.size, self.size), dtype=bool)
         for b in basis:
-            g1 = vector_index(b[: self.delta])
-            g2 = vector_index(b[self.delta:])
+            g1, g2 = code_index(self.field, np.reshape(b, (2, self.delta))).tolist()
             vals = self.add_codes[
                 self.beta_codes[:, g1][:, None], self.beta_codes[:, g2][None, :]
             ]
@@ -196,9 +194,7 @@ def _fourier_closed_form(adj: AdjMatrix, cf: ControllerForm,
     kernel = output_kernel(cf)
     dspace = connected_pairs(cf)
     cc, r_dual = coefficient_code(cf)
-    cc_we = np.array(
-        we_of_affine(zero_vec(field, n), cc.basis).padded(n), dtype=np.int64
-    )
+    cc_we = np.array(we_of_affine(field, (0,) * n, cc.basis).padded(n), dtype=np.int64)
     in_ker_orth = geom.orth_mask(kernel.basis)
     in_delta_orth = geom.orth_mask(dspace.basis)
     # the support is the connected pairs, so every point has a row
@@ -238,7 +234,7 @@ def _projective_classes(field: FieldSpec, vectors: np.ndarray):
     lead = vectors[np.arange(len(vectors)), np.argmax(vectors != 0, axis=1)]
     scaled = np.empty_like(vectors)
     for c in np.flatnonzero(np.bincount(lead)).tolist():
-        scale = linear_map(field, [[[field.element(c).inverse().code]]])
+        scale = linear_map(field, [[[field.inv(c)]]])
         chosen = vectors[lead == c]
         scaled[lead == c] = scale(chosen.reshape(-1, 1)).reshape(chosen.shape)
     keys, cls = np.unique(code_index(field, scaled), return_inverse=True)
@@ -315,20 +311,22 @@ def state_pairing_matrix(cf: ControllerForm, cf_dual: ControllerForm) -> FMat:
 class DualPair:
     """A primal/dual encoder pair with cached derived structure.
 
-    Builds the controller forms and checks the size guards up front; the
-    adjacency matrices, conjugated grid, transforms, and subspace splits
-    appear lazily.
+    Checks the size guards, which need only (q, n, k, delta), then builds
+    the controller forms; the adjacency matrices, conjugated grid,
+    transforms, and subspace splits appear lazily.
     """
 
     def __init__(self, G: PolyMatrix, G_dual: PolyMatrix | None = None,
                  zeta_exponent: int = 1, grid_limit: int = GRID_LIMIT):
         self.G = G
-        self.cf = controller_form(G)
-        q, n, k, delta = G.field.q, self.cf.n, self.cf.k, self.cf.delta
-        # the size guards, in pipeline order, before any pair-space work
+        q, n, k = G.field.q, G.ncols, G.nrows
+        delta = CodeProfile.from_encoder(G).delta
+        # the size guards, in pipeline order, before any state-space work
+        degree_guard(delta)
         coset_guard(q, delta, k)
         grid_guard(q, delta, grid_limit)
         coset_guard(q, delta, n - k)
+        self.cf = controller_form(G)
         self.G_dual = G_dual if G_dual is not None else dual_generator(G)
         self.cf_dual = controller_form(self.G_dual)
         if self.cf_dual.delta != self.cf.delta:
@@ -543,11 +541,6 @@ class SearchResult:
     examined: int = 0   # candidate row images looked at, the guarded cost
 
 
-def _code_matrix(field: FieldSpec, codes: np.ndarray) -> FMat:
-    return FMat(field, len(codes), len(codes),
-                [[field.elements[c] for c in row] for row in codes.tolist()])
-
-
 def _mix(h: np.ndarray) -> np.ndarray:
     """splitmix64 finaliser; uint64 arithmetic wraps by definition."""
     h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -643,7 +636,8 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
     if rows is None:   # |GL(delta, q)| / (q - 1) classes, one for delta = 0
         total = math.prod(size - q ** l for l in range(delta)) // (q - 1) if delta else 1
         return SearchResult(witness=None, tested=total, examined=examined)
-    return SearchResult(witness=_code_matrix(field, index_codes(field, rows, delta)),
+    return SearchResult(witness=FMat(field, delta, delta,
+                                     index_codes(field, rows, delta).tolist()),
                         tested=_candidate_position(field, rows), examined=examined)
 
 

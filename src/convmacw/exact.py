@@ -93,8 +93,9 @@ def weight_counts(field: FieldSpec, gen: np.ndarray, lo: int, hi: int,
     return out
 
 
-def we_of_affine(offset, basis) -> WePoly:
-    """Weight enumerator of the coset offset + span(basis) in F^n.
+def we_of_affine(field: FieldSpec, offset, basis) -> WePoly:
+    """Weight enumerator of the coset offset + span(basis) in F^n, all
+    vectors given by their entry codes.
 
     The basis vectors must be linearly independent (the caller guarantees
     it).  The points are c @ [offset; basis] for every c whose leading
@@ -106,8 +107,8 @@ def we_of_affine(offset, basis) -> WePoly:
             raise ValueError("basis vector length does not match the offset")
     if not n:
         return WePoly((1,))
-    field, size = offset[0].field, offset[0].field.q ** len(basis)
-    gen = vector_codes([offset, *basis], n)
+    size = field.q ** len(basis)
+    gen = vector_codes([field.codes(offset), *map(field.codes, basis)], n)
     return WePoly(weight_counts(field, gen, size, 2 * size, size)[0].tolist())
 
 

@@ -1,14 +1,18 @@
 """Exact arithmetic in the finite field GF(p^s).
 
-Elements are interned per field, so arithmetic is table lookups for small
-fields and equality is cheap.  An element is canonically encoded as the
-integer enc(a) = sum(digits[i] * p**i), which induces the global ordering
-used for state enumeration everywhere else in the package.
+An element is canonically encoded as the integer enc(a) = sum(digits[i] *
+p**i), which induces the global ordering used for state enumeration
+everywhere else in the package.  The package computes on these codes:
+:class:`FieldSpec` adds and multiplies them through int tables for small
+fields, and modulo p or digit-wise above that.  Interned
+:class:`FieldElement` objects wrap codes at the API boundary; anything
+that takes codes also takes elements of its field (:meth:`FieldSpec.codes`).
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import index
 
 import numpy as np
 
@@ -109,31 +113,35 @@ class FieldElement:
             )
         return other
 
+    def __index__(self):
+        return self.code
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return self.field._add_codes(self.code, other.code)
+        return self.field._elems[self.field.add(self.code, other.code)]
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return self.field._add_codes(self.code, (-other).code)
+        f = self.field
+        return f._elems[f.add(self.code, f.neg(other.code))]
 
     def __neg__(self):
-        return self.field._neg_code(self.code)
+        return self.field._elems[self.field.neg(self.code)]
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return self.field._mul_codes(self.code, other.code)
+        return self.field._elems[self.field.mul(self.code, other.code)]
 
     def inverse(self) -> "FieldElement":
         if self.code == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.field._inv_code(self.code)
+        return self.field._elems[self.field.inv(self.code)]
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -144,14 +152,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return self.field._elems[self.field.power(self.code, n)]
 
     def __bool__(self):
         return self.code != 0
@@ -183,7 +184,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "s", "q", "modulus", "_key", "_elems", "_add_t",
-                 "_mul_t", "_inv_t", "_neg_t", "_lift")
+                 "_mul_t", "_inv_t", "_neg_t", "_lift", "_traces")
 
     def __init__(self, p: int, s: int = 1, modulus=None):
         if s < 1:
@@ -219,6 +220,8 @@ class FieldSpec:
         self._lift = np.array([[self._digits(self._mul_raw(p ** t, p ** u)) for u in range(s)]
                                for t in range(s)], dtype=np.int64).reshape(s, s * s)
         self._lift.setflags(write=False)
+        # the trace of a is that of multiplication by a, linear in its digits
+        self._traces = np.trace(self._lift.reshape(s, s, s), axis1=1, axis2=2).tolist()
         self._add_t = self._mul_t = self._inv_t = self._neg_t = None
         if self.q <= _TABLE_MAX:
             # digit-wise sums, and products from the F_p lift of the kernel
@@ -228,11 +231,10 @@ class FieldSpec:
             add = (digits[:, None] + digits[None]) % p @ powers
             mul = linear_map(self, codes.reshape(-1, 1, 1))(codes[:, None])[..., 0]
             inv = np.argmax(mul == 1, axis=1)
-            elems = self._elems
-            self._add_t = tuple(tuple(elems[c] for c in row) for row in add.tolist())
-            self._mul_t = tuple(tuple(elems[c] for c in row) for row in mul.tolist())
-            self._neg_t = tuple(elems[c] for c in ((-digits) % p @ powers).tolist())
-            self._inv_t = (None,) + tuple(elems[c] for c in inv[1:].tolist())
+            self._add_t = add.tolist()
+            self._mul_t = mul.tolist()
+            self._neg_t = ((-digits) % p @ powers).tolist()
+            self._inv_t = [None] + inv[1:].tolist()
 
     # raw code-level arithmetic (digit vectors packed in base p)
     def _digits(self, c):
@@ -267,25 +269,52 @@ class FieldSpec:
         red = _pmod(prod, self.modulus, self.p)
         return self._pack(list(red) + [0] * (self.s - len(red)))
 
-    def _add_codes(self, a, b):
-        if self._add_t is not None:
-            return self._add_t[a][b]
-        return self._elems[self._add_raw(a, b)]
+    # code arithmetic: the tables when built, else the raw operations
+    def add(self, a: int, b: int) -> int:
+        return self._add_t[a][b] if self._add_t is not None else self._add_raw(a, b)
 
-    def _neg_code(self, a):
-        if self._neg_t is not None:
-            return self._neg_t[a]
-        return self._elems[self._neg_raw(a)]
+    def neg(self, a: int) -> int:
+        return self._neg_t[a] if self._neg_t is not None else self._neg_raw(a)
 
-    def _mul_codes(self, a, b):
+    def mul(self, a: int, b: int) -> int:
+        return self._mul_t[a][b] if self._mul_t is not None else self._mul_raw(a, b)
+
+    def inv(self, a: int) -> int:
+        """Inverse of a nonzero code: a^(q-2) past the tables."""
+        return self._inv_t[a] if self._inv_t is not None else self.power(a, self.q - 2)
+
+    def power(self, a: int, n: int) -> int:
+        """The code of a^n for n >= 0, by square-and-multiply."""
+        out = 1
+        while n:
+            if n & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            n >>= 1
+        return out
+
+    def axpy(self, x, c: int, y) -> list[int]:
+        """The codes of x + c y for code sequences x, y of one length."""
         if self._mul_t is not None:
-            return self._mul_t[a][b]
-        return self._elems[self._mul_raw(a, b)]
+            add, cy = self._add_t, self._mul_t[c]
+            return [add[a][cy[b]] for a, b in zip(x, y)]
+        return [self._add_raw(a, self._mul_raw(c, b)) for a, b in zip(x, y)]
 
-    def _inv_code(self, a):
-        if self._inv_t is not None:
-            return self._inv_t[a]
-        return self._elems[a] ** (self.q - 2)
+    def scale(self, c: int, x) -> list[int]:
+        """The codes of c x for a code sequence x."""
+        if self._mul_t is not None:
+            cx = self._mul_t[c]
+            return [cx[b] for b in x]
+        return [self._mul_raw(c, b) for b in x]
+
+    def codes(self, vec) -> tuple[int, ...]:
+        """Entry codes of a sequence of codes or elements of this field; an
+        element of another field is rejected, not read as its bare code."""
+        if FieldElement in map(type, vec):
+            for x in vec:
+                if isinstance(x, FieldElement) and x.field is not self and x.field != self:
+                    raise ValueError(f"{x!r} is not an element of {self}")
+        return tuple(map(index, vec))
 
     # public surface
     @property
@@ -319,19 +348,13 @@ class FieldSpec:
         """Integer reduced mod p, embedded in the prime subfield."""
         return self._elems[value % self.p]
 
-    def trace(self, a: FieldElement) -> int:
-        """Trace to GF(p): the power sum a + a^p + ... + a^(p^(s-1))."""
-        if a.field != self:
+    def trace(self, a) -> int:
+        """Trace to GF(p) of a code or element: the power sum a + a^p + ...
+        + a^(p^(s-1)), which is the trace of multiplication by a as an
+        F_p-linear map, so a digit-weighted sum of the basis traces."""
+        if isinstance(a, FieldElement) and a.field != self:
             raise ValueError("element belongs to a different field")
-        acc = a
-        t = a
-        for _ in range(self.s - 1):
-            t = t ** self.p
-            acc = acc + t
-        digs = acc.digits
-        if any(digs[1:]):
-            raise ArithmeticError("trace left the prime subfield")
-        return digs[0]
+        return sum(d * t for d, t in zip(self._digits(index(a)), self._traces)) % self.p
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self._key == other._key
@@ -348,16 +371,6 @@ class FieldSpec:
         if self.s == 1:
             return f"FieldSpec({self.p})"
         return f"FieldSpec({self.p}, {self.s}, modulus={list(self.modulus)})"
-
-
-def vector_index(vec: tuple[FieldElement, ...]) -> int:
-    """Canonical index of ``vec``: its digits in base q, the last
-    coordinate varying fastest.  Every matrix indexed by states in this
-    package uses this ordering."""
-    idx = 0
-    for a in vec:
-        idx = idx * a.field.q + a.code
-    return idx
 
 
 _CHUNK = 2 ** 16   # digits per block of the point kernel
@@ -429,6 +442,5 @@ def index_codes(field: FieldSpec, indices, length: int) -> np.ndarray:
 
 
 def vector_codes(vectors, length: int) -> np.ndarray:
-    """(count, length) array of the entry codes of FieldElement vectors."""
-    return np.array([[a.code for a in v] for v in vectors],
-                    dtype=np.int64).reshape(len(vectors), length)
+    """(count, length) array of the entry codes of code vectors."""
+    return np.array(vectors, dtype=np.int64).reshape(len(vectors), length)

@@ -1,9 +1,11 @@
 """Exact linear algebra over a finite field: shape-aware matrices,
 reduced row echelon form, kernels, and canonical subspaces.
 
-Vectors are plain tuples of :class:`~convmacw.field.FieldElement`.
-Matrices carry their shape explicitly so zero-dimensional edges (empty
-state spaces, duals of full codes) work uniformly.
+Vectors are tuples of entry codes (see :mod:`convmacw.field`); every
+constructor and function here also takes FieldElement entries of its
+field, read as their codes.  Matrices carry their shape explicitly so
+zero-dimensional edges (empty state spaces, duals of full codes) work
+uniformly.
 """
 
 from __future__ import annotations
@@ -11,35 +13,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InternalCheckError
-from .field import (FieldElement, FieldSpec, index_codes, span_indices,
-                    vector_codes)
+from .field import FieldSpec, index_codes, span_indices, vector_codes
 
-Vec = tuple  # tuple[FieldElement, ...]
-
-
-def zero_vec(field: FieldSpec, m: int) -> Vec:
-    return (field.zero,) * m
+Vec = tuple  # tuple[int, ...] of entry codes
 
 
-def unit_vec(field: FieldSpec, m: int, i: int) -> Vec:
-    return tuple(field.one if j == i else field.zero for j in range(m))
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_neg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
+def unit_vec(m: int, i: int) -> Vec:
+    return (0,) * i + (1,) + (0,) * (m - i - 1)
 
 
 class FMat:
-    """Immutable matrix over a finite field with explicit shape."""
+    """Immutable matrix over a finite field with explicit shape; ``rows``
+    holds the entry codes."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: FieldSpec, nrows: int, ncols: int, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(map(field.codes, rows))
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise ValueError(f"rows do not form a {nrows}x{ncols} matrix")
         self.field = field
@@ -58,51 +48,36 @@ class FMat:
 
     @classmethod
     def identity(cls, field: FieldSpec, m: int) -> "FMat":
-        return cls(field, m, m, [unit_vec(field, m, i) for i in range(m)])
+        return cls(field, m, m, [unit_vec(m, i) for i in range(m)])
 
     @classmethod
     def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "FMat":
-        return cls(field, nrows, ncols, [zero_vec(field, ncols)] * nrows)
-
-    def column(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.rows)
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.rows[i][j]
+        return cls(field, nrows, ncols, [(0,) * ncols] * nrows)
 
     def transpose(self) -> "FMat":
         return FMat(self.field, self.ncols, self.nrows,
-                    [self.column(j) for j in range(self.ncols)])
+                    list(zip(*self.rows)) or [()] * self.ncols)
 
     def __add__(self, other: "FMat") -> "FMat":
         self._same_shape(other)
         return FMat(self.field, self.nrows, self.ncols,
-                    [vec_add(a, b) for a, b in zip(self.rows, other.rows)])
+                    [self.field.axpy(a, 1, b) for a, b in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "FMat") -> "FMat":
         return self + (-other)
 
     def __neg__(self) -> "FMat":
+        minus = self.field.neg(1)
         return FMat(self.field, self.nrows, self.ncols,
-                    [vec_neg(r) for r in self.rows])
+                    [self.field.scale(minus, r) for r in self.rows])
 
     def __matmul__(self, other: "FMat") -> "FMat":
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
             )
-        zero = self.field.zero
-        out = []
-        for r in self.rows:
-            row = [zero] * other.ncols
-            for t, c in enumerate(r):
-                if c:
-                    orow = other.rows[t]
-                    for j in range(other.ncols):
-                        if orow[j]:
-                            row[j] = row[j] + c * orow[j]
-            out.append(tuple(row))
-        return FMat(self.field, self.nrows, other.ncols, out)
+        return FMat(self.field, self.nrows, other.ncols,
+                    [vec_mat(r, other) for r in self.rows])
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.rows)
@@ -118,7 +93,7 @@ class FMat:
         if self.nrows != self.ncols:
             raise ValueError("only square matrices can be inverted")
         m = self.nrows
-        aug = [self.rows[i] + unit_vec(self.field, m, i) for i in range(m)]
+        aug = [self.rows[i] + unit_vec(m, i) for i in range(m)]
         reduced, pivots = rref(self.field, aug, 2 * m)
         if pivots[:m] != tuple(range(m)) or len(pivots) != m:
             raise ValueError("matrix is singular")
@@ -140,10 +115,11 @@ class FMat:
         return hash((self.nrows, self.ncols, self.rows))
 
     def to_int_rows(self) -> list[list[int]]:
-        return [[a.code for a in r] for r in self.rows]
+        return [list(r) for r in self.rows]
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
+        elems = self.field.elements
+        body = "; ".join(" ".join(str(elems[a]) for a in r) for r in self.rows)
         return f"FMat({self.nrows}x{self.ncols}: {body})"
 
 
@@ -151,13 +127,10 @@ def vec_mat(v: Vec, m: FMat) -> Vec:
     """Row vector times matrix."""
     if len(v) != m.nrows:
         raise ValueError(f"vector length {len(v)} does not match {m.nrows} rows")
-    zero = m.field.zero
-    out = [zero] * m.ncols
-    for c, row in zip(v, m.rows):
+    out = (0,) * m.ncols
+    for c, row in zip(m.field.codes(v), m.rows):
         if c:
-            for j in range(m.ncols):
-                if row[j]:
-                    out[j] = out[j] + c * row[j]
+            out = m.field.axpy(out, c, row)
     return tuple(out)
 
 
@@ -184,8 +157,9 @@ def block_matrix(field: FieldSpec, grid) -> FMat:
 
 
 def rref(field: FieldSpec, rows, ncols: int):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
+    """Reduced row echelon form of code rows; returns (nonzero rows, pivot
+    columns)."""
+    work = [list(field.codes(r)) for r in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -193,17 +167,17 @@ def rref(field: FieldSpec, rows, ncols: int):
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        row = work[r]
+        if row[c] != 1:
+            row = work[r] = field.scale(field.inv(row[c]), row)
+        for i, other in enumerate(work):
+            if i != r and other[c]:
+                work[i] = field.axpy(other, field.neg(other[c]), row)
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    return tuple(map(tuple, work[:r])), tuple(pivots)
 
 
 def right_null_space(field: FieldSpec, m: FMat) -> tuple[Vec, ...]:
@@ -212,17 +186,17 @@ def right_null_space(field: FieldSpec, m: FMat) -> tuple[Vec, ...]:
     free = [j for j in range(m.ncols) if j not in pivots]
     basis = []
     for j in free:
-        v = [field.zero] * m.ncols
-        v[j] = field.one
+        v = [0] * m.ncols
+        v[j] = 1
         for r, pc in zip(reduced, pivots):
-            v[pc] = -r[j]
-        basis.append(tuple(v))
+            v[pc] = field.neg(r[j])
+        basis.append(v)
     reduced2, _ = rref(field, basis, m.ncols)
     return reduced2
 
 
 class Subspace:
-    """Linear subspace of F^m with a canonical RREF basis.
+    """Linear subspace of F^m with a canonical RREF basis of code rows.
 
     The basis is unique per subspace, so equality and hashing are plain
     data comparisons.
@@ -233,7 +207,7 @@ class Subspace:
     def __init__(self, field: FieldSpec, ambient: int, basis):
         self.field = field
         self.ambient = ambient
-        self.basis = tuple(tuple(r) for r in basis)
+        self.basis = tuple(map(field.codes, basis))
 
     @classmethod
     def from_rows(cls, field: FieldSpec, ambient: int, rows) -> "Subspace":
@@ -262,14 +236,14 @@ class Subspace:
         """Coefficients of vec over the basis, or None if outside."""
         if len(vec) != self.ambient:
             raise ValueError("vector does not live in the ambient space")
-        v = list(vec)
+        v = list(self.field.codes(vec))
         coords = []
         for row in self.basis:
             lead = next(j for j, x in enumerate(row) if x)
             c = v[lead]
             coords.append(c)
             if c:
-                v = [x - c * y for x, y in zip(v, row)]
+                v = self.field.axpy(v, self.field.neg(c), row)
         if any(v):
             return None
         return tuple(coords)
@@ -337,8 +311,7 @@ def deterministic_complement(base: Subspace, within: Subspace) -> Subspace:
         covered = np.zeros(len(order), dtype=bool)
         covered[np.searchsorted(order, span.point_indices())] = True
         first = order[np.argmin(covered)]
-        picked.append(tuple(field.elements[c]
-                            for c in index_codes(field, first, ambient).tolist()))
+        picked.append(tuple(index_codes(field, first, ambient).tolist()))
     comp = Subspace.from_rows(field, ambient, picked)
     if comp.dim != within.dim - base.dim:
         raise InternalCheckError("complement extension failed")

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 from .linalg import FMat, right_null_space
 
 NEG_INF = float("-inf")
@@ -21,7 +21,8 @@ MAX_EXPONENT = 256  # largest power of z parse_zpoly accepts, and largest delta
 
 
 class ZPoly:
-    """Polynomial over a finite field, dense coefficients, trimmed."""
+    """Polynomial over a finite field: ``coeffs`` holds the trimmed entry
+    codes, constant term first (FieldElement coefficients are taken too)."""
 
     __slots__ = ("field", "coeffs")
 
@@ -30,7 +31,7 @@ class ZPoly:
         while n > 0 and not coeffs[n - 1]:
             n -= 1
         self.field = field
-        self.coeffs = tuple(coeffs[:n])
+        self.coeffs = field.codes(coeffs[:n])
 
     @classmethod
     def zero(cls, field: FieldSpec) -> "ZPoly":
@@ -38,11 +39,7 @@ class ZPoly:
 
     @classmethod
     def one(cls, field: FieldSpec) -> "ZPoly":
-        return cls(field, (field.one,))
-
-    @classmethod
-    def monomial(cls, coeff: FieldElement, power: int) -> "ZPoly":
-        return cls(coeff.field, (coeff.field.zero,) * power + (coeff,))
+        return cls(field, (1,))
 
     @property
     def degree(self):
@@ -52,69 +49,59 @@ class ZPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> FieldElement:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
+    def coefficient(self, i: int) -> int:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def leading(self) -> FieldElement:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+    def _axpy(self, f, other: "ZPoly") -> "ZPoly":
+        """self + f * other, for the coefficient codes f of a polynomial."""
+        field, b = self.field, other.coeffs
+        if not f or not b:
+            return self
+        out = list(self.coeffs)
+        out += [0] * (len(f) + len(b) - 1 - len(out))
+        for i, c in enumerate(f):
+            if c:
+                out[i:i + len(b)] = field.axpy(out[i:i + len(b)], c, b)
+        return ZPoly(field, out)
 
     def __add__(self, other: "ZPoly") -> "ZPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return ZPoly(self.field, out)
+        return self._axpy((1,), other)
 
     def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self + (-other)
+        return self._axpy((self.field.neg(1),), other)
 
     def __neg__(self) -> "ZPoly":
-        return ZPoly(self.field, tuple(-c for c in self.coeffs))
+        return self.scale(self.field.neg(1))
 
     def __mul__(self, other: "ZPoly") -> "ZPoly":
-        if not self.coeffs or not other.coeffs:
-            return ZPoly.zero(self.field)
-        zero = self.field.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return ZPoly(self.field, out)
+        return ZPoly.zero(self.field)._axpy(self.coeffs, other)
 
-    def scale(self, c: FieldElement) -> "ZPoly":
-        return ZPoly(self.field, tuple(c * a for a in self.coeffs))
+    def scale(self, c: int) -> "ZPoly":
+        return ZPoly(self.field, self.field.scale(c, self.coeffs))
 
     def shift(self, k: int) -> "ZPoly":
         """Multiply by z^k."""
         if not self.coeffs:
             return self
-        return ZPoly(self.field, (self.field.zero,) * k + self.coeffs)
+        return ZPoly(self.field, (0,) * k + self.coeffs)
 
     def __divmod__(self, other: "ZPoly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        field, b = self.field, other.coeffs
         rem = list(self.coeffs)
-        q = [self.field.zero] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        inv = other.leading().inverse()
-        db = len(other.coeffs) - 1
-        while len(rem) - 1 >= db and any(rem):
+        q = [0] * max(len(rem) - len(b) + 1, 0)
+        inv = field.inv(b[-1])
+        while True:
             while rem and not rem[-1]:
                 rem.pop()
-            if len(rem) - 1 < db:
+            shift = len(rem) - len(b)
+            if shift < 0:
                 break
-            f = rem[-1] * inv
-            shift = len(rem) - 1 - db
-            q[shift] = f
-            for j, c in enumerate(other.coeffs):
-                rem[shift + j] = rem[shift + j] - f * c
+            q[shift] = f = field.mul(rem[-1], inv)
+            rem[shift:] = field.axpy(rem[shift:], field.neg(f), b)
             rem.pop()
-        return ZPoly(self.field, q), ZPoly(self.field, rem)
+        return ZPoly(field, q), ZPoly(field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -177,7 +164,7 @@ def parse_zpoly(text: str, field: FieldSpec) -> ZPoly:
         if power > MAX_EXPONENT:
             raise ValueError(f"parse error at column {col}: exponent {power} "
                              f"exceeds {MAX_EXPONENT}")
-        result = result + ZPoly.monomial(coeff, power)
+        result = result + ZPoly(field, (0,) * power + (coeff,))
     return result
 
 
@@ -188,19 +175,19 @@ def format_zpoly(p: ZPoly) -> str:
     for i, c in enumerate(p.coeffs):
         if not c:
             continue
-        cs = str(c)
+        cs = str(p.field.elements[c])
         if i == 0:
             parts.append(cs)
         else:
             z = "z" if i == 1 else f"z^{i}"
-            parts.append(z if c == p.field.one else f"{cs}{z}")
+            parts.append(z if c == 1 else f"{cs}{z}")
     return "+".join(parts)
 
 
 class PolyMatrix:
     """k x n matrix over F_q[z]."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_smith")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_derived")
 
     def __init__(self, field: FieldSpec, nrows: int, ncols: int, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -210,7 +197,7 @@ class PolyMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
-        self._smith = None   # (U, S, V), see _smith_form
+        self._derived = {}   # the Smith form and minimality, computed once
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows, ncols: int | None = None) -> "PolyMatrix":
@@ -266,8 +253,7 @@ class PolyMatrix:
             for j in range(other.ncols):
                 acc = zero
                 for t, c in enumerate(r):
-                    if not c.is_zero():
-                        acc = acc + c * other.rows[t][j]
+                    acc = acc._axpy(c.coeffs, other.rows[t][j])
                 row.append(acc)
             out.append(row)
         return PolyMatrix(self.field, self.nrows, other.ncols, out)
@@ -304,13 +290,15 @@ def _swap_cols(m, i, j):
 
 def _row_sub(m, i, t, f: ZPoly):
     """row_i -= f * row_t"""
-    m[i] = [a - f * b for a, b in zip(m[i], m[t])]
+    minus_f = (-f).coeffs
+    m[i] = [a._axpy(minus_f, b) for a, b in zip(m[i], m[t])]
 
 
 def _col_sub(m, j, t, f: ZPoly):
     """col_j -= f * col_t"""
+    minus_f = (-f).coeffs
     for row in m:
-        row[j] = row[j] - f * row[t]
+        row[j] = row[j]._axpy(minus_f, row[t])
 
 
 def smith_normal_form(M: PolyMatrix):
@@ -359,15 +347,10 @@ def smith_normal_form(M: PolyMatrix):
                         dirty = True
             if dirty:
                 continue
-            # cross is clear; enforce that the pivot divides the rest
-            viol = None
-            for i in range(t + 1, k):
-                for j in range(t + 1, n):
-                    if not (S[i][j] % pivot).is_zero():
-                        viol = i
-                        break
-                if viol is not None:
-                    break
+            # cross is clear; enforce that the pivot divides the rest (a
+            # constant pivot divides everything)
+            viol = next((i for i in range(t + 1, k) for j in range(t + 1, n)
+                         if pivot.degree and not (S[i][j] % pivot).is_zero()), None)
             if viol is None:
                 break
             S[t] = [a + b for a, b in zip(S[t], S[viol])]
@@ -375,8 +358,8 @@ def smith_normal_form(M: PolyMatrix):
     # normalize the diagonal monic
     for t in range(min(k, n)):
         d = S[t][t]
-        if not d.is_zero() and d.leading() != field.one:
-            inv = d.leading().inverse()
+        if not d.is_zero() and d.coeffs[-1] != 1:
+            inv = field.inv(d.coeffs[-1])
             S[t] = [p.scale(inv) for p in S[t]]
             U[t] = [p.scale(inv) for p in U[t]]
     return (
@@ -388,9 +371,9 @@ def smith_normal_form(M: PolyMatrix):
 
 def _smith_form(M: PolyMatrix):
     """:func:`smith_normal_form` of M, once per (immutable) instance."""
-    if M._smith is None:
-        M._smith = smith_normal_form(M)
-    return M._smith
+    if "smith" not in M._derived:
+        M._derived["smith"] = smith_normal_form(M)
+    return M._derived["smith"]
 
 
 def invariant_factors(M: PolyMatrix) -> tuple[ZPoly, ...]:
@@ -474,10 +457,13 @@ def code_degree(G: PolyMatrix) -> int:
 
 def is_minimal(G: PolyMatrix) -> tuple[bool, tuple[int, ...] | None]:
     """(minimal?, Forney indices sorted descending when minimal)."""
-    if not is_basic(G):
-        raise ValueError("minimality is only defined for basic matrices")
-    degs, left_kernel = _leading_left_kernel(G.field, G.rows, G.ncols)
-    return (False, None) if left_kernel else (True, tuple(sorted(degs, reverse=True)))
+    if "minimal" not in G._derived:
+        if not is_basic(G):
+            raise ValueError("minimality is only defined for basic matrices")
+        degs, left_kernel = _leading_left_kernel(G.field, G.rows, G.ncols)
+        indices = None if left_kernel else tuple(sorted(degs, reverse=True))
+        G._derived["minimal"] = (indices is not None, indices)
+    return G._derived["minimal"]
 
 
 def make_minimal_basic(G: PolyMatrix) -> PolyMatrix:

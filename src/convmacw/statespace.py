@@ -2,19 +2,20 @@
 subspace machinery around its state space.
 
 States live in F^delta; state pairs live in F^delta x F^delta, stored as
-concatenated vectors of length 2*delta.  All subspaces come out with
-canonical RREF bases.
+concatenated code vectors of length 2*delta.  All subspaces come out with
+canonical RREF bases, each built once per controller form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import wraps
 
 from .errors import GuardExceeded, InternalCheckError
 from .field import FieldSpec
 from .linalg import (FMat, Subspace, Vec, coeff_preimage,
                      deterministic_complement, right_null_space, unit_vec,
-                     vec_add, vec_mat, vec_neg, zero_vec)
+                     vec_mat)
 from .polymat import MAX_EXPONENT, CodeProfile, PolyMatrix
 
 
@@ -36,6 +37,8 @@ class ControllerForm:
     block_starts: frozenset[int]
     block_ends: frozenset[int]
     row_order: tuple[int, ...]
+    # subspaces derived from the form, by builder (see _per_form)
+    _built: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def r(self) -> int:
@@ -53,17 +56,30 @@ class PairSplit:
     complement: Subspace
 
 
+def _per_form(build):
+    """Run ``build(cf)`` once per controller form; the form is immutable."""
+    @wraps(build)
+    def once(cf: ControllerForm):
+        if build not in cf._built:
+            cf._built[build] = build(cf)
+        return cf._built[build]
+    return once
+
+
+def degree_guard(delta: int):
+    """Raise when the code degree passes MAX_EXPONENT."""
+    if delta > MAX_EXPONENT:
+        raise GuardExceeded(f"code degree delta = {delta} > limit {MAX_EXPONENT}")
+
+
 def controller_form(G: PolyMatrix) -> ControllerForm:
     """Build the controller canonical form, reordering rows so that the
     nonzero row degrees come first (descending, stable); the applied row
     order is recorded.  The transfer function is re-expanded from
     (A, B, C, D) and compared against G coefficient by coefficient, in
-    time cubic in delta, which is therefore bounded by MAX_EXPONENT."""
+    time quadratic in delta, which is bounded by MAX_EXPONENT."""
     profile = CodeProfile.from_encoder(G)  # rejects non-basic/non-minimal
-    if profile.delta > MAX_EXPONENT:
-        raise GuardExceeded(
-            f"code degree delta = {profile.delta} > limit {MAX_EXPONENT}"
-        )
+    degree_guard(profile.delta)
     field = G.field
     k, n = G.nrows, G.ncols
     degs = [int(d) for d in G.row_degrees()]
@@ -80,13 +96,13 @@ def controller_form(G: PolyMatrix) -> ControllerForm:
         pos += degs[i]
         ends.append(pos - 1)
 
-    a_rows = [[field.zero] * delta for _ in range(delta)]
+    a_rows = [[0] * delta for _ in range(delta)]
     for s, e in zip(starts, ends):
         for t in range(s, e):
-            a_rows[t][t + 1] = field.one
-    b_rows = [[field.zero] * delta for _ in range(k)]
+            a_rows[t][t + 1] = 1
+    b_rows = [[0] * delta for _ in range(k)]
     for i, s in enumerate(starts):
-        b_rows[i][s] = field.one
+        b_rows[i][s] = 1
     c_rows = []
     for i in range(r):
         for nu in range(1, degs[i] + 1):
@@ -114,28 +130,23 @@ def _verify_structure(cf: ControllerForm):
     """Shift-block identities that hold for every controller form."""
     field, delta, k, r = cf.field, cf.delta, cf.k, cf.r
     A, B = cf.A, cf.B
+
+    def diag(size, ones) -> FMat:
+        return FMat(field, size, size, [unit_vec(size, i) if ones(i) else (0,) * size
+                                        for i in range(size)])
+
     if not (A @ B.transpose()).is_zero():
         raise InternalCheckError("A @ B^t != 0")
-    bbt = B @ B.transpose()
-    expect = FMat(field, k, k,
-                  [[field.one if i == j and i < r else field.zero
-                    for j in range(k)] for i in range(k)])
-    if bbt != expect:
+    if B @ B.transpose() != diag(k, lambda i: i < r):
         raise InternalCheckError("B @ B^t is not diag(I_r, 0)")
     btb = B.transpose() @ B
     ata = A.transpose() @ A
-    aat = A @ A.transpose()
-    for i in range(delta):
-        for j in range(delta):
-            want_btb = field.one if (i == j and i in cf.block_starts) else field.zero
-            want_ata = field.one if (i == j and i not in cf.block_starts) else field.zero
-            want_aat = field.one if (i == j and i not in cf.block_ends) else field.zero
-            if btb.entry(i, j) != want_btb:
-                raise InternalCheckError("B^t B does not match the block starts")
-            if ata.entry(i, j) != want_ata:
-                raise InternalCheckError("A^t A does not match the block starts")
-            if aat.entry(i, j) != want_aat:
-                raise InternalCheckError("A A^t does not match the block ends")
+    if btb != diag(delta, lambda i: i in cf.block_starts):
+        raise InternalCheckError("B^t B does not match the block starts")
+    if ata != diag(delta, lambda i: i not in cf.block_starts):
+        raise InternalCheckError("A^t A does not match the block starts")
+    if A @ A.transpose() != diag(delta, lambda i: i not in cf.block_ends):
+        raise InternalCheckError("A A^t does not match the block ends")
     if (ata + btb) != FMat.identity(field, delta):
         raise InternalCheckError("A^t A + B^t B != I")
     if cf.D.rank() != k:
@@ -143,20 +154,21 @@ def _verify_structure(cf: ControllerForm):
 
 
 def _verify_transfer(cf: ControllerForm, G_sorted: PolyMatrix):
-    """Expand B (sum_l z^l A^(l-1)) C + D and compare with G."""
+    """Expand B (sum_l z^l A^(l-1)) C + D and compare with G, carrying the
+    k x delta block B A^(l-1) from level to level."""
     max_deg = G_sorted.max_degree()
     if G_sorted.coefficient_matrix(0) != cf.D:
         raise InternalCheckError("constant coefficient does not equal D")
-    power = FMat.identity(cf.field, cf.delta)  # A^(l-1)
+    block = cf.B
     for level in range(1, max_deg + 1):
-        coeff = cf.B @ power @ cf.C
-        if coeff != G_sorted.coefficient_matrix(level):
+        if block @ cf.C != G_sorted.coefficient_matrix(level):
             raise InternalCheckError(f"z^{level} coefficient mismatch")
-        power = power @ cf.A
-    if not (cf.B @ power @ cf.C).is_zero():
+        block = block @ cf.A
+    if not (block @ cf.C).is_zero():
         raise InternalCheckError("transfer expansion extends past the degree")
 
 
+@_per_form
 def constant_code(cf: ControllerForm) -> Subspace:
     """Block code of constant codewords, computed as (ker B) D and
     cross-checked against the span of the degree-zero rows."""
@@ -172,6 +184,7 @@ def constant_code(cf: ControllerForm) -> Subspace:
     return via_kernel
 
 
+@_per_form
 def coefficient_code(cf: ControllerForm) -> tuple[Subspace, int]:
     """Block code spanned by all coefficient rows of the encoder, and the
     count of nonzero dual Forney indices it determines."""
@@ -182,25 +195,26 @@ def coefficient_code(cf: ControllerForm) -> tuple[Subspace, int]:
     return span, r_dual
 
 
+@_per_form
 def connected_pairs(cf: ControllerForm) -> Subspace:
     """Pairs (X, Y) some input can drive from state X to state Y."""
     field, delta = cf.field, cf.delta
-    rows = [unit_vec(field, delta, i) + cf.A.rows[i] for i in range(delta)]
-    rows += [zero_vec(field, delta) + cf.B.rows[j] for j in range(cf.k)]
+    rows = [unit_vec(delta, i) + cf.A.rows[i] for i in range(delta)]
+    rows += [(0,) * delta + cf.B.rows[j] for j in range(cf.k)]
     space = Subspace.from_rows(field, 2 * delta, rows)
     if space.dim != delta + cf.r:
         raise InternalCheckError("connected pair space has the wrong dimension")
     return space
 
 
+@_per_form
 def connected_pairs_orth(cf: ControllerForm) -> Subspace:
     """Orthogonal of the connected pairs; built from the explicit
     parametrization and re-derived generically, both must agree."""
     field, delta = cf.field, cf.delta
-    rows = []
-    for i in range(delta):
-        if i not in cf.block_ends:
-            rows.append(unit_vec(field, delta, i) + vec_neg(cf.A.rows[i]))
+    minus = field.neg(1)
+    rows = [unit_vec(delta, i) + tuple(field.scale(minus, cf.A.rows[i]))
+            for i in range(delta) if i not in cf.block_ends]
     explicit = Subspace.from_rows(field, 2 * delta, rows)
     generic = connected_pairs(cf).orth()
     if explicit != generic:
@@ -210,26 +224,20 @@ def connected_pairs_orth(cf: ControllerForm) -> Subspace:
 
 def output_rep(cf: ControllerForm, X: Vec, Y: Vec) -> Vec:
     """Representative output X C + Y B^t D attached to a state pair."""
-    xc = vec_mat(X, cf.C)
-    yb = vec_mat(Y, cf.BtD)
-    return vec_add(xc, yb)
+    return tuple(cf.field.axpy(vec_mat(X, cf.C), 1, vec_mat(Y, cf.BtD)))
 
 
 def pair_output_rep(cf: ControllerForm, pair: Vec) -> Vec:
     return output_rep(cf, pair[: cf.delta], pair[cf.delta:])
 
 
-def output_kernel(cf: ControllerForm, delta_space: Subspace | None = None,
-                  const_code: Subspace | None = None) -> Subspace:
+@_per_form
+def output_kernel(cf: ControllerForm) -> Subspace:
     """Connected pairs whose representative output is a constant codeword;
     adjacency entries are invariant along this space."""
-    if delta_space is None:
-        delta_space = connected_pairs(cf)
-    if const_code is None:
-        const_code = constant_code(cf)
-    field = cf.field
+    field, delta_space = cf.field, connected_pairs(cf)
     images = [pair_output_rep(cf, b) for b in delta_space.basis]
-    coeffs = coeff_preimage(field, images, const_code) if images else None
+    coeffs = coeff_preimage(field, images, constant_code(cf)) if images else None
     if coeffs is None:
         kernel = Subspace.zero(field, 2 * cf.delta)
     else:
@@ -241,8 +249,8 @@ def output_kernel(cf: ControllerForm, delta_space: Subspace | None = None,
     return kernel
 
 
-def pair_split(cf: ControllerForm, delta_space: Subspace | None = None,
-               kernel: Subspace | None = None) -> PairSplit:
+@_per_form
+def pair_split(cf: ControllerForm) -> PairSplit:
     """Split the pair space as transversal + kernel + disconnected part.
 
     The transversal is the lexicographically first complement of the
@@ -250,11 +258,8 @@ def pair_split(cf: ControllerForm, delta_space: Subspace | None = None,
     order), so the decomposition is deterministic.
     """
     field, delta = cf.field, cf.delta
-    if delta_space is None:
-        delta_space = connected_pairs(cf)
-    if kernel is None:
-        kernel = output_kernel(cf, delta_space)
-    rows = [zero_vec(field, delta) + unit_vec(field, delta, i)
+    delta_space, kernel = connected_pairs(cf), output_kernel(cf)
+    rows = [(0,) * delta + unit_vec(delta, i)
             for i in range(delta) if i not in cf.block_starts]
     complement = Subspace.from_rows(field, 2 * delta, rows)
     transversal = deterministic_complement(kernel, delta_space)

@@ -6,11 +6,15 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from convmacw import DualPair, FieldSpec, FMat, PolyMatrix, WePoly
 from oracles import random_minimal_encoder
+
+# a pinned benchmark document: binary (10, 6), delta = 2
+LONG_00 = Path(__file__).resolve().parents[1] / "bench/pinned/long/00-q2-n10k6d2.json"
 
 # (5,2,3) binary demo code and a hand-checked minimal generator of its dual
 BINARY_523 = [["1+z+z^3", "z^2", "z^2", "1", "z"],

@@ -22,6 +22,15 @@ from convmacw.statespace import (coefficient_code, connected_pairs,
 
 # -- vectors, matrices and subspaces ---------------------------------------
 
+def vector_index(vec) -> int:
+    """Canonical index of a nonempty FieldElement vector: its codes as
+    digits in base q, the last coordinate varying fastest."""
+    idx = 0
+    for a in vec:
+        idx = idx * a.field.q + a.code
+    return idx
+
+
 def enumerate_vectors(field, dim: int):
     """All q^dim vectors in canonical index order (last coordinate fastest)."""
     return tuple(itertools.product(field.elements, repeat=dim))
@@ -151,7 +160,7 @@ def entry_sums(adj: AdjMatrix, cf) -> tuple[WePoly, WePoly]:
     acc = WePoly(adj.counts[on_transversal].sum(axis=0).tolist())
     total = WePoly(adj.counts.sum(axis=0).tolist())
     coeff_code, r_dual = coefficient_code(cf)
-    cc_we = we_of_affine((cf.field.zero,) * cf.n, coeff_code.basis)
+    cc_we = we_of_affine(cf.field, (0,) * cf.n, coeff_code.basis)
     if acc != cc_we:
         raise InternalCheckError("transversal sum is not the coefficient-code enumerator")
     if total != cc_we * (cf.field.q ** (cf.delta - r_dual)):
@@ -286,3 +295,151 @@ def entry_multisets_equal(pair) -> bool:
     flat_dual = pair.dual_scaled.reshape(size * size, -1)
     tnum = pair.transformed.numer.reshape(size * size, -1)
     return np.array_equal(flat_dual[np.lexsort(flat_dual.T)], tnum[np.lexsort(tnum.T)])
+
+
+# -- FieldElement references for the int-code exact core --------------------
+
+def rref_reference(field, rows, ncols: int):
+    """Reduced row echelon form in FieldElement arithmetic, for rows of
+    codes or elements; returns (nonzero code rows, pivot columns)."""
+    work = [[field.elements[c] for c in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = work[r][c].inverse()
+        work[r] = [inv * x for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(x.code for x in row) for row in work[:r]), tuple(pivots)
+
+
+def right_null_space_reference(field, rows, ncols: int):
+    """RREF code basis of {v : rows @ v^t = 0}, in FieldElement arithmetic."""
+    reduced, pivots = rref_reference(field, rows, ncols)
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [field.zero] * ncols
+        v[j] = field.one
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -field.elements[row[j]]
+        basis.append(v)
+    return rref_reference(field, basis, ncols)[0]
+
+
+def matmul_reference(field, a_rows, b_rows, ncols: int):
+    """Code rows of a @ b, in FieldElement arithmetic."""
+    elems = field.elements
+    return tuple(tuple(sum((elems[x] * elems[row[j]] for x, row in zip(r, b_rows)),
+                           field.zero).code for j in range(ncols))
+                 for r in a_rows)
+
+
+def _ptrim(c):
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return _ptrim(out)
+
+
+def _psubmul(field, a, f, b):
+    """a - f b for polynomials as FieldElement coefficient tuples."""
+    out = list(a) + [field.zero] * max(len(f) + len(b) - 1 - len(a), 0)
+    for i, x in enumerate(f):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] - x * y
+    return _ptrim(out)
+
+
+def _pdivmod(field, a, b):
+    rem = list(a)
+    quot = [field.zero] * max(len(a) - len(b) + 1, 0)
+    inv = b[-1].inverse()
+    while len(rem) >= len(b) and any(rem):
+        while rem and not rem[-1]:
+            rem.pop()
+        if len(rem) < len(b):
+            break
+        f = rem[-1] * inv
+        shift = len(rem) - len(b)
+        quot[shift] = f
+        for j, c in enumerate(b):
+            rem[shift + j] = rem[shift + j] - f * c
+        rem.pop()
+    return _ptrim(quot), _ptrim(rem)
+
+
+def smith_reference(G: PolyMatrix):
+    """The Smith normal form algorithm of ``smith_normal_form`` in
+    FieldElement arithmetic, polynomials as coefficient tuples; returns U,
+    S and V as nested lists of coefficient code tuples."""
+    field, k, n = G.field, G.nrows, G.ncols
+    S = [[tuple(field.elements[c] for c in p.coeffs) for p in r] for r in G.rows]
+    U = [[(field.one,) if i == j else () for j in range(k)] for i in range(k)]
+    V = [[(field.one,) if i == j else () for j in range(n)] for i in range(n)]
+
+    def row_sub(m, i, t, f):
+        m[i] = [_psubmul(field, a, f, b) for a, b in zip(m[i], m[t])]
+
+    def col_sub(m, j, t, f):
+        for row in m:
+            row[j] = _psubmul(field, row[j], f, row[t])
+
+    for t in range(min(k, n)):
+        while True:
+            nonzero = [(len(S[i][j]), i, j) for i in range(t, k) for j in range(t, n)
+                       if S[i][j]]
+            if not nonzero:
+                break
+            _, bi, bj = min(nonzero)   # smallest degree, then first in row order
+            S[t], S[bi] = S[bi], S[t]
+            U[t], U[bi] = U[bi], U[t]
+            for m in (S, V):
+                for row in m:
+                    row[t], row[bj] = row[bj], row[t]
+            pivot, dirty = S[t][t], False
+            for i in range(t + 1, k):
+                if S[i][t]:
+                    f = _pdivmod(field, S[i][t], pivot)[0]
+                    row_sub(S, i, t, f)
+                    row_sub(U, i, t, f)
+                    dirty = dirty or bool(S[i][t])
+            for j in range(t + 1, n):
+                if S[t][j]:
+                    f = _pdivmod(field, S[t][j], pivot)[0]
+                    col_sub(S, j, t, f)
+                    col_sub(V, j, t, f)
+                    dirty = dirty or bool(S[t][j])
+            if dirty:
+                continue
+            viol = next((i for i in range(t + 1, k) for j in range(t + 1, n)
+                         if _pdivmod(field, S[i][j], pivot)[1]), None)
+            if viol is None:
+                break
+            S[t] = [_padd(a, b) for a, b in zip(S[t], S[viol])]
+            U[t] = [_padd(a, b) for a, b in zip(U[t], U[viol])]
+    for t in range(min(k, n)):
+        d = S[t][t]
+        if d and d[-1] != field.one:
+            inv = d[-1].inverse()
+            S[t] = [tuple(inv * c for c in p) for p in S[t]]
+            U[t] = [tuple(inv * c for c in p) for p in U[t]]
+    return tuple([[tuple(c.code for c in p) for p in r] for r in m] for m in (U, S, V))

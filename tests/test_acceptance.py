@@ -18,7 +18,6 @@ from convmacw import (DualPair, FieldSpec, FMat, PolyMatrix, Subspace, WePoly,
                       dual_generator, run_verification, search_witness,
                       StatePermutation, we_of_affine)
 from convmacw.duality import CharacterMatrix, _fourier_closed_form
-from convmacw.linalg import zero_vec
 from conftest import (ADJ_BINARY_523, ADJ_BINARY_523_DUAL, CHAR_GRID_2_3,
                       PERM_Q_BINARY, WITNESS_P_TERNARY, WITNESS_Q_BINARY,
                       projective_candidates, we)
@@ -210,7 +209,7 @@ def test_criterion_6g_conjugation_routes_and_invariance(corpus):
         zero_cells = int(np.all(t.numer == 0, axis=2).sum())
         assert zero_cells == q ** (2 * d) - q ** (d + pair.r_dual)
         dual_const = constant_code(pair.cf_dual)
-        target = we_of_affine(zero_vec(pair.field, pair.n), dual_const.basis)
+        target = we_of_affine(pair.field, (0,) * pair.n, dual_const.basis)
         target_arr = np.array(target.padded(pair.n), dtype=np.int64) * t.denom
         const_cells = int(np.all(t.numer == target_arr, axis=2).sum())
         assert const_cells == q ** (d - pair.cf.r)
@@ -309,7 +308,8 @@ def test_criterion_7_block_code_degeneration():
             pair = DualPair(G)
             transformed = entry_we(pair.transformed, 0, 0)
             counts = [0] * (n + 1)
-            gen_rows = [tuple(p.coefficient(0) for p in row) for row in G.rows]
+            gen_rows = [tuple(field.elements[p.coefficient(0)] for p in row)
+                        for row in G.rows]
             for v in enumerate_vectors(field, n):
                 if all(vec_dot(v, g) == field.zero for g in gen_rows):
                     counts[sum(1 for a in v if a)] += 1

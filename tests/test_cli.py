@@ -4,10 +4,10 @@ import tracemalloc
 
 import pytest
 
-from convmacw import WePoly, adjacency
+from convmacw import WePoly, adjacency, duality
 from convmacw.cli import CodeDocument, main
-from convmacw.field import FieldElement
-from conftest import (BINARY_523, CHAR_GRID_2_3, TERNARY_322,
+from convmacw.field import FieldElement, FieldSpec
+from conftest import (BINARY_523, CHAR_GRID_2_3, LONG_00, TERNARY_322,
                       WITNESS_P_TERNARY)
 from oracles import same_code
 
@@ -185,6 +185,21 @@ def test_code_degree_guard(tmp_path, capsys):
                                 "generator": [["1+z^256", "1+z+z^255"]]}))
     assert main(["info", str(path)]) == 0
     assert "(n, k, delta) = (2, 1, 256)" in capsys.readouterr().out
+
+
+def test_verify_guards_precede_controller_form(tmp_path, monkeypatch, capsys):
+    """The size guards need only (q, n, k, delta), so a code past them
+    exits 2 before any controller form is built."""
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"field": {"p": 2},
+                                "generator": [["1+z^256", "1+z+z^255"]]}))
+    calls = []
+    real = duality.controller_form
+    monkeypatch.setattr(duality, "controller_form", lambda G: calls.append(G) or real(G))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: coset enumeration needs q^(delta+k) = {2 ** 257} points")
+    assert calls == []
 
 
 def test_dual_roundtrip(binary_doc, capsys, tmp_path):
@@ -390,22 +405,25 @@ BINARY_727 = {"field": {"p": 2},
                             ["0", "1", "z+z^3", "1+z+z^3", "z^2+z^3", "1", "1"]]}
 
 
-@pytest.mark.parametrize("doc,mode", [(GF9_422, "auto"), (BINARY_727, "weak")],
-                         ids=["gf9-delta2", "binary-delta7-weak"])
+@pytest.mark.parametrize("doc,mode", [(GF9_422, "auto"), (BINARY_727, "weak"),
+                                      (LONG_00, "auto")],
+                         ids=["gf9-delta2", "binary-delta7-weak", "binary-long00"])
 def test_verify_field_arithmetic_count(tmp_path, monkeypatch, capsys, doc, mode):
-    """Points, cosets and grids are enumerated on int-code arrays, so one
-    verify run makes under 50 000 FieldElement additions and products."""
+    """Encoder analysis, subspaces, points, cosets and grids all compute on
+    int codes, so one verify run makes no FieldElement arithmetic call."""
     path = tmp_path / "code.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc) if isinstance(doc, dict) else doc.read_text())
     calls = []
-    for name in ("__add__", "__mul__"):
-        def counting(self, other, real=getattr(FieldElement, name)):
-            calls.append(None)
-            return real(self, other)
+    for name in ("__add__", "__sub__", "__mul__", "__neg__", "inverse"):
+        def counting(self, *args, real=getattr(FieldElement, name), name=name):
+            calls.append(name)
+            return real(self, *args)
         monkeypatch.setattr(FieldElement, name, counting)
     assert main(["verify", str(path), "--mode", mode]) == 0
     capsys.readouterr()
-    assert 0 < len(calls) < 50_000
+    assert calls == []
+    FieldSpec(2).one + FieldSpec(2).one    # the counters do count
+    assert calls == ["__add__"]
 
 
 @pytest.mark.parametrize("doc,mode", [

@@ -132,8 +132,7 @@ def test_transformed_entry_census(binary_pair, ternary_pair):
 
 def we_of_affine_padded(subspace, n):
     from convmacw import we_of_affine
-    zero = (subspace.field.zero,) * n
-    return we_of_affine(zero, subspace.basis).padded(n)
+    return we_of_affine(subspace.field, (0,) * n, subspace.basis).padded(n)
 
 
 def test_transformed_degree_zero_is_block_dual(f2):

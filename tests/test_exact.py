@@ -40,10 +40,10 @@ def test_wepoly_basics():
 def test_we_of_affine_goldens(f2):
     v = tuple(f2.element(c) for c in (1, 1, 0, 1, 0))
     zero = tuple(f2.zero for _ in range(5))
-    assert we_of_affine(zero, [v]) == we("1+W^3")
-    assert we_of_affine(zero, []) == we("1")
+    assert we_of_affine(f2, zero, [v]) == we("1+W^3")
+    assert we_of_affine(f2, zero, []) == we("1")
     offset = tuple(f2.element(c) for c in (1, 1, 1, 0, 0))
-    assert we_of_affine(offset, [v]) == we("W^2+W^3")
+    assert we_of_affine(f2, offset, [v]) == we("W^2+W^3")
 
 
 def test_macwilliams_monomial_golden():
@@ -83,7 +83,7 @@ def _brute_force_dual(field, rows, n):
     """All vectors orthogonal to every generator, by full enumeration."""
     out = []
     for v in enumerate_vectors(field, n):
-        if all(sum((a * b for a, b in zip(v, g)), field.zero) == field.zero
+        if all(sum((a * field.elements[b] for a, b in zip(v, g)), field.zero) == field.zero
                for g in rows):
             out.append(v)
     return out
@@ -100,7 +100,7 @@ def test_block_macwilliams_against_brute_force(q):
                 for _ in range(k)]
         from convmacw.linalg import Subspace
         code = Subspace.from_rows(field, n, rows)
-        code_we = we_of_affine((field.zero,) * n, code.basis)
+        code_we = we_of_affine(field, (0,) * n, code.basis)
         dual_vectors = _brute_force_dual(field, code.basis, n)
         counts = [0] * (n + 1)
         for v in dual_vectors:

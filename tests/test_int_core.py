@@ -1,0 +1,133 @@
+"""The int-code exact core against its FieldElement references: row
+reduction, kernels, subspaces, matrix products and the Smith form agree
+entry for entry over table fields and over the table-free GF(257) and
+GF(2^9)."""
+
+import random
+
+import pytest
+
+from convmacw import (FieldSpec, FMat, PolyMatrix, Subspace, ZPoly, smith_normal_form,
+                      we_of_affine)
+from convmacw.linalg import rref, right_null_space, vec_mat
+from oracles import (matmul_reference, right_null_space_reference, rref_reference,
+                     smith_reference)
+
+FIELDS = {"2": (2,), "3": (3,), "4": (2, 2, [1, 1, 1]), "5": (5,), "7": (7,),
+          "8": (2, 3, [1, 1, 0, 1]), "9": (3, 2, [2, 2, 1]), "257": (257,),
+          "512": (2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1])}
+
+
+@pytest.fixture(params=list(FIELDS), ids=[f"q={q}" for q in FIELDS])
+def field(request):
+    return FieldSpec(*FIELDS[request.param])
+
+
+def test_code_arithmetic_is_a_field(field):
+    """The scalar and row operations the references share with the core:
+    inverses, distributivity and associativity on random codes, also past
+    the tables."""
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b, c = (rng.randrange(field.q) for _ in range(3))
+        if a:
+            assert field.mul(a, field.inv(a)) == 1
+        assert field.add(a, field.neg(a)) == 0
+        assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
+        assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
+        assert field.axpy([a, b], c, [b, a]) == [field.add(a, field.mul(c, b)),
+                                                 field.add(b, field.mul(c, a))]
+        assert field.scale(c, [a, b]) == [field.mul(c, a), field.mul(c, b)]
+        assert field.power(a, 0) == 1
+        assert field.power(a, 3) == field.mul(a, field.mul(a, a))
+        assert field.element(a) ** 3 == field.element(a) * field.element(a) * field.element(a)
+
+
+def _random_rows(rng, field, nrows, ncols):
+    """Random code rows, with some zero entries, zero rows and dependent
+    rows so that rank deficiency shows up in every field."""
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append([0] * ncols)
+        elif roll < 0.3 and len(rows) >= 2:
+            a, b = rng.randrange(field.q), rng.randrange(field.q)
+            rows.append(field.axpy(field.scale(a, rows[0]), b, rows[-1]))
+        else:
+            rows.append([rng.randrange(field.q) if rng.random() < 0.7 else 0
+                         for _ in range(ncols)])
+    return rows
+
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 4), (5, 3), (6, 7)]
+
+
+def test_rref_and_kernels_match_reference(field):
+    rng = random.Random(field.q)
+    for nrows, ncols in SHAPES * 3:
+        rows = _random_rows(rng, field, nrows, ncols)
+        reduced = rref(field, rows, ncols)
+        assert reduced == rref_reference(field, rows, ncols)
+        assert Subspace.from_rows(field, ncols, rows).basis == reduced[0]
+        m = FMat(field, nrows, ncols, rows)
+        assert right_null_space(field, m) == right_null_space_reference(field, rows, ncols)
+
+
+def test_rref_takes_elements(field):
+    rows = _random_rows(random.Random(3), field, 3, 4)
+    elements = [[field.element(c) for c in r] for r in rows]
+    assert rref(field, elements, 4) == rref(field, rows, 4)
+    assert FMat.from_rows(field, elements) == FMat.from_rows(field, rows)
+
+
+@pytest.mark.parametrize("other", [FieldSpec(3), FieldSpec(2, 2, [1, 1, 1]),
+                                   FieldSpec(3, 2, [2, 2, 1])], ids=["q=3", "q=4", "q=9"])
+def test_elements_of_another_field_are_rejected(other):
+    """An element is read as its code only in its own field: a GF(3) 2 in
+    a GF(4) matrix would otherwise silently mean alpha."""
+    field = FieldSpec(3) if other.q != 3 else FieldSpec(2, 2, [1, 1, 1])
+    stray = other.element(2)
+    for build in (lambda: FMat.from_rows(field, [[stray, 0]]),
+                  lambda: FMat(field, 1, 2, [[0, stray]]),
+                  lambda: Subspace.from_rows(field, 2, [[1, stray]]),
+                  lambda: Subspace.full(field, 2).coordinates((stray, 0)),
+                  lambda: ZPoly(field, [1, stray]),
+                  lambda: rref(field, [[stray, 1]], 2),
+                  lambda: vec_mat((stray, 1), FMat.identity(field, 2)),
+                  lambda: we_of_affine(field, (stray, 0), [(0, 1)])):
+        with pytest.raises(ValueError, match="is not an element of"):
+            build()
+    own = field.element(2)
+    assert FMat.from_rows(field, [[own, 0]]) == FMat.from_rows(field, [[2, 0]])
+    assert ZPoly(field, [1, own]).coeffs == (1, 2)
+
+
+def test_matmul_matches_reference(field):
+    rng = random.Random(2 * field.q)
+    for nrows, inner in SHAPES:
+        for ncols in (0, 1, 4):
+            a = _random_rows(rng, field, nrows, inner)
+            b = _random_rows(rng, field, inner, ncols)
+            product = FMat(field, nrows, inner, a) @ FMat(field, inner, ncols, b)
+            assert (product.nrows, product.ncols) == (nrows, ncols)
+            assert product.rows == matmul_reference(field, a, b, ncols)
+
+
+def _random_poly_matrix(rng, field, k, n, degree):
+    return PolyMatrix(field, k, n, [
+        [ZPoly(field, [rng.randrange(field.q) if rng.random() < 0.6 else 0
+                       for _ in range(rng.randint(0, degree + 1))])
+         for _ in range(n)] for _ in range(k)])
+
+
+@pytest.mark.parametrize("k, n, degree", [(0, 2, 1), (2, 0, 1), (1, 3, 3), (2, 3, 2),
+                                          (3, 2, 2), (3, 4, 1)])
+def test_smith_form_matches_reference(field, k, n, degree):
+    rng = random.Random(field.q * 100 + k * 10 + n)
+    for _ in range(3):
+        M = _random_poly_matrix(rng, field, k, n, degree)
+        U, S, V = smith_normal_form(M)
+        got = tuple([[p.coeffs for p in r] for r in X.rows] for X in (U, S, V))
+        assert got == smith_reference(M)
+        assert U @ M @ V == S

@@ -16,10 +16,10 @@ from convmacw import field as fieldmod
 from convmacw.duality import PairGeometry, _projective_classes
 from convmacw.errors import InternalCheckError
 from convmacw.exact import WePoly
-from convmacw.field import (code_index, index_codes, linear_map, span_blocks,
-                            vector_index)
+from convmacw.field import code_index, index_codes, linear_map, span_blocks
 from convmacw.linalg import deterministic_complement
-from oracles import enumerate_vectors, points, random_minimal_encoder, shift_perm
+from oracles import (enumerate_vectors, points, random_minimal_encoder, shift_perm,
+                     vector_index)
 
 FIELDS = {2: (2,), 3: (3,), 4: (2, 2, [1, 1, 1]), 8: (2, 3, [1, 1, 0, 1]),
           9: (3, 2, [2, 2, 1])}
@@ -42,7 +42,7 @@ def _reference_points(space):
     for coeffs in itertools.product(space.field.elements, repeat=space.dim):
         v = [space.field.zero] * space.ambient
         for c, b in zip(coeffs, space.basis):
-            v = [x + c * y for x, y in zip(v, b)]
+            v = [x + c * space.field.elements[y] for x, y in zip(v, b)]
         out.append(tuple(v))
     return out
 
@@ -149,8 +149,8 @@ def test_we_of_affine_matches_reference(field):
         counts = [0] * (n + 1)
         for p in _reference_points(space):
             counts[sum(1 for a, b in zip(p, offset) if a + b)] += 1
-        assert we_of_affine(offset, space.basis) == WePoly(counts)
-    assert we_of_affine((), []) == WePoly((1,))
+        assert we_of_affine(field, offset, space.basis) == WePoly(counts)
+    assert we_of_affine(field, (), []) == WePoly((1,))
 
 
 def test_shift_perm_matches_reference(field):
@@ -186,7 +186,7 @@ def _reference_adjacency(cf):
     def times(vec, rows, width):
         out = [field.zero] * width
         for a, row in zip(vec, rows):
-            out = [x + a * y for x, y in zip(out, row)]
+            out = [x + a * field.elements[y] for x, y in zip(out, row)]
         return out
 
     counts = {}

@@ -69,7 +69,7 @@ def test_zpoly_arithmetic(f3):
     assert z.degree == 1
     assert ZPoly.zero(f3).degree == NEG_INF
     # 1 + 2z vanishes at z = 1: its coefficients sum to zero
-    assert sum(parse_zpoly("1+2z", f3).coeffs, f3.zero) == f3.zero
+    assert sum(parse_zpoly("1+2z", f3).coeffs) % 3 == 0
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -98,7 +98,7 @@ def test_smith_normal_form_properties(q):
             elif not b.is_zero():
                 assert (b % a).is_zero()
         for d in diag:
-            assert d.is_zero() or d.leading() == field.one
+            assert d.is_zero() or d.coeffs[-1] == 1
 
 
 def test_is_basic_goldens(binary_523, f2):

@@ -13,10 +13,10 @@ import pytest
 from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded,
                       StatePermutation, run_verification, search_witness)
 from convmacw.duality import SEARCH_LIMIT, _candidate_position
-from convmacw.field import code_index, span_indices, vector_index
+from convmacw.field import code_index, span_indices
 from convmacw.linalg import vec_mat
 from conftest import projective_candidates
-from oracles import enumerate_vectors, int_matrix, random_minimal_encoder
+from oracles import enumerate_vectors, int_matrix, random_minimal_encoder, vector_index
 
 GF4 = (2, 2, [1, 1, 1])
 GF8 = (2, 3, [1, 1, 0, 1])
@@ -28,7 +28,9 @@ def _field(spec):
 
 
 def _reference_perm(P: FMat, delta: int) -> list[int]:
-    return [vector_index(vec_mat(s, P)) for s in enumerate_vectors(P.field, delta)]
+    elems = P.field.elements
+    return [vector_index([elems[c] for c in vec_mat(s, P)])
+            for s in enumerate_vectors(P.field, delta)]
 
 
 def _row_indices(P: FMat) -> list[int]:

@@ -1,10 +1,17 @@
+import collections
+import json
 import random
+import sys
+from pathlib import Path
+
+import pytest
 
 from convmacw import (FieldSpec, PolyMatrix, Subspace, coefficient_code,
                       connected_pairs, connected_pairs_orth, constant_code,
                       controller_form, output_kernel, output_rep, pair_split)
-from convmacw.linalg import zero_vec
+from convmacw.cli import main
 from convmacw.statespace import pair_output_rep
+from conftest import BINARY_523, LONG_00
 from oracles import enumerate_vectors, points, random_minimal_encoder, vec_dot
 
 
@@ -117,15 +124,15 @@ def test_connected_pairs_orth_degenerate(f2):
 
 def test_output_rep_goldens(binary_523, f2):
     cf = controller_form(binary_523)
-    zero3 = zero_vec(f2, 3)
-    assert output_rep(cf, zero3, zero3) == zero_vec(f2, 5)
+    zero3 = (0,) * 3
+    assert output_rep(cf, zero3, zero3) == (0,) * 5
     X = tuple(f2.element(c) for c in (0, 1, 1))
     Y = tuple(f2.element(c) for c in (0, 0, 1))
-    assert [a.code for a in output_rep(cf, X, Y)] == [1, 1, 1, 0, 0]
+    assert output_rep(cf, X, Y) == (1, 1, 1, 0, 0)
     # the representative vanishes on the disconnected directions
     split = pair_split(cf)
     for v in points(split.complement):
-        assert pair_output_rep(cf, v) == zero_vec(f2, 5)
+        assert pair_output_rep(cf, v) == (0,) * 5
 
 
 def test_output_kernel_dims(binary_523, binary_523_dual, f2):
@@ -215,3 +222,31 @@ def test_transfer_reconstruction_random():
             for level in range(1, sortedG.max_degree() + 1):
                 assert sortedG.coefficient_matrix(level) == cf.B @ power @ cf.C
                 power = power @ cf.A
+
+
+@pytest.mark.parametrize("doc, mode", [(LONG_00, "auto"), (BINARY_523, "weak")],
+                         ids=["binary-long00", "binary-523-weak"])
+def test_verify_builds_each_subspace_once_per_form(tmp_path, capsys, doc, mode):
+    """One verify run builds each state-space subspace at most once per
+    controller form, however many stages read it."""
+    builders = (constant_code, coefficient_code, connected_pairs, connected_pairs_orth,
+                output_kernel, pair_split)
+    names = {b.__wrapped__.__code__: b.__name__ for b in builders}
+    builds = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            builds[names[frame.f_code], id(frame.f_locals["cf"])] += 1
+
+    path = tmp_path / "code.json"
+    path.write_text(doc.read_text() if isinstance(doc, Path)
+                    else json.dumps({"field": {"p": 2}, "generator": doc}))
+    sys.setprofile(profile)
+    try:
+        assert main(["verify", str(path), "--mode", mode]) == 0
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert {name for name, _ in builds} >= {"constant_code", "connected_pairs",
+                                            "coefficient_code", "output_kernel"}
+    assert max(builds.values()) == 1, builds
