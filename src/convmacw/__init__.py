@@ -10,7 +10,7 @@ from .duality import (CharacterMatrix, DualityReport, DualPair, FourierMatrix,
                       fourier_conjugate, macwilliams_image, run_verification,
                       search_witness, state_pairing_matrix)
 from .errors import GuardExceeded, InternalCheckError
-from .exact import WePoly, we_of_affine
+from .exact import WePoly
 from .field import FieldElement, FieldSpec
 from .linalg import FMat, Subspace
 from .polymat import (CodeProfile, PolyMatrix, ZPoly, code_degree,

@@ -18,6 +18,7 @@ check failed (a proved identity did not hold: a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -387,9 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every main call of a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GuardExceeded as e:

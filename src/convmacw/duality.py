@@ -6,8 +6,8 @@ unit-memory per-entry formulas.
 
 Everything is exact: the heavy grids are integer tensors over explicit
 denominators (powers of q), and cyclotomic intermediates are reduced by
-per-exponent bucket counting.  The bucket and incidence products run in
-float64 (BLAS) behind bounds that keep every sum below 2^53.
+per-exponent bucket counting.  The bucket products run in float64 (BLAS)
+behind a bound that keeps every sum below 2^53.
 """
 
 from __future__ import annotations
@@ -22,18 +22,17 @@ import numpy as np
 from .adjacency import (AdjMatrix, StatePermutation, adjacency_by_cosets,
                         coset_guard)
 from .errors import GuardExceeded, InternalCheckError
-from .exact import macwilliams_rows, we_of_affine
-from .field import FieldSpec, code_index, index_codes, linear_map, span_indices
+from .exact import macwilliams_rows
+from .field import FieldSpec, index_codes, span_indices
 from .linalg import (FMat, Subspace, block_matrix, deterministic_complement,
                      right_null_space, vec_mat)
 from .polymat import CodeProfile, PolyMatrix, dual_generator
-from .statespace import (ControllerForm, coefficient_code, connected_pairs,
+from .statespace import (ControllerForm, coefficient_code,
                          connected_pairs_orth, controller_form, degree_guard,
                          output_kernel, pair_split)
 
 GRID_LIMIT = 2 ** 16     # bound on q^(2*delta), the full pair grid
 SEARCH_LIMIT = 2 ** 17   # bound on candidate row images the witness search examines
-_CHUNK = 2 ** 18         # elements per transient array in the closed-form incidence sum
 
 
 def grid_guard(q: int, delta: int, limit: int = GRID_LIMIT):
@@ -45,10 +44,9 @@ def grid_guard(q: int, delta: int, limit: int = GRID_LIMIT):
 
 class PairGeometry:
     """Cached integer tables over the state space: pairing codes, trace
-    exponents, the field addition table, and the negation permutation."""
+    exponents and the negation permutation."""
 
-    __slots__ = ("field", "delta", "size", "beta_codes", "trace_exp",
-                 "add_codes", "neg_perm")
+    __slots__ = ("field", "delta", "size", "beta_codes", "trace_exp", "neg_perm")
 
     def __init__(self, field: FieldSpec, delta: int, limit: int = GRID_LIMIT):
         grid_guard(field.q, delta, limit)
@@ -61,23 +59,8 @@ class PairGeometry:
         self.beta_codes = span_indices(field, states[:, :, None]).T
         traces = np.array([field.trace(c) for c in range(field.q)], dtype=np.int64)
         self.trace_exp = traces[self.beta_codes]
-        powers = field.p ** np.arange(field.s, dtype=np.int64)
-        digits = np.arange(field.q, dtype=np.int64)[:, None] // powers % field.p
-        self.add_codes = (digits[:, None] + digits[None]) % field.p @ powers
         minus_one = field.neg(1) * np.eye(delta, dtype=np.int64)
         self.neg_perm = span_indices(field, minus_one)
-
-    def orth_mask(self, basis) -> np.ndarray:
-        """Boolean (size, size) grid marking pairs (X, Y) orthogonal to
-        every basis pair under the doubled bilinear form."""
-        mask = np.ones((self.size, self.size), dtype=bool)
-        for b in basis:
-            g1, g2 = code_index(self.field, np.reshape(b, (2, self.delta))).tolist()
-            vals = self.add_codes[
-                self.beta_codes[:, g1][:, None], self.beta_codes[:, g2][None, :]
-            ]
-            mask &= vals == 0
-        return mask
 
 
 class CharacterMatrix:
@@ -119,7 +102,8 @@ def _bucket_tensor(lam: np.ndarray, E: np.ndarray, p: int) -> np.ndarray:
     No partial sum exceeds the largest sum of |lam[:, :, t]|.  Integers
     below 2^53 add exactly in float64, so that bound, summed first, is
     exact below 2^53 and at least 2^52 above it: the check at 2^52 lets
-    only exact sums through."""
+    only exact sums through.  Only the exponents that occur in E get a
+    mask, so a grid with one exponent (delta = 0) costs one product."""
     size, _, nw = lam.shape
     flat = lam.reshape(size, size * nw).astype(np.float64)  # [z, (y, t)]
     bound = np.abs(flat).reshape(size * size, nw).sum(axis=0).max(initial=0)
@@ -128,13 +112,13 @@ def _bucket_tensor(lam: np.ndarray, E: np.ndarray, p: int) -> np.ndarray:
             f"character product bound max_t sum |lam[:, :, t]| >= 2^52 "
             f"(float64 headroom)"
         )
-    masks = [(E == e).astype(np.float64) for e in range(p)]
+    masks = {e: (E == e).astype(np.float64) for e in np.unique(E).tolist()}
     buckets = np.zeros((p, size, size, nw), dtype=np.int64)
-    for e1 in range(p):
+    for e1 in masks:
         # rows (x, t), columns y, so the right product is one matmul too
         left = (masks[e1] @ flat).reshape(size, size, nw).transpose(0, 2, 1)
         left = left.reshape(size * nw, size)
-        for e2 in range(p):
+        for e2 in masks:
             prod = (left @ masks[e2]).reshape(size, nw, size).transpose(0, 2, 1)
             buckets[(e1 + e2) % p] += prod.astype(np.int64)
     return buckets
@@ -157,88 +141,18 @@ class FourierMatrix:
         self.denom = field.q ** delta
 
 
-def fourier_conjugate(adj: AdjMatrix, cf: ControllerForm, geom: PairGeometry,
+def fourier_conjugate(adj: AdjMatrix, geom: PairGeometry,
                       zeta_exponent: int = 1) -> FourierMatrix:
     """Conjugate the adjacency matrix on both sides by the character grid
-    and collapse to exact rationals.
-
-    The same matrix is then recomputed from the three-case closed form
-    (zero off the kernel-orthogonal grid, a scaled coefficient-code
-    enumerator on the pair-orthogonal grid, a hyperplane sum elsewhere)
-    and any disagreement raises, never resolves silently.
-    """
+    and collapse to exact rationals."""
     p = adj.field.p
     E = CharacterMatrix(geom, zeta_exponent).exponents
     buckets = _bucket_tensor(adj.dense_coefficients(), E, p)
     # the p-th roots of unity sum to zero, so bucket counts b_e stand for
     # the rational b_0 - b_(p-1) exactly when b_1 = ... = b_(p-1)
-    for j in range(1, p - 1):
-        if not np.array_equal(buckets[j], buckets[p - 1]):
-            raise InternalCheckError(
-                "cyclotomic coefficients did not collapse to rationals"
-            )
-    numer = buckets[0] - buckets[p - 1]
-    del buckets   # p times the size of numer; freed before the closed form
-    if not np.array_equal(numer * (adj.field.q - 1), _fourier_closed_form(adj, cf, geom)):
-        raise InternalCheckError(
-            "direct product and closed form disagree on the conjugated matrix"
-        )
-    return FourierMatrix(adj.field, adj.delta, adj.n, numer)
-
-
-def _fourier_closed_form(adj: AdjMatrix, cf: ControllerForm,
-                         geom: PairGeometry) -> np.ndarray:
-    """Closed-form route, returned over the denominator q^delta (q-1)."""
-    field, q = adj.field, adj.field.q
-    size, n, delta = geom.size, adj.n, adj.delta
-    kernel = output_kernel(cf)
-    dspace = connected_pairs(cf)
-    cc, r_dual = coefficient_code(cf)
-    cc_we = np.array(we_of_affine(field, (0,) * n, cc.basis).padded(n), dtype=np.int64)
-    in_ker_orth = geom.orth_mask(kernel.basis)
-    in_delta_orth = geom.orth_mask(dspace.basis)
-    # the support is the connected pairs, so every point has a row
-    lam_delta = adj.counts[np.searchsorted(adj.index, dspace.point_indices())]
-    out = np.zeros((size, size, n + 1), dtype=np.int64)
-    out[in_delta_orth] = q ** (delta - r_dual) * (q - 1) * cc_we
-    # elsewhere (X, Y) induces a nonzero functional on the connected pairs
-    # and the hyperplane sum depends only on its projective class: sum lam
-    # over each projective point (a line minus zero) of the coefficient
-    # space once, then add up the points on each class's hyperplane
-    xs, ys = np.nonzero(in_ker_orth & ~in_delta_orth)
-    g1, g2 = code_index(field, dspace.codes().reshape(dspace.dim, 2, delta)).T
-    funcs, cls = _projective_classes(
-        field, geom.add_codes[geom.beta_codes[xs[:, None], g1],
-                              geom.beta_codes[ys[:, None], g2]])
-    points, point_cls = _projective_classes(
-        field, index_codes(field, np.arange(1, len(lam_delta)), dspace.dim))
-    lines = lam_delta[1:][np.argsort(point_cls, kind="stable")]
-    # the coefficients count the q^(delta+k) coset points, far below 2^53,
-    # so the incidence sums are exact in float64
-    lines = lines.reshape(len(points), q - 1, n + 1).sum(axis=1).astype(np.float64)
-    hyper = np.zeros((len(funcs), n + 1), dtype=np.int64)
-    step = max(1, _CHUNK // (len(points) * field.s or 1))
-    for start in range(0, len(funcs), step):
-        on_plane = linear_map(field, funcs[start:start + step].T[None])(points)[:, 0] == 0
-        hyper[start:start + step] = lam_delta[0] + (on_plane.T @ lines).astype(np.int64)
-    out[xs, ys] = q * hyper[cls] - q ** (delta - r_dual) * cc_we
-    return out
-
-
-def _projective_classes(field: FieldSpec, vectors: np.ndarray):
-    """Projective classes of nonzero code vectors: the distinct classes'
-    representatives (leading entry 1) in canonical order, and the class of
-    each vector."""
-    if not vectors.size:
-        return vectors, np.zeros(0, dtype=np.int64)
-    lead = vectors[np.arange(len(vectors)), np.argmax(vectors != 0, axis=1)]
-    scaled = np.empty_like(vectors)
-    for c in np.flatnonzero(np.bincount(lead)).tolist():
-        scale = linear_map(field, [[[field.inv(c)]]])
-        chosen = vectors[lead == c]
-        scaled[lead == c] = scale(chosen.reshape(-1, 1)).reshape(chosen.shape)
-    keys, cls = np.unique(code_index(field, scaled), return_inverse=True)
-    return index_codes(field, keys, vectors.shape[1]), cls
+    if not (buckets[1:] == buckets[p - 1]).all():
+        raise InternalCheckError("cyclotomic coefficients did not collapse to rationals")
+    return FourierMatrix(adj.field, adj.delta, adj.n, buckets[0] - buckets[p - 1])
 
 
 class TransformedMatrix:
@@ -267,23 +181,12 @@ def macwilliams_image(fm: FourierMatrix, k: int,
     (X, Y) entry of the de-conjugated transpose is the (-Y, X) entry of
     the two-sided conjugation, because the grid squares to the negation
     permutation.
+
+    The transform runs in int64.  No partial sum exceeds max|entry| times
+    the largest column sum of |H|, so that bound is checked, in exact
+    integers, before the product.
     """
-    return _scaled_transform(fm, fm.numer[geom.neg_perm].transpose(1, 0, 2), k)
-
-
-def entrywise_h(fm: FourierMatrix, k: int) -> TransformedMatrix:
-    """q^(-k) times the MacWilliams transform of each conjugated entry,
-    without the transpose reindexing."""
-    return _scaled_transform(fm, fm.numer, k)
-
-
-def _scaled_transform(fm: FourierMatrix, numer: np.ndarray,
-                      k: int) -> TransformedMatrix:
-    """The MacWilliams transform of every entry of ``numer`` in int64.
-
-    No partial sum exceeds max|numer| times the largest column sum of
-    |H|, so that bound is checked, in exact integers, before the product.
-    """
+    numer = fm.numer[geom.neg_perm].transpose(1, 0, 2)
     rows = macwilliams_rows(fm.n, fm.field.q)
     colsum = max(sum(abs(r[t]) for r in rows) for t in range(fm.n + 1))
     bound = int(np.abs(numer).max(initial=0)) * colsum
@@ -372,8 +275,7 @@ class DualPair:
 
     @cached_property
     def fourier(self) -> FourierMatrix:
-        return fourier_conjugate(self.adj, self.cf, self.geometry,
-                                 self.zeta_exponent)
+        return fourier_conjugate(self.adj, self.geometry, self.zeta_exponent)
 
     @cached_property
     def transformed(self) -> TransformedMatrix:
@@ -381,7 +283,11 @@ class DualPair:
 
     @cached_property
     def entrywise(self) -> TransformedMatrix:
-        return entrywise_h(self.fourier, self.k)
+        """The transform of each conjugated entry where it stands:
+        transformed[X, Y] is entrywise[-Y, X], so this is index algebra."""
+        t = self.transformed
+        numer = t.numer[:, self.geometry.neg_perm].transpose(1, 0, 2)
+        return TransformedMatrix(t.field, t.n, t.k, t.delta, numer)
 
     @cached_property
     def dual_scaled(self) -> np.ndarray:
@@ -413,8 +319,7 @@ class WeakIdentityReport:
 def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     """Build the explicit reordering automorphism from the pairing matrix
     plus deterministic basis-matching isomorphisms, and verify that it
-    carries the transformed matrix onto the dual adjacency matrix
-    entrywise, and in its transposed form."""
+    carries the entrywise transform onto the dual adjacency matrix."""
     hl = pair.entrywise
     f = pair.field
     two_delta = 2 * pair.delta
@@ -448,13 +353,6 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     flat_hl = hl.numer.reshape(size * size, -1)
     if not np.array_equal(flat_dual, flat_hl[fperm]):
         raise InternalCheckError("reordered transform does not match the dual")
-    # equivalent reordering stated against the transposed transform
-    inv_perm = np.empty_like(fperm)
-    inv_perm[fperm] = np.arange(size * size)
-    tnum = pair.transformed.numer.reshape(size * size, -1)
-    swap = (geom.neg_perm * size + np.arange(size)[:, None]).ravel()
-    if not np.array_equal(flat_dual[inv_perm[swap]], tnum):
-        raise InternalCheckError("transposed-form reordering failed")
     return WeakIdentityReport(entries_checked=size * size)
 
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import FieldSpec, span_blocks, vector_codes
+from .field import FieldSpec, span_blocks
 
 
 class WePoly:
@@ -36,11 +36,6 @@ class WePoly:
 
     def coefficient(self, j: int) -> int:
         return self.coeffs[j] if 0 <= j < len(self.coeffs) else 0
-
-    def padded(self, n: int) -> tuple[int, ...]:
-        if len(self.coeffs) > n + 1:
-            raise ValueError(f"degree {self.degree} exceeds bound {n}")
-        return self.coeffs + (0,) * (n + 1 - len(self.coeffs))
 
     def __add__(self, other):
         if not isinstance(other, WePoly):
@@ -91,25 +86,6 @@ def weight_counts(field: FieldSpec, gen: np.ndarray, lo: int, hi: int,
         rows = (np.arange(start, start + len(block)) - lo) // group
         np.add.at(out, (rows, np.count_nonzero(block, axis=1)), 1)
     return out
-
-
-def we_of_affine(field: FieldSpec, offset, basis) -> WePoly:
-    """Weight enumerator of the coset offset + span(basis) in F^n, all
-    vectors given by their entry codes.
-
-    The basis vectors must be linearly independent (the caller guarantees
-    it).  The points are c @ [offset; basis] for every c whose leading
-    coordinate is 1, i.e. the canonical indices [q^dim, 2 q^dim).
-    """
-    n = len(offset)
-    for b in basis:
-        if len(b) != n:
-            raise ValueError("basis vector length does not match the offset")
-    if not n:
-        return WePoly((1,))
-    size = field.q ** len(basis)
-    gen = vector_codes([field.codes(offset), *map(field.codes, basis)], n)
-    return WePoly(weight_counts(field, gen, size, 2 * size, size)[0].tolist())
 
 
 @lru_cache(maxsize=None)

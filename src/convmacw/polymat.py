@@ -230,14 +230,6 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> ZPoly:
         return self.rows[i][j]
 
-    def max_degree(self) -> int:
-        degs = [int(p.degree) for r in self.rows for p in r if not p.is_zero()]
-        return max(degs, default=0)
-
-    def coefficient_matrix(self, power: int) -> FMat:
-        return FMat(self.field, self.nrows, self.ncols,
-                    [[p.coefficient(power) for p in r] for r in self.rows])
-
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.field, self.ncols, self.nrows,
                           [[self.rows[i][j] for i in range(self.nrows)]
@@ -389,10 +381,7 @@ def invariant_factors(M: PolyMatrix) -> tuple[ZPoly, ...]:
 def is_basic(G: PolyMatrix) -> bool:
     """True iff all invariant factors equal 1, i.e. a polynomial right
     inverse exists (noncatastrophic and delay-free)."""
-    facs = invariant_factors(G)
-    if len(facs) < G.nrows:
-        return False
-    return all(f.degree == 0 for f in facs)
+    return basic_diagnostic(G) is None
 
 
 def basic_diagnostic(G: PolyMatrix) -> str | None:
@@ -483,12 +472,10 @@ def make_minimal_basic(G: PolyMatrix) -> PolyMatrix:
 def dual_generator(G: PolyMatrix) -> PolyMatrix:
     """Minimal basic generator of all polynomial vectors orthogonal to the
     row module of G, built from a Smith-form kernel basis."""
-    k, n = G.nrows, G.ncols
-    _, S, V = _smith_form(G)
-    if k > n or any(S.rows[t][t].degree != 0 for t in range(k)):
-        raise ValueError("minimality is only defined for basic matrices")
-    if _leading_left_kernel(G.field, G.rows, n)[1]:
+    if not is_minimal(G)[0]:   # raises on a non-basic G
         raise ValueError("dual construction expects a basic minimal encoder")
+    k, n = G.nrows, G.ncols
+    _, _, V = _smith_form(G)
     # G w^t = 0 iff w^t lies in the span of V's last n-k columns; those
     # columns of the unimodular V form a basic matrix
     kernel_rows = [tuple(V.rows[i][j] for i in range(n)) for j in range(k, n)]
@@ -497,6 +484,9 @@ def dual_generator(G: PolyMatrix) -> PolyMatrix:
         raise InternalCheckError("kernel construction lost orthogonality")
     if sum(H.row_degrees()) != sum(G.row_degrees()):
         raise InternalCheckError("dual code degree mismatch")
+    # unimodular row reduction keeps H basic and leaves it row-reduced,
+    # so H is minimal with its row degrees, already descending, as indices
+    H._derived["minimal"] = (True, tuple(int(d) for d in H.row_degrees()))
     return H
 
 

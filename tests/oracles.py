@@ -1,7 +1,7 @@
 """Second routes kept for the tests: identity checks the production
-pipeline does not need, and FieldElement-level helpers to compare its
-int-code kernels against.  A check raises InternalCheckError when its
-identity fails."""
+pipeline does not need, the closed-form route to the conjugated matrix,
+and FieldElement-level helpers to compare its int-code kernels against.
+A check raises InternalCheckError when its identity fails."""
 
 import itertools
 from fractions import Fraction
@@ -12,12 +12,16 @@ from convmacw import (FMat, InternalCheckError, PolyMatrix, StatePermutation,
                       Subspace, WePoly, ZPoly)
 from convmacw.adjacency import AdjMatrix
 from convmacw.duality import fourier_conjugate
-from convmacw.exact import macwilliams_rows, we_of_affine
-from convmacw.field import code_index, index_codes, span_blocks, span_indices, vector_codes
-from convmacw.linalg import right_null_space, vec_mat
+from convmacw.exact import macwilliams_rows, weight_counts
+from convmacw.field import (code_index, index_codes, linear_map, span_blocks,
+                            span_indices, vector_codes)
+from convmacw.linalg import right_null_space, unit_vec, vec_mat
 from convmacw.polymat import _leading_left_kernel, _smith_form, is_basic
 from convmacw.statespace import (coefficient_code, connected_pairs,
-                                 connected_pairs_orth, pair_split)
+                                 connected_pairs_orth, constant_code,
+                                 output_kernel, pair_split)
+
+_CHUNK = 2 ** 18   # elements per transient array in the closed-form incidence sum
 
 
 # -- vectors, matrices and subspaces ---------------------------------------
@@ -64,6 +68,16 @@ def matrix01(perm) -> tuple[tuple[int, ...], ...]:
 
 
 # -- polynomial codes -------------------------------------------------------
+
+def max_degree(G: PolyMatrix) -> int:
+    """Largest entry degree of G, 0 for the zero matrix."""
+    return max((int(p.degree) for r in G.rows for p in r if not p.is_zero()), default=0)
+
+
+def coefficient_matrix(G: PolyMatrix, power: int) -> FMat:
+    """The matrix of the z^power coefficients of G."""
+    return FMat(G.field, G.nrows, G.ncols, [[p.coefficient(power) for p in r] for r in G.rows])
+
 
 def encode(u, G: PolyMatrix):
     """Codeword u @ G for a message vector of polynomials."""
@@ -127,6 +141,32 @@ def random_minimal_encoder(rng, field, n: int, k: int, delta: int,
 
 # -- weight enumerators and adjacency matrices ------------------------------
 
+def padded(f: WePoly, n: int) -> tuple[int, ...]:
+    """Coefficients of f, constant term first, padded with zeros to n + 1."""
+    if len(f.coeffs) > n + 1:
+        raise ValueError(f"degree {f.degree} exceeds bound {n}")
+    return f.coeffs + (0,) * (n + 1 - len(f.coeffs))
+
+
+def we_of_affine(field, offset, basis) -> WePoly:
+    """Weight enumerator of the coset offset + span(basis) in F^n, all
+    vectors given by their entry codes (or elements of ``field``).
+
+    The basis vectors must be linearly independent.  The points are
+    c @ [offset; basis] for every c whose leading coordinate is 1, i.e.
+    the canonical indices [q^dim, 2 q^dim).
+    """
+    n = len(offset)
+    for b in basis:
+        if len(b) != n:
+            raise ValueError("basis vector length does not match the offset")
+    if not n:
+        return WePoly((1,))
+    size = field.q ** len(basis)
+    gen = vector_codes([field.codes(offset), *map(field.codes, basis)], n)
+    return WePoly(weight_counts(field, gen, size, 2 * size, size)[0].tolist())
+
+
 def macwilliams_transform(coeffs, n: int, q: int):
     """(1+(q-1)W)^n f((1-W)/(1+(q-1)W)) for f of degree at most n, in the
     numeric type of the input; linear, and squares to q^n times the
@@ -140,7 +180,7 @@ def macwilliams_transform(coeffs, n: int, q: int):
 
 
 def macwilliams_we(f: WePoly, n: int, q: int) -> WePoly:
-    return WePoly(macwilliams_transform(f.padded(n), n, q))
+    return WePoly(macwilliams_transform(padded(f, n), n, q))
 
 
 def conjugate(adj: AdjMatrix, P: FMat) -> AdjMatrix:
@@ -181,7 +221,189 @@ def entry_we(matrix, i: int, j: int) -> WePoly:
     return WePoly([int(v) for v in vals])
 
 
+# -- the controller form and its block codes --------------------------------
+
+def _diag(field, size: int, ones) -> FMat:
+    return FMat(field, size, size, [unit_vec(size, i) if ones(i) else (0,) * size
+                                    for i in range(size)])
+
+
+def check_controller_structure(cf):
+    """Shift-block identities that hold for every controller form, and
+    full rank of D = G(0)."""
+    field, delta, k, r = cf.field, cf.delta, cf.k, cf.r
+    A, B = cf.A, cf.B
+    if not (A @ B.transpose()).is_zero():
+        raise InternalCheckError("A @ B^t != 0")
+    if B @ B.transpose() != _diag(field, k, lambda i: i < r):
+        raise InternalCheckError("B @ B^t is not diag(I_r, 0)")
+    btb = B.transpose() @ B
+    ata = A.transpose() @ A
+    if btb != _diag(field, delta, lambda i: i in cf.block_starts):
+        raise InternalCheckError("B^t B does not match the block starts")
+    if ata != _diag(field, delta, lambda i: i not in cf.block_starts):
+        raise InternalCheckError("A^t A does not match the block starts")
+    if A @ A.transpose() != _diag(field, delta, lambda i: i not in cf.block_ends):
+        raise InternalCheckError("A A^t does not match the block ends")
+    if (ata + btb) != FMat.identity(field, delta):
+        raise InternalCheckError("A^t A + B^t B != I")
+    if cf.D.rank() != k:
+        raise InternalCheckError("D = G(0) lost rank; encoder not delay-free")
+
+
+def check_transfer(G: PolyMatrix, cf):
+    """Expand B (sum_l z^l A^(l-1)) C + D and compare with G, rows in the
+    form's order, carrying the k x delta block B A^(l-1) from level to
+    level."""
+    G_sorted = PolyMatrix.from_rows(G.field, [G.rows[i] for i in cf.row_order], G.ncols)
+    if coefficient_matrix(G_sorted, 0) != cf.D:
+        raise InternalCheckError("constant coefficient does not equal D")
+    block = cf.B
+    for level in range(1, max_degree(G_sorted) + 1):
+        if block @ cf.C != coefficient_matrix(G_sorted, level):
+            raise InternalCheckError(f"z^{level} coefficient mismatch")
+        block = block @ cf.A
+    if not (block @ cf.C).is_zero():
+        raise InternalCheckError("transfer expansion extends past the degree")
+
+
+def check_constant_code(cf):
+    """The constant code, the span of the degree-zero rows, is also
+    (ker B) D, of dimension k - r."""
+    left_kernel = right_null_space(cf.field, cf.B.transpose())
+    via_kernel = Subspace.from_rows(cf.field, cf.n, [vec_mat(u, cf.D) for u in left_kernel])
+    if via_kernel != constant_code(cf):
+        raise InternalCheckError("two routes to the constant code disagree")
+    if via_kernel.dim != cf.k - cf.r:
+        raise InternalCheckError("constant code has the wrong dimension")
+
+
+def check_connected_pairs_orth(cf):
+    """The orthogonal of the connected pairs is spanned by the pairs
+    (e_i, -e_i A) for the states i that end no shift block."""
+    minus = cf.field.neg(1)
+    rows = [unit_vec(cf.delta, i) + tuple(cf.field.scale(minus, cf.A.rows[i]))
+            for i in range(cf.delta) if i not in cf.block_ends]
+    if Subspace.from_rows(cf.field, 2 * cf.delta, rows) != connected_pairs_orth(cf):
+        raise InternalCheckError("orthogonal pair space routes disagree")
+
+
+# -- the closed-form route to the conjugated matrix --------------------------
+
+def add_table(field) -> np.ndarray:
+    """The q x q table of the entry codes of a + b."""
+    powers = field.p ** np.arange(field.s, dtype=np.int64)
+    digits = np.arange(field.q, dtype=np.int64)[:, None] // powers % field.p
+    return (digits[:, None] + digits[None]) % field.p @ powers
+
+
+def orth_mask(geom, basis) -> np.ndarray:
+    """Boolean (size, size) grid marking pairs (X, Y) orthogonal to every
+    basis pair under the doubled bilinear form."""
+    add = add_table(geom.field)
+    mask = np.ones((geom.size, geom.size), dtype=bool)
+    for b in basis:
+        g1, g2 = code_index(geom.field, np.reshape(b, (2, geom.delta))).tolist()
+        mask &= add[geom.beta_codes[:, g1][:, None], geom.beta_codes[:, g2][None, :]] == 0
+    return mask
+
+
+def projective_classes(field, vectors: np.ndarray):
+    """Projective classes of nonzero code vectors: the distinct classes'
+    representatives (leading entry 1) in canonical order, and the class of
+    each vector."""
+    if not vectors.size:
+        return vectors, np.zeros(0, dtype=np.int64)
+    lead = vectors[np.arange(len(vectors)), np.argmax(vectors != 0, axis=1)]
+    scaled = np.empty_like(vectors)
+    for c in np.flatnonzero(np.bincount(lead)).tolist():
+        scale = linear_map(field, [[[field.inv(c)]]])
+        chosen = vectors[lead == c]
+        scaled[lead == c] = scale(chosen.reshape(-1, 1)).reshape(chosen.shape)
+    keys, cls = np.unique(code_index(field, scaled), return_inverse=True)
+    return index_codes(field, keys, vectors.shape[1]), cls
+
+
+def fourier_closed_form(adj: AdjMatrix, cf, geom) -> np.ndarray:
+    """The conjugated matrix from its three-case closed form, over the
+    denominator q^delta (q-1): zero off the kernel-orthogonal grid, a
+    scaled coefficient-code enumerator on the pair-orthogonal grid, a
+    hyperplane sum elsewhere."""
+    field, q = adj.field, adj.field.q
+    size, n, delta = geom.size, adj.n, adj.delta
+    add = add_table(field)
+    dspace = connected_pairs(cf)
+    cc, r_dual = coefficient_code(cf)
+    cc_we = np.array(padded(we_of_affine(field, (0,) * n, cc.basis), n), dtype=np.int64)
+    in_ker_orth = orth_mask(geom, output_kernel(cf).basis)
+    in_delta_orth = orth_mask(geom, dspace.basis)
+    # the support is the connected pairs, so every point has a row
+    lam_delta = adj.counts[np.searchsorted(adj.index, dspace.point_indices())]
+    out = np.zeros((size, size, n + 1), dtype=np.int64)
+    out[in_delta_orth] = q ** (delta - r_dual) * (q - 1) * cc_we
+    # elsewhere (X, Y) induces a nonzero functional on the connected pairs
+    # and the hyperplane sum depends only on its projective class: sum lam
+    # over each projective point (a line minus zero) of the coefficient
+    # space once, then add up the points on each class's hyperplane
+    xs, ys = np.nonzero(in_ker_orth & ~in_delta_orth)
+    g1, g2 = code_index(field, dspace.codes().reshape(dspace.dim, 2, delta)).T
+    funcs, cls = projective_classes(
+        field, add[geom.beta_codes[xs[:, None], g1], geom.beta_codes[ys[:, None], g2]])
+    points, point_cls = projective_classes(
+        field, index_codes(field, np.arange(1, len(lam_delta)), dspace.dim))
+    lines = lam_delta[1:][np.argsort(point_cls, kind="stable")]
+    # the coefficients count the q^(delta+k) coset points, far below 2^53,
+    # so the incidence sums are exact in float64
+    lines = lines.reshape(len(points), q - 1, n + 1).sum(axis=1).astype(np.float64)
+    hyper = np.zeros((len(funcs), n + 1), dtype=np.int64)
+    step = max(1, _CHUNK // (len(points) * field.s or 1))
+    for start in range(0, len(funcs), step):
+        on_plane = linear_map(field, funcs[start:start + step].T[None])(points)[:, 0] == 0
+        hyper[start:start + step] = lam_delta[0] + (on_plane.T @ lines).astype(np.int64)
+    out[xs, ys] = q * hyper[cls] - q ** (delta - r_dual) * cc_we
+    return out
+
+
+def check_fourier_closed_form(fm, adj: AdjMatrix, cf, geom):
+    """The direct bucket product ``fm`` of ``adj`` equals the closed form."""
+    if not np.array_equal(fm.numer * (adj.field.q - 1), fourier_closed_form(adj, cf, geom)):
+        raise InternalCheckError("direct product and closed form disagree on the "
+                                 "conjugated matrix")
+
+
+def sides(pair):
+    """(encoder, controller form, adjacency matrix, conjugated matrix) of
+    the code, then of its dual; both sides share the pair grid."""
+    yield pair.G, pair.cf, pair.adj, pair.fourier
+    yield (pair.G_dual, pair.cf_dual, pair.adj_dual,
+           fourier_conjugate(pair.adj_dual, pair.geometry, pair.zeta_exponent))
+
+
+def check_side_routes(pair):
+    """Every second route on both sides of a pair: controller-form
+    structure and transfer, both constant-code and both pair-orthogonal
+    routes, and the closed form of the conjugated matrix."""
+    for G, cf, adj, fm in sides(pair):
+        check_controller_structure(cf)
+        check_transfer(G, cf)
+        check_constant_code(cf)
+        check_connected_pairs_orth(cf)
+        check_fourier_closed_form(fm, adj, cf, pair.geometry)
+
+
 # -- identities of the duality pipeline -------------------------------------
+
+def check_transform_routes(pair):
+    """The entrywise transform is H applied to each conjugated entry where
+    it stands, computed here directly, and transformed[X, Y] is that
+    transform at (-Y, X)."""
+    rows = np.array(macwilliams_rows(pair.n, pair.field.q), dtype=np.int64)
+    direct = np.einsum("xyj,jt->xyt", pair.fourier.numer, rows)
+    if not np.array_equal(pair.entrywise.numer, direct):
+        raise InternalCheckError("entrywise transform differs from the direct one")
+    if not np.array_equal(pair.transformed.numer,
+                          direct[pair.geometry.neg_perm].transpose(1, 0, 2)):
+        raise InternalCheckError("transformed[X, Y] is not entrywise[-Y, X]")
 
 def character_structure_checks(geom, zeta_exponent: int = 1, P: FMat | None = None):
     """The square and fourth-power identities of the character grid and,
@@ -213,7 +435,7 @@ def shift_perm(geom, state) -> np.ndarray:
     """Index permutation of adding a fixed state, given by its entry
     codes, to every state."""
     states = index_codes(geom.field, np.arange(geom.size), geom.delta)
-    shifted = geom.add_codes[states, np.asarray(state, dtype=np.int64)]
+    shifted = add_table(geom.field)[states, np.asarray(state, dtype=np.int64)]
     return code_index(geom.field, shifted)
 
 
@@ -232,7 +454,7 @@ def check_orth_translation_invariance(fm, cf, geom):
 def check_zeta_independence(pair) -> bool:
     """The conjugated matrix is the same for every primitive root choice."""
     for d in range(2, pair.field.p):
-        other = fourier_conjugate(pair.adj, pair.cf, pair.geometry, d)
+        other = fourier_conjugate(pair.adj, pair.geometry, d)
         if not np.array_equal(other.numer, pair.fourier.numer):
             raise InternalCheckError("conjugated matrix depends on the root choice")
     return True

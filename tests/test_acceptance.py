@@ -16,17 +16,21 @@ from convmacw import (DualPair, FieldSpec, FMat, PolyMatrix, Subspace, WePoly,
                       closed_form_witness_dual, closed_form_witness_primal,
                       coefficient_code, constant_code, controller_form,
                       dual_generator, run_verification, search_witness,
-                      StatePermutation, we_of_affine)
-from convmacw.duality import CharacterMatrix, _fourier_closed_form
+                      StatePermutation)
+from convmacw.duality import CharacterMatrix
 from conftest import (ADJ_BINARY_523, ADJ_BINARY_523_DUAL, CHAR_GRID_2_3,
                       PERM_Q_BINARY, WITNESS_P_TERNARY, WITNESS_Q_BINARY,
                       projective_candidates, we)
-from oracles import (character_structure_checks,
-                     check_orth_translation_invariance, check_pairing_lemma,
-                     check_transport, check_zeta_independence, entry_sums,
+from oracles import (character_structure_checks, check_connected_pairs_orth,
+                     check_constant_code, check_controller_structure,
+                     check_fourier_closed_form, check_orth_translation_invariance,
+                     check_pairing_lemma, check_side_routes, check_transfer,
+                     check_transform_routes, check_transport,
+                     check_zeta_independence, coefficient_matrix, entry_sums,
                      entry_multisets_equal, entry_we, enumerate_vectors,
-                     fraction_entry, int_matrix, matrix01,
-                     random_minimal_encoder, same_code, vec_dot)
+                     fraction_entry, int_matrix, matrix01, max_degree, padded,
+                     random_minimal_encoder, same_code, sides, vec_dot,
+                     we_of_affine)
 
 
 def _stamp(name: str, started: float, bound: float | None = None) -> None:
@@ -81,7 +85,7 @@ def test_criterion_4_main_identity_on_demo_pair(binary_pair):
     for i in range(8):
         for j in range(8):
             lhs = tuple(Fraction(c)
-                        for c in binary_pair.adj_dual.entry(i, j).padded(5))
+                        for c in padded(binary_pair.adj_dual.entry(i, j), 5))
             assert lhs == fraction_entry(t, perm[i], perm[j]), (i, j)
             checked += 1
     assert checked == 64
@@ -137,6 +141,7 @@ def test_criterion_6a_controller_form_identities(corpus):
                     assert aat[i][j] == (1 if i == j and i not in cf.block_ends else 0)
             assert (cf.A.transpose() @ cf.A) + (cf.B.transpose() @ cf.B) == \
                 FMat.identity(f, d)
+            check_controller_structure(cf)
     _stamp("6a (controller form identities)", started)
 
 
@@ -146,11 +151,12 @@ def test_criterion_6b_transfer_reconstruction(corpus):
         for G, cf in ((pair.G, pair.cf), (pair.G_dual, pair.cf_dual)):
             rows = [G.rows[i] for i in cf.row_order]
             sortedG = PolyMatrix.from_rows(G.field, rows, G.ncols)
-            assert sortedG.coefficient_matrix(0) == cf.D
+            assert coefficient_matrix(sortedG, 0) == cf.D
             power = FMat.identity(G.field, cf.delta)
-            for level in range(1, sortedG.max_degree() + 1):
-                assert sortedG.coefficient_matrix(level) == cf.B @ power @ cf.C
+            for level in range(1, max_degree(sortedG) + 1):
+                assert coefficient_matrix(sortedG, level) == cf.B @ power @ cf.C
                 power = power @ cf.A
+            check_transfer(G, cf)
     _stamp("6b (transfer function reconstruction)", started)
 
 
@@ -183,6 +189,9 @@ def test_criterion_6e_block_code_dualities(corpus):
         d_rows = Subspace.from_rows(cf.field, cf.n, cf.D.rows)
         dhat_rows = Subspace.from_rows(cf.field, cf.n, cfd.D.rows)
         assert d_rows == dhat_rows.orth()
+        for side in (cf, cfd):
+            check_constant_code(side)
+            check_connected_pairs_orth(side)
     _stamp("6e (crosswise block dualities and kernel identity)", started)
 
 
@@ -201,8 +210,10 @@ def test_criterion_6f_character_identities(corpus):
 def test_criterion_6g_conjugation_routes_and_invariance(corpus):
     started = time.perf_counter()
     for pair in corpus:
-        fm = pair.fourier  # builder cross-checks direct vs closed form
-        check_orth_translation_invariance(fm, pair.cf, pair.geometry)
+        for _, cf, adj, fm in sides(pair):
+            check_fourier_closed_form(fm, adj, cf, pair.geometry)
+            check_orth_translation_invariance(fm, cf, pair.geometry)
+        check_transform_routes(pair)
         # census of the transformed entries
         q, d = pair.field.q, pair.delta
         t = pair.entrywise
@@ -210,7 +221,7 @@ def test_criterion_6g_conjugation_routes_and_invariance(corpus):
         assert zero_cells == q ** (2 * d) - q ** (d + pair.r_dual)
         dual_const = constant_code(pair.cf_dual)
         target = we_of_affine(pair.field, (0,) * pair.n, dual_const.basis)
-        target_arr = np.array(target.padded(pair.n), dtype=np.int64) * t.denom
+        target_arr = np.array(padded(target, pair.n), dtype=np.int64) * t.denom
         const_cells = int(np.all(t.numer == target_arr, axis=2).sum())
         assert const_cells == q ** (d - pair.cf.r)
     _stamp("6g (conjugation closed form, invariance, census)", started)
@@ -322,9 +333,11 @@ def test_criterion_7_block_code_degeneration():
                          ids=["q=5", "q=7", "q=8", "q=9"])
 def test_criterion_8_larger_fields_end_to_end(spec):
     """Random minimal encoders over GF(5), GF(7), GF(8) and GF(9) at
-    delta <= 2 verify end to end; both adjacency routes agree, the
-    conjugated matrix passes its closed-form cross-check, and the weak
-    identity and the transport identity hold."""
+    delta <= 2 verify end to end; both adjacency routes agree, every
+    second route holds on both sides (controller-form structure and
+    transfer, constant code, pair orthogonal, the closed form of the
+    conjugated matrix), the two transforms are one, and the weak identity
+    and the transport identity hold."""
     started = time.perf_counter()
     field = FieldSpec(*spec)
     rng = random.Random(field.q)
@@ -335,8 +348,8 @@ def test_criterion_8_larger_fields_end_to_end(spec):
         pair = DualPair(G)
         assert pair.adj == adjacency_by_transitions(pair.cf)
         assert pair.adj_dual == adjacency_by_transitions(pair.cf_dual)
-        closed = _fourier_closed_form(pair.adj, pair.cf, pair.geometry)
-        assert np.array_equal(pair.fourier.numer * (field.q - 1), closed)
+        check_side_routes(pair)
+        check_transform_routes(pair)
         check_weak_identity(pair)
         assert entry_multisets_equal(pair)
         check_transport(pair)

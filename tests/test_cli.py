@@ -171,6 +171,36 @@ def test_limit_names_a_command_ignores_exit_1(binary_doc, capsys, argv, accepted
     assert captured.err.endswith(f"; accepted: {accepted}\n")
 
 
+def test_consecutive_calls_share_no_limit_state(binary_doc, capsys):
+    """main reuses one parser, and the --limit values of one call do not
+    reach the next: a stuck grid=8 or search=4 would make a later call
+    exit 2."""
+    assert main(["verify", binary_doc, "--limit", "grid=8"]) == 2
+    assert main(["verify", binary_doc, "--limit", "search=4"]) == 0
+    assert main(["verify", binary_doc, "--mode", "search", "--limit", "search=4"]) == 2
+    assert main(["verify", binary_doc, "--mode", "search"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0] == "error: pair grid q^(2*delta) = 64 > limit 8"
+    assert err[1].startswith("error: witness search would examine more than 4 ")
+
+
+def test_verify_degree_zero_over_a_large_prime_field(tmp_path, capsys):
+    """A delta = 0 character grid has the single exponent 0: the
+    conjugation is one bucket product with no q x q table, even over
+    GF(65521)."""
+    path = tmp_path / "gf65521.json"
+    path.write_text(json.dumps({"field": {"p": 65521}, "generator": [["1", "1"]]}))
+    tracemalloc.start()
+    try:
+        assert main(["verify", str(path), "--format", "json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 26
+    assert json.loads(capsys.readouterr().out)["verdict"] == "verified"
+
+
 def test_code_degree_guard(tmp_path, capsys):
     """The controller form is cubic in delta: delta = 300 exits 2 at
     once, delta = 256 still runs."""

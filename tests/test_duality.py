@@ -11,17 +11,19 @@ from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, PolyMatrix,
                       closed_form_witness_primal, run_verification,
                       search_witness, StatePermutation)
 from convmacw.duality import (CharacterMatrix, FourierMatrix, PairGeometry,
-                              _bucket_tensor, entrywise_h, fourier_conjugate,
+                              _bucket_tensor, fourier_conjugate,
                               macwilliams_image, state_pairing_matrix)
 from convmacw.exact import macwilliams_rows
 from convmacw.statespace import constant_code
 from conftest import (CHAR_GRID_2_3, PERM_Q_BINARY, WITNESS_P_TERNARY,
                       WITNESS_Q_BINARY, projective_candidates, we)
-from oracles import (character_structure_checks,
+from oracles import (character_structure_checks, check_fourier_closed_form,
                      check_orth_translation_invariance, check_pairing_lemma,
-                     check_transport, check_zeta_independence, entry_we,
-                     entry_multisets_equal, enumerate_vectors, fraction_entry,
-                     int_matrix, matrix01, random_minimal_encoder, vec_dot)
+                     check_transform_routes, check_transport,
+                     check_zeta_independence, entry_we, entry_multisets_equal,
+                     enumerate_vectors, fraction_entry, int_matrix, matrix01,
+                     orth_mask, padded, random_minimal_encoder, sides, vec_dot,
+                     we_of_affine)
 
 
 def test_character_grid_golden(f2):
@@ -66,14 +68,16 @@ def test_character_structure_with_permutation(f2, f3):
 def test_fourier_entry_golden(binary_pair):
     fm = binary_pair.fourier
     scaled = we("1+5W+10W^2+10W^3+5W^4+W^5")
-    expected = tuple(Fraction(c, 8) for c in scaled.padded(5))
+    expected = tuple(Fraction(c, 8) for c in padded(scaled, 5))
     assert fraction_entry(fm, 0, 0) == expected
 
 
 def test_fourier_crosscheck_and_invariance(binary_pair, ternary_pair):
     for pair in (binary_pair, ternary_pair):
-        fm = pair.fourier  # constructor already ran the closed-form crosscheck
-        check_orth_translation_invariance(fm, pair.cf, pair.geometry)
+        for _, cf, adj, fm in sides(pair):
+            check_fourier_closed_form(fm, adj, cf, pair.geometry)
+            check_orth_translation_invariance(fm, cf, pair.geometry)
+        check_transform_routes(pair)
 
 
 def test_fourier_vanishes_off_kernel_orthogonal(binary_523, binary_523_dual):
@@ -82,11 +86,10 @@ def test_fourier_vanishes_off_kernel_orthogonal(binary_523, binary_523_dual):
     assert pair.kernel.dim == 2
     zero_cells = int(np.all(pair.fourier.numer == 0, axis=2).sum())
     assert zero_cells == 64 - 2 ** 4
-    geom = pair.geometry
-    orth_mask = geom.orth_mask(pair.kernel.basis)
+    mask = orth_mask(pair.geometry, pair.kernel.basis)
     for i in range(8):
         for j in range(8):
-            if not orth_mask[i, j]:
+            if not mask[i, j]:
                 assert not pair.fourier.numer[i, j].any()
 
 
@@ -114,7 +117,7 @@ def test_transformed_entry_census(binary_pair, ternary_pair):
         r_hat = pair.r_dual
         t = pair.entrywise  # entrywise transform of the conjugation
         dual_const = constant_code(pair.cf_dual)
-        target = WePoly(we_of_affine_padded(dual_const, pair.n))
+        target = we_of_affine(pair.field, (0,) * pair.n, dual_const.basis)
         zeros = 0
         equal_const = 0
         size = t.numer.shape[0]
@@ -128,11 +131,6 @@ def test_transformed_entry_census(binary_pair, ternary_pair):
                     equal_const += 1
         assert zeros == q ** (2 * delta) - q ** (delta + r_hat)
         assert equal_const == q ** (delta - r)
-
-
-def we_of_affine_padded(subspace, n):
-    from convmacw import we_of_affine
-    return we_of_affine(subspace.field, (0,) * n, subspace.basis).padded(n)
 
 
 def test_transformed_degree_zero_is_block_dual(f2):
@@ -153,8 +151,8 @@ def test_transformed_degree_zero_is_block_dual(f2):
 def test_zeta_independence(ternary_pair):
     assert check_zeta_independence(ternary_pair)
     # and the conjugated grids at both roots agree entry by entry
-    other = fourier_conjugate(ternary_pair.adj, ternary_pair.cf,
-                              ternary_pair.geometry, zeta_exponent=2)
+    other = fourier_conjugate(ternary_pair.adj, ternary_pair.geometry,
+                              zeta_exponent=2)
     assert np.array_equal(other.numer, ternary_pair.fourier.numer)
 
 
@@ -200,7 +198,7 @@ def test_full_identity_verified_entrywise(binary_pair):
     checked = 0
     for i in range(8):
         for j in range(8):
-            lhs = binary_pair.adj_dual.entry(i, j).padded(5)
+            lhs = padded(binary_pair.adj_dual.entry(i, j), 5)
             rhs = fraction_entry(t, perm[i], perm[j])
             assert tuple(Fraction(c) for c in lhs) == rhs
             checked += 1
@@ -368,11 +366,10 @@ def test_transform_int64_headroom(f2):
 
     peak = (2 ** 62 - 1) // colsum
     exact = [peak * sum(r[t] for r in rows) for t in range(n + 1)]
-    assert entrywise_h(synthetic(peak), 1).numer[0, 0].tolist() == exact
-    assert macwilliams_image(synthetic(peak), 1, geom).numer[1, 0].tolist() == exact
+    image = macwilliams_image(synthetic(peak), 1, geom).numer
+    assert image[0, 0].tolist() == exact
+    assert image[1, 0].tolist() == exact
     for fm in (synthetic(peak + 1), synthetic(2 ** 40)):
-        with pytest.raises(GuardExceeded, match="int64 headroom"):
-            entrywise_h(fm, 1)
         with pytest.raises(GuardExceeded, match="int64 headroom"):
             macwilliams_image(fm, 1, geom)
 

@@ -7,11 +7,10 @@ import random
 
 import pytest
 
-from convmacw import (FieldSpec, FMat, PolyMatrix, Subspace, ZPoly, smith_normal_form,
-                      we_of_affine)
+from convmacw import FieldSpec, FMat, PolyMatrix, Subspace, ZPoly, smith_normal_form
 from convmacw.linalg import rref, right_null_space, vec_mat
 from oracles import (matmul_reference, right_null_space_reference, rref_reference,
-                     smith_reference)
+                     smith_reference, we_of_affine)
 
 FIELDS = {"2": (2,), "3": (3,), "4": (2, 2, [1, 1, 1]), "5": (5,), "7": (7,),
           "8": (2, 3, [1, 1, 0, 1]), "9": (3, 2, [2, 2, 1]), "257": (257,),

@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 from convmacw import (FieldSpec, Subspace, adjacency_by_cosets, controller_form,
-                      dual_generator, we_of_affine)
+                      dual_generator)
 from convmacw import field as fieldmod
-from convmacw.duality import PairGeometry, _projective_classes
+from convmacw.duality import PairGeometry
 from convmacw.errors import InternalCheckError
 from convmacw.exact import WePoly
 from convmacw.field import code_index, index_codes, linear_map, span_blocks
 from convmacw.linalg import deterministic_complement
-from oracles import (enumerate_vectors, points, random_minimal_encoder, shift_perm,
-                     vector_index)
+from oracles import (enumerate_vectors, points, projective_classes,
+                     random_minimal_encoder, shift_perm, vector_index, we_of_affine)
 
 FIELDS = {2: (2,), 3: (3,), 4: (2, 2, [1, 1, 1]), 8: (2, 3, [1, 1, 0, 1]),
           9: (3, 2, [2, 2, 1])}
@@ -166,7 +166,7 @@ def test_projective_classes_match_reference(field):
     rng = random.Random(11 * field.q)
     vectors = np.array([c for c in itertools.product(range(field.q), repeat=3) if any(c)])
     vectors = vectors[rng.sample(range(len(vectors)), min(60, len(vectors)))]
-    reps, cls = _projective_classes(field, vectors)
+    reps, cls = projective_classes(field, vectors)
 
     def normal(row):
         elems = [field.element(c) for c in row]
