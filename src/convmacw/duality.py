@@ -57,8 +57,7 @@ class PairGeometry:
         states = index_codes(field, np.arange(size), delta)
         # row j is x . y_j for every state x; the form is symmetric
         self.beta_codes = span_indices(field, states[:, :, None]).T
-        traces = np.array([field.trace(c) for c in range(field.q)], dtype=np.int64)
-        self.trace_exp = traces[self.beta_codes]
+        self.trace_exp = field.trace_table()[self.beta_codes]
         minus_one = field.neg(1) * np.eye(delta, dtype=np.int64)
         self.neg_perm = span_indices(field, minus_one)
 
@@ -112,7 +111,8 @@ def _bucket_tensor(lam: np.ndarray, E: np.ndarray, p: int) -> np.ndarray:
             f"character product bound max_t sum |lam[:, :, t]| >= 2^52 "
             f"(float64 headroom)"
         )
-    masks = {e: (E == e).astype(np.float64) for e in np.unique(E).tolist()}
+    occur = np.flatnonzero(np.bincount(E.ravel(), minlength=p))  # np.unique loads numpy.ma
+    masks = {e: (E == e).astype(np.float64) for e in occur.tolist()}
     buckets = np.zeros((p, size, size, nw), dtype=np.int64)
     for e1 in masks:
         # rows (x, t), columns y, so the right product is one matmul too
@@ -609,6 +609,7 @@ def run_verification(G: PolyMatrix, mode: str = "auto",
     verdict = "verified"
     mismatches = 0
     wit: FMat | None = None
+    search = witness is None and mode == "search"
 
     if witness is not None:
         ok, mismatches = check_witness(pair, witness)
@@ -629,19 +630,10 @@ def run_verification(G: PolyMatrix, mode: str = "auto",
             wit = closed_form_witness_primal(pair)
             theorem_used = "r=delta"
         else:
-            report = check_weak_identity(pair)
-            details["weak_entries"] = report.entries_checked
-            result = search_witness(pair, search_limit)
-            details["candidates_tested"] = result.tested
-            if result.witness is not None:
-                wit = result.witness
-                theorem_used = "conjecture-search"
-            else:
-                theorem_used = "multiset-only"
-                verdict = "counterexample-candidate"
+            details["weak_entries"] = check_weak_identity(pair).entries_checked
+            search = True
     elif mode == "weak":
-        report = check_weak_identity(pair)
-        details["weak_entries"] = report.entries_checked
+        details["weak_entries"] = check_weak_identity(pair).entries_checked
         theorem_used = "multiset-only"
     elif mode == "theorem-q":
         wit = closed_form_witness_dual(pair)
@@ -649,7 +641,12 @@ def run_verification(G: PolyMatrix, mode: str = "auto",
     elif mode == "theorem-p":
         wit = closed_form_witness_primal(pair)
         theorem_used = "r=delta"
-    elif mode == "search":
+    elif mode == "unit-memory":
+        details["entries"] = check_unit_memory(pair)
+        theorem_used = "delta=1"
+    elif mode != "search":
+        raise ValueError(f"unknown verification mode {mode!r}")
+    if search:
         result = search_witness(pair, search_limit)
         details["candidates_tested"] = result.tested
         if result.witness is not None:
@@ -658,11 +655,6 @@ def run_verification(G: PolyMatrix, mode: str = "auto",
         else:
             theorem_used = "multiset-only"
             verdict = "counterexample-candidate"
-    elif mode == "unit-memory":
-        details["entries"] = check_unit_memory(pair)
-        theorem_used = "delta=1"
-    else:
-        raise ValueError(f"unknown verification mode {mode!r}")
 
     elapsed = int((time.perf_counter() - start) * 1000)
     return DualityReport(

@@ -356,6 +356,11 @@ class FieldSpec:
             raise ValueError("element belongs to a different field")
         return sum(d * t for d, t in zip(self._digits(index(a)), self._traces)) % self.p
 
+    def trace_table(self) -> np.ndarray:
+        """The trace of every code, in code order, without a per-code call."""
+        digits = np.arange(self.q)[:, None] // self.p ** np.arange(self.s) % self.p
+        return digits @ self._traces % self.p
+
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self._key == other._key
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InternalCheckError
-from .field import FieldSpec, index_codes, span_indices, vector_codes
+from .field import FieldSpec, span_indices, vector_codes
 
 Vec = tuple  # tuple[int, ...] of entry codes
 
@@ -295,24 +295,24 @@ class Subspace:
 
 
 def deterministic_complement(base: Subspace, within: Subspace) -> Subspace:
-    """Lexicographically first complement of ``base`` inside ``within``.
-
-    Scans the points of ``within`` in canonical ambient-index order and
-    greedily extends; requires base <= within.  Each step picks the first
-    point outside the current span, which is what the greedy scan keeps.
+    """The complement of ``base`` inside ``within`` (base <= within) that
+    a greedy scan of the points of ``within`` in canonical index order
+    keeps, read off the RREF basis of ``within`` from its last row: each
+    row outside the span so far is the scan's next pick.  Indices are
+    big-endian and code 1 is the least nonzero entry.  Let r be the last
+    row outside a span S.  The rows after r lie in S and span the points
+    leading after r's pivot; points leading before it have larger
+    indices; c r plus later rows exceeds r unless it is r, as each later
+    row sets its own pivot entry, zero in r.  So r is S's first outsider.
     """
     if not base.is_subspace_of(within):
         raise ValueError("base is not contained in the enclosing space")
-    field, ambient = base.field, base.ambient
-    order = np.sort(within.point_indices())
-    picked = []
-    for _ in range(within.dim - base.dim):
-        span = Subspace.from_rows(field, ambient, base.basis + tuple(picked))
-        covered = np.zeros(len(order), dtype=bool)
-        covered[np.searchsorted(order, span.point_indices())] = True
-        first = order[np.argmin(covered)]
-        picked.append(tuple(index_codes(field, first, ambient).tolist()))
-    comp = Subspace.from_rows(field, ambient, picked)
+    span, picked = base, []
+    for row in reversed(within.basis):
+        if not span.contains(row):
+            picked.append(row)
+            span = Subspace.from_rows(base.field, base.ambient, span.basis + (row,))
+    comp = Subspace.from_rows(base.field, base.ambient, picked)
     if comp.dim != within.dim - base.dim:
         raise InternalCheckError("complement extension failed")
     return comp

@@ -189,8 +189,8 @@ def pair_split(cf: ControllerForm) -> PairSplit:
     """Split the pair space as transversal + kernel + disconnected part.
 
     The transversal is the lexicographically first complement of the
-    kernel inside the connected pairs (scanning states in canonical
-    order), so the decomposition is deterministic.
+    kernel inside the connected pairs, read off their RREF basis without
+    a scan, so the decomposition is deterministic.
     """
     field, delta = cf.field, cf.delta
     delta_space, kernel = connected_pairs(cf), output_kernel(cf)

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,9 @@ from convmacw.field import FieldElement, FieldSpec
 from conftest import (BINARY_523, CHAR_GRID_2_3, LONG_00, TERNARY_322,
                       WITNESS_P_TERNARY)
 from oracles import same_code
+
+# a pinned benchmark document: GF(5) (4, 2), delta = 2, closed-form route
+GRID_DOC = "bench/pinned/grid/02-q5-n4k2d2.json"
 
 
 @pytest.fixture
@@ -398,8 +405,8 @@ def test_coset_guard_counts_points(tmp_path, capsys):
 ], ids=["weak-route", "weak-mode", "search-mode", "dual-closed-form", "wide-primal-cosets"])
 def test_verify_guards_precede_pair_space_scans(tmp_path, capsys, generator, mode, grid):
     """delta = 12 (delta = 10): the grid guard fires before anything walks
-    or allocates the 2^24 (2^20) state pairs (the reordering complement,
-    the dual transversal, the dense dual matrix) or the primal cosets."""
+    or allocates the 2^24 (2^20) state pairs (the character grid, the
+    dense dual matrix) or the primal cosets."""
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"field": {"p": 2}, "generator": generator}))
     tracemalloc.start()
@@ -454,6 +461,45 @@ def test_verify_field_arithmetic_count(tmp_path, monkeypatch, capsys, doc, mode)
     assert calls == []
     FieldSpec(2).one + FieldSpec(2).one    # the counters do count
     assert calls == ["__add__"]
+
+
+def test_verify_calls_no_per_code_trace(tmp_path, monkeypatch, capsys):
+    """The trace exponents come from one table expression, not from a
+    FieldSpec.trace call per code of GF(65521)."""
+    path = tmp_path / "big-field.json"
+    path.write_text(json.dumps({"field": {"p": 65521}, "generator": [["1", "1"]]}))
+    calls = []
+
+    def counting(self, a, real=FieldSpec.trace):
+        calls.append(a)
+        return real(self, a)
+    monkeypatch.setattr(FieldSpec, "trace", counting)
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == []
+    FieldSpec(2).trace(1)    # the counter does count
+    assert calls == [1]
+
+
+def test_verify_leaves_numpy_ma_unloaded():
+    """numpy's plain ``unique`` imports numpy.ma on first use, a cost paid
+    inside the first op of every process; verify finds exponents without it."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import io, contextlib, sys\n"
+        "from convmacw.cli import main\n"
+        "if 'numpy.ma' in sys.modules: print('preloaded'); sys.exit()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['verify', {str(root / GRID_DOC)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    if out == "preloaded":
+        pytest.skip("importing convmacw.cli already loads numpy.ma")
+    assert out == "False"
 
 
 @pytest.mark.parametrize("doc,mode", [

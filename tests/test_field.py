@@ -88,6 +88,15 @@ def test_trace_linear_surjective_kernel(spec):
             assert trace(a + b) == (trace(a) + trace(b)) % p
 
 
+@pytest.mark.parametrize("spec", [
+    (2, 2, [1, 1, 1]), (3, 2, [1, 0, 1]),
+    (2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1]), (257, 1, None),
+], ids=["q=4", "q=9", "q=512", "q=257"])
+def test_trace_table_matches_trace(spec):
+    f = FieldSpec(*spec)
+    assert f.trace_table().tolist() == [f.trace(c) for c in range(f.q)]
+
+
 _FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(2, 2, [1, 1, 1]),
            FieldSpec(2, 3, [1, 1, 0, 1]), FieldSpec(3, 2, [1, 0, 1]),
            FieldSpec(5, 2, [2, 0, 1])]

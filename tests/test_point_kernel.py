@@ -13,6 +13,7 @@ import pytest
 from convmacw import (FieldSpec, Subspace, adjacency_by_cosets, controller_form,
                       dual_generator)
 from convmacw import field as fieldmod
+from convmacw import linalg
 from convmacw.duality import PairGeometry
 from convmacw.errors import InternalCheckError
 from convmacw.exact import WePoly
@@ -116,27 +117,62 @@ def test_index_codes_inverts_code_index(field):
     assert np.array_equal(code_index(field, codes), idx)
 
 
-def test_complement_matches_greedy_scan(field):
-    rng = random.Random(31 * field.q)
-    ambient = 4 if field.q <= 4 else 3
-    checked = 0
-    for _ in range(6):
-        within = _random_subspace(rng, field, ambient, rng.randint(0, ambient))
-        # a random subspace of ``within``, spanned by some of its points
-        points = _reference_points(within)
-        base = Subspace.from_rows(field, ambient,
-                                  rng.sample(points, rng.randint(0, within.dim)))
-        comp = deterministic_complement(base, within)
-        assert comp == _reference_complement(base, within)
-        assert comp.dim == within.dim - base.dim
-        checked += base.dim < within.dim
-    assert checked
+# every field of the benchmark corpus
+CORPUS_FIELDS = {2: (2,), 3: (3,), 4: (2, 2, [1, 1, 1]), 5: (5,), 7: (7,),
+                 8: (2, 3, [1, 1, 0, 1]), 9: (3, 2, [1, 0, 1])}
+
+
+@pytest.mark.parametrize("q", sorted(CORPUS_FIELDS), ids=lambda q: f"q={q}")
+def test_complement_matches_greedy_scan(q):
+    """``within`` full and proper, base zero, within itself or a random
+    subspace between, ambient up to 6 over GF(2)."""
+    field = FieldSpec(*CORPUS_FIELDS[q])
+    rng = random.Random(31 * q)
+    top = 6 if q == 2 else 4 if q <= 4 else 3
+    cases = set()
+    for ambient, _ in itertools.product(range(top + 1), range(4)):
+        for full in (True, False):
+            rows = ambient if full else max(ambient - 1, 0)
+            within = _random_subspace(rng, field, ambient, rows)
+            # a random subspace of ``within``, spanned by some of its points
+            between = Subspace.from_rows(field, ambient, rng.sample(
+                _reference_points(within), max(within.dim - 1, 0)))
+            for base in (Subspace.zero(field, ambient), within, between):
+                comp = deterministic_complement(base, within)
+                assert comp == _reference_complement(base, within)
+                assert comp.dim == within.dim - base.dim
+                if within.dim:
+                    cases.add((within.dim == ambient, "zero" if base.dim == 0 else
+                               "within" if base == within else "between"))
+    assert cases == set(itertools.product((True, False),
+                                          ("zero", "within", "between")))
+
+
+@pytest.mark.parametrize("spec,ambient", [((2,), 40), ((3, 2, [1, 0, 1]), 12)],
+                         ids=["q=2-ambient40", "q=9-ambient12"])
+def test_complement_enumerates_no_points(spec, ambient, monkeypatch):
+    """A scan would walk 2^40 (9^12) points; the closed form reads the
+    basis of ``within`` only."""
+    field = FieldSpec(*spec)
+    rng = random.Random(ambient)
+    within = _random_subspace(rng, field, ambient, ambient - 3)
+    base = Subspace.from_rows(field, ambient, within.basis[::3])
+
+    def refuse(*args):
+        raise AssertionError("a point enumeration was called")
+    monkeypatch.setattr(Subspace, "point_indices", refuse)
+    monkeypatch.setattr(fieldmod, "span_indices", refuse)
+    monkeypatch.setattr(linalg, "span_indices", refuse)
+    for b, w in ((base, within), (base, Subspace.full(field, ambient))):
+        comp = deterministic_complement(b, w)
+        assert comp.dim == w.dim - b.dim
+        assert comp + b == w and comp.intersect(b).dim == 0
 
 
 def test_complement_failure_is_an_internal_check(f2, monkeypatch):
     base, within = Subspace.zero(f2, 2), Subspace.full(f2, 2)
-    # an enclosing space whose points are only the origin leaves no pick
-    monkeypatch.setattr(Subspace, "point_indices", lambda self: np.zeros(1, np.int64))
+    # a span that claims every vector leaves no pick
+    monkeypatch.setattr(Subspace, "contains", lambda self, vec: True)
     with pytest.raises(InternalCheckError, match="complement extension failed"):
         deterministic_complement(base, within)
 
