@@ -303,7 +303,8 @@ def deterministic_complement(base: Subspace, within: Subspace) -> Subspace:
     row outside a span S.  The rows after r lie in S and span the points
     leading after r's pivot; points leading before it have larger
     indices; c r plus later rows exceeds r unless it is r, as each later
-    row sets its own pivot entry, zero in r.  So r is S's first outsider.
+    row sets its own pivot entry, zero in r.  So r is the first point of
+    ``within`` outside S.
     """
     if not base.is_subspace_of(within):
         raise ValueError("base is not contained in the enclosing space")
