@@ -7,7 +7,7 @@ from .duality import (CharacterMatrix, DualityReport, DualPair, FourierMatrix,
                       SearchResult, TransformedMatrix, check_unit_memory,
                       check_weak_identity, check_witness,
                       closed_form_witness_dual, closed_form_witness_primal,
-                      fourier_conjugate, macwilliams_image, run_verification,
+                      fourier_transform, macwilliams_image, run_verification,
                       search_witness, state_pairing_matrix)
 from .errors import GuardExceeded, InternalCheckError
 from .exact import WePoly

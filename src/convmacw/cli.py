@@ -215,7 +215,7 @@ def cmd_adjacency(args) -> int:
             payload["oracle"] = {"match": True, "entries": oracle_entries}
         return _emit_json(payload)
     # the text grid has a cell for every state pair
-    dualmod.grid_guard(cf.field.q, cf.delta, limits.get("grid", dualmod.GRID_LIMIT))
+    dualmod.grid_guard(cf.field.q, cf.delta, limits.get("grid", dualmod.GRID_LIMIT), cf.n + 1)
     print(adj.render_text())
     if oracle_entries is not None:
         print(f"oracle: match ({oracle_entries} entries)")
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-witness", metavar="JSON",
                    help="validate a given witness matrix (nested int arrays)")
     p.add_argument("--zeta-exponent", type=int, default=1,
-                   help="use the d-th power of the primitive root")
+                   help="use the d-th power of the primitive root; every d gives one result")
     add_common(p, ("grid", "search"))
     p.set_defaults(func=cmd_verify)
 

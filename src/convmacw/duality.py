@@ -5,9 +5,8 @@ side has all indices <= 1, the projective witness search, and the
 unit-memory per-entry formulas.
 
 Everything is exact: the heavy grids are integer tensors over explicit
-denominators (powers of q), and cyclotomic intermediates are reduced by
-per-exponent bucket counting.  The bucket products run in float64 (BLAS)
-behind a bound that keeps every sum below 2^53.
+denominators (powers of q).  Conjugation is a Fourier transform on the
+connected pairs, whose count sums run in float64 (BLAS) below 2^53.
 """
 
 from __future__ import annotations
@@ -23,23 +22,30 @@ from .adjacency import (AdjMatrix, StatePermutation, adjacency_by_cosets,
                         coset_guard)
 from .errors import GuardExceeded, InternalCheckError
 from .exact import macwilliams_rows
-from .field import FieldSpec, index_codes, span_indices
+from .field import FieldSpec, index_codes, pair_indices, span_indices, vector_codes
 from .linalg import (FMat, Subspace, block_matrix, deterministic_complement,
                      right_null_space, vec_mat)
 from .polymat import CodeProfile, PolyMatrix, dual_generator
-from .statespace import (ControllerForm, coefficient_code,
+from .statespace import (ControllerForm, coefficient_code, connected_pairs,
                          connected_pairs_orth, controller_form, degree_guard,
                          output_kernel, pair_split)
 
-GRID_LIMIT = 2 ** 16     # bound on q^(2*delta), the full pair grid
+GRID_LIMIT = 2 ** 20     # bound on q^(2*delta), the full pair grid
 SEARCH_LIMIT = 2 ** 17   # bound on candidate row images the witness search examines
 
 
-def grid_guard(q: int, delta: int, limit: int = GRID_LIMIT):
-    """Raise when the state-pair count q^(2 delta) passes ``limit``."""
+def grid_guard(q: int, delta: int, limit: int = GRID_LIMIT, width: int = 1):
+    """Raise when the state-pair count q^(2 delta) passes ``limit``; the
+    message gives the bytes of one int64 grid of ``width`` values a pair."""
     pairs = q ** (2 * delta)
     if pairs > limit:
-        raise GuardExceeded(f"pair grid q^(2*delta) = {pairs} > limit {limit}")
+        raise GuardExceeded(f"pair grid q^(2*delta) = {pairs} > limit {limit} ({8 * width * pairs}"
+                            f" bytes per int64 grid of {width} values a pair)")
+
+
+def check_zeta_exponent(p: int, zeta_exponent: int):
+    if not 1 <= zeta_exponent < p:
+        raise ValueError(f"zeta exponent must be in [1, {p})")
 
 
 class PairGeometry:
@@ -75,8 +81,7 @@ class CharacterMatrix:
 
     def __init__(self, geom: PairGeometry, zeta_exponent: int = 1):
         p = geom.field.p
-        if not 1 <= zeta_exponent < p:
-            raise ValueError(f"zeta exponent must be in [1, {p})")
+        check_zeta_exponent(p, zeta_exponent)
         self.p = p
         self.scale_pow = -geom.delta
         self.exponents = (zeta_exponent * geom.trace_exp) % p
@@ -94,65 +99,53 @@ class CharacterMatrix:
                      for row in self.exponents)
 
 
-def _bucket_tensor(lam: np.ndarray, E: np.ndarray, p: int) -> np.ndarray:
-    """Two-sided product of the unnormalized character grid with a
-    coefficient tensor, bucketed by total zeta exponent, in float64 (BLAS).
-
-    No partial sum exceeds the largest sum of |lam[:, :, t]|.  Integers
-    below 2^53 add exactly in float64, so that bound, summed first, is
-    exact below 2^53 and at least 2^52 above it: the check at 2^52 lets
-    only exact sums through.  Only the exponents that occur in E get a
-    mask, so a grid with one exponent (delta = 0) costs one product."""
-    size, _, nw = lam.shape
-    flat = lam.reshape(size, size * nw).astype(np.float64)  # [z, (y, t)]
-    bound = np.abs(flat).reshape(size * size, nw).sum(axis=0).max(initial=0)
-    if bound >= 2 ** 52:
-        raise GuardExceeded(
-            f"character product bound max_t sum |lam[:, :, t]| >= 2^52 "
-            f"(float64 headroom)"
-        )
-    occur = np.flatnonzero(np.bincount(E.ravel(), minlength=p))  # np.unique loads numpy.ma
-    masks = {e: (E == e).astype(np.float64) for e in occur.tolist()}
-    buckets = np.zeros((p, size, size, nw), dtype=np.int64)
-    for e1 in masks:
-        # rows (x, t), columns y, so the right product is one matmul too
-        left = (masks[e1] @ flat).reshape(size, size, nw).transpose(0, 2, 1)
-        left = left.reshape(size * nw, size)
-        for e2 in masks:
-            prod = (left @ masks[e2]).reshape(size, nw, size).transpose(0, 2, 1)
-            buckets[(e1 + e2) % p] += prod.astype(np.int64)
-    return buckets
-
-
 class FourierMatrix:
     """Adjacency matrix conjugated on both sides by the character grid.
 
-    Entries are exact rationals, stored as an integer coefficient tensor
-    over the common denominator q^delta.
+    Entries are exact rationals over the common denominator q^delta: entry
+    (X, Y) has the integer coefficients ``rows[at[X, Y]]``, one row of
+    ``rows`` per point of F_q^m, ``at`` the (q^delta, q^delta) index grid.
     """
 
-    __slots__ = ("field", "delta", "n", "numer", "denom")
+    __slots__ = ("field", "delta", "n", "rows", "at", "denom")
 
-    def __init__(self, field: FieldSpec, delta: int, n: int, numer: np.ndarray):
+    def __init__(self, field: FieldSpec, delta: int, n: int, rows: np.ndarray, at: np.ndarray):
         self.field = field
         self.delta = delta
         self.n = n
-        self.numer = numer
+        self.rows = rows
+        self.at = at
         self.denom = field.q ** delta
 
 
-def fourier_conjugate(adj: AdjMatrix, geom: PairGeometry,
-                      zeta_exponent: int = 1) -> FourierMatrix:
-    """Conjugate the adjacency matrix on both sides by the character grid
-    and collapse to exact rationals."""
-    p = adj.field.p
-    E = CharacterMatrix(geom, zeta_exponent).exponents
-    buckets = _bucket_tensor(adj.dense_coefficients(), E, p)
-    # the p-th roots of unity sum to zero, so bucket counts b_e stand for
-    # the rational b_0 - b_(p-1) exactly when b_1 = ... = b_(p-1)
-    if not (buckets[1:] == buckets[p - 1]).all():
-        raise InternalCheckError("cyclotomic coefficients did not collapse to rationals")
-    return FourierMatrix(adj.field, adj.delta, adj.n, buckets[0] - buckets[p - 1])
+def fourier_transform(adj: AdjMatrix, cf: ControllerForm, geom: PairGeometry) -> FourierMatrix:
+    """Two-sided character conjugation as a Fourier transform on F_q^m.
+
+    The support is the m-dim connected pairs with RREF basis B, so row c of
+    the counts is lam(c) at pair c B: the index grows with c.  Entry (X, Y)
+    is F(u) = sum_c zeta^tr(c . u) lam(c) at u = (X, Y) B^t.  F_p^* scaling
+    keeps lam, so (p - 1) F = p S_0 - sum lam for S_0(u) the sum of lam over
+    tr(c . u) = 0.  Split c in halves of ceil(m/2) and floor(m/2) entries:
+    S_0 is sum_e M_e lam M_(-e) for the 0/1 masks M_e of trace e, p float64
+    products (BLAS), exact as no sum passes max_t sum |lam[:, t]| < 2^52."""
+    field, p, q, width = adj.field, adj.field.p, adj.field.q, adj.n + 1
+    pairs, lam = connected_pairs(cf), adj.counts
+    if np.abs(lam).sum(axis=0).max(initial=0) >= 2 ** 52:
+        raise GuardExceeded("character product bound max_t sum |lam[:, :, t]| >= 2^52 "
+                            "(float64 headroom)")
+    a, b = (pairs.dim + 1) // 2, pairs.dim // 2
+    ea = geom.trace_exp if a == geom.delta else PairGeometry(field, a, geom.size ** 2).trace_exp
+    eb = ea if b == a else PairGeometry(field, b, geom.size ** 2).trace_exp   # b < a <= delta
+    flat = lam.reshape(q ** a, q ** b * width).astype(np.float64)
+    s0 = np.zeros((q ** a * width, q ** b))
+    for e in range(p) if b else (0,):   # with b = 0 the right grid has exponent 0 only
+        # rows (u1, t), columns c2, so the right product is one matmul too
+        left = ((ea == e) @ flat).reshape(q ** a, q ** b, width).transpose(0, 2, 1)
+        s0 += left.reshape(-1, q ** b) @ (eb == -e % p)
+    s0 = s0.reshape(q ** a, width, q ** b).transpose(0, 2, 1).reshape(-1, width).astype(np.int64)
+    # (p S_0 - sum lam) / (p - 1), with no term past the 2^52 bound
+    rows = s0 - (lam.sum(axis=0) - s0) // (p - 1)
+    return FourierMatrix(field, adj.delta, adj.n, rows, pair_indices(field, pairs.codes().T))
 
 
 class TransformedMatrix:
@@ -177,26 +170,25 @@ def macwilliams_image(fm: FourierMatrix, k: int,
     """Entrywise MacWilliams transform of the conjugation of the
     transposed adjacency matrix, scaled by q^(-k).
 
-    Conjugating the transpose is index algebra on the existing grid: the
-    (X, Y) entry of the de-conjugated transpose is the (-Y, X) entry of
-    the two-sided conjugation, because the grid squares to the negation
-    permutation.
+    H runs once per row of ``fm``; conjugating the transpose is index
+    algebra on its index grid: the (X, Y) entry of the de-conjugated
+    transpose is the (-Y, X) entry of the two-sided conjugation, because
+    the grid squares to the negation permutation.
 
     The transform runs in int64.  No partial sum exceeds max|entry| times
     the largest column sum of |H|, so that bound is checked, in exact
     integers, before the product.
     """
-    numer = fm.numer[geom.neg_perm].transpose(1, 0, 2)
     rows = macwilliams_rows(fm.n, fm.field.q)
     colsum = max(sum(abs(r[t]) for r in rows) for t in range(fm.n + 1))
-    bound = int(np.abs(numer).max(initial=0)) * colsum
+    bound = int(np.abs(fm.rows).max(initial=0)) * colsum
     if bound >= 2 ** 62:
         raise GuardExceeded(
             f"MacWilliams transform bound max|entry| * max column sum of |H| "
             f"= {bound} >= 2^62 (int64 headroom)"
         )
-    tnum = np.einsum("xyj,jt->xyt", numer, np.array(rows, dtype=np.int64))
-    return TransformedMatrix(fm.field, fm.n, k, fm.delta, tnum)
+    image = fm.rows @ np.array(rows, dtype=np.int64)
+    return TransformedMatrix(fm.field, fm.n, k, fm.delta, image[fm.at[geom.neg_perm].T])
 
 
 def state_pairing_matrix(cf: ControllerForm, cf_dual: ControllerForm) -> FMat:
@@ -227,7 +219,7 @@ class DualPair:
         # the size guards, in pipeline order, before any state-space work
         degree_guard(delta)
         coset_guard(q, delta, k)
-        grid_guard(q, delta, grid_limit)
+        grid_guard(q, delta, grid_limit, n + 1)
         coset_guard(q, delta, n - k)
         self.cf = controller_form(G)
         self.G_dual = G_dual if G_dual is not None else dual_generator(G)
@@ -275,19 +267,13 @@ class DualPair:
 
     @cached_property
     def fourier(self) -> FourierMatrix:
-        return fourier_conjugate(self.adj, self.geometry, self.zeta_exponent)
+        # every valid exponent gives the same matrix
+        check_zeta_exponent(self.field.p, self.zeta_exponent)
+        return fourier_transform(self.adj, self.cf, self.geometry)
 
     @cached_property
     def transformed(self) -> TransformedMatrix:
         return macwilliams_image(self.fourier, self.k, self.geometry)
-
-    @cached_property
-    def entrywise(self) -> TransformedMatrix:
-        """The transform of each conjugated entry where it stands:
-        transformed[X, Y] is entrywise[-Y, X], so this is index algebra."""
-        t = self.transformed
-        numer = t.numer[:, self.geometry.neg_perm].transpose(1, 0, 2)
-        return TransformedMatrix(t.field, t.n, t.k, t.delta, numer)
 
     @cached_property
     def dual_scaled(self) -> np.ndarray:
@@ -320,7 +306,7 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     """Build the explicit reordering automorphism from the pairing matrix
     plus deterministic basis-matching isomorphisms, and verify that it
     carries the entrywise transform onto the dual adjacency matrix."""
-    hl = pair.entrywise
+    tnum = pair.transformed.numer
     f = pair.field
     two_delta = 2 * pair.delta
     M_image = Subspace.from_rows(f, two_delta, pair.pairing.rows)
@@ -347,11 +333,10 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
 
     geom = pair.geometry
     size = geom.size
-    # pair (X, Y) has index X * size + Y, its canonical index in F^(2 delta)
-    fperm = np.array(StatePermutation(fmat).perm, dtype=np.int64)
-    flat_dual = pair.dual_scaled.reshape(size * size, -1)
-    flat_hl = hl.numer.reshape(size * size, -1)
-    if not np.array_equal(flat_dual, flat_hl[fperm]):
+    # pair (X, Y) has index X * size + Y, its canonical index in F^(2 delta),
+    # and the entrywise transform at (X, Y) is the transformed matrix at (Y, -X)
+    x, y = np.divmod(pair_indices(f, vector_codes(fmat.rows, two_delta)), size)
+    if not np.array_equal(pair.dual_scaled, tnum[y, geom.neg_perm[x]]):
         raise InternalCheckError("reordered transform does not match the dual")
     return WeakIdentityReport(entries_checked=size * size)
 

@@ -434,6 +434,21 @@ def span_indices(field: FieldSpec, basis) -> np.ndarray:
     return np.concatenate([code_index(field, b) for _, b in span_blocks(field, basis)])
 
 
+def pair_indices(field: FieldSpec, matrix: np.ndarray) -> np.ndarray:
+    """(q^d, q^d) grid of the index of (X, Y) @ matrix for all X, Y in F^d
+    and a (2d, w) code matrix: the indices of X @ top and Y @ bottom added
+    digit-wise in base p, as field addition adds codes' digits."""
+    x = span_indices(field, matrix[:len(matrix) // 2])[:, None]
+    y = span_indices(field, matrix[len(matrix) // 2:])[None, :]
+    if field.p == 2:
+        return x ^ y
+    out, place = np.zeros((x.size, y.size), dtype=np.int64), 1
+    for _ in range(matrix.shape[1] * field.s):
+        out += (x // place + y // place) % field.p * place
+        place *= field.p
+    return out
+
+
 def code_index(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
     """Canonical index of each vector of entry codes along the last axis."""
     return codes @ field.q ** np.arange(codes.shape[-1] - 1, -1, -1, dtype=np.int64)

@@ -1,17 +1,19 @@
 """Second routes kept for the tests: identity checks the production
-pipeline does not need, the closed-form route to the conjugated matrix,
-and FieldElement-level helpers to compare its int-code kernels against.
-A check raises InternalCheckError when its identity fails."""
+pipeline does not need, the dense bucket product and the closed-form
+route to the conjugated matrix, and FieldElement-level helpers to compare
+its int-code kernels against.  A check raises InternalCheckError when its
+identity fails."""
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from convmacw import (FMat, InternalCheckError, PolyMatrix, StatePermutation,
-                      Subspace, WePoly, ZPoly)
+from convmacw import (FMat, GuardExceeded, InternalCheckError, PolyMatrix,
+                      StatePermutation, Subspace, WePoly, ZPoly)
 from convmacw.adjacency import AdjMatrix
-from convmacw.duality import fourier_conjugate
+from convmacw.duality import (CharacterMatrix, FourierMatrix, TransformedMatrix,
+                              fourier_transform)
 from convmacw.exact import macwilliams_rows, weight_counts
 from convmacw.field import (code_index, index_codes, linear_map, span_blocks,
                             span_indices, vector_codes)
@@ -208,9 +210,15 @@ def entry_sums(adj: AdjMatrix, cf) -> tuple[WePoly, WePoly]:
     return acc, total
 
 
+def grid(matrix) -> np.ndarray:
+    """The (size, size, n+1) numerators of a FourierMatrix or
+    TransformedMatrix, one row per state pair."""
+    return matrix.rows[matrix.at] if isinstance(matrix, FourierMatrix) else matrix.numer
+
+
 def fraction_entry(matrix, i: int, j: int) -> tuple[Fraction, ...]:
     """Entry (i, j) of a FourierMatrix or TransformedMatrix as rationals."""
-    return tuple(Fraction(int(c), matrix.denom) for c in matrix.numer[i, j])
+    return tuple(Fraction(int(c), matrix.denom) for c in grid(matrix)[i, j])
 
 
 def entry_we(matrix, i: int, j: int) -> WePoly:
@@ -288,7 +296,61 @@ def check_connected_pairs_orth(cf):
         raise InternalCheckError("orthogonal pair space routes disagree")
 
 
-# -- the closed-form route to the conjugated matrix --------------------------
+# -- the dense bucket product and the closed form of the conjugated matrix --
+
+def bucket_tensor(lam: np.ndarray, E: np.ndarray, p: int) -> np.ndarray:
+    """Two-sided product of the unnormalized character grid with a
+    coefficient tensor, bucketed by total zeta exponent, in float64 (BLAS).
+
+    No partial sum exceeds the largest sum of |lam[:, :, t]|.  Integers
+    below 2^53 add exactly in float64, so that bound, summed first, is
+    exact below 2^53 and at least 2^52 above it: the check at 2^52 lets
+    only exact sums through.  Only the exponents that occur in E get a
+    mask, so a grid with one exponent (delta = 0) costs one product."""
+    size, _, nw = lam.shape
+    flat = lam.reshape(size, size * nw).astype(np.float64)  # [z, (y, t)]
+    bound = np.abs(flat).reshape(size * size, nw).sum(axis=0).max(initial=0)
+    if bound >= 2 ** 52:
+        raise GuardExceeded(
+            f"character product bound max_t sum |lam[:, :, t]| >= 2^52 "
+            f"(float64 headroom)"
+        )
+    occur = np.flatnonzero(np.bincount(E.ravel(), minlength=p))
+    masks = {e: (E == e).astype(np.float64) for e in occur.tolist()}
+    buckets = np.zeros((p, size, size, nw), dtype=np.int64)
+    for e1 in masks:
+        # rows (x, t), columns y, so the right product is one matmul too
+        left = (masks[e1] @ flat).reshape(size, size, nw).transpose(0, 2, 1)
+        left = left.reshape(size * nw, size)
+        for e2 in masks:
+            prod = (left @ masks[e2]).reshape(size, nw, size).transpose(0, 2, 1)
+            buckets[(e1 + e2) % p] += prod.astype(np.int64)
+    return buckets
+
+
+def fourier_conjugate(adj: AdjMatrix, geom, zeta_exponent: int = 1) -> FourierMatrix:
+    """Conjugate the dense adjacency matrix on both sides by the character
+    grid of root zeta^d, bucket by exponent and collapse to exact
+    rationals; the result indexes its rows by flat pair index."""
+    p = adj.field.p
+    E = CharacterMatrix(geom, zeta_exponent).exponents
+    buckets = bucket_tensor(adj.dense_coefficients(), E, p)
+    # the p-th roots of unity sum to zero, so bucket counts b_e stand for
+    # the rational b_0 - b_(p-1) exactly when b_1 = ... = b_(p-1)
+    if not (buckets[1:] == buckets[p - 1]).all():
+        raise InternalCheckError("cyclotomic coefficients did not collapse to rationals")
+    numer = buckets[0] - buckets[p - 1]
+    return FourierMatrix(adj.field, adj.delta, adj.n, numer.reshape(geom.size ** 2, -1),
+                         np.arange(geom.size ** 2).reshape(geom.size, geom.size))
+
+
+def check_bucket_route(fm, adj: AdjMatrix, geom):
+    """The production conjugated matrix ``fm`` of ``adj`` equals the dense
+    bucket product."""
+    if not np.array_equal(grid(fm), grid(fourier_conjugate(adj, geom))):
+        raise InternalCheckError("Fourier transform and bucket product disagree on "
+                                 "the conjugated matrix")
+
 
 def add_table(field) -> np.ndarray:
     """The q x q table of the entry codes of a + b."""
@@ -365,8 +427,8 @@ def fourier_closed_form(adj: AdjMatrix, cf, geom) -> np.ndarray:
 
 
 def check_fourier_closed_form(fm, adj: AdjMatrix, cf, geom):
-    """The direct bucket product ``fm`` of ``adj`` equals the closed form."""
-    if not np.array_equal(fm.numer * (adj.field.q - 1), fourier_closed_form(adj, cf, geom)):
+    """The conjugated matrix ``fm`` of ``adj`` equals the closed form."""
+    if not np.array_equal(grid(fm) * (adj.field.q - 1), fourier_closed_form(adj, cf, geom)):
         raise InternalCheckError("direct product and closed form disagree on the "
                                  "conjugated matrix")
 
@@ -376,30 +438,40 @@ def sides(pair):
     the code, then of its dual; both sides share the pair grid."""
     yield pair.G, pair.cf, pair.adj, pair.fourier
     yield (pair.G_dual, pair.cf_dual, pair.adj_dual,
-           fourier_conjugate(pair.adj_dual, pair.geometry, pair.zeta_exponent))
+           fourier_transform(pair.adj_dual, pair.cf_dual, pair.geometry))
 
 
 def check_side_routes(pair):
     """Every second route on both sides of a pair: controller-form
     structure and transfer, both constant-code and both pair-orthogonal
-    routes, and the closed form of the conjugated matrix."""
+    routes, and the bucket product and the closed form of the conjugated
+    matrix."""
     for G, cf, adj, fm in sides(pair):
         check_controller_structure(cf)
         check_transfer(G, cf)
         check_constant_code(cf)
         check_connected_pairs_orth(cf)
+        check_bucket_route(fm, adj, pair.geometry)
         check_fourier_closed_form(fm, adj, cf, pair.geometry)
 
 
 # -- identities of the duality pipeline -------------------------------------
+
+def entrywise(pair) -> TransformedMatrix:
+    """The transform of each conjugated entry where it stands:
+    transformed[X, Y] is entrywise[-Y, X], so this is index algebra."""
+    t = pair.transformed
+    numer = t.numer[:, pair.geometry.neg_perm].transpose(1, 0, 2)
+    return TransformedMatrix(t.field, t.n, t.k, t.delta, numer)
+
 
 def check_transform_routes(pair):
     """The entrywise transform is H applied to each conjugated entry where
     it stands, computed here directly, and transformed[X, Y] is that
     transform at (-Y, X)."""
     rows = np.array(macwilliams_rows(pair.n, pair.field.q), dtype=np.int64)
-    direct = np.einsum("xyj,jt->xyt", pair.fourier.numer, rows)
-    if not np.array_equal(pair.entrywise.numer, direct):
+    direct = np.einsum("xyj,jt->xyt", grid(pair.fourier), rows)
+    if not np.array_equal(entrywise(pair).numer, direct):
         raise InternalCheckError("entrywise transform differs from the direct one")
     if not np.array_equal(pair.transformed.numer,
                           direct[pair.geometry.neg_perm].transpose(1, 0, 2)):
@@ -446,16 +518,17 @@ def check_orth_translation_invariance(fm, cf, geom):
     for pair in np.concatenate([b for _, b in span_blocks(cf.field, orth.codes())]):
         pu = shift_perm(geom, pair[: cf.delta])
         pv = shift_perm(geom, pair[cf.delta:])
-        if not np.array_equal(fm.numer[np.ix_(pu, pv)], fm.numer):
+        if not np.array_equal(grid(fm)[np.ix_(pu, pv)], grid(fm)):
             raise InternalCheckError("translation invariance along the pair "
                                      "orthogonal failed")
 
 
 def check_zeta_independence(pair) -> bool:
-    """The conjugated matrix is the same for every primitive root choice."""
-    for d in range(2, pair.field.p):
+    """The bucket product is the same for every primitive root choice, and
+    it is the production conjugated matrix, which takes no root."""
+    for d in range(1, pair.field.p):
         other = fourier_conjugate(pair.adj, pair.geometry, d)
-        if not np.array_equal(other.numer, pair.fourier.numer):
+        if not np.array_equal(grid(other), grid(pair.fourier)):
             raise InternalCheckError("conjugated matrix depends on the root choice")
     return True
 
@@ -505,7 +578,7 @@ def check_transport(pair) -> int:
     # the same coefficients c give v = c @ basis and v M = c @ (basis M)
     x, y = np.divmod(dspace.point_indices(), size)
     wx, wy = np.divmod(span_indices(pair.field, moved), size)
-    if not np.array_equal(pair.dual_scaled[x, y], pair.entrywise.numer[wx, wy]):
+    if not np.array_equal(pair.dual_scaled[x, y], entrywise(pair).numer[wx, wy]):
         raise InternalCheckError("transport identity failed at a dual pair")
     return len(x)
 

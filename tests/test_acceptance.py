@@ -21,13 +21,15 @@ from convmacw.duality import CharacterMatrix
 from conftest import (ADJ_BINARY_523, ADJ_BINARY_523_DUAL, CHAR_GRID_2_3,
                       PERM_Q_BINARY, WITNESS_P_TERNARY, WITNESS_Q_BINARY,
                       projective_candidates, we)
-from oracles import (character_structure_checks, check_connected_pairs_orth,
-                     check_constant_code, check_controller_structure,
+from oracles import (character_structure_checks, check_bucket_route,
+                     check_connected_pairs_orth, check_constant_code,
+                     check_controller_structure,
                      check_fourier_closed_form, check_orth_translation_invariance,
                      check_pairing_lemma, check_side_routes, check_transfer,
                      check_transform_routes, check_transport,
                      check_zeta_independence, coefficient_matrix, entry_sums,
-                     entry_multisets_equal, entry_we, enumerate_vectors,
+                     entry_multisets_equal, entry_we, entrywise,
+                     enumerate_vectors,
                      fraction_entry, int_matrix, matrix01, max_degree, padded,
                      random_minimal_encoder, same_code, sides, vec_dot,
                      we_of_affine)
@@ -211,12 +213,13 @@ def test_criterion_6g_conjugation_routes_and_invariance(corpus):
     started = time.perf_counter()
     for pair in corpus:
         for _, cf, adj, fm in sides(pair):
+            check_bucket_route(fm, adj, pair.geometry)
             check_fourier_closed_form(fm, adj, cf, pair.geometry)
             check_orth_translation_invariance(fm, cf, pair.geometry)
         check_transform_routes(pair)
         # census of the transformed entries
         q, d = pair.field.q, pair.delta
-        t = pair.entrywise
+        t = entrywise(pair)
         zero_cells = int(np.all(t.numer == 0, axis=2).sum())
         assert zero_cells == q ** (2 * d) - q ** (d + pair.r_dual)
         dual_const = constant_code(pair.cf_dual)
@@ -224,7 +227,7 @@ def test_criterion_6g_conjugation_routes_and_invariance(corpus):
         target_arr = np.array(padded(target, pair.n), dtype=np.int64) * t.denom
         const_cells = int(np.all(t.numer == target_arr, axis=2).sum())
         assert const_cells == q ** (d - pair.cf.r)
-    _stamp("6g (conjugation closed form, invariance, census)", started)
+    _stamp("6g (conjugation bucket product, closed form, invariance, census)", started)
 
 
 def test_criterion_6h_pairing_and_transport(corpus):
@@ -335,9 +338,9 @@ def test_criterion_8_larger_fields_end_to_end(spec):
     """Random minimal encoders over GF(5), GF(7), GF(8) and GF(9) at
     delta <= 2 verify end to end; both adjacency routes agree, every
     second route holds on both sides (controller-form structure and
-    transfer, constant code, pair orthogonal, the closed form of the
-    conjugated matrix), the two transforms are one, and the weak identity
-    and the transport identity hold."""
+    transfer, constant code, pair orthogonal, the bucket product and the
+    closed form of the conjugated matrix), the two transforms are one, and
+    the weak identity and the transport identity hold."""
     started = time.perf_counter()
     field = FieldSpec(*spec)
     rng = random.Random(field.q)

@@ -153,10 +153,11 @@ def test_adjacency_text_grid_guard(tmp_path, capsys):
     would print 2^28 cells."""
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"field": {"p": 2}, "generator": [["1", "1+z^14"]]}))
-    assert main(["adjacency", str(path)]) == 2
+    assert main(["adjacency", str(path), "--limit", "grid=65536"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: pair grid q^(2*delta) = 268435456 > limit 65536\n"
+    assert captured.err == ("error: pair grid q^(2*delta) = 268435456 > limit 65536 "
+                            "(6442450944 bytes per int64 grid of 3 values a pair)\n")
     assert main(["adjacency", str(path), "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["entries"]) == 2 ** 15
 
@@ -188,14 +189,14 @@ def test_consecutive_calls_share_no_limit_state(binary_doc, capsys):
     assert main(["verify", binary_doc, "--mode", "search"]) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2
-    assert err[0] == "error: pair grid q^(2*delta) = 64 > limit 8"
+    assert err[0] == ("error: pair grid q^(2*delta) = 64 > limit 8 "
+                      "(3072 bytes per int64 grid of 6 values a pair)")
     assert err[1].startswith("error: witness search would examine more than 4 ")
 
 
 def test_verify_degree_zero_over_a_large_prime_field(tmp_path, capsys):
-    """A delta = 0 character grid has the single exponent 0: the
-    conjugation is one bucket product with no q x q table, even over
-    GF(65521)."""
+    """A delta = 0 code has no connected-pair coordinates: the conjugation
+    is one 1 x 1 product with no q x q table, even over GF(65521)."""
     path = tmp_path / "gf65521.json"
     path.write_text(json.dumps({"field": {"p": 65521}, "generator": [["1", "1"]]}))
     tracemalloc.start()
@@ -206,6 +207,21 @@ def test_verify_degree_zero_over_a_large_prime_field(tmp_path, capsys):
         tracemalloc.stop()
     assert peak < 2 ** 26
     assert json.loads(capsys.readouterr().out)["verdict"] == "verified"
+
+
+def test_verify_unit_memory_over_gf127(tmp_path, capsys):
+    """[["1+z", "1"]] over GF(127) has 2-dim connected pairs: the
+    conjugation is p float64 products of 127 x 127 tables, not p^2 = 16129
+    over the grid, and the report is unchanged."""
+    path = tmp_path / "gf127.json"
+    path.write_text(json.dumps({"field": {"p": 127}, "generator": [["1+z", "1"]]}))
+    start = time.perf_counter()
+    assert main(["verify", str(path), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 5
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["theorem_used"], report["witness"]) == \
+        ("verified", "delta=1", [[126]])
+    assert report["details"] == {"mode": "auto", "entries": 16129, "primal_witness": [[1]]}
 
 
 def test_code_degree_guard(tmp_path, capsys):
@@ -394,25 +410,26 @@ def test_coset_guard_counts_points(tmp_path, capsys):
     assert "q^(delta+k) = 1073741824 points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("generator,mode,grid", [
-    ([["1", "1+z^12"]], "auto", 2 ** 24),
-    ([["1", "1+z^12"]], "weak", 2 ** 24),
-    ([["1", "1+z^12"]], "search", 2 ** 24),
-    ([["1"] + [f"z^{i}" for i in range(1, 13)]], "auto", 2 ** 24),   # dual indices all 1
+@pytest.mark.parametrize("generator,mode,grid,limit", [
+    ([["1", "1+z^12"]], "auto", 2 ** 24, []),
+    ([["1", "1+z^12"]], "weak", 2 ** 24, []),
+    ([["1", "1+z^12"]], "search", 2 ** 24, []),
+    ([["1"] + [f"z^{i}" for i in range(1, 13)]], "auto", 2 ** 24, []),   # dual indices all 1
     # the dual of [1, z, ..., z^10]: 2^20 primal coset points, within the guard
     ([["z" if j == i else "1" if j == i + 1 else "0" for j in range(11)]
-      for i in range(10)], "weak", 2 ** 20),
+      for i in range(10)], "weak", 2 ** 20, ["--limit", "grid=65536"]),
 ], ids=["weak-route", "weak-mode", "search-mode", "dual-closed-form", "wide-primal-cosets"])
-def test_verify_guards_precede_pair_space_scans(tmp_path, capsys, generator, mode, grid):
-    """delta = 12 (delta = 10): the grid guard fires before anything walks
-    or allocates the 2^24 (2^20) state pairs (the character grid, the
-    dense dual matrix) or the primal cosets."""
+def test_verify_guards_precede_pair_space_scans(tmp_path, capsys, generator, mode, grid,
+                                                limit):
+    """delta = 12 (delta = 10 under a grid limit of 2^16): the grid guard
+    fires before anything walks or allocates the 2^24 (2^20) state pairs
+    (the character grid, the dense dual matrix) or the primal cosets."""
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"field": {"p": 2}, "generator": generator}))
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        assert main(["verify", str(path), "--mode", mode]) == 2
+        assert main(["verify", str(path), "--mode", mode, *limit]) == 2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

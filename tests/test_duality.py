@@ -11,19 +11,20 @@ from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, PolyMatrix,
                       closed_form_witness_primal, run_verification,
                       search_witness, StatePermutation)
 from convmacw.duality import (CharacterMatrix, FourierMatrix, PairGeometry,
-                              _bucket_tensor, fourier_conjugate,
                               macwilliams_image, state_pairing_matrix)
 from convmacw.exact import macwilliams_rows
-from convmacw.statespace import constant_code
-from conftest import (CHAR_GRID_2_3, PERM_Q_BINARY, WITNESS_P_TERNARY,
+from convmacw.statespace import connected_pairs, constant_code
+from conftest import (BINARY_523_DUAL, CHAR_GRID_2_3, PERM_Q_BINARY, WITNESS_P_TERNARY,
                       WITNESS_Q_BINARY, projective_candidates, we)
-from oracles import (character_structure_checks, check_fourier_closed_form,
+from oracles import (bucket_tensor, character_structure_checks,
+                     check_bucket_route, check_fourier_closed_form,
                      check_orth_translation_invariance, check_pairing_lemma,
                      check_transform_routes, check_transport,
                      check_zeta_independence, entry_we, entry_multisets_equal,
-                     enumerate_vectors, fraction_entry, int_matrix, matrix01,
-                     orth_mask, padded, random_minimal_encoder, sides, vec_dot,
-                     we_of_affine)
+                     entrywise, enumerate_vectors, fourier_conjugate,
+                     fraction_entry, grid,
+                     int_matrix, matrix01, orth_mask, padded,
+                     random_minimal_encoder, sides, vec_dot, we_of_affine)
 
 
 def test_character_grid_golden(f2):
@@ -84,13 +85,13 @@ def test_fourier_vanishes_off_kernel_orthogonal(binary_523, binary_523_dual):
     # swap roles so the kernel is nontrivial: dim 2, orthogonal dim 4
     pair = DualPair(binary_523_dual, binary_523)
     assert pair.kernel.dim == 2
-    zero_cells = int(np.all(pair.fourier.numer == 0, axis=2).sum())
+    zero_cells = int(np.all(grid(pair.fourier) == 0, axis=2).sum())
     assert zero_cells == 64 - 2 ** 4
     mask = orth_mask(pair.geometry, pair.kernel.basis)
     for i in range(8):
         for j in range(8):
             if not mask[i, j]:
-                assert not pair.fourier.numer[i, j].any()
+                assert not grid(pair.fourier)[i, j].any()
 
 
 def test_fourier_bucket_collapse(ternary_pair):
@@ -101,11 +102,36 @@ def test_fourier_bucket_collapse(ternary_pair):
     for pair in (ternary_pair, DualPair(random_minimal_encoder(rng, FieldSpec(5), 3, 1, 1))):
         p, fm = pair.field.p, pair.fourier
         E = CharacterMatrix(pair.geometry).exponents
-        buckets = _bucket_tensor(pair.adj.dense_coefficients(), E, p)
+        buckets = bucket_tensor(pair.adj.dense_coefficients(), E, p)
         assert buckets.shape[0] == p
         for j in range(1, p - 1):
             assert np.array_equal(buckets[j], buckets[p - 1])
-        assert np.array_equal(buckets[0] - buckets[p - 1], fm.numer)
+        assert np.array_equal(buckets[0] - buckets[p - 1], grid(fm))
+
+
+@pytest.mark.parametrize("spec,rows,m,m_dual", [
+    ((3,), [["1", "2", "1"]], 0, 0),
+    ((2,), [["1+z+z^2", "1+z^2", "1"]], 3, 4),
+    ((2,), BINARY_523_DUAL, 6, 4),
+    ((2, 2, [1, 1, 1]), [["[0,1]z+[1,1]z^2", "[1,1]+[0,1]z+[1,1]z^2", "[0,1]+z+z^2"]], 3, 4),
+    ((2, 3, [1, 1, 0, 1]), [["[0,0,1]z+[1,1,1]z^2", "[0,1,1]+[0,0,1]z+[1,1,1]z^2",
+                             "[1,0,1]+[1,1,0]z+[0,1,0]z^2"]], 3, 4),
+    ((3, 2, [2, 2, 1]), [["[1,1]z+[2,2]z^2", "[1,2]+[0,2]z+[1,1]z^2",
+                          "[1,2]+[2,1]z+[0,1]z^2"]], 3, 4),
+    ((127,), [["1+z", "1"]], 2, 2),
+], ids=["delta0-m0", "odd-m", "m-2delta", "gf4-odd-m", "gf8-odd-m", "gf9-odd-m",
+        "gf127-delta1"])
+def test_fourier_transform_matches_bucket_product(spec, rows, m, m_dual):
+    """The Fourier transform on the m-dim connected pairs equals the dense
+    bucket product on both sides: at m = 0 (delta = 0), at odd m, where the
+    two halves of the coefficient space differ in size, at m = 2 delta,
+    over extension fields, and over GF(127).  The transform reads the
+    sorted counts as span-coefficient order, which they are."""
+    pair = DualPair(PolyMatrix.from_strings(FieldSpec(*spec), rows))
+    assert (connected_pairs(pair.cf).dim, connected_pairs(pair.cf_dual).dim) == (m, m_dual)
+    for _, cf, adj, fm in sides(pair):
+        assert np.array_equal(adj.index, connected_pairs(cf).point_indices())
+        check_bucket_route(fm, adj, pair.geometry)
 
 
 def test_transformed_entry_census(binary_pair, ternary_pair):
@@ -115,7 +141,7 @@ def test_transformed_entry_census(binary_pair, ternary_pair):
         delta = pair.delta
         r = pair.cf.r
         r_hat = pair.r_dual
-        t = pair.entrywise  # entrywise transform of the conjugation
+        t = entrywise(pair)  # entrywise transform of the conjugation
         dual_const = constant_code(pair.cf_dual)
         target = we_of_affine(pair.field, (0,) * pair.n, dual_const.basis)
         zeros = 0
@@ -153,7 +179,7 @@ def test_zeta_independence(ternary_pair):
     # and the conjugated grids at both roots agree entry by entry
     other = fourier_conjugate(ternary_pair.adj, ternary_pair.geometry,
                               zeta_exponent=2)
-    assert np.array_equal(other.numer, ternary_pair.fourier.numer)
+    assert np.array_equal(grid(other), grid(ternary_pair.fourier))
 
 
 def test_pairing_matrix_golden(binary_pair):
@@ -171,7 +197,7 @@ def test_pairing_lemma_and_transport(binary_pair, ternary_pair):
 
 def test_transport_zero_pair(binary_pair):
     # the zero pair maps to the zero pair, giving the block-style entry
-    t = binary_pair.entrywise
+    t = entrywise(binary_pair)
     lhs = binary_pair.dual_scaled[0, 0]
     assert np.array_equal(lhs, t.numer[0, 0])
 
@@ -362,7 +388,8 @@ def test_transform_int64_headroom(f2):
     geom = PairGeometry(f2, 1)
 
     def synthetic(peak):
-        return FourierMatrix(f2, 1, n, np.full((2, 2, n + 1), peak, dtype=np.int64))
+        return FourierMatrix(f2, 1, n, np.full((4, n + 1), peak, dtype=np.int64),
+                             np.arange(4).reshape(2, 2))
 
     peak = (2 ** 62 - 1) // colsum
     exact = [peak * sum(r[t] for r in rows) for t in range(n + 1)]
@@ -389,7 +416,7 @@ def test_bucket_tensor_headroom(f2, f3):
     for field, delta in ((f2, 2), (f3, 1)):
         E = PairGeometry(field, delta).trace_exp
         lam = rng.integers(-50, 50, size=(len(E), len(E), 4))
-        got = _bucket_tensor(lam, E, field.p)
+        got = bucket_tensor(lam, E, field.p)
         assert got.tolist() == _reference_buckets(lam, E.tolist(), field.p)
     # four entries per column: the bound is 4 * peak, checked against 2^52
     E = PairGeometry(f2, 1).trace_exp.tolist()
@@ -397,9 +424,9 @@ def test_bucket_tensor_headroom(f2, f3):
     peak = (2 ** 52 - 1) // 4
     lam = np.full((2, 2, nw), peak, dtype=np.int64)
     lam[0, 1, 1] = -peak
-    got = _bucket_tensor(lam, np.array(E), 2)
+    got = bucket_tensor(lam, np.array(E), 2)
     assert got.tolist() == _reference_buckets(lam, E, 2)
     for lam in (np.full((2, 2, nw), peak + 1, dtype=np.int64),
                 np.full((2, 2, nw), 2 ** 61, dtype=np.int64)):
         with pytest.raises(GuardExceeded, match="float64 headroom"):
-            _bucket_tensor(lam, np.array(E), 2)
+            bucket_tensor(lam, np.array(E), 2)

@@ -110,6 +110,26 @@ def test_linear_map_without_field_tables(spec):
         assert row == [w.code for w in want]
 
 
+def test_pair_indices_match_reference(field):
+    """The digit-wise sum of the two half images is the index of (X, Y) @ M
+    by FieldElement arithmetic, for delta = 0 to 2 and image widths 0 to 4:
+    XOR at p = 2, the digit loop at p = 3, over prime and extension fields."""
+    rng = random.Random(field.q)
+    for delta, width in ((0, 0), (1, 1), (1, 3), (2, 2), (2, 4)):
+        M = [[field.element(rng.randrange(field.q)) for _ in range(width)]
+             for _ in range(2 * delta)]
+        got = fieldmod.pair_indices(field, np.array([[a.code for a in r] for r in M],
+                                                    dtype=np.int64).reshape(2 * delta, width))
+        size = field.q ** delta
+        assert got.shape == (size, size)
+        for (i, X), (j, Y) in itertools.product(enumerate(enumerate_vectors(field, delta)),
+                                                repeat=2):
+            v = [field.zero] * width
+            for c, row in zip(X + Y, M):
+                v = [x + c * y for x, y in zip(v, row)]
+            assert got[i, j] == (vector_index(v) if width else 0)
+
+
 def test_index_codes_inverts_code_index(field):
     idx = np.arange(field.q ** 3)
     codes = index_codes(field, idx, 3)
