@@ -23,8 +23,7 @@ from .adjacency import (AdjMatrix, StatePermutation, adjacency_by_cosets,
 from .errors import GuardExceeded, InternalCheckError
 from .exact import macwilliams_rows
 from .field import FieldSpec, index_codes, pair_indices, span_indices, vector_codes
-from .linalg import (FMat, Subspace, block_matrix, deterministic_complement,
-                     right_null_space, vec_mat)
+from .linalg import FMat, Subspace, block_matrix, deterministic_complement, vec_mat
 from .polymat import CodeProfile, PolyMatrix, dual_generator
 from .statespace import (ControllerForm, coefficient_code, connected_pairs,
                          connected_pairs_orth, controller_form, degree_guard,
@@ -305,11 +304,12 @@ class WeakIdentityReport:
 def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     """Build the explicit reordering automorphism from the pairing matrix
     plus deterministic basis-matching isomorphisms, and verify that it
-    carries the entrywise transform onto the dual adjacency matrix."""
+    carries the entrywise transform onto the dual adjacency matrix: the
+    bases fill the pair space, the map is invertible, and every entry
+    matches.  Where the pieces land (the pairing lemma) is a test oracle."""
     tnum = pair.transformed.numer
     f = pair.field
     two_delta = 2 * pair.delta
-    M_image = Subspace.from_rows(f, two_delta, pair.pairing.rows)
     outside = deterministic_complement(pair.kernel_orth,
                                        Subspace.full(f, two_delta))
     split_dual = pair.split_dual
@@ -324,12 +324,6 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     fmat = S.inverse() @ T
     if not fmat.is_invertible():
         raise InternalCheckError("reordering map is singular")
-    # sanity: the pieces land where the diagram says
-    for b in split_dual.kernel.basis:
-        if not pair.delta_perp.contains(vec_mat(b, fmat)):
-            raise InternalCheckError("kernel piece strays from the pair orthogonal")
-    if M_image.intersect(pair.delta_perp).dim != 0:
-        raise InternalCheckError("image piece overlaps the pair orthogonal")
 
     geom = pair.geometry
     size = geom.size
@@ -351,46 +345,28 @@ def _identity_holds(pair: DualPair, P: FMat) -> tuple[bool, int]:
 
 
 def closed_form_witness_dual(pair: DualPair) -> FMat:
-    """Closed-form witness when every dual Forney index is at most one.
-
-    Asserts invertibility, the full entrywise identity, and the algebraic
-    relation between the pairing matrix and the complementary block
-    matrix."""
+    """Closed-form witness -B_hat^t D_hat C^t when every dual Forney index
+    is at most one; asserts its invertibility and the full entrywise identity.
+    The correction block relating it to the pairing matrix is a test
+    oracle."""
     if pair.r_dual != pair.delta:
         raise ValueError(
             "closed-form dual witness needs every dual Forney index <= 1; "
             "try the primal form or the projective search"
         )
-    f = pair.field
-    d = pair.delta
     Q = -(pair.cf_dual.BtD @ pair.cf.C.transpose())
     if not Q.is_invertible():
         raise InternalCheckError("closed-form dual witness is singular")
     ok, mism = _identity_holds(pair, Q)
     if not ok:
         raise InternalCheckError(f"dual-side identity failed at {mism} entries")
-    cc_t = pair.cf_dual.C @ pair.cf.C.transpose()
-    M1 = block_matrix(f, [[-cc_t, cc_t @ pair.cf.A],
-                          [FMat.zero(f, d, d), FMat.zero(f, d, d)]])
-    expected = block_matrix(f, [[FMat.zero(f, d, d), Q],
-                                [-Q, FMat.zero(f, d, d)]])
-    if (pair.pairing + M1) != expected:
-        raise InternalCheckError("pairing plus correction is not the rotation block")
-    M1_image = Subspace.from_rows(f, 2 * d, M1.rows)
-    if not M1_image.is_subspace_of(pair.delta_perp):
-        raise InternalCheckError("correction image leaves the pair orthogonal")
-    kernel_dual = pair.split_dual.kernel
-    left_kernel = Subspace(f, 2 * d, right_null_space(f, M1.transpose()))
-    if kernel_dual.intersect(left_kernel).dim != 0:
-        raise InternalCheckError("correction kills dual kernel directions")
-    if M1_image.dim != d - pair.cf.r:
-        raise InternalCheckError("correction rank is not delta - r")
-    _corollary_grid_check(pair, Q)
     return Q
 
 
 def closed_form_witness_primal(pair: DualPair) -> FMat:
-    """Closed-form witness when every primal Forney index is at most one."""
+    """Closed-form witness -C_hat D^t B when every primal Forney index is
+    at most one; asserts its invertibility and the full entrywise
+    identity."""
     if pair.cf.r != pair.delta:
         raise ValueError(
             "closed-form primal witness needs every Forney index <= 1; "
@@ -402,19 +378,7 @@ def closed_form_witness_primal(pair: DualPair) -> FMat:
     ok, mism = _identity_holds(pair, P)
     if not ok:
         raise InternalCheckError(f"primal-side identity failed at {mism} entries")
-    _corollary_grid_check(pair, P)
     return P
-
-
-def _corollary_grid_check(pair: DualPair, P: FMat):
-    """The P-character grid, the plain grid with its rows permuted by P,
-    is also the plain grid with its columns permuted by P^t, so the
-    identity can be stated with P-character matrices only."""
-    E = pair.geometry.trace_exp
-    perm = np.array(StatePermutation(P, pair.delta).perm)
-    perm_t = np.array(StatePermutation(P.transpose(), pair.delta).perm)
-    if not np.array_equal(E[perm], E[:, perm_t]):
-        raise InternalCheckError("column-permutation identity failed")
 
 
 @dataclass
@@ -532,16 +496,13 @@ def check_witness(pair: DualPair, P: FMat) -> tuple[bool, int]:
 
 
 def check_unit_memory(pair: DualPair) -> int:
-    """For degree-one codes, verify the transformation with the identity
-    witness and the two-case per-entry formulas, and that both agree with
-    the dual adjacency matrix; returns entries checked."""
+    """For degree-one codes, verify the two-case per-entry formula: it
+    gives the scaled dual adjacency matrix from the code's own adjacency
+    matrix.  Returns the entries checked."""
     if pair.delta != 1:
         raise ValueError("unit-memory formulas need delta = 1")
     q = pair.field.q
     size = pair.geometry.size
-    ok, mism = _identity_holds(pair, FMat.identity(pair.field, 1))
-    if not ok:
-        raise InternalCheckError(f"identity witness failed at {mism} entries")
     lam = pair.adj.dense_coefficients()
     ht = np.array(macwilliams_rows(pair.n, q), dtype=np.int64)
     lam00, lam01, row1 = lam[0, 0], lam[0, 1], lam[1].sum(axis=0)
@@ -549,8 +510,6 @@ def check_unit_memory(pair: DualPair) -> int:
     inner[0, 0] = lam00 + (q - 1) * (lam01 + row1)
     if not np.array_equal(pair.dual_scaled, inner @ ht):
         raise InternalCheckError("per-entry unit-memory formula failed")
-    if pair.transformed.denom != q ** (pair.k + 1):
-        raise InternalCheckError("scale bookkeeping mismatch for delta = 1")
     return size * size
 
 

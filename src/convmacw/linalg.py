@@ -252,10 +252,6 @@ class Subspace:
         self._compatible(other)
         return Subspace.from_rows(self.field, self.ambient, self.basis + other.basis)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._compatible(other)
-        return (self.orth() + other.orth()).orth()
-
     def orth(self) -> "Subspace":
         """Orthogonal complement under the canonical bilinear form."""
         if self.dim == 0:

@@ -1,8 +1,10 @@
 """Second routes kept for the tests: identity checks the production
-pipeline does not need, the dense bucket product and the closed-form
-route to the conjugated matrix, and FieldElement-level helpers to compare
-its int-code kernels against.  A check raises InternalCheckError when its
-identity fails."""
+pipeline does not need (among them the pairing lemma and the correction
+block of the dual closed form: the production routes check only the full
+identity), the dense bucket product and the closed-form route to the
+conjugated matrix, subspace intersection, and FieldElement-level helpers
+to compare its int-code kernels against.  A check raises
+InternalCheckError when its identity fails."""
 
 import itertools
 from fractions import Fraction
@@ -17,7 +19,7 @@ from convmacw.duality import (CharacterMatrix, FourierMatrix, TransformedMatrix,
 from convmacw.exact import macwilliams_rows, weight_counts
 from convmacw.field import (code_index, index_codes, linear_map, span_blocks,
                             span_indices, vector_codes)
-from convmacw.linalg import right_null_space, unit_vec, vec_mat
+from convmacw.linalg import block_matrix, right_null_space, unit_vec, vec_mat
 from convmacw.polymat import _leading_left_kernel, _smith_form, is_basic
 from convmacw.statespace import (coefficient_code, connected_pairs,
                                  connected_pairs_orth, constant_code,
@@ -61,6 +63,14 @@ def points(space: Subspace):
     return [tuple(elems[c] for c in row)
             for _, block in span_blocks(space.field, space.codes())
             for row in block.tolist()]
+
+
+def intersect(u: Subspace, v: Subspace) -> Subspace:
+    """Intersection of two subspaces of one ambient space: the orthogonal
+    of the sum of their orthogonals."""
+    if u.ambient != v.ambient or u.field != v.field:
+        raise ValueError("subspaces live in different ambient spaces")
+    return (u.orth() + v.orth()).orth()
 
 
 def matrix01(perm) -> tuple[tuple[int, ...], ...]:
@@ -549,12 +559,12 @@ def check_pairing_lemma(pair) -> int:
     for b in split_dual.kernel.basis + split_dual.complement.basis:
         if any(vec_mat(b, M)):
             raise InternalCheckError("dual kernel directions survive the pairing")
-    if split_dual.kernel.intersect(split_dual.complement).dim != 0:
+    if intersect(split_dual.kernel, split_dual.complement).dim != 0:
         raise InternalCheckError("dual kernel and disconnected part overlap")
-    if image.intersect(delta_perp).dim != 0:
+    if intersect(image, delta_perp).dim != 0:
         raise InternalCheckError("pairing image meets the pair orthogonal")
     left_kernel = Subspace(f, two_delta, right_null_space(f, M.transpose()))
-    if left_kernel.intersect(split_dual.transversal).dim != 0:
+    if intersect(left_kernel, split_dual.transversal).dim != 0:
         raise InternalCheckError("pairing is not injective on the transversal")
     if image.dim != pair.cf.r + pair.cf_dual.r:
         raise InternalCheckError("pairing rank is not r + r_dual")
@@ -566,6 +576,37 @@ def check_pairing_lemma(pair) -> int:
         raise InternalCheckError("pairing image plus pair orthogonal is not the "
                                  "kernel orthogonal")
     return image.dim
+
+
+def correction_block(pair) -> FMat:
+    """The correction block M1 = [[-C_hat C^t, C_hat C^t A], [0, 0]] that
+    turns the pairing matrix into the rotation block of the dual closed
+    form."""
+    f, d = pair.field, pair.delta
+    cc_t = pair.cf_dual.C @ pair.cf.C.transpose()
+    return block_matrix(f, [[-cc_t, cc_t @ pair.cf.A],
+                            [FMat.zero(f, d, d), FMat.zero(f, d, d)]])
+
+
+def check_correction_block(pair, Q: FMat, M1: FMat | None = None):
+    """For the dual closed form Q (r_hat = delta) and its correction block
+    M1 (by default the one of ``correction_block``): the pairing matrix
+    plus M1 is the rotation block [[0, Q], [-Q, 0]], M1's image lies in
+    the pair orthogonal, M1 kills no dual kernel direction, and M1 has
+    rank delta - r."""
+    f, d = pair.field, pair.delta
+    M1 = correction_block(pair) if M1 is None else M1
+    rotation = block_matrix(f, [[FMat.zero(f, d, d), Q], [-Q, FMat.zero(f, d, d)]])
+    if (pair.pairing + M1) != rotation:
+        raise InternalCheckError("pairing plus correction is not the rotation block")
+    image = Subspace.from_rows(f, 2 * d, M1.rows)
+    if not image.is_subspace_of(pair.delta_perp):
+        raise InternalCheckError("correction image leaves the pair orthogonal")
+    left_kernel = Subspace(f, 2 * d, right_null_space(f, M1.transpose()))
+    if intersect(pair.split_dual.kernel, left_kernel).dim != 0:
+        raise InternalCheckError("correction kills dual kernel directions")
+    if image.dim != d - pair.cf.r:
+        raise InternalCheckError("correction rank is not delta - r")
 
 
 def check_transport(pair) -> int:

@@ -23,7 +23,7 @@ from conftest import (ADJ_BINARY_523, ADJ_BINARY_523_DUAL, CHAR_GRID_2_3,
                       projective_candidates, we)
 from oracles import (character_structure_checks, check_bucket_route,
                      check_connected_pairs_orth, check_constant_code,
-                     check_controller_structure,
+                     check_controller_structure, check_correction_block,
                      check_fourier_closed_form, check_orth_translation_invariance,
                      check_pairing_lemma, check_side_routes, check_transfer,
                      check_transform_routes, check_transport,
@@ -247,30 +247,44 @@ def test_criterion_6i_weak_identity(corpus):
 
 
 def test_criterion_6j_closed_form_witnesses(corpus):
+    """Every closed-form witness passes the full identity and the
+    column-permutation identity of the character grid; every dual closed
+    form, of the code and of its dual (the pair with roles swapped), has
+    the correction block of the paper."""
     started = time.perf_counter()
     dual_side = primal_side = 0
     for pair in corpus:
+        witnesses = []
         if pair.r_dual == pair.delta:
             Q = closed_form_witness_dual(pair)
-            ok, _ = check_witness(pair, Q)
-            assert ok
+            check_correction_block(pair, Q)
+            witnesses.append(Q)
             dual_side += 1
         if pair.cf.r == pair.delta:
             P = closed_form_witness_primal(pair)
-            ok, _ = check_witness(pair, P)
-            assert ok
+            swapped = DualPair(pair.G_dual, pair.G)
+            check_correction_block(swapped, closed_form_witness_dual(swapped))
+            witnesses.append(P)
             primal_side += 1
+        for W in witnesses:
+            ok, _ = check_witness(pair, W)
+            assert ok
+            character_structure_checks(pair.geometry, P=W)
     assert dual_side > 0 and primal_side > 0
-    _stamp(f"6j (closed forms: {dual_side} dual-side, {primal_side} primal-side)",
-           started)
+    _stamp(f"6j (closed forms and correction blocks: {dual_side} dual-side, "
+           f"{primal_side} primal-side)", started)
 
 
 def test_criterion_6k_unit_memory(corpus):
+    """The per-entry formula, and the identity matrix as a witness, on
+    every degree-one code."""
     started = time.perf_counter()
     count = 0
     for pair in corpus:
         if pair.delta == 1:
             check_unit_memory(pair)
+            ok, _ = check_witness(pair, FMat.identity(pair.field, 1))
+            assert ok
             count += 1
     assert count > 0
     _stamp(f"6k (unit-memory formulas on {count} codes)", started)

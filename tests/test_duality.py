@@ -5,22 +5,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, PolyMatrix,
-                      WePoly, check_unit_memory, check_weak_identity,
+from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, InternalCheckError,
+                      PolyMatrix, WePoly, check_unit_memory, check_weak_identity,
                       check_witness, closed_form_witness_dual,
                       closed_form_witness_primal, run_verification,
                       search_witness, StatePermutation)
 from convmacw.duality import (CharacterMatrix, FourierMatrix, PairGeometry,
                               macwilliams_image, state_pairing_matrix)
 from convmacw.exact import macwilliams_rows
+from convmacw.linalg import block_matrix
 from convmacw.statespace import connected_pairs, constant_code
 from conftest import (BINARY_523_DUAL, CHAR_GRID_2_3, PERM_Q_BINARY, WITNESS_P_TERNARY,
                       WITNESS_Q_BINARY, projective_candidates, we)
 from oracles import (bucket_tensor, character_structure_checks,
-                     check_bucket_route, check_fourier_closed_form,
+                     check_bucket_route, check_correction_block,
+                     check_fourier_closed_form,
                      check_orth_translation_invariance, check_pairing_lemma,
                      check_transform_routes, check_transport,
-                     check_zeta_independence, entry_we, entry_multisets_equal,
+                     check_zeta_independence, correction_block, entry_we,
+                     entry_multisets_equal,
                      entrywise, enumerate_vectors, fourier_conjugate,
                      fraction_entry, grid,
                      int_matrix, matrix01, orth_mask, padded,
@@ -260,6 +263,27 @@ def test_closed_form_preconditions(ternary_pair):
         closed_form_witness_dual(ternary_pair)
     with pytest.raises(ValueError, match="Forney"):
         closed_form_witness_primal(ternary_pair)
+
+
+def test_correction_block_rejects_perturbations(f3):
+    # (3,1) delta=2 over GF(3) with r = 1 and r_hat = 2: Q = diag(1, 2)
+    pair = DualPair(PolyMatrix.from_strings(f3, [["2+2z+2z^2", "2+z^2", "2z"]]))
+    Q = closed_form_witness_dual(pair)
+    M1 = correction_block(pair)
+    check_correction_block(pair, Q, M1)
+    swapped = FMat(f3, 2, 2, [Q.rows[1], Q.rows[0]])
+    with pytest.raises(InternalCheckError, match="not the rotation block"):
+        check_correction_block(pair, swapped)
+    bump = FMat(f3, 4, 4, [[0] * 4, [0] * 4, [0] * 4, [0, 0, 0, 1]])
+    with pytest.raises(InternalCheckError, match="not the rotation block"):
+        check_correction_block(pair, Q, M1 + bump)
+    # a block that completes the swapped Q to the rotation leaves the
+    # pair orthogonal
+    zero = FMat.zero(f3, 2, 2)
+    rotation = block_matrix(f3, [[zero, swapped], [-swapped, zero]])
+    with pytest.raises(InternalCheckError, match="leaves the pair orthogonal"):
+        check_correction_block(pair, swapped, rotation - pair.pairing)
+    assert check_witness(pair, swapped)[0] is False
 
 
 def test_projective_candidates_counts(f2, f3):

@@ -19,7 +19,7 @@ from convmacw.errors import InternalCheckError
 from convmacw.exact import WePoly
 from convmacw.field import code_index, index_codes, linear_map, span_blocks
 from convmacw.linalg import deterministic_complement
-from oracles import (enumerate_vectors, points, projective_classes,
+from oracles import (enumerate_vectors, intersect, points, projective_classes,
                      random_minimal_encoder, shift_perm, vector_index, we_of_affine)
 
 FIELDS = {2: (2,), 3: (3,), 4: (2, 2, [1, 1, 1]), 8: (2, 3, [1, 1, 0, 1]),
@@ -186,7 +186,7 @@ def test_complement_enumerates_no_points(spec, ambient, monkeypatch):
     for b, w in ((base, within), (base, Subspace.full(field, ambient))):
         comp = deterministic_complement(b, w)
         assert comp.dim == w.dim - b.dim
-        assert comp + b == w and comp.intersect(b).dim == 0
+        assert comp + b == w and intersect(comp, b).dim == 0
 
 
 def test_complement_failure_is_an_internal_check(f2, monkeypatch):
