@@ -117,6 +117,26 @@ class FourierMatrix:
         self.denom = field.q ** delta
 
 
+def _orbit_labels(field: FieldSpec, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels of the F_p^* orbits of the pairs u = (u1, u2) in F^a x F^b,
+    a, b >= 1, as (q^a, q^b) grids at (u1, u2) and at (u1, -u2).  F_p
+    scales every base-p digit of an index, so a label is the index of the
+    multiple c u whose leading nonzero digit is 1 (0 for u = 0)."""
+    p = field.p
+    inverse = np.array([0] + [pow(d, -1, p) for d in range(1, p)])
+    units, scaled = [], []
+    for dim in (a, b):
+        places = p ** np.arange(dim * field.s - 1, -1, -1)
+        digits = np.arange(field.q ** dim)[:, None] // places % p
+        units.append(inverse[digits[np.arange(len(digits)), np.argmax(digits != 0, axis=1)]])
+        # scaled[c, u] is the index of c u, for every c in F_p
+        scaled.append(np.arange(p)[:, None, None] * digits % p @ places)
+    c = np.where(units[0][:, None] != 0, units[0][:, None], units[1])
+    size_a, size_b = field.q ** a, field.q ** b
+    label = scaled[0][c, np.arange(size_a)[:, None]] * size_b + scaled[1][c, np.arange(size_b)]
+    return label, label[:, scaled[1][p - 1]]
+
+
 def fourier_transform(adj: AdjMatrix, cf: ControllerForm, geom: PairGeometry) -> FourierMatrix:
     """Two-sided character conjugation as a Fourier transform on F_q^m.
 
@@ -125,26 +145,44 @@ def fourier_transform(adj: AdjMatrix, cf: ControllerForm, geom: PairGeometry) ->
     is F(u) = sum_c zeta^tr(c . u) lam(c) at u = (X, Y) B^t.  F_p^* scaling
     keeps lam, so (p - 1) F = p S_0 - sum lam for S_0(u) the sum of lam over
     tr(c . u) = 0.  Split c in halves of ceil(m/2) and floor(m/2) entries:
-    S_0 is sum_e M_e lam M_(-e) for the 0/1 masks M_e of trace e, p float64
-    products (BLAS), exact as no sum passes max_t sum |lam[:, t]| < 2^52."""
+    S_0 is sum_e M_e lam N_(-e) for the 0/1 masks M_e, N_e of trace e.  The
+    trace is F_p-linear, so for e != 0 M_e is M_1 with row u1 moved to
+    e^-1 u1, and with R = M_1 lam N_1 the terms e != 0 sum R(c u1, -c u2)
+    over c in F_p^*: R summed over the F_p^* orbit of (u1, -u2), one
+    bincount over orbit labels.  Two float64 products (BLAS) and the
+    bincount are exact, as no sum passes max_t sum |lam[:, t]| < 2^52."""
     field, p, q, width = adj.field, adj.field.p, adj.field.q, adj.n + 1
     pairs, lam = connected_pairs(cf), adj.counts
     if np.abs(lam).sum(axis=0).max(initial=0) >= 2 ** 52:
         raise GuardExceeded("character product bound max_t sum |lam[:, :, t]| >= 2^52 "
                             "(float64 headroom)")
+    at = pair_indices(field, pairs.codes().T)
     a, b = (pairs.dim + 1) // 2, pairs.dim // 2
     ea = geom.trace_exp if a == geom.delta else PairGeometry(field, a, geom.size ** 2).trace_exp
     eb = ea if b == a else PairGeometry(field, b, geom.size ** 2).trace_exp   # b < a <= delta
-    flat = lam.reshape(q ** a, q ** b * width).astype(np.float64)
-    s0 = np.zeros((q ** a * width, q ** b))
-    for e in range(p) if b else (0,):   # with b = 0 the right grid has exponent 0 only
-        # rows (u1, t), columns c2, so the right product is one matmul too
-        left = ((ea == e) @ flat).reshape(q ** a, q ** b, width).transpose(0, 2, 1)
-        s0 += left.reshape(-1, q ** b) @ (eb == -e % p)
-    s0 = s0.reshape(q ** a, width, q ** b).transpose(0, 2, 1).reshape(-1, width).astype(np.int64)
-    # (p S_0 - sum lam) / (p - 1), with no term past the 2^52 bound
-    rows = s0 - (lam.sum(axis=0) - s0) // (p - 1)
-    return FourierMatrix(field, adj.delta, adj.n, rows, pair_indices(field, pairs.codes().T))
+    # rows (c1, t), columns c2, so both products are 2-d matmuls: lam N_e
+    # for e = 0 and, unless b = 0 (then N has exponent 0 only, so R = 0), 1
+    lam_t = lam.reshape(q ** a, q ** b, width).transpose(0, 2, 1).reshape(-1, q ** b)
+    lam_t = lam_t.astype(np.float64)
+    right = {e: lam_t @ (eb == e) for e in range(2 if b else 1)}
+
+    def product(e):   # M_e lam N_e with rows u1 and columns (t, u2)
+        return ((ea == e) @ right.pop(e).reshape(q ** a, -1)).reshape(q ** a, width, q ** b)
+
+    s0 = product(0)
+    if b and p == 2:   # F_2^* = {1} and -u2 = u2
+        s0 += product(1)
+    elif b:
+        label, negated = _orbit_labels(field, a, b)
+        r = product(1)
+        for t in range(width):
+            s0[:, t] += np.bincount(label.ravel(), r[:, t].ravel(), label.size)[negated]
+        del r   # freed before the last two grids
+    # (p S_0 - sum lam) / (p - 1), with no term past the 2^52 bound, so the
+    # integer quotient is exact in float64
+    s0 -= (lam.sum(axis=0)[:, None] - s0) / (p - 1)
+    rows = s0.transpose(0, 2, 1).astype(np.int64, order="C").reshape(-1, width)
+    return FourierMatrix(field, adj.delta, adj.n, rows, at)
 
 
 class TransformedMatrix:

@@ -81,10 +81,14 @@ def weight_counts(field: FieldSpec, gen: np.ndarray, lo: int, hi: int,
     canonical index in [lo, hi), one row per run of ``group`` consecutive
     c: a ((hi - lo) // group, n + 1) array.  Weights are counted from the
     entry codes, never from an index in F^n, which can overflow int64."""
-    out = np.zeros(((hi - lo) // group, gen.shape[1] + 1), dtype=np.int64)
+    width = gen.shape[1] + 1
+    out = np.zeros(((hi - lo) // group, width), dtype=np.int64)
     for start, block in span_blocks(field, gen, lo, hi):
-        rows = (np.arange(start, start + len(block)) - lo) // group
-        np.add.at(out, (rows, np.count_nonzero(block, axis=1)), 1)
+        first = (start - lo) // group
+        rows = (np.arange(start, start + len(block)) - lo) // group - first
+        keys = rows * width + np.count_nonzero(block, axis=1)
+        out[first:first + rows[-1] + 1] += np.bincount(
+            keys, minlength=(rows[-1] + 1) * width).reshape(-1, width)
     return out
 
 

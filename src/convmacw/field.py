@@ -183,7 +183,7 @@ class FieldSpec:
     monic; it is validated for irreducibility by trial division.
     """
 
-    __slots__ = ("p", "s", "q", "modulus", "_key", "_elems", "_add_t",
+    __slots__ = ("p", "s", "q", "modulus", "_key", "_elems", "_add_t", "_add_np",
                  "_mul_t", "_inv_t", "_neg_t", "_lift", "_traces")
 
     def __init__(self, p: int, s: int = 1, modulus=None):
@@ -222,7 +222,7 @@ class FieldSpec:
         self._lift.setflags(write=False)
         # the trace of a is that of multiplication by a, linear in its digits
         self._traces = np.trace(self._lift.reshape(s, s, s), axis1=1, axis2=2).tolist()
-        self._add_t = self._mul_t = self._inv_t = self._neg_t = None
+        self._add_t = self._add_np = self._mul_t = self._inv_t = self._neg_t = None
         if self.q <= _TABLE_MAX:
             # digit-wise sums, and products from the F_p lift of the kernel
             codes = np.arange(self.q, dtype=np.int64)
@@ -232,6 +232,9 @@ class FieldSpec:
             mul = linear_map(self, codes.reshape(-1, 1, 1))(codes[:, None])[..., 0]
             inv = np.argmax(mul == 1, axis=1)
             self._add_t = add.tolist()
+            if p > 2:   # the point kernel adds codes by table past XOR
+                self._add_np = add
+                add.setflags(write=False)
             self._mul_t = mul.tolist()
             self._neg_t = ((-digits) % p @ powers).tolist()
             self._inv_t = [None] + inv[1:].tolist()
@@ -417,16 +420,54 @@ def span_blocks(field: FieldSpec, basis, lo: int = 0, hi: int | None = None):
     every c with canonical index in [lo, hi) (default all q^dim), in order.
     A (dim, ambient) basis gives (count, ambient) blocks, an (N, dim,
     ambient) stack (count, N, ambient) ones; dim 0 gives the zero point.
-    Blocks hold about ``_CHUNK`` digits, so memory stays flat."""
+
+    Points are built by field addition: the q^L points of the last L
+    coordinates form one table, an iterated outer sum of each row's q
+    multiples, and a block adds a few prefix points (the first dim - L
+    coordinates) to it.  L is the most coordinates whose table fits in a
+    block of about ``_CHUNK`` digits, but at least one, so memory stays
+    flat and a large field is still walked a table at a time."""
     basis = np.asarray(basis, dtype=np.int64)
     stack = basis if basis.ndim == 3 else basis[None]
     count, dim, ambient = stack.shape
-    hi = field.q ** dim if hi is None else hi
-    step = max(1, _CHUNK // ((dim + count * ambient) * field.s or 1))
-    image = linear_map(field, stack)
-    for start in range(lo, hi, step):
-        codes = image(index_codes(field, np.arange(start, min(start + step, hi)), dim))
-        yield start, codes if basis.ndim == 3 else codes[:, 0]
+    q, width = field.q, count * ambient
+    hi = q ** dim if hi is None else hi
+    shape = (count, ambient) if basis.ndim == 3 else (ambient,)
+    step = max(1, _CHUNK // (width * field.s or 1))
+    low = min(dim, 1)
+    while low < dim and q ** (low + 1) <= step:
+        low += 1
+    # mults[c, i] holds the codes of c times row i, the rows of a stack's
+    # matrices side by side
+    mults = linear_map(field, stack.transpose(1, 0, 2).reshape(dim, 1, width))(
+        np.arange(q).reshape(q, 1))
+    table = np.zeros((1, width), dtype=np.int64)
+    for i in range(dim - low, dim):
+        table = add_codes(field, table[:, None], mults[None, :, i]).reshape(len(table) * q, width)
+    t = len(table)
+
+    def prefixes(first, last):   # the points of the first dim - L coordinates
+        digits = index_codes(field, np.arange(first, last), dim - low)
+        out = np.zeros((last - first, width), dtype=np.int64)
+        for i in range(dim - low):
+            out = add_codes(field, out, mults[digits[:, i], i])
+        return out
+
+    start = lo
+    while start < hi:
+        pre, j = divmod(start, t)
+        # whole prefixes, about one block's worth, or one prefix a block at a time
+        end = min(hi, (pre + step // t) * t if t <= step else min(start + step, (pre + 1) * t))
+        last = -(-end // t)
+        if dim == low:   # the table is the whole span
+            block = table[start:end]
+        elif last == pre + 1:
+            block = add_codes(field, prefixes(pre, last), table[j:j + end - start])
+        else:
+            block = add_codes(field, prefixes(pre, last)[:, None], table)
+            block = block.reshape((last - pre) * t, width)[j:j + end - start]
+        yield start, block.reshape(end - start, *shape)
+        start = end
 
 
 def span_indices(field: FieldSpec, basis) -> np.ndarray:
@@ -434,19 +475,34 @@ def span_indices(field: FieldSpec, basis) -> np.ndarray:
     return np.concatenate([code_index(field, b) for _, b in span_blocks(field, basis)])
 
 
+def add_codes(field: FieldSpec, a, b, length: int = 1):
+    """Field sums of broadcast int arrays: the entry codes of a + b, or,
+    for ``length`` > 1, the canonical indices of the sums of vectors of
+    F^length given by their indices.  Both are digit vectors over F_p,
+    which addition adds digit by digit: XOR at p = 2, else a gather from
+    the add table up to q = 256 (faster than a sum mod p), a sum mod p
+    over a larger prime field and a base-p loop otherwise."""
+    p = field.p
+    if p == 2:
+        return a ^ b
+    if length == 1 and field._add_np is not None:
+        return field._add_np[a, b]
+    if length == 1 and field.s == 1:
+        return (a + b) % p
+    out, place = np.zeros(np.broadcast(a, b).shape, dtype=np.int64), 1
+    for _ in range(length * field.s):
+        out = out + (a // place + b // place) % p * place
+        place *= p
+    return out
+
+
 def pair_indices(field: FieldSpec, matrix: np.ndarray) -> np.ndarray:
     """(q^d, q^d) grid of the index of (X, Y) @ matrix for all X, Y in F^d
-    and a (2d, w) code matrix: the indices of X @ top and Y @ bottom added
-    digit-wise in base p, as field addition adds codes' digits."""
+    and a (2d, w) code matrix: the indices of X @ top and Y @ bottom,
+    added as vectors of F^w."""
     x = span_indices(field, matrix[:len(matrix) // 2])[:, None]
     y = span_indices(field, matrix[len(matrix) // 2:])[None, :]
-    if field.p == 2:
-        return x ^ y
-    out, place = np.zeros((x.size, y.size), dtype=np.int64), 1
-    for _ in range(matrix.shape[1] * field.s):
-        out += (x // place + y // place) % field.p * place
-        place *= field.p
-    return out
+    return add_codes(field, x, y, matrix.shape[1])
 
 
 def code_index(field: FieldSpec, codes: np.ndarray) -> np.ndarray:

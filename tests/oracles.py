@@ -57,6 +57,22 @@ def int_matrix(field, rows) -> FMat:
     return FMat.from_rows(field, [[field.from_int(v) for v in r] for r in rows])
 
 
+def span_blocks_reference(field, basis, lo: int = 0, hi: int | None = None, chunk: int = 2 ** 16):
+    """The point kernel by lift and matmul: every block's coefficient
+    vectors c are unpacked from their indices and mapped by one float64
+    matmul mod p; same blocks of c @ basis as ``field.span_blocks``
+    yields, but cut every ``chunk`` digits."""
+    basis = np.asarray(basis, dtype=np.int64)
+    stack = basis if basis.ndim == 3 else basis[None]
+    count, dim, ambient = stack.shape
+    hi = field.q ** dim if hi is None else hi
+    step = max(1, chunk // ((dim + count * ambient) * field.s or 1))
+    image = linear_map(field, stack)
+    for start in range(lo, hi, step):
+        codes = image(index_codes(field, np.arange(start, min(start + step, hi)), dim))
+        yield start, codes if basis.ndim == 3 else codes[:, 0]
+
+
 def points(space: Subspace):
     """All q^dim points of a subspace, in span-coefficient order."""
     elems = space.field.elements

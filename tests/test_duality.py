@@ -122,13 +122,18 @@ def test_fourier_bucket_collapse(ternary_pair):
     ((3, 2, [2, 2, 1]), [["[1,1]z+[2,2]z^2", "[1,2]+[0,2]z+[1,1]z^2",
                           "[1,2]+[2,1]z+[0,1]z^2"]], 3, 4),
     ((127,), [["1+z", "1"]], 2, 2),
+    ((3,), [["1+z+z^2", "1+2z^2", "1"]], 3, 4),
+    ((5,), [["1+z+z^2", "1+2z^2", "1"]], 3, 4),
+    ((7,), [["1+z+z^2", "1+3z", "2"]], 3, 4),
+    ((11,), [["1+z", "1"]], 2, 2),
 ], ids=["delta0-m0", "odd-m", "m-2delta", "gf4-odd-m", "gf8-odd-m", "gf9-odd-m",
-        "gf127-delta1"])
+        "gf127-delta1", "gf3-odd-m", "gf5-odd-m", "gf7-odd-m", "gf11-delta1"])
 def test_fourier_transform_matches_bucket_product(spec, rows, m, m_dual):
     """The Fourier transform on the m-dim connected pairs equals the dense
     bucket product on both sides: at m = 0 (delta = 0), at odd m, where the
     two halves of the coefficient space differ in size, at m = 2 delta,
-    over extension fields, and over GF(127).  The transform reads the
+    over extension fields, and over GF(p) for p = 3 to 127, where the
+    terms of trace e != 0 come from one product summed over F_p^* orbits.  The transform reads the
     sorted counts as span-coefficient order, which they are."""
     pair = DualPair(PolyMatrix.from_strings(FieldSpec(*spec), rows))
     assert (connected_pairs(pair.cf).dim, connected_pairs(pair.cf_dual).dim) == (m, m_dual)

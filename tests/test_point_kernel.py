@@ -2,7 +2,9 @@
 a plain FieldElement reference kept here: subspace points (including
 dim 0 and ambient 0), the greedy complement scan, coset enumerators,
 state translations, projective classes and the coset-built adjacency
-matrix."""
+matrix.  The additive kernel, its field addition and the weight counts
+built on it are also checked against the lift-and-matmul kernel of
+``oracles.span_blocks_reference``."""
 
 import itertools
 import random
@@ -16,11 +18,13 @@ from convmacw import field as fieldmod
 from convmacw import linalg
 from convmacw.duality import PairGeometry
 from convmacw.errors import InternalCheckError
-from convmacw.exact import WePoly
-from convmacw.field import code_index, index_codes, linear_map, span_blocks
+from convmacw.exact import WePoly, weight_counts
+from convmacw.field import (add_codes, code_index, index_codes, linear_map, span_blocks,
+                            span_indices)
 from convmacw.linalg import deterministic_complement
 from oracles import (enumerate_vectors, intersect, points, projective_classes,
-                     random_minimal_encoder, shift_perm, vector_index, we_of_affine)
+                     random_minimal_encoder, shift_perm, span_blocks_reference,
+                     vector_index, we_of_affine)
 
 FIELDS = {2: (2,), 3: (3,), 4: (2, 2, [1, 1, 1]), 8: (2, 3, [1, 1, 0, 1]),
           9: (3, 2, [2, 2, 1])}
@@ -94,6 +98,93 @@ def test_span_blocks_cover_ranges(field, monkeypatch):
     for start, block in span_blocks(field, stacked, lo, hi):
         assert block.shape == (len(block), 2, 4)
         assert np.array_equal(block[:, 0], full[start:start + len(block)])
+
+
+# one or two fields per branch of field addition: XOR (GF(2), GF(8)), the
+# add table (GF(5), GF(9)), a sum mod p (GF(257)) and the base-p loop past
+# the tables (GF(3^6))
+BRANCH_FIELDS = {"gf2": (2,), "gf8": (2, 3, [1, 1, 0, 1]), "gf5": (5,), "gf9": (3, 2, [2, 2, 1]),
+                 "gf257": (257,), "gf729": (3, 6, [1, 0, 0, 0, 1, 1, 1])}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_FIELDS))
+def test_add_codes_every_branch(name):
+    """Entry codes and, with a length, indices of F^3 vectors, against
+    FieldElement sums."""
+    field = FieldSpec(*BRANCH_FIELDS[name])
+    rng = np.random.default_rng(field.q)
+    a, b = rng.integers(0, field.q, (2, 40, 3))
+    sums = [[field.add(x, y) for x, y in zip(u, v)] for u, v in zip(a.tolist(), b.tolist())]
+    assert add_codes(field, a, b).tolist() == sums
+    got = add_codes(field, code_index(field, a), code_index(field, b), 3)
+    assert got.tolist() == code_index(field, np.array(sums)).tolist()
+
+
+def _kernel_cases(q):
+    """Bases (plain and stacked, dim 0 and width 0 among them) and ranges
+    [lo, hi) that miss block boundaries; ranges stay short over large q."""
+    for shape in ((0, 3), (2, 0), (1, 4), (2, 3), (3, 2), (3, 2, 2), (4, 2, 1), (2, 0, 2)):
+        dim = shape[-2]
+        total = q ** dim
+        ranges = [(0, None), (1, total - 1)] if total <= 4096 else []
+        ranges.append((total // 3 + 1, min(total, total // 3 + 300)))
+        yield shape, ranges
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_FIELDS))
+@pytest.mark.parametrize("chunk", [2 ** 16, 7], ids=["chunk-default", "chunk-7"])
+def test_span_blocks_match_reference_kernel(name, chunk, monkeypatch):
+    """The additive kernel yields the points of the lift-and-matmul kernel,
+    in order, in consecutive blocks, and ``span_indices`` their indices."""
+    field = FieldSpec(*BRANCH_FIELDS[name])
+    rng = np.random.default_rng(field.q + chunk)
+    monkeypatch.setattr(fieldmod, "_CHUNK", chunk)
+    for shape, ranges in _kernel_cases(field.q):
+        basis = rng.integers(0, field.q, shape)
+        for lo, hi in ranges:
+            got = list(span_blocks(field, basis, lo, hi))
+            ref = [b for _, b in span_blocks_reference(field, basis, lo, hi)]
+            if not ref:   # an empty range
+                assert not got
+                continue
+            want = np.concatenate(ref)
+            starts, blocks = zip(*got)
+            assert starts[0] == lo
+            assert list(starts[1:]) == [s + len(b) for s, b in zip(starts, blocks)][:-1]
+            assert np.array_equal(np.concatenate(blocks), want), (shape, lo, hi)
+            # no block passes _CHUNK digits (or one point)
+            width = shape[-1] * (shape[0] if len(shape) == 3 else 1)
+            assert max(map(len, blocks)) <= max(1, chunk // (width * field.s or 1))
+        if field.q ** shape[-2] <= 4096:
+            full = np.concatenate([b for _, b in span_blocks_reference(field, basis)])
+            assert np.array_equal(span_indices(field, basis), code_index(field, full))
+
+
+def test_large_field_span_walks_a_table_at_a_time():
+    """Over GF(65521) the table holds one whole coordinate: a dim-1 span and
+    a window of a dim-2 span come out in a handful of blocks, not one
+    block (or one Python step) per point of the prefix."""
+    field = FieldSpec(65521)
+    for basis, lo, hi in (([[1, 3]], 0, None), ([[1, 3], [5, 0]], 7 * 65521 + 11, 9 * 65521 + 5)):
+        blocks = list(span_blocks(field, basis, lo, hi))
+        assert len(blocks) <= 8
+        want = np.concatenate([b for _, b in span_blocks_reference(field, basis, lo, hi)])
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), want)
+
+
+def test_weight_counts_match_reference(field, monkeypatch):
+    """Counts per run of ``group`` points, over a range off the block
+    boundaries, with blocks of a few points each."""
+    rng = random.Random(3 * field.q)
+    gen = np.array([[rng.randrange(field.q) for _ in range(4)] for _ in range(3)])
+    group, q3 = field.q, field.q ** 3
+    lo, hi = group, q3 - group
+    want = np.zeros(((hi - lo) // group, 5), dtype=np.int64)
+    for start, block in span_blocks_reference(field, gen, lo, hi):
+        for i, row in enumerate(block.tolist(), start):
+            want[(i - lo) // group, sum(1 for c in row if c)] += 1
+    monkeypatch.setattr(fieldmod, "_CHUNK", 11)
+    assert np.array_equal(weight_counts(field, gen, lo, hi, group), want)
 
 
 @pytest.mark.parametrize("spec", [(257,), (2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1])])
