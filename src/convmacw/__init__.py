@@ -3,8 +3,8 @@ convolutional codes over finite fields."""
 
 from .adjacency import (AdjMatrix, StatePermutation, adjacency_by_cosets,
                         adjacency_by_transitions)
-from .duality import (CharacterMatrix, DualityReport, DualPair, FourierMatrix,
-                      SearchResult, TransformedMatrix, check_unit_memory,
+from .duality import (DualityReport, DualPair, FourierMatrix, SearchResult,
+                      TransformedMatrix, check_unit_memory,
                       check_weak_identity, check_witness,
                       closed_form_witness_dual, closed_form_witness_primal,
                       fourier_transform, macwilliams_image, run_verification,

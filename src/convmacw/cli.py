@@ -243,9 +243,11 @@ def _witness_matrix(text: str, field: FieldSpec) -> FMat:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"witness is not valid JSON: {e.msg}") from None
-    if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
+    # a JSON integer loads as an int, never a bool or a float
+    if not isinstance(data, list) or any(
+            not isinstance(r, list) or any(type(v) is not int for v in r) for r in data):
         raise ValueError("witness must be a nested integer array")
-    rows = [[field.element(int(v) % field.q) for v in r] for r in data]
+    rows = [[field.element(v % field.q) for v in r] for r in data]
     return FMat.from_rows(field, rows, len(data)) if data else FMat(field, 0, 0, [])
 
 
@@ -280,7 +282,6 @@ def cmd_verify(args) -> int:
         witness = _witness_matrix(args.check_witness, doc.field)
     report = dualmod.run_verification(
         G, mode=args.mode, witness=witness,
-        zeta_exponent=args.zeta_exponent,
         grid_limit=limits.get("grid", dualmod.GRID_LIMIT),
         search_limit=limits.get("search", dualmod.SEARCH_LIMIT),
     )
@@ -303,27 +304,32 @@ def cmd_macw(args) -> int:
     field = FieldSpec(args.p, args.s,
                       [int(d) for d in args.modulus.split(",")] if args.modulus else None)
     limits = _parse_limits(args)
-    charm = dualmod.CharacterMatrix.build(
-        field, args.delta, zeta_exponent=args.zeta_exponent,
-        limit=limits.get("grid", dualmod.GRID_LIMIT))
+    if args.delta < 0:
+        raise ValueError("delta must be >= 0")
+    dualmod.grid_guard(field.q, args.delta, limits.get("grid", dualmod.GRID_LIMIT))
+    if not 1 <= args.zeta_exponent < field.p:
+        raise ValueError(f"zeta exponent must be in [1, {field.p})")
+    # the grid's (X, Y) entry is zeta^(d tr(X . Y)), scaled by q^(-delta/2)
+    table = dualmod.trace_exponents(field, args.delta)
+    exponents = (args.zeta_exponent * table % field.p).tolist()
     if args.format == "json":
         return _emit_json({
             "p": field.p,
             "q": field.q,
             "delta": args.delta,
             "zeta_exponent": args.zeta_exponent,
-            "scale_pow": charm.scale_pow,
-            "exponents": [[int(e) for e in row] for row in charm.exponents],
+            "scale_pow": -args.delta,
+            "exponents": exponents,
         })
-    if field.p == 2:
-        grid = charm.signed_grid()
-        width = max(len(str(v)) for row in grid for v in row)
-        for row in grid:
+    if field.p == 2:   # zeta = -1: the grid of signs
+        signs = [[-1 if e else 1 for e in row] for row in exponents]
+        width = max(len(str(v)) for row in signs for v in row)
+        for row in signs:
             print(" ".join(str(v).rjust(width) for v in row))
     else:
-        for row in charm.exponents:
-            print(" ".join(f"z^{int(e)}" for e in row))
-    print(f"scale: q^({charm.scale_pow}/2) with q = {field.q}")
+        for row in exponents:
+            print(" ".join(f"z^{e}" for e in row))
+    print(f"scale: q^({-args.delta}/2) with q = {field.q}")
     return 0
 
 
@@ -366,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "search", "unit-memory"))
     p.add_argument("--check-witness", metavar="JSON",
                    help="validate a given witness matrix (nested int arrays)")
-    p.add_argument("--zeta-exponent", type=int, default=1,
-                   help="use the d-th power of the primitive root; every d gives one result")
     add_common(p, ("grid", "search"))
     p.set_defaults(func=cmd_verify)
 
@@ -394,7 +398,12 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as e:
+        if e.code:   # argparse exits 2 on a usage error; 2 here is a size guard
+            return 1
+        raise
     try:
         return args.func(args)
     except GuardExceeded as e:

@@ -1,4 +1,4 @@
-"""Duality engine: character matrices over the state space, two-sided
+"""Duality engine: the trace exponents of the character grid, two-sided
 character conjugation of adjacency matrices, the transformation sending a
 code's adjacency matrix to its dual's, closed-form witnesses when one
 side has all indices <= 1, the projective witness search, and the
@@ -42,60 +42,13 @@ def grid_guard(q: int, delta: int, limit: int = GRID_LIMIT, width: int = 1):
                             f" bytes per int64 grid of {width} values a pair)")
 
 
-def check_zeta_exponent(p: int, zeta_exponent: int):
-    if not 1 <= zeta_exponent < p:
-        raise ValueError(f"zeta exponent must be in [1, {p})")
-
-
-class PairGeometry:
-    """Cached integer tables over the state space: pairing codes, trace
-    exponents and the negation permutation."""
-
-    __slots__ = ("field", "delta", "size", "beta_codes", "trace_exp", "neg_perm")
-
-    def __init__(self, field: FieldSpec, delta: int, limit: int = GRID_LIMIT):
-        grid_guard(field.q, delta, limit)
-        size = field.q ** delta
-        self.field = field
-        self.delta = delta
-        self.size = size
-        states = index_codes(field, np.arange(size), delta)
-        # row j is x . y_j for every state x; the form is symmetric
-        self.beta_codes = span_indices(field, states[:, :, None]).T
-        self.trace_exp = field.trace_table()[self.beta_codes]
-        minus_one = field.neg(1) * np.eye(delta, dtype=np.int64)
-        self.neg_perm = span_indices(field, minus_one)
-
-
-class CharacterMatrix:
-    """Character-value grid over the state space, scaled by q^(-delta/2).
-
-    Only the zeta exponents are stored; the (X, Y) entry of the
-    unnormalized grid is zeta^exponents[X][Y] with
-    exponents[X][Y] = d * trace(beta(X, Y)) for the primitive-root
-    exponent d.
-    """
-
-    __slots__ = ("p", "exponents", "scale_pow")
-
-    def __init__(self, geom: PairGeometry, zeta_exponent: int = 1):
-        p = geom.field.p
-        check_zeta_exponent(p, zeta_exponent)
-        self.p = p
-        self.scale_pow = -geom.delta
-        self.exponents = (zeta_exponent * geom.trace_exp) % p
-
-    @classmethod
-    def build(cls, field: FieldSpec, delta: int, zeta_exponent: int = 1,
-              limit: int = GRID_LIMIT) -> "CharacterMatrix":
-        return cls(PairGeometry(field, delta, limit), zeta_exponent)
-
-    def signed_grid(self) -> tuple[tuple[int, ...], ...]:
-        """Unnormalized +-1 grid; only meaningful in characteristic 2."""
-        if self.p != 2:
-            raise ValueError("signed rendering needs p = 2")
-        return tuple(tuple(1 if e == 0 else -1 for e in row)
-                     for row in self.exponents)
+def trace_exponents(field: FieldSpec, dim: int) -> np.ndarray:
+    """Read-only (q^dim, q^dim) int64 table of tr(x . y), states of F_q^dim
+    in canonical order: the exponents of zeta in the character grid."""
+    states = index_codes(field, np.arange(field.q ** dim), dim)
+    table = field.trace_table()[span_indices(field, states[:, :, None])]
+    table.flags.writeable = False
+    return table
 
 
 class FourierMatrix:
@@ -137,7 +90,7 @@ def _orbit_labels(field: FieldSpec, a: int, b: int) -> tuple[np.ndarray, np.ndar
     return label, label[:, scaled[1][p - 1]]
 
 
-def fourier_transform(adj: AdjMatrix, cf: ControllerForm, geom: PairGeometry) -> FourierMatrix:
+def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> FourierMatrix:
     """Two-sided character conjugation as a Fourier transform on F_q^m.
 
     The support is the m-dim connected pairs with RREF basis B, so row c of
@@ -158,8 +111,8 @@ def fourier_transform(adj: AdjMatrix, cf: ControllerForm, geom: PairGeometry) ->
                             "(float64 headroom)")
     at = pair_indices(field, pairs.codes().T)
     a, b = (pairs.dim + 1) // 2, pairs.dim // 2
-    ea = geom.trace_exp if a == geom.delta else PairGeometry(field, a, geom.size ** 2).trace_exp
-    eb = ea if b == a else PairGeometry(field, b, geom.size ** 2).trace_exp   # b < a <= delta
+    ea = trace_exponents(field, a)
+    eb = ea[:q ** b, :q ** b]   # the first q^b states of F^a are (0, y): the b-dim table
     # rows (c1, t), columns c2, so both products are 2-d matmuls: lam N_e
     # for e = 0 and, unless b = 0 (then N has exponent 0 only, so R = 0), 1
     lam_t = lam.reshape(q ** a, q ** b, width).transpose(0, 2, 1).reshape(-1, q ** b)
@@ -202,15 +155,15 @@ class TransformedMatrix:
         self.denom = field.q ** (delta + k)
 
 
-def macwilliams_image(fm: FourierMatrix, k: int,
-                      geom: PairGeometry) -> TransformedMatrix:
+def macwilliams_image(fm: FourierMatrix, k: int, neg_perm: np.ndarray) -> TransformedMatrix:
     """Entrywise MacWilliams transform of the conjugation of the
     transposed adjacency matrix, scaled by q^(-k).
 
     H runs once per row of ``fm``; conjugating the transpose is index
     algebra on its index grid: the (X, Y) entry of the de-conjugated
     transpose is the (-Y, X) entry of the two-sided conjugation, because
-    the grid squares to the negation permutation.
+    the grid squares to the negation permutation ``neg_perm``, the index
+    of -X for every state X.
 
     The transform runs in int64.  No partial sum exceeds max|entry| times
     the largest column sum of |H|, so that bound is checked, in exact
@@ -225,7 +178,7 @@ def macwilliams_image(fm: FourierMatrix, k: int,
             f"= {bound} >= 2^62 (int64 headroom)"
         )
     image = fm.rows @ np.array(rows, dtype=np.int64)
-    return TransformedMatrix(fm.field, fm.n, k, fm.delta, image[fm.at[geom.neg_perm].T])
+    return TransformedMatrix(fm.field, fm.n, k, fm.delta, image[fm.at[neg_perm].T])
 
 
 def state_pairing_matrix(cf: ControllerForm, cf_dual: ControllerForm) -> FMat:
@@ -249,7 +202,7 @@ class DualPair:
     """
 
     def __init__(self, G: PolyMatrix, G_dual: PolyMatrix | None = None,
-                 zeta_exponent: int = 1, grid_limit: int = GRID_LIMIT):
+                 grid_limit: int = GRID_LIMIT):
         self.G = G
         q, n, k = G.field.q, G.ncols, G.nrows
         delta = CodeProfile.from_encoder(G).delta
@@ -267,12 +220,10 @@ class DualPair:
         self.n = self.cf.n
         self.k = self.cf.k
         self.delta = self.cf.delta
-        self.zeta_exponent = zeta_exponent
-        self.grid_limit = grid_limit
 
     @cached_property
-    def geometry(self) -> PairGeometry:
-        return PairGeometry(self.field, self.delta, self.grid_limit)
+    def neg_perm(self) -> np.ndarray:   # the index of -X for every state X
+        return span_indices(self.field, self.field.neg(1) * np.eye(self.delta, dtype=np.int64))
 
     @cached_property
     def adj(self) -> AdjMatrix:
@@ -304,13 +255,11 @@ class DualPair:
 
     @cached_property
     def fourier(self) -> FourierMatrix:
-        # every valid exponent gives the same matrix
-        check_zeta_exponent(self.field.p, self.zeta_exponent)
-        return fourier_transform(self.adj, self.cf, self.geometry)
+        return fourier_transform(self.adj, self.cf)
 
     @cached_property
     def transformed(self) -> TransformedMatrix:
-        return macwilliams_image(self.fourier, self.k, self.geometry)
+        return macwilliams_image(self.fourier, self.k, self.neg_perm)
 
     @cached_property
     def dual_scaled(self) -> np.ndarray:
@@ -363,12 +312,11 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     if not fmat.is_invertible():
         raise InternalCheckError("reordering map is singular")
 
-    geom = pair.geometry
-    size = geom.size
+    size = f.q ** pair.delta
     # pair (X, Y) has index X * size + Y, its canonical index in F^(2 delta),
     # and the entrywise transform at (X, Y) is the transformed matrix at (Y, -X)
     x, y = np.divmod(pair_indices(f, vector_codes(fmat.rows, two_delta)), size)
-    if not np.array_equal(pair.dual_scaled, tnum[y, geom.neg_perm[x]]):
+    if not np.array_equal(pair.dual_scaled, tnum[y, pair.neg_perm[x]]):
         raise InternalCheckError("reordered transform does not match the dual")
     return WeakIdentityReport(entries_checked=size * size)
 
@@ -540,7 +488,6 @@ def check_unit_memory(pair: DualPair) -> int:
     if pair.delta != 1:
         raise ValueError("unit-memory formulas need delta = 1")
     q = pair.field.q
-    size = pair.geometry.size
     lam = pair.adj.dense_coefficients()
     ht = np.array(macwilliams_rows(pair.n, q), dtype=np.int64)
     lam00, lam01, row1 = lam[0, 0], lam[0, 1], lam[1].sum(axis=0)
@@ -548,7 +495,7 @@ def check_unit_memory(pair: DualPair) -> int:
     inner[0, 0] = lam00 + (q - 1) * (lam01 + row1)
     if not np.array_equal(pair.dual_scaled, inner @ ht):
         raise InternalCheckError("per-entry unit-memory formula failed")
-    return size * size
+    return q * q
 
 
 @dataclass
@@ -574,8 +521,7 @@ class DualityReport:
 
 
 def run_verification(G: PolyMatrix, mode: str = "auto",
-                     witness: FMat | None = None, zeta_exponent: int = 1,
-                     grid_limit: int = GRID_LIMIT,
+                     witness: FMat | None = None, grid_limit: int = GRID_LIMIT,
                      search_limit: int = SEARCH_LIMIT) -> DualityReport:
     """Drive the duality pipeline for one encoder and produce a report.
 
@@ -585,7 +531,7 @@ def run_verification(G: PolyMatrix, mode: str = "auto",
     search.
     """
     start = time.perf_counter()
-    pair = DualPair(G, zeta_exponent=zeta_exponent, grid_limit=grid_limit)
+    pair = DualPair(G, grid_limit=grid_limit)
     details: dict = {"mode": mode}
     theorem_used = mode
     verdict = "verified"

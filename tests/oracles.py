@@ -14,8 +14,8 @@ import numpy as np
 from convmacw import (FMat, GuardExceeded, InternalCheckError, PolyMatrix,
                       StatePermutation, Subspace, WePoly, ZPoly)
 from convmacw.adjacency import AdjMatrix
-from convmacw.duality import (CharacterMatrix, FourierMatrix, TransformedMatrix,
-                              fourier_transform)
+from convmacw.duality import (FourierMatrix, TransformedMatrix, fourier_transform,
+                              trace_exponents)
 from convmacw.exact import macwilliams_rows, weight_counts
 from convmacw.field import (code_index, index_codes, linear_map, span_blocks,
                             span_indices, vector_codes)
@@ -354,26 +354,26 @@ def bucket_tensor(lam: np.ndarray, E: np.ndarray, p: int) -> np.ndarray:
     return buckets
 
 
-def fourier_conjugate(adj: AdjMatrix, geom, zeta_exponent: int = 1) -> FourierMatrix:
+def fourier_conjugate(adj: AdjMatrix, zeta_exponent: int = 1) -> FourierMatrix:
     """Conjugate the dense adjacency matrix on both sides by the character
     grid of root zeta^d, bucket by exponent and collapse to exact
     rationals; the result indexes its rows by flat pair index."""
-    p = adj.field.p
-    E = CharacterMatrix(geom, zeta_exponent).exponents
+    p, size = adj.field.p, adj.field.q ** adj.delta
+    E = zeta_exponent * trace_exponents(adj.field, adj.delta) % p
     buckets = bucket_tensor(adj.dense_coefficients(), E, p)
     # the p-th roots of unity sum to zero, so bucket counts b_e stand for
     # the rational b_0 - b_(p-1) exactly when b_1 = ... = b_(p-1)
     if not (buckets[1:] == buckets[p - 1]).all():
         raise InternalCheckError("cyclotomic coefficients did not collapse to rationals")
     numer = buckets[0] - buckets[p - 1]
-    return FourierMatrix(adj.field, adj.delta, adj.n, numer.reshape(geom.size ** 2, -1),
-                         np.arange(geom.size ** 2).reshape(geom.size, geom.size))
+    return FourierMatrix(adj.field, adj.delta, adj.n, numer.reshape(size ** 2, -1),
+                         np.arange(size ** 2).reshape(size, size))
 
 
-def check_bucket_route(fm, adj: AdjMatrix, geom):
+def check_bucket_route(fm, adj: AdjMatrix):
     """The production conjugated matrix ``fm`` of ``adj`` equals the dense
     bucket product."""
-    if not np.array_equal(grid(fm), grid(fourier_conjugate(adj, geom))):
+    if not np.array_equal(grid(fm), grid(fourier_conjugate(adj))):
         raise InternalCheckError("Fourier transform and bucket product disagree on "
                                  "the conjugated matrix")
 
@@ -385,14 +385,28 @@ def add_table(field) -> np.ndarray:
     return (digits[:, None] + digits[None]) % field.p @ powers
 
 
-def orth_mask(geom, basis) -> np.ndarray:
+def pairing_codes(field, delta: int) -> np.ndarray:
+    """The (q^delta, q^delta) table of the entry codes of X . Y, states in
+    canonical order."""
+    states = index_codes(field, np.arange(field.q ** delta), delta)
+    return span_indices(field, states[:, :, None]).T
+
+
+def negation_perm(field, delta: int) -> np.ndarray:
+    """Index of -X for every state X, negating each entry by the add table."""
+    neg = np.argmax(add_table(field) == 0, axis=1)
+    return code_index(field, neg[index_codes(field, np.arange(field.q ** delta), delta)])
+
+
+def orth_mask(field, beta: np.ndarray, basis) -> np.ndarray:
     """Boolean (size, size) grid marking pairs (X, Y) orthogonal to every
-    basis pair under the doubled bilinear form."""
-    add = add_table(geom.field)
-    mask = np.ones((geom.size, geom.size), dtype=bool)
+    basis pair under the doubled bilinear form; ``beta`` is the
+    ``pairing_codes`` table."""
+    add = add_table(field)
+    mask = np.ones(beta.shape, dtype=bool)
     for b in basis:
-        g1, g2 = code_index(geom.field, np.reshape(b, (2, geom.delta))).tolist()
-        mask &= add[geom.beta_codes[:, g1][:, None], geom.beta_codes[:, g2][None, :]] == 0
+        g1, g2 = code_index(field, np.reshape(b, (2, -1))).tolist()
+        mask &= add[beta[:, g1][:, None], beta[:, g2][None, :]] == 0
     return mask
 
 
@@ -412,19 +426,21 @@ def projective_classes(field, vectors: np.ndarray):
     return index_codes(field, keys, vectors.shape[1]), cls
 
 
-def fourier_closed_form(adj: AdjMatrix, cf, geom) -> np.ndarray:
+def fourier_closed_form(adj: AdjMatrix, cf) -> np.ndarray:
     """The conjugated matrix from its three-case closed form, over the
     denominator q^delta (q-1): zero off the kernel-orthogonal grid, a
     scaled coefficient-code enumerator on the pair-orthogonal grid, a
     hyperplane sum elsewhere."""
     field, q = adj.field, adj.field.q
-    size, n, delta = geom.size, adj.n, adj.delta
+    n, delta = adj.n, adj.delta
+    size = q ** delta
     add = add_table(field)
+    beta = pairing_codes(field, delta)
     dspace = connected_pairs(cf)
     cc, r_dual = coefficient_code(cf)
     cc_we = np.array(padded(we_of_affine(field, (0,) * n, cc.basis), n), dtype=np.int64)
-    in_ker_orth = orth_mask(geom, output_kernel(cf).basis)
-    in_delta_orth = orth_mask(geom, dspace.basis)
+    in_ker_orth = orth_mask(field, beta, output_kernel(cf).basis)
+    in_delta_orth = orth_mask(field, beta, dspace.basis)
     # the support is the connected pairs, so every point has a row
     lam_delta = adj.counts[np.searchsorted(adj.index, dspace.point_indices())]
     out = np.zeros((size, size, n + 1), dtype=np.int64)
@@ -436,7 +452,7 @@ def fourier_closed_form(adj: AdjMatrix, cf, geom) -> np.ndarray:
     xs, ys = np.nonzero(in_ker_orth & ~in_delta_orth)
     g1, g2 = code_index(field, dspace.codes().reshape(dspace.dim, 2, delta)).T
     funcs, cls = projective_classes(
-        field, add[geom.beta_codes[xs[:, None], g1], geom.beta_codes[ys[:, None], g2]])
+        field, add[beta[xs[:, None], g1], beta[ys[:, None], g2]])
     points, point_cls = projective_classes(
         field, index_codes(field, np.arange(1, len(lam_delta)), dspace.dim))
     lines = lam_delta[1:][np.argsort(point_cls, kind="stable")]
@@ -452,9 +468,9 @@ def fourier_closed_form(adj: AdjMatrix, cf, geom) -> np.ndarray:
     return out
 
 
-def check_fourier_closed_form(fm, adj: AdjMatrix, cf, geom):
+def check_fourier_closed_form(fm, adj: AdjMatrix, cf):
     """The conjugated matrix ``fm`` of ``adj`` equals the closed form."""
-    if not np.array_equal(grid(fm) * (adj.field.q - 1), fourier_closed_form(adj, cf, geom)):
+    if not np.array_equal(grid(fm) * (adj.field.q - 1), fourier_closed_form(adj, cf)):
         raise InternalCheckError("direct product and closed form disagree on the "
                                  "conjugated matrix")
 
@@ -464,7 +480,7 @@ def sides(pair):
     the code, then of its dual; both sides share the pair grid."""
     yield pair.G, pair.cf, pair.adj, pair.fourier
     yield (pair.G_dual, pair.cf_dual, pair.adj_dual,
-           fourier_transform(pair.adj_dual, pair.cf_dual, pair.geometry))
+           fourier_transform(pair.adj_dual, pair.cf_dual))
 
 
 def check_side_routes(pair):
@@ -477,8 +493,8 @@ def check_side_routes(pair):
         check_transfer(G, cf)
         check_constant_code(cf)
         check_connected_pairs_orth(cf)
-        check_bucket_route(fm, adj, pair.geometry)
-        check_fourier_closed_form(fm, adj, cf, pair.geometry)
+        check_bucket_route(fm, adj)
+        check_fourier_closed_form(fm, adj, cf)
 
 
 # -- identities of the duality pipeline -------------------------------------
@@ -487,7 +503,7 @@ def entrywise(pair) -> TransformedMatrix:
     """The transform of each conjugated entry where it stands:
     transformed[X, Y] is entrywise[-Y, X], so this is index algebra."""
     t = pair.transformed
-    numer = t.numer[:, pair.geometry.neg_perm].transpose(1, 0, 2)
+    numer = t.numer[:, pair.neg_perm].transpose(1, 0, 2)
     return TransformedMatrix(t.field, t.n, t.k, t.delta, numer)
 
 
@@ -500,50 +516,52 @@ def check_transform_routes(pair):
     if not np.array_equal(entrywise(pair).numer, direct):
         raise InternalCheckError("entrywise transform differs from the direct one")
     if not np.array_equal(pair.transformed.numer,
-                          direct[pair.geometry.neg_perm].transpose(1, 0, 2)):
+                          direct[pair.neg_perm].transpose(1, 0, 2)):
         raise InternalCheckError("transformed[X, Y] is not entrywise[-Y, X]")
 
-def character_structure_checks(geom, zeta_exponent: int = 1, P: FMat | None = None):
+def character_structure_checks(field, delta: int, zeta_exponent: int = 1,
+                               P: FMat | None = None):
     """The square and fourth-power identities of the character grid and,
     for an invertible P, the equality of its rows permuted by P with its
     columns permuted by P^t."""
-    p, size = geom.field.p, geom.size
-    E = (zeta_exponent * geom.trace_exp) % p
+    p, size = field.p, field.q ** delta
+    E = zeta_exponent * trace_exponents(field, delta) % p
+    neg = negation_perm(field, delta)
     # square: sum_Z zeta^(E[X,Z] + E[Z,Y]) must be q^delta at Y = -X, else
     # 0; with the roots of unity summing to zero, per-exponent counts c_e
     # stand for the rational c_0 - c_(p-1) when c_1 = ... = c_(p-1)
     total = (E[:, :, None] + E[None, :, :]) % p  # [x, z, y]
     counts = np.stack([np.count_nonzero(total == e, axis=1) for e in range(p)])
     want = np.zeros((size, size), dtype=np.int64)
-    want[np.arange(size), geom.neg_perm] = size
+    want[np.arange(size), neg] = size
     if not (np.all(counts[1:] == counts[p - 1])
             and np.array_equal(counts[0] - counts[p - 1], want)):
         raise InternalCheckError("character grid square identity failed")
     # fourth power: negation applied twice is the identity permutation
-    if not np.array_equal(geom.neg_perm[geom.neg_perm], np.arange(size)):
+    if not np.array_equal(neg[neg], np.arange(size)):
         raise InternalCheckError("negation permutation is not an involution")
     if P is not None:
-        perm = np.array(StatePermutation(P, geom.delta).perm)
-        perm_t = np.array(StatePermutation(P.transpose(), geom.delta).perm)
+        perm = np.array(StatePermutation(P, delta).perm)
+        perm_t = np.array(StatePermutation(P.transpose(), delta).perm)
         if not np.array_equal(E[perm], E[:, perm_t]):
             raise InternalCheckError("column-permutation identity failed")
 
 
-def shift_perm(geom, state) -> np.ndarray:
+def shift_perm(field, state) -> np.ndarray:
     """Index permutation of adding a fixed state, given by its entry
     codes, to every state."""
-    states = index_codes(geom.field, np.arange(geom.size), geom.delta)
-    shifted = add_table(geom.field)[states, np.asarray(state, dtype=np.int64)]
-    return code_index(geom.field, shifted)
+    state = np.asarray(state, dtype=np.int64)
+    states = index_codes(field, np.arange(field.q ** len(state)), len(state))
+    return code_index(field, add_table(field)[states, state])
 
 
-def check_orth_translation_invariance(fm, cf, geom):
+def check_orth_translation_invariance(fm, cf):
     """The conjugated matrix is constant along translations by pairs
     orthogonal to the connected pairs."""
     orth = connected_pairs_orth(cf)
     for pair in np.concatenate([b for _, b in span_blocks(cf.field, orth.codes())]):
-        pu = shift_perm(geom, pair[: cf.delta])
-        pv = shift_perm(geom, pair[cf.delta:])
+        pu = shift_perm(cf.field, pair[: cf.delta])
+        pv = shift_perm(cf.field, pair[cf.delta:])
         if not np.array_equal(grid(fm)[np.ix_(pu, pv)], grid(fm)):
             raise InternalCheckError("translation invariance along the pair "
                                      "orthogonal failed")
@@ -553,7 +571,7 @@ def check_zeta_independence(pair) -> bool:
     """The bucket product is the same for every primitive root choice, and
     it is the production conjugated matrix, which takes no root."""
     for d in range(1, pair.field.p):
-        other = fourier_conjugate(pair.adj, pair.geometry, d)
+        other = fourier_conjugate(pair.adj, d)
         if not np.array_equal(grid(other), grid(pair.fourier)):
             raise InternalCheckError("conjugated matrix depends on the root choice")
     return True
@@ -629,7 +647,7 @@ def check_transport(pair) -> int:
     """The dual entry at any connected dual pair equals the scaled
     MacWilliams transform of the conjugated entry at the transported
     index; returns the number of entries checked."""
-    size = pair.geometry.size
+    size = pair.field.q ** pair.delta
     dspace = connected_pairs(pair.cf_dual)
     moved = vector_codes((dspace.matrix() @ pair.pairing).rows, 2 * pair.delta)
     # the same coefficients c give v = c @ basis and v M = c @ (basis M)
@@ -643,7 +661,7 @@ def check_transport(pair) -> int:
 def entry_multisets_equal(pair) -> bool:
     """The dual matrix and the transformed matrix hold the same multiset
     of entries (the weak identity without its reordering)."""
-    size = pair.geometry.size
+    size = pair.field.q ** pair.delta
     flat_dual = pair.dual_scaled.reshape(size * size, -1)
     tnum = pair.transformed.numer.reshape(size * size, -1)
     return np.array_equal(flat_dual[np.lexsort(flat_dual.T)], tnum[np.lexsort(tnum.T)])

@@ -17,7 +17,7 @@ from convmacw import (DualPair, FieldSpec, FMat, PolyMatrix, Subspace, WePoly,
                       coefficient_code, constant_code, controller_form,
                       dual_generator, run_verification, search_witness,
                       StatePermutation)
-from convmacw.duality import CharacterMatrix
+from convmacw.duality import trace_exponents
 from conftest import (ADJ_BINARY_523, ADJ_BINARY_523_DUAL, CHAR_GRID_2_3,
                       PERM_Q_BINARY, WITNESS_P_TERNARY, WITNESS_Q_BINARY,
                       projective_candidates, we)
@@ -30,7 +30,8 @@ from oracles import (character_structure_checks, check_bucket_route,
                      check_zeta_independence, coefficient_matrix, entry_sums,
                      entry_multisets_equal, entry_we, entrywise,
                      enumerate_vectors,
-                     fraction_entry, int_matrix, matrix01, max_degree, padded,
+                     fraction_entry, int_matrix, matrix01, max_degree,
+                     negation_perm, padded,
                      random_minimal_encoder, same_code, sides, vec_dot,
                      we_of_affine)
 
@@ -70,8 +71,7 @@ def test_criterion_2_dual_adjacency_golden(binary_523, binary_523_dual):
 
 def test_criterion_3_character_grid_and_permutation(f2):
     started = time.perf_counter()
-    charm = CharacterMatrix.build(f2, 3)
-    assert [list(r) for r in charm.signed_grid()] == CHAR_GRID_2_3
+    assert np.where(trace_exponents(f2, 3) == 0, 1, -1).tolist() == CHAR_GRID_2_3
     q_matrix = int_matrix(f2, WITNESS_Q_BINARY)
     assert [list(r) for r in matrix01(StatePermutation(q_matrix).perm)] == PERM_Q_BINARY
     _stamp("3 (character grid and witness permutation goldens)", started, 1.0)
@@ -205,7 +205,8 @@ def test_criterion_6f_character_identities(corpus):
         if key in seen:
             continue
         seen.add(key)
-        character_structure_checks(pair.geometry)
+        character_structure_checks(pair.field, pair.delta)
+        assert np.array_equal(pair.neg_perm, negation_perm(pair.field, pair.delta))
     _stamp("6f (character matrix identities)", started)
 
 
@@ -213,9 +214,9 @@ def test_criterion_6g_conjugation_routes_and_invariance(corpus):
     started = time.perf_counter()
     for pair in corpus:
         for _, cf, adj, fm in sides(pair):
-            check_bucket_route(fm, adj, pair.geometry)
-            check_fourier_closed_form(fm, adj, cf, pair.geometry)
-            check_orth_translation_invariance(fm, cf, pair.geometry)
+            check_bucket_route(fm, adj)
+            check_fourier_closed_form(fm, adj, cf)
+            check_orth_translation_invariance(fm, cf)
         check_transform_routes(pair)
         # census of the transformed entries
         q, d = pair.field.q, pair.delta
@@ -269,7 +270,7 @@ def test_criterion_6j_closed_form_witnesses(corpus):
         for W in witnesses:
             ok, _ = check_witness(pair, W)
             assert ok
-            character_structure_checks(pair.geometry, P=W)
+            character_structure_checks(pair.field, pair.delta, P=W)
     assert dual_side > 0 and primal_side > 0
     _stamp(f"6j (closed forms and correction blocks: {dual_side} dual-side, "
            f"{primal_side} primal-side)", started)

@@ -310,17 +310,38 @@ def test_verify_modes(binary_doc, ternary_doc, capsys):
     assert "dual Forney" in err
 
 
-def test_verify_zeta_exponent(ternary_doc, binary_doc, capsys):
-    assert main(["verify", ternary_doc, "--zeta-exponent", "2",
-                 "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["verdict"] == "verified"
-    assert payload["witness"] == WITNESS_P_TERNARY
-    # 0 and multiples of p are not primitive roots: a usage error
-    for doc, exponent, p in ((ternary_doc, "0", 3), (ternary_doc, "3", 3),
-                             (binary_doc, "2", 2)):
-        assert main(["verify", doc, "--zeta-exponent", exponent]) == 1
-        assert f"zeta exponent must be in [1, {p})" in capsys.readouterr().err
+@pytest.mark.parametrize("witness", [
+    "[[[1]]]", "[[null,1],[1,1]]", "[[1e400,1],[0,1]]", "[[1.5,1],[0,1]]",
+    "[[true,1],[0,1]]", '[["1",0],[0,1]]', "[1, 2]", "{}",
+], ids=["nested", "null", "overflow", "float", "bool", "string", "flat", "object"])
+def test_verify_non_integer_witness_exit_1(ternary_doc, capsys, witness):
+    assert main(["verify", ternary_doc, "--check-witness", witness]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: witness must be a nested integer array\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{doc}", "--bogus"],
+    ["verify", "{doc}", "--mode", "nope"],
+    ["verify", "{doc}", "--zeta-exponent", "2"],
+    ["verify"],
+    ["nope"],
+], ids=["unknown-flag", "bad-choice", "zeta-exponent", "missing-file", "bad-command"])
+def test_usage_errors_exit_1(ternary_doc, capsys, argv):
+    """argparse exits 2 on a usage error, which here means a size guard
+    fired; main maps it to 1."""
+    assert main([a.format(doc=ternary_doc) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "usage: convmacw" in err and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage: convmacw" in capsys.readouterr().out
 
 
 def test_search_p_command(ternary_doc, capsys):
@@ -343,6 +364,20 @@ def test_macw_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["exponents"] == [[0, 0, 0], [0, 1, 2], [0, 2, 1]]
     assert payload["scale_pow"] == -1
+
+
+def test_macw_zeta_exponent(capsys):
+    assert main(["macw", "--p", "3", "--delta", "1", "--zeta-exponent", "2",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["zeta_exponent"] == 2
+    assert payload["exponents"] == [[0, 0, 0], [0, 2, 1], [0, 1, 2]]
+    # 0 and multiples of p are not primitive roots: a usage error
+    for p, exponent in ((3, "0"), (3, "3"), (2, "0"), (2, "2")):
+        assert main(["macw", "--p", str(p), "--delta", "1", "--zeta-exponent", exponent]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: zeta exponent must be in [1, {p})\n"
+        assert captured.out == ""
 
 
 def test_macw_extension_field(capsys):

@@ -10,8 +10,8 @@ from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, InternalCheckErr
                       check_witness, closed_form_witness_dual,
                       closed_form_witness_primal, run_verification,
                       search_witness, StatePermutation)
-from convmacw.duality import (CharacterMatrix, FourierMatrix, PairGeometry,
-                              macwilliams_image, state_pairing_matrix)
+from convmacw.duality import (FourierMatrix, macwilliams_image, state_pairing_matrix,
+                              trace_exponents)
 from convmacw.exact import macwilliams_rows
 from convmacw.linalg import block_matrix
 from convmacw.statespace import connected_pairs, constant_code
@@ -26,27 +26,26 @@ from oracles import (bucket_tensor, character_structure_checks,
                      entry_multisets_equal,
                      entrywise, enumerate_vectors, fourier_conjugate,
                      fraction_entry, grid,
-                     int_matrix, matrix01, orth_mask, padded,
+                     int_matrix, matrix01, negation_perm, orth_mask, padded,
+                     pairing_codes,
                      random_minimal_encoder, sides, vec_dot, we_of_affine)
 
 
 def test_character_grid_golden(f2):
-    charm = CharacterMatrix.build(f2, 3)
-    assert [list(r) for r in charm.signed_grid()] == CHAR_GRID_2_3
-    assert charm.scale_pow == -3
+    E = trace_exponents(f2, 3)
+    assert np.where(E == 0, 1, -1).tolist() == CHAR_GRID_2_3
+    assert E.dtype == np.int64 and not E.flags.writeable
 
 
 def test_character_grid_degree_zero(f2):
-    charm = CharacterMatrix.build(f2, 0)
-    assert charm.exponents.shape == (1, 1)
-    assert charm.exponents[0, 0] == 0  # the 1x1 grid [1]
+    E = trace_exponents(f2, 0)
+    assert E.shape == (1, 1)
+    assert E[0, 0] == 0  # the 1x1 grid [1]
 
 
 def test_character_grid_ternary(f3):
-    charm = CharacterMatrix.build(f3, 1)
     # entry (x, y) is the character exponent x*y mod 3
-    assert [[int(e) for e in row] for row in charm.exponents] == [
-        [0, 0, 0], [0, 1, 2], [0, 2, 1]]
+    assert trace_exponents(f3, 1).tolist() == [[0, 0, 0], [0, 1, 2], [0, 2, 1]]
 
 
 @pytest.mark.parametrize("spec,delta", [
@@ -56,17 +55,17 @@ def test_character_grid_ternary(f3):
 ])
 def test_character_structure_checks(spec, delta):
     p, s, mod = spec
-    geom = PairGeometry(FieldSpec(p, s, mod), delta)
-    character_structure_checks(geom)
+    field = FieldSpec(p, s, mod)
+    character_structure_checks(field, delta)
     if p > 2:
-        character_structure_checks(geom, zeta_exponent=2)
+        character_structure_checks(field, delta, zeta_exponent=2)
 
 
 def test_character_structure_with_permutation(f2, f3):
     q = int_matrix(f2, WITNESS_Q_BINARY)
-    character_structure_checks(PairGeometry(f2, 3), P=q)
+    character_structure_checks(f2, 3, P=q)
     p3 = int_matrix(f3, [[1, 1], [1, 2]])
-    character_structure_checks(PairGeometry(f3, 2), P=p3)
+    character_structure_checks(f3, 2, P=p3)
 
 
 def test_fourier_entry_golden(binary_pair):
@@ -79,8 +78,8 @@ def test_fourier_entry_golden(binary_pair):
 def test_fourier_crosscheck_and_invariance(binary_pair, ternary_pair):
     for pair in (binary_pair, ternary_pair):
         for _, cf, adj, fm in sides(pair):
-            check_fourier_closed_form(fm, adj, cf, pair.geometry)
-            check_orth_translation_invariance(fm, cf, pair.geometry)
+            check_fourier_closed_form(fm, adj, cf)
+            check_orth_translation_invariance(fm, cf)
         check_transform_routes(pair)
 
 
@@ -90,7 +89,7 @@ def test_fourier_vanishes_off_kernel_orthogonal(binary_523, binary_523_dual):
     assert pair.kernel.dim == 2
     zero_cells = int(np.all(grid(pair.fourier) == 0, axis=2).sum())
     assert zero_cells == 64 - 2 ** 4
-    mask = orth_mask(pair.geometry, pair.kernel.basis)
+    mask = orth_mask(pair.field, pairing_codes(pair.field, pair.delta), pair.kernel.basis)
     for i in range(8):
         for j in range(8):
             if not mask[i, j]:
@@ -104,7 +103,7 @@ def test_fourier_bucket_collapse(ternary_pair):
     rng = random.Random(5)
     for pair in (ternary_pair, DualPair(random_minimal_encoder(rng, FieldSpec(5), 3, 1, 1))):
         p, fm = pair.field.p, pair.fourier
-        E = CharacterMatrix(pair.geometry).exponents
+        E = trace_exponents(pair.field, pair.delta)
         buckets = bucket_tensor(pair.adj.dense_coefficients(), E, p)
         assert buckets.shape[0] == p
         for j in range(1, p - 1):
@@ -139,7 +138,7 @@ def test_fourier_transform_matches_bucket_product(spec, rows, m, m_dual):
     assert (connected_pairs(pair.cf).dim, connected_pairs(pair.cf_dual).dim) == (m, m_dual)
     for _, cf, adj, fm in sides(pair):
         assert np.array_equal(adj.index, connected_pairs(cf).point_indices())
-        check_bucket_route(fm, adj, pair.geometry)
+        check_bucket_route(fm, adj)
 
 
 def test_transformed_entry_census(binary_pair, ternary_pair):
@@ -185,8 +184,7 @@ def test_transformed_degree_zero_is_block_dual(f2):
 def test_zeta_independence(ternary_pair):
     assert check_zeta_independence(ternary_pair)
     # and the conjugated grids at both roots agree entry by entry
-    other = fourier_conjugate(ternary_pair.adj, ternary_pair.geometry,
-                              zeta_exponent=2)
+    other = fourier_conjugate(ternary_pair.adj, zeta_exponent=2)
     assert np.array_equal(grid(other), grid(ternary_pair.fourier))
 
 
@@ -397,24 +395,24 @@ def test_report_json_shape(binary_523):
 
 def test_guards(binary_523):
     with pytest.raises(GuardExceeded):
-        DualPair(binary_523, grid_limit=8).geometry
+        DualPair(binary_523, grid_limit=8)
     pair = DualPair(binary_523)
     with pytest.raises(GuardExceeded):
         search_witness(pair, limit=4)
 
 
-def test_geometry_reuse_and_negation(f3):
-    geom = PairGeometry(f3, 2)
-    assert geom.beta_codes.shape == (9, 9)
-    for i in range(9):
-        assert geom.neg_perm[geom.neg_perm[i]] == i
+def test_negation_perm_cached_and_involution(ternary_pair):
+    neg = ternary_pair.neg_perm
+    assert ternary_pair.neg_perm is neg
+    assert np.array_equal(neg, negation_perm(ternary_pair.field, ternary_pair.delta))
+    assert np.array_equal(neg[neg], np.arange(len(neg)))
 
 
 def test_transform_int64_headroom(f2):
     n = 30
     rows = macwilliams_rows(n, 2)
     colsum = max(sum(abs(r[t]) for r in rows) for t in range(n + 1))
-    geom = PairGeometry(f2, 1)
+    neg = negation_perm(f2, 1)
 
     def synthetic(peak):
         return FourierMatrix(f2, 1, n, np.full((4, n + 1), peak, dtype=np.int64),
@@ -422,12 +420,12 @@ def test_transform_int64_headroom(f2):
 
     peak = (2 ** 62 - 1) // colsum
     exact = [peak * sum(r[t] for r in rows) for t in range(n + 1)]
-    image = macwilliams_image(synthetic(peak), 1, geom).numer
+    image = macwilliams_image(synthetic(peak), 1, neg).numer
     assert image[0, 0].tolist() == exact
     assert image[1, 0].tolist() == exact
     for fm in (synthetic(peak + 1), synthetic(2 ** 40)):
         with pytest.raises(GuardExceeded, match="int64 headroom"):
-            macwilliams_image(fm, 1, geom)
+            macwilliams_image(fm, 1, neg)
 
 
 def _reference_buckets(lam, E, p):
@@ -443,12 +441,12 @@ def test_bucket_tensor_headroom(f2, f3):
     # random signed tensors against the Python-int reference
     rng = np.random.default_rng(5)
     for field, delta in ((f2, 2), (f3, 1)):
-        E = PairGeometry(field, delta).trace_exp
+        E = trace_exponents(field, delta)
         lam = rng.integers(-50, 50, size=(len(E), len(E), 4))
         got = bucket_tensor(lam, E, field.p)
         assert got.tolist() == _reference_buckets(lam, E.tolist(), field.p)
     # four entries per column: the bound is 4 * peak, checked against 2^52
-    E = PairGeometry(f2, 1).trace_exp.tolist()
+    E = trace_exponents(f2, 1).tolist()
     nw = 3
     peak = (2 ** 52 - 1) // 4
     lam = np.full((2, 2, nw), peak, dtype=np.int64)

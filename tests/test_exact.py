@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convmacw import FieldSpec, WePoly
-from convmacw.duality import PairGeometry
+from convmacw.duality import trace_exponents
 from conftest import we
 from oracles import (enumerate_vectors, macwilliams_transform, macwilliams_we,
                      padded, we_of_affine)
@@ -19,7 +19,7 @@ def test_root_powers_sum_to_zero(p):
     because the p-th roots of unity sum to zero: each nonzero row of the
     GF(p) character grid holds every root power once and sums to 0, the
     zero row holds p copies of 1."""
-    E = PairGeometry(FieldSpec(p), 1).trace_exp
+    E = trace_exponents(FieldSpec(p), 1)
     counts = np.stack([np.count_nonzero(E == e, axis=1) for e in range(p)])
     assert (counts[1:] == counts[p - 1]).all()
     assert (counts[0] - counts[p - 1]).tolist() == [p] + [0] * (p - 1)

@@ -1,10 +1,10 @@
 """The int-code point kernel and the routines rebuilt on it, each against
 a plain FieldElement reference kept here: subspace points (including
 dim 0 and ambient 0), the greedy complement scan, coset enumerators,
-state translations, projective classes and the coset-built adjacency
-matrix.  The additive kernel, its field addition and the weight counts
-built on it are also checked against the lift-and-matmul kernel of
-``oracles.span_blocks_reference``."""
+state translations and negation, the trace-exponent table, projective
+classes and the coset-built adjacency matrix.  The additive kernel, its
+field addition and the weight counts built on it are also checked
+against the lift-and-matmul kernel of ``oracles.span_blocks_reference``."""
 
 import itertools
 import random
@@ -16,15 +16,15 @@ from convmacw import (FieldSpec, Subspace, adjacency_by_cosets, controller_form,
                       dual_generator)
 from convmacw import field as fieldmod
 from convmacw import linalg
-from convmacw.duality import PairGeometry
+from convmacw.duality import trace_exponents
 from convmacw.errors import InternalCheckError
 from convmacw.exact import WePoly, weight_counts
 from convmacw.field import (add_codes, code_index, index_codes, linear_map, span_blocks,
                             span_indices)
 from convmacw.linalg import deterministic_complement
-from oracles import (enumerate_vectors, intersect, points, projective_classes,
-                     random_minimal_encoder, shift_perm, span_blocks_reference,
-                     vector_index, we_of_affine)
+from oracles import (enumerate_vectors, intersect, negation_perm, points,
+                     projective_classes, random_minimal_encoder, shift_perm,
+                     span_blocks_reference, vec_dot, vector_index, we_of_affine)
 
 FIELDS = {2: (2,), 3: (3,), 4: (2, 2, [1, 1, 1]), 8: (2, 3, [1, 1, 0, 1]),
           9: (3, 2, [2, 2, 1])}
@@ -302,11 +302,19 @@ def test_we_of_affine_matches_reference(field):
 
 def test_shift_perm_matches_reference(field):
     for delta in (0, 1, 2):
-        geom = PairGeometry(field, delta)
         states = enumerate_vectors(field, delta)
         for shift in states[:: max(1, len(states) // 7)]:
             ref = [vector_index(tuple(a + b for a, b in zip(s, shift))) for s in states]
-            assert shift_perm(geom, [a.code for a in shift]).tolist() == ref
+            assert shift_perm(field, [a.code for a in shift]).tolist() == ref
+        ref = [vector_index(tuple(-a for a in s)) for s in states]
+        assert negation_perm(field, delta).tolist() == ref
+
+
+def test_trace_exponents_match_reference(field):
+    for delta in (0, 1, 2):
+        states = enumerate_vectors(field, delta)
+        ref = [[field.trace(vec_dot(x, y)) if delta else 0 for y in states] for x in states]
+        assert trace_exponents(field, delta).tolist() == ref
 
 
 def test_projective_classes_match_reference(field):
