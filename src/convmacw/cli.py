@@ -243,8 +243,7 @@ def _witness_matrix(text: str, field: FieldSpec) -> FMat:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"witness is not valid JSON: {e.msg}") from None
-    # a JSON integer loads as an int, never a bool or a float
-    if not isinstance(data, list) or any(
+    if not isinstance(data, list) or any(   # a JSON integer loads as int, not bool or float
             not isinstance(r, list) or any(type(v) is not int for v in r) for r in data):
         raise ValueError("witness must be a nested integer array")
     rows = [[field.element(v % field.q) for v in r] for r in data]
@@ -303,10 +302,9 @@ def cmd_search_p(args) -> int:
 def cmd_macw(args) -> int:
     field = FieldSpec(args.p, args.s,
                       [int(d) for d in args.modulus.split(",")] if args.modulus else None)
-    limits = _parse_limits(args)
     if args.delta < 0:
         raise ValueError("delta must be >= 0")
-    dualmod.grid_guard(field.q, args.delta, limits.get("grid", dualmod.GRID_LIMIT))
+    dualmod.grid_guard(field.q, args.delta, _parse_limits(args).get("grid", dualmod.GRID_LIMIT))
     if not 1 <= args.zeta_exponent < field.p:
         raise ValueError(f"zeta exponent must be in [1, {field.p})")
     # the grid's (X, Y) entry is zeta^(d tr(X . Y)), scaled by q^(-delta/2)

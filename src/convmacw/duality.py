@@ -225,6 +225,8 @@ class DualPair:
     def neg_perm(self) -> np.ndarray:   # the index of -X for every state X
         return span_indices(self.field, self.field.neg(1) * np.eye(self.delta, dtype=np.int64))
 
+    geometry = property(lambda self: self.neg_perm)   # bench/worker.py's duality.geometry stage
+
     @cached_property
     def adj(self) -> AdjMatrix:
         return adjacency_by_cosets(self.cf)

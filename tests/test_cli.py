@@ -378,6 +378,9 @@ def test_macw_zeta_exponent(capsys):
         captured = capsys.readouterr()
         assert captured.err == f"error: zeta exponent must be in [1, {p})\n"
         assert captured.out == ""
+    assert main(["macw", "--p", "2", "--delta", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: delta must be >= 0\n" and captured.out == ""
 
 
 def test_macw_extension_field(capsys):
