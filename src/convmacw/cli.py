@@ -50,13 +50,11 @@ class CodeDocument:
         fdecl = data["field"]
         if not isinstance(fdecl, dict) or "p" not in fdecl:
             raise ValueError('"field" must be an object with at least "p"')
-        modulus = fdecl.get("modulus")
-        try:
-            p, s = int(fdecl["p"]), int(fdecl.get("s", 1))
-            if modulus is not None:
-                modulus = [int(c) for c in modulus]
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError('"field" entries must be integers') from None
+        p, s, modulus = fdecl["p"], fdecl.get("s", 1), fdecl.get("modulus")
+        # a JSON integer loads as int; true, 2.5, "3" and "111" do not
+        if (modulus is not None and not isinstance(modulus, list)) or any(
+                type(v) is not int for v in [p, s, *(modulus or ())]):
+            raise ValueError('"field" entries must be integers')
         field = FieldSpec(p, s, modulus)
         grid = data["generator"]
         if (not isinstance(grid, list) or not grid

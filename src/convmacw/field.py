@@ -441,8 +441,8 @@ def span_blocks(field: FieldSpec, basis, lo: int = 0, hi: int | None = None):
     # matrices side by side
     mults = linear_map(field, stack.transpose(1, 0, 2).reshape(dim, 1, width))(
         np.arange(q).reshape(q, 1))
-    table = np.zeros((1, width), dtype=np.int64)
-    for i in range(dim - low, dim):
+    table = mults[:, dim - low] if dim else np.zeros((1, width), dtype=np.int64)
+    for i in range(dim - low + 1, dim):
         table = add_codes(field, table[:, None], mults[None, :, i]).reshape(len(table) * q, width)
     t = len(table)
 

@@ -5,6 +5,10 @@ The polynomial string grammar accepted by :func:`parse_zpoly` is terms
 "c", "c z", "c z^k" joined by "+", where c is an integer for prime
 fields or a bracketed digit list like "[1,1]" for extension fields.
 Whitespace is insignificant; the zero polynomial is "0".
+
+Entry codes are checked once, where they come in (the ZPoly
+constructor, parse_zpoly); the Smith form, row reduction and products
+run on code tuples and wrap only their results.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .field import FieldSpec
+from .field import FieldSpec, _ptrim
 from .linalg import FMat, right_null_space
 
 NEG_INF = float("-inf")
@@ -27,19 +31,23 @@ class ZPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs=()):
-        n = len(coeffs)
-        while n > 0 and not coeffs[n - 1]:
-            n -= 1
         self.field = field
-        self.coeffs = field.codes(coeffs[:n])
+        self.coeffs = _ptrim(field.codes(coeffs))
+
+    @classmethod
+    def _of(cls, field: FieldSpec, coeffs: tuple) -> "ZPoly":
+        """Wrap trimmed codes built here, unchecked."""
+        p = object.__new__(cls)
+        p.field, p.coeffs = field, coeffs
+        return p
 
     @classmethod
     def zero(cls, field: FieldSpec) -> "ZPoly":
-        return cls(field, ())
+        return cls._of(field, ())
 
     @classmethod
     def one(cls, field: FieldSpec) -> "ZPoly":
-        return cls(field, (1,))
+        return cls._of(field, (1,))
 
     @property
     def degree(self):
@@ -52,56 +60,23 @@ class ZPoly:
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def _axpy(self, f, other: "ZPoly") -> "ZPoly":
-        """self + f * other, for the coefficient codes f of a polynomial."""
-        field, b = self.field, other.coeffs
-        if not f or not b:
-            return self
-        out = list(self.coeffs)
-        out += [0] * (len(f) + len(b) - 1 - len(out))
-        for i, c in enumerate(f):
-            if c:
-                out[i:i + len(b)] = field.axpy(out[i:i + len(b)], c, b)
-        return ZPoly(field, out)
-
     def __add__(self, other: "ZPoly") -> "ZPoly":
-        return self._axpy((1,), other)
+        return ZPoly._of(self.field, _axpy(self.field, self.coeffs, (1,), other.coeffs))
 
     def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self._axpy((self.field.neg(1),), other)
+        return self + -other
 
     def __neg__(self) -> "ZPoly":
-        return self.scale(self.field.neg(1))
+        return ZPoly._of(self.field, tuple(self.field.scale(self.field.neg(1), self.coeffs)))
 
     def __mul__(self, other: "ZPoly") -> "ZPoly":
-        return ZPoly.zero(self.field)._axpy(self.coeffs, other)
-
-    def scale(self, c: int) -> "ZPoly":
-        return ZPoly(self.field, self.field.scale(c, self.coeffs))
-
-    def shift(self, k: int) -> "ZPoly":
-        """Multiply by z^k."""
-        if not self.coeffs:
-            return self
-        return ZPoly(self.field, (0,) * k + self.coeffs)
+        return ZPoly._of(self.field, _axpy(self.field, (), self.coeffs, other.coeffs))
 
     def __divmod__(self, other: "ZPoly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        field, b = self.field, other.coeffs
-        rem = list(self.coeffs)
-        q = [0] * max(len(rem) - len(b) + 1, 0)
-        inv = field.inv(b[-1])
-        while True:
-            while rem and not rem[-1]:
-                rem.pop()
-            shift = len(rem) - len(b)
-            if shift < 0:
-                break
-            q[shift] = f = field.mul(rem[-1], inv)
-            rem[shift:] = field.axpy(rem[shift:], field.neg(f), b)
-            rem.pop()
-        return ZPoly(field, q), ZPoly(field, rem)
+        quot, rem = _divmod(self.field, self.coeffs, other.coeffs)
+        return ZPoly._of(self.field, quot), ZPoly._of(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -126,6 +101,56 @@ class ZPoly:
         return f"ZPoly({format_zpoly(self)})"
 
 
+# -- the kernel: polynomials as trimmed code tuples, constant term first --
+
+def _addmul(field: FieldSpec, out: list, f, b) -> list:
+    """Add f b into the code list out (grown, not trimmed): by the
+    tables, past them (q > 256) by ``FieldSpec.axpy``'s raw operations."""
+    add, mul = field._add_t, field._mul_t
+    out += [0] * (len(f) + len(b) - 1 - len(out))
+    for i, c in enumerate(f):
+        if c and mul is None:
+            out[i:i + len(b)] = field.axpy(out[i:i + len(b)], c, b)
+        elif c:
+            cb = mul[c]
+            for j, y in enumerate(b, i):
+                out[j] = add[out[j]][cb[y]]
+    return out
+
+
+def _axpy(field: FieldSpec, a: tuple, f, b) -> tuple:
+    """The codes of a + f b."""
+    return _ptrim(_addmul(field, list(a), f, b)) if f and b else a
+
+
+def _divmod(field: FieldSpec, a: tuple, b: tuple):
+    """The codes of the quotient and remainder of a by a nonzero b."""
+    inv = field.inv(b[-1])
+    if len(b) == 1:
+        return tuple(field.scale(inv, a)), ()
+    rem = list(a)
+    quot = [0] * max(len(rem) - len(b) + 1, 0)
+    while True:
+        while rem and not rem[-1]:
+            rem.pop()
+        shift = len(rem) - len(b)
+        if shift < 0:
+            break
+        quot[shift] = f = field.mul(rem[-1], inv)
+        rem[shift:] = field.axpy(rem[shift:], field.neg(f), b)
+        rem.pop()
+    return tuple(quot), tuple(rem)
+
+
+def _dot(field: FieldSpec, a, b) -> tuple:
+    """The dot product of two rows of polynomial codes."""
+    out = []
+    for x, y in zip(a, b):
+        if x and y:
+            _addmul(field, out, x, y)
+    return _ptrim(out)
+
+
 _TERM_RE = re.compile(r"^(?:(-?\d+)|(\[[0-9,\s-]*\]))?(z(?:\^(\d+))?)?$")
 
 
@@ -136,7 +161,7 @@ def parse_zpoly(text: str, field: FieldSpec) -> ZPoly:
     stripped = text.strip()
     if not stripped:
         raise ValueError("parse error at column 1: empty polynomial")
-    result = ZPoly.zero(field)
+    coeffs = []   # each term's code added in at its power
     pos = 0
     for chunk in text.split("+"):
         col = pos + 1
@@ -164,8 +189,9 @@ def parse_zpoly(text: str, field: FieldSpec) -> ZPoly:
         if power > MAX_EXPONENT:
             raise ValueError(f"parse error at column {col}: exponent {power} "
                              f"exceeds {MAX_EXPONENT}")
-        result = result + ZPoly(field, (0,) * power + (coeff,))
-    return result
+        coeffs += [0] * (power + 1 - len(coeffs))
+        coeffs[power] = field.add(coeffs[power], coeff.code)
+    return ZPoly._of(field, _ptrim(coeffs))
 
 
 def format_zpoly(p: ZPoly) -> str:
@@ -218,12 +244,6 @@ class PolyMatrix:
                 raise ValueError(f"generator row {i + 1}: {e}") from None
         return cls.from_rows(field, rows)
 
-    @classmethod
-    def identity(cls, field: FieldSpec, m: int) -> "PolyMatrix":
-        one, zero = ZPoly.one(field), ZPoly.zero(field)
-        return cls(field, m, m,
-                   [[one if i == j else zero for j in range(m)] for i in range(m)])
-
     def to_strings(self) -> list[list[str]]:
         return [[format_zpoly(p) for p in r] for r in self.rows]
 
@@ -238,17 +258,9 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        zero = ZPoly.zero(self.field)
-        out = []
-        for r in self.rows:
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                for t, c in enumerate(r):
-                    acc = acc._axpy(c.coeffs, other.rows[t][j])
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.field, self.nrows, other.ncols, out)
+        cols = [[r[j].coeffs for r in other.rows] for j in range(other.ncols)]
+        return _matrix(self.field, [[_dot(self.field, r, c) for c in cols]
+                                    for r in _code_rows(self)], other.ncols)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for r in self.rows for p in r)
@@ -271,26 +283,12 @@ class PolyMatrix:
         return f"PolyMatrix({self.to_strings()})"
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
+def _code_rows(M: PolyMatrix) -> list[list[tuple]]:
+    return [[p.coeffs for p in r] for r in M.rows]
 
 
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _row_sub(m, i, t, f: ZPoly):
-    """row_i -= f * row_t"""
-    minus_f = (-f).coeffs
-    m[i] = [a._axpy(minus_f, b) for a, b in zip(m[i], m[t])]
-
-
-def _col_sub(m, j, t, f: ZPoly):
-    """col_j -= f * col_t"""
-    minus_f = (-f).coeffs
-    for row in m:
-        row[j] = row[j]._axpy(minus_f, row[t])
+def _matrix(field: FieldSpec, rows, ncols: int) -> PolyMatrix:
+    return PolyMatrix(field, len(rows), ncols, [[ZPoly._of(field, c) for c in r] for r in rows])
 
 
 def smith_normal_form(M: PolyMatrix):
@@ -301,64 +299,54 @@ def smith_normal_form(M: PolyMatrix):
     """
     field = M.field
     k, n = M.nrows, M.ncols
-    S = [list(r) for r in M.rows]
-    U = [list(r) for r in PolyMatrix.identity(field, k).rows]
-    V = [list(r) for r in PolyMatrix.identity(field, n).rows]
+    S = _code_rows(M)
+    U = [[(1,) if i == j else () for j in range(k)] for i in range(k)]
+    V = [[(1,) if i == j else () for j in range(n)] for i in range(n)]
+    minus = field.neg(1)
     for t in range(min(k, n)):
         while True:
-            best = None
-            for i in range(t, k):
-                for j in range(t, n):
-                    if not S[i][j].is_zero():
-                        if best is None or S[i][j].degree < S[best[0]][best[1]].degree:
-                            best = (i, j)
+            best = min(((len(S[i][j]), i, j) for i in range(t, k) for j in range(t, n)
+                        if S[i][j]), default=None)
             if best is None:
                 break
-            bi, bj = best
-            if bi != t:
-                _swap_rows(S, t, bi)
-                _swap_rows(U, t, bi)
-            if bj != t:
-                _swap_cols(S, t, bj)
-                _swap_cols(V, t, bj)
+            _, bi, bj = best
+            S[t], S[bi] = S[bi], S[t]
+            U[t], U[bi] = U[bi], U[t]
+            for row in S + V:
+                row[t], row[bj] = row[bj], row[t]
             pivot = S[t][t]
             dirty = False
             for i in range(t + 1, k):
-                if not S[i][t].is_zero():
-                    q = S[i][t] // pivot
-                    _row_sub(S, i, t, q)
-                    _row_sub(U, i, t, q)
-                    if not S[i][t].is_zero():
-                        dirty = True
+                if S[i][t]:   # row_i -= (S_it // pivot) row_t
+                    f = field.scale(minus, _divmod(field, S[i][t], pivot)[0])
+                    for m in (S, U):
+                        m[i] = [_axpy(field, a, f, b) for a, b in zip(m[i], m[t])]
+                    dirty = dirty or bool(S[i][t])
             for j in range(t + 1, n):
-                if not S[t][j].is_zero():
-                    q = S[t][j] // pivot
-                    _col_sub(S, j, t, q)
-                    _col_sub(V, j, t, q)
-                    if not S[t][j].is_zero():
-                        dirty = True
+                if S[t][j]:   # col_j -= q col_t
+                    f = field.scale(minus, _divmod(field, S[t][j], pivot)[0])
+                    for row in S + V:
+                        if row[t]:
+                            row[j] = _axpy(field, row[j], f, row[t])
+                    dirty = dirty or bool(S[t][j])
             if dirty:
                 continue
             # cross is clear; enforce that the pivot divides the rest (a
             # constant pivot divides everything)
             viol = next((i for i in range(t + 1, k) for j in range(t + 1, n)
-                         if pivot.degree and not (S[i][j] % pivot).is_zero()), None)
+                         if len(pivot) > 1 and _divmod(field, S[i][j], pivot)[1]), None)
             if viol is None:
                 break
-            S[t] = [a + b for a, b in zip(S[t], S[viol])]
-            U[t] = [a + b for a, b in zip(U[t], U[viol])]
+            for m in (S, U):
+                m[t] = [_axpy(field, a, (1,), b) for a, b in zip(m[t], m[viol])]
     # normalize the diagonal monic
     for t in range(min(k, n)):
         d = S[t][t]
-        if not d.is_zero() and d.coeffs[-1] != 1:
-            inv = field.inv(d.coeffs[-1])
-            S[t] = [p.scale(inv) for p in S[t]]
-            U[t] = [p.scale(inv) for p in U[t]]
-    return (
-        PolyMatrix(field, k, k, U),
-        PolyMatrix(field, k, n, S),
-        PolyMatrix(field, n, n, V),
-    )
+        if d and d[-1] != 1:
+            inv = field.inv(d[-1])
+            for m in (S, U):
+                m[t] = [tuple(field.scale(inv, p)) for p in m[t]]
+    return _matrix(field, U, k), _matrix(field, S, n), _matrix(field, V, n)
 
 
 def _smith_form(M: PolyMatrix):
@@ -396,43 +384,43 @@ def basic_diagnostic(G: PolyMatrix) -> str | None:
 
 
 def _leading_left_kernel(field: FieldSpec, rows, ncols: int):
-    """Row degrees of a polynomial matrix and the left kernel of its
-    highest-row-degree coefficient matrix.
+    """Row degrees of a matrix of polynomial codes and the left kernel of
+    its highest-row-degree coefficient matrix.
 
     The matrix is row-reduced iff that kernel is zero (Forney, "Minimal
     bases of rational vector spaces", 1975); a zero row means the rows
     are dependent and raises ValueError.
     """
-    degs = [max(p.degree for p in r) for r in rows]
-    if NEG_INF in degs:
+    degs = [max(map(len, r)) - 1 for r in rows]
+    if -1 in degs:
         raise ValueError("rank-deficient matrix has degree undefined")
-    degs = [int(d) for d in degs]
-    hdc = FMat(field, len(rows), ncols,
-               [[p.coefficient(d) for p in r] for r, d in zip(rows, degs)])
-    return degs, right_null_space(field, hdc.transpose())
+    lead = [[p[d] if len(p) > d else 0 for p in r] for r, d in zip(rows, degs)]
+    return degs, right_null_space(field, FMat(field, ncols, len(rows),
+                                              list(zip(*lead)) or [()] * ncols))
 
 
-def _row_reduce(M: PolyMatrix) -> PolyMatrix:
-    """Unimodular row reduction of a full-rank matrix to a row-reduced one,
-    rows ordered by descending degree; rank-deficient input raises."""
-    field = M.field
-    rows = [list(r) for r in M.rows]
+def _row_reduce(field: FieldSpec, rows, ncols: int):
+    """Unimodular row reduction of a full-rank matrix of polynomial codes
+    to a row-reduced one: its rows and their degrees, by descending
+    degree; rank-deficient input raises."""
+    rows = list(rows)
     while True:
-        degs, left_kernel = _leading_left_kernel(field, rows, M.ncols)
+        degs, left_kernel = _leading_left_kernel(field, rows, ncols)
         if not left_kernel:
             break
         # cancel the leading terms of the highest-degree row in the support
         c = left_kernel[0]
         support = [i for i, ci in enumerate(c) if ci]
         j = min(i for i in support if degs[i] == max(degs[t] for t in support))
-        new_row = [ZPoly.zero(field)] * M.ncols
-        for i in support:
-            shift = degs[j] - degs[i]
-            for col in range(M.ncols):
-                new_row[col] = new_row[col] + rows[i][col].scale(c[i]).shift(shift)
-        rows[j] = new_row
-    order = sorted(range(M.nrows), key=lambda i: -degs[i])
-    return PolyMatrix(field, M.nrows, M.ncols, [rows[i] for i in order])
+        new_row = [[] for _ in range(ncols)]
+        for i in support:   # add c_i z^(deg_j - deg_i) row_i
+            f = (0,) * (degs[j] - degs[i]) + (c[i],)
+            for out, b in zip(new_row, rows[i]):
+                if b:
+                    _addmul(field, out, f, b)
+        rows[j] = [_ptrim(out) for out in new_row]
+    order = sorted(range(len(rows)), key=lambda i: -degs[i])
+    return [rows[i] for i in order], [degs[i] for i in order]
 
 
 def code_degree(G: PolyMatrix) -> int:
@@ -441,7 +429,7 @@ def code_degree(G: PolyMatrix) -> int:
     unit factor)."""
     if G.nrows > G.ncols:
         raise ValueError("more rows than columns; not an encoder")
-    return sum(_row_reduce(G).row_degrees())
+    return sum(_row_reduce(G.field, _code_rows(G), G.ncols)[1])
 
 
 def is_minimal(G: PolyMatrix) -> tuple[bool, tuple[int, ...] | None]:
@@ -449,7 +437,7 @@ def is_minimal(G: PolyMatrix) -> tuple[bool, tuple[int, ...] | None]:
     if "minimal" not in G._derived:
         if not is_basic(G):
             raise ValueError("minimality is only defined for basic matrices")
-        degs, left_kernel = _leading_left_kernel(G.field, G.rows, G.ncols)
+        degs, left_kernel = _leading_left_kernel(G.field, _code_rows(G), G.ncols)
         indices = None if left_kernel else tuple(sorted(degs, reverse=True))
         G._derived["minimal"] = (indices is not None, indices)
     return G._derived["minimal"]
@@ -466,7 +454,7 @@ def make_minimal_basic(G: PolyMatrix) -> PolyMatrix:
             "input does not generate a (noncatastrophic, delay-free) code: "
             + (basic_diagnostic(G) or "not basic")
         )
-    return _row_reduce(G)
+    return _matrix(G.field, _row_reduce(G.field, _code_rows(G), G.ncols)[0], G.ncols)
 
 
 def dual_generator(G: PolyMatrix) -> PolyMatrix:
@@ -474,19 +462,20 @@ def dual_generator(G: PolyMatrix) -> PolyMatrix:
     row module of G, built from a Smith-form kernel basis."""
     if not is_minimal(G)[0]:   # raises on a non-basic G
         raise ValueError("dual construction expects a basic minimal encoder")
-    k, n = G.nrows, G.ncols
-    _, _, V = _smith_form(G)
+    field, k, n = G.field, G.nrows, G.ncols
+    V = _code_rows(_smith_form(G)[2])
     # G w^t = 0 iff w^t lies in the span of V's last n-k columns; those
     # columns of the unimodular V form a basic matrix
-    kernel_rows = [tuple(V.rows[i][j] for i in range(n)) for j in range(k, n)]
-    H = _row_reduce(PolyMatrix.from_rows(G.field, kernel_rows, n))
-    if not (H @ G.transpose()).is_zero():
+    rows, degs = _row_reduce(field, [[V[i][j] for i in range(n)] for j in range(k, n)], n)
+    g = _code_rows(G)
+    if any(_dot(field, h, r) for h in rows for r in g):
         raise InternalCheckError("kernel construction lost orthogonality")
-    if sum(H.row_degrees()) != sum(G.row_degrees()):
+    if sum(degs) != sum(G.row_degrees()):
         raise InternalCheckError("dual code degree mismatch")
+    H = _matrix(field, rows, n)
     # unimodular row reduction keeps H basic and leaves it row-reduced,
     # so H is minimal with its row degrees, already descending, as indices
-    H._derived["minimal"] = (True, tuple(int(d) for d in H.row_degrees()))
+    H._derived["minimal"] = (True, tuple(degs))
     return H
 
 

@@ -20,7 +20,7 @@ from convmacw.exact import macwilliams_rows, weight_counts
 from convmacw.field import (code_index, index_codes, linear_map, span_blocks,
                             span_indices, vector_codes)
 from convmacw.linalg import block_matrix, right_null_space, unit_vec, vec_mat
-from convmacw.polymat import _leading_left_kernel, _smith_form, is_basic
+from convmacw.polymat import _smith_form, is_basic, is_minimal
 from convmacw.statespace import (coefficient_code, connected_pairs,
                                  connected_pairs_orth, constant_code,
                                  output_kernel, pair_split)
@@ -161,8 +161,7 @@ def random_minimal_encoder(rng, field, n: int, k: int, delta: int,
                 row[col] = ZPoly(field, coeffs)
             rows.append(row)
         G = PolyMatrix.from_rows(field, rows, n)
-        if ([int(d) for d in G.row_degrees()] == degs and is_basic(G)
-                and not _leading_left_kernel(field, G.rows, n)[1]):
+        if [int(d) for d in G.row_degrees()] == degs and is_basic(G) and is_minimal(G)[0]:
             return G
     raise RuntimeError(f"no minimal encoder for (n={n}, k={k}, delta={delta})")
 
@@ -813,3 +812,34 @@ def smith_reference(G: PolyMatrix):
             S[t] = [tuple(inv * c for c in p) for p in S[t]]
             U[t] = [tuple(inv * c for c in p) for p in U[t]]
     return tuple([[tuple(c.code for c in p) for p in r] for r in m] for m in (U, S, V))
+
+
+def row_reduce_reference(G: PolyMatrix):
+    """The row reduction of ``polymat._row_reduce`` (behind
+    ``dual_generator``, ``code_degree`` and ``make_minimal_basic``) in
+    FieldElement arithmetic, polynomials as coefficient tuples: while the
+    leading coefficient matrix has a left kernel, its first RREF kernel
+    vector c replaces the highest-degree row j of its support by
+    sum_i c_i z^(deg_j - deg_i) row_i.  Returns the code rows of the
+    result ordered by descending degree; rank-deficient input raises."""
+    field, n = G.field, G.ncols
+    rows = [[tuple(field.elements[c] for c in p.coeffs) for p in r] for r in G.rows]
+    while True:
+        degs = [max(len(p) for p in r) - 1 for r in rows]
+        if -1 in degs:
+            raise ValueError("rank-deficient matrix has degree undefined")
+        lead = [[p[d] if len(p) > d else field.zero for p in r] for r, d in zip(rows, degs)]
+        kernel = right_null_space_reference(field, list(zip(*lead)) or [()] * n, len(rows))
+        if not kernel:
+            break
+        c = kernel[0]
+        support = [i for i, ci in enumerate(c) if ci]
+        top = max(degs[i] for i in support)
+        j = min(i for i in support if degs[i] == top)
+        new_row = [()] * n
+        for i in support:   # a - (-c_i z^(top - deg_i)) b adds c_i z^(top - deg_i) row_i
+            f = (field.zero,) * (top - degs[i]) + (-field.elements[c[i]],)
+            new_row = [_psubmul(field, a, f, b) for a, b in zip(new_row, rows[i])]
+        rows[j] = new_row
+    order = sorted(range(len(rows)), key=lambda i: -degs[i])
+    return [[tuple(x.code for x in p) for p in rows[i]] for i in order]

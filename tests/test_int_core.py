@@ -1,16 +1,19 @@
 """The int-code exact core against its FieldElement references: row
-reduction, kernels, subspaces, matrix products and the Smith form agree
-entry for entry over table fields and over the table-free GF(257) and
-GF(2^9)."""
+reduction, kernels, subspaces, matrix products, the Smith form and the
+polynomial row reduction agree entry for entry over table fields and
+over the table-free GF(257) and GF(2^9)."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from convmacw import FieldSpec, FMat, PolyMatrix, Subspace, ZPoly, smith_normal_form
+from convmacw import (FieldSpec, FMat, PolyMatrix, Subspace, ZPoly, code_degree,
+                      dual_generator, make_minimal_basic, smith_normal_form)
+from convmacw.cli import CodeDocument
 from convmacw.linalg import rref, right_null_space, vec_mat
-from oracles import (matmul_reference, right_null_space_reference, rref_reference,
-                     smith_reference, we_of_affine)
+from oracles import (matmul_reference, random_minimal_encoder, right_null_space_reference,
+                     row_reduce_reference, rref_reference, smith_reference, we_of_affine)
 
 FIELDS = {"2": (2,), "3": (3,), "4": (2, 2, [1, 1, 1]), "5": (5,), "7": (7,),
           "8": (2, 3, [1, 1, 0, 1]), "9": (3, 2, [2, 2, 1]), "257": (257,),
@@ -130,3 +133,44 @@ def test_smith_form_matches_reference(field, k, n, degree):
         got = tuple([[p.coeffs for p in r] for r in X.rows] for X in (U, S, V))
         assert got == smith_reference(M)
         assert U @ M @ V == S
+
+
+def _check_row_reduction(G: PolyMatrix, rng):
+    """dual_generator's H is the reference reduction of the kernel rows of
+    the Smith form's V, and a unimodular scrambling of G reduces back as
+    the reference does, to the code degree of G."""
+    field, k, n = G.field, G.nrows, G.ncols
+    V = smith_normal_form(G)[2]
+    kernel = PolyMatrix.from_rows(field, [[V.rows[i][j] for i in range(n)]
+                                          for j in range(k, n)], n)
+    H = dual_generator(G)
+    assert [[p.coeffs for p in r] for r in H.rows] == row_reduce_reference(kernel)
+
+    def unit_upper(i, j):   # adds random multiples of later rows: unimodular
+        if i >= j:
+            return ZPoly(field, [int(i == j)])
+        return ZPoly(field, [rng.randrange(field.q) for _ in range(rng.randint(0, 2))])
+
+    scrambled = PolyMatrix(field, k, k, [[unit_upper(i, j) for j in range(k)]
+                                         for i in range(k)]) @ G
+    want = row_reduce_reference(scrambled)
+    assert [[p.coeffs for p in r] for r in make_minimal_basic(scrambled).rows] == want
+    assert code_degree(scrambled) == sum(max(map(len, r)) - 1 for r in want)
+    assert code_degree(scrambled) == sum(H.row_degrees())
+
+
+@pytest.mark.parametrize("q", ["2", "3", "4", "257", "512"], ids=lambda q: f"q={q}")
+def test_row_reduction_matches_reference(q):
+    """Long codes like the benchmark's: n = 10-11, k = 5-6, delta <= 3."""
+    field = FieldSpec(*FIELDS[q])
+    rng = random.Random(int(q))
+    for n, k, delta in [(10, 5, 2), (11, 6, 3), (10, 6, 1)]:
+        _check_row_reduction(random_minimal_encoder(rng, field, n, k, delta), rng)
+
+
+def test_row_reduction_matches_reference_on_pinned_documents():
+    paths = sorted((Path(__file__).resolve().parents[1] / "bench" / "pinned").glob("*/*.json"))
+    assert len(paths) == 28
+    rng = random.Random(28)
+    for path in paths:
+        _check_row_reduction(CodeDocument.from_path(str(path)).generator, rng)

@@ -55,6 +55,77 @@ def test_parse_whitespace_and_errors(f2, f3):
     assert parse_zpoly("4+5z", f3) == parse_zpoly("1+2z", f3)
 
 
+def _random_term(rng, field):
+    """A term string with its coefficient element and power."""
+    roll = rng.random()
+    if roll < 0.2:
+        coeff, text = field.one, ""
+    elif roll < 0.6 or field.s == 1:
+        value = rng.randint(-2 * field.q, 2 * field.q)
+        coeff, text = field.from_int(value), str(value)
+    else:
+        digits = [rng.randrange(field.p) for _ in range(rng.randint(0, field.s))]
+        coeff, text = field.from_digits(digits), "[" + ", ".join(map(str, digits)) + "]"
+    power = rng.choice([0, 0, 1, 1, 2, 3, 7])
+    if power or not text:
+        text += " " * rng.randint(0, 1) + ("z" if power == 1 and rng.random() < 0.5
+                                           else f"z ^ {power}" if rng.random() < 0.3
+                                           else f"z^{power}")
+    return text, coeff, power
+
+
+@pytest.mark.parametrize("spec", [(2,), (3,), (2, 2, [1, 1, 1]), (257,)])
+def test_parse_zpoly_sums_its_terms(spec):
+    """A parsed polynomial is the sum of its terms, repeated powers,
+    negative integers and whitespace included: the FieldElement sum of
+    the coefficients at each power, and the ZPoly sum of the terms."""
+    field = FieldSpec(*spec)
+    rng = random.Random(field.q)
+    for _ in range(200):
+        terms = [_random_term(rng, field) for _ in range(rng.randint(1, 6))]
+        text = "+".join(" " * rng.randint(0, 2) + t + " " * rng.randint(0, 1)
+                        for t, _, _ in terms)
+        want = [field.zero] * 8
+        for _, coeff, power in terms:
+            want[power] = want[power] + coeff
+        assert parse_zpoly(text, field) == ZPoly(field, want), text
+        assert parse_zpoly(text, field) == sum(
+            (parse_zpoly(t, field) for t, _, _ in terms), ZPoly.zero(field))
+    twice = {"1+1": "0", "z+z^1": "0", " 1 + z ^ 2 + 1 ": "z^2", "-1+3": "0"}
+    for text, want in twice.items():
+        assert parse_zpoly(text, FieldSpec(2)) == parse_zpoly(want, FieldSpec(2)), text
+    f4 = FieldSpec(2, 2, [1, 1, 1])
+    assert parse_zpoly("[1,0]+[1,0]", f4).is_zero()
+    assert parse_zpoly("z+z^1", FieldSpec(3)) == parse_zpoly("2z", FieldSpec(3))
+
+
+@pytest.mark.parametrize("q,text,message", [
+    (2, "", "column 1: empty polynomial"),
+    (2, "   ", "column 1: empty polynomial"),
+    (2, "1+z^", "column 3: bad term 'z^'"),
+    (2, "1++z", "column 3: empty term"),
+    (2, "+z", "column 1: empty term"),
+    (2, "z+", "column 3: empty term"),
+    (2, "1 +  + z", "column 4: empty term"),
+    (2, "1 + 2x", "column 4: bad term '2x'"),
+    (2, "z^-1", "column 1: bad term 'z^-1'"),
+    (2, "zz", "column 1: bad term 'zz'"),
+    (2, "2.5", "column 1: bad term '2.5'"),
+    (2, "1+z^257", "column 3: exponent 257 exceeds 256"),
+    (2, "z^300 + 1", "column 1: exponent 300 exceeds 256"),
+    (2, "1+z^9999999999999", "column 3: exponent 9999999999999 exceeds 256"),
+    (3, "[1,0]", "column 1: digit lists need an extension field"),
+    (3, "1 + [1] z", "column 4: digit lists need an extension field"),
+    (4, "[1,2,3]", "column 1: too many digits for GF(2^2): [1, 2, 3]"),
+    (4, "[1,0,1]z", "column 1: too many digits for GF(2^2): [1, 0, 1]"),
+])
+def test_parse_errors_name_their_column(q, text, message):
+    field = FieldSpec(2, 2, [1, 1, 1]) if q == 4 else FieldSpec(q)
+    with pytest.raises(ValueError) as err:
+        parse_zpoly(text, field)
+    assert str(err.value) == "parse error at " + message
+
+
 def test_zpoly_arithmetic(f3):
     rng = random.Random(3)
     for _ in range(60):
