@@ -423,16 +423,16 @@ def test_non_minimal_input_message(tmp_path, capsys):
     ({"field": {"p": 2, "s": [2]}, "generator": [["1"]]}, "must be integers"),
     ({"field": {"p": 2, "s": 2, "modulus": [1, None, 1]}, "generator": [["1"]]},
      "must be integers"),
-    ({"field": {"p": 2.9}, "generator": [["1"]]}, "must be integers"),
-    ({"field": {"p": "3"}, "generator": [["1"]]}, "must be integers"),
-    ({"field": {"p": True}, "generator": [["1"]]}, "must be integers"),
-    ({"field": {"p": 2, "s": 2, "modulus": "111"}, "generator": [["1"]]},
-     "must be integers"),
     ({"field": {"p": 2}, "generator": [[1, "z"]]}, "must be a string"),
     ({"field": {"p": 10 ** 40 + 1}, "generator": [["1"]]}, "larger than 2^16"),
     ({"field": {"p": 2, "s": 10 ** 40}, "generator": [["1"]]}, "larger than 2^16"),
     ({"field": {"p": 2}, "generator": [["1+z^50000000"]]}, "column 3: exponent"),
     ({"field": {"p": 2}, "generator": [["z^" + "9" * 5000]]}, "column 1"),
+    ({"field": {"p": 2.9}, "generator": [["1"]]}, "must be integers"),
+    ({"field": {"p": "3"}, "generator": [["1"]]}, "must be integers"),
+    ({"field": {"p": True}, "generator": [["1"]]}, "must be integers"),
+    ({"field": {"p": 2, "s": 2, "modulus": "111"}, "generator": [["1"]]},
+     "must be integers"),
 ])
 def test_malformed_documents_exit_1(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
