@@ -4,7 +4,8 @@ minimality tests, degree, and dual-code generators.
 The polynomial string grammar accepted by :func:`parse_zpoly` is terms
 "c", "c z", "c z^k" joined by "+", where c is an integer for prime
 fields or a bracketed digit list like "[1,1]" for extension fields.
-Whitespace is insignificant; the zero polynomial is "0".
+Whitespace between tokens is insignificant, but never splits a number
+("1 2" and "[1 1]" are errors); the zero polynomial is "0".
 
 Entry codes are checked once, where they come in (the ZPoly
 constructor, parse_zpoly); the Smith form, row reduction and products
@@ -152,6 +153,7 @@ def _dot(field: FieldSpec, a, b) -> tuple:
 
 
 _TERM_RE = re.compile(r"^(?:(-?\d+)|(\[[0-9,\s-]*\]))?(z(?:\^(\d+))?)?$")
+_SPLIT_DIGITS = re.compile(r"\d\s+\d")   # "1 2" is an error, not 12
 
 
 def parse_zpoly(text: str, field: FieldSpec) -> ZPoly:
@@ -166,11 +168,13 @@ def parse_zpoly(text: str, field: FieldSpec) -> ZPoly:
     for chunk in text.split("+"):
         col = pos + 1
         pos += len(chunk) + 1
-        term = "".join(chunk.split())
+        parts = chunk.split()
+        term = "".join(parts)
         if not term:
             raise ValueError(f"parse error at column {col}: empty term")
         m = _TERM_RE.match(term)
-        if not m or (m.group(1) is None and m.group(2) is None and m.group(3) is None):
+        if (not m or len(parts) > 1 and _SPLIT_DIGITS.search(chunk)
+                or (m.group(1) is None and m.group(2) is None and m.group(3) is None)):
             raise ValueError(f"parse error at column {col}: bad term {chunk.strip()!r}")
         int_c, list_c, zpart, exp = m.groups()
         if list_c is not None and field.s == 1:

@@ -582,8 +582,8 @@ def check_pairing_lemma(pair) -> int:
     kernel, trivial intersection with the pair orthogonal, injectivity on
     the dual transversal, rank r + r_dual, and the direct sum with the
     pair orthogonal filling the kernel orthogonal.  Returns the rank."""
-    M, f, split_dual = pair.pairing, pair.field, pair.split_dual
-    kernel_orth, delta_perp = pair.kernel_orth, pair.delta_perp
+    M, f, split_dual = pair.pairing, pair.field, pair_split(pair.cf_dual)
+    kernel_orth, delta_perp = output_kernel(pair.cf).orth(), connected_pairs_orth(pair.cf)
     two_delta = 2 * pair.delta
     image = Subspace.from_rows(f, two_delta, M.rows)
     for row in image.basis:
@@ -633,10 +633,10 @@ def check_correction_block(pair, Q: FMat, M1: FMat | None = None):
     if (pair.pairing + M1) != rotation:
         raise InternalCheckError("pairing plus correction is not the rotation block")
     image = Subspace.from_rows(f, 2 * d, M1.rows)
-    if not image.is_subspace_of(pair.delta_perp):
+    if not image.is_subspace_of(connected_pairs_orth(pair.cf)):
         raise InternalCheckError("correction image leaves the pair orthogonal")
     left_kernel = Subspace(f, 2 * d, right_null_space(f, M1.transpose()))
-    if intersect(pair.split_dual.kernel, left_kernel).dim != 0:
+    if intersect(pair_split(pair.cf_dual).kernel, left_kernel).dim != 0:
         raise InternalCheckError("correction kills dual kernel directions")
     if image.dim != d - pair.cf.r:
         raise InternalCheckError("correction rank is not delta - r")

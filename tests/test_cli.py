@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from convmacw import WePoly, adjacency, duality
+from convmacw import WePoly, adjacency, duality, polymat
 from convmacw.cli import CodeDocument, main
 from convmacw.field import FieldElement, FieldSpec
+from convmacw.polymat import code_degree
 from conftest import (BINARY_523, CHAR_GRID_2_3, LONG_00, TERNARY_322,
                       WITNESS_P_TERNARY)
 from oracles import same_code
@@ -345,10 +346,37 @@ def test_help_exits_0(capsys):
 
 
 def test_search_p_command(ternary_doc, capsys):
-    assert main(["search-p", ternary_doc, "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    """search-p is verify --mode search: the same bytes less elapsed_ms,
+    and the same refusal past the grid guard."""
+    def run(*argv):
+        status = main(list(argv))
+        captured = capsys.readouterr()
+        out = [line for line in captured.out.splitlines(keepends=True)
+               if not line.startswith('  "elapsed_ms": ')]
+        return status, "".join(out), captured.err
+
+    alias = run("search-p", ternary_doc, "--format", "json")
+    assert alias == run("verify", ternary_doc, "--mode", "search", "--format", "json")
+    assert alias[0] == 0 and alias[2] == ""
+    payload = json.loads(alias[1])
     assert payload["theorem_used"] == "conjecture-search"
-    assert payload["details"]["candidates_tested"] == 16
+    assert payload["details"] == {"mode": "search", "candidates_tested": 16}
+    refused = run("search-p", ternary_doc, "--limit", "grid=80")
+    assert refused == run("verify", ternary_doc, "--mode", "search", "--limit", "grid=80")
+    assert refused == (2, "", "error: pair grid q^(2*delta) = 81 > limit 80 "
+                              "(2592 bytes per int64 grid of 4 values a pair)\n")
+
+
+def test_dual_certificate_on_pinned_document(capsys):
+    """The certificate is dual_generator's own checks: H G^t = 0, and H's
+    row degrees sum to the code degree of G."""
+    assert main(["dual", str(LONG_00)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"] == {"orthogonal_to_input": True, "delta": 2}
+    G = CodeDocument.from_path(str(LONG_00)).generator
+    H = CodeDocument.from_dict(payload).generator
+    assert (H @ G.transpose()).is_zero()
+    assert code_degree(H) == code_degree(G) == 2
 
 
 def test_macw_text_golden(capsys):
@@ -491,6 +519,28 @@ def test_internal_check_failure_exit_4(binary_doc, capsys, monkeypatch):
     assert main(["adjacency", binary_doc, "--oracle"]) == 4
     err = capsys.readouterr().err
     assert err == "internal check failed: oracle adjacency disagrees with coset route\n"
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("orthogonality", "kernel construction lost orthogonality"),
+    ("degree", "dual code degree mismatch"),
+])
+def test_dual_certificate_failure_exit_4(binary_doc, capsys, monkeypatch, fault, message):
+    """dual prints no certificate it has not checked: a row reduction that
+    breaks H G^t = 0 or the degree sum stops dual_generator with exit 4."""
+    real = polymat._row_reduce
+
+    def broken(field, rows, n):
+        rows, degs = real(field, rows, n)
+        if fault == "degree":
+            return rows, [d + 1 for d in degs]
+        first = [() if rows[0][0] == (1,) else (1,)] + list(rows[0][1:])
+        return [first] + rows[1:], degs
+
+    monkeypatch.setattr(polymat, "_row_reduce", broken)
+    assert main(["dual", binary_doc]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"internal check failed: {message}\n")
 
 
 GF9_422 = {"field": {"p": 3, "s": 2, "modulus": [1, 0, 1]},

@@ -10,11 +10,12 @@ from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, InternalCheckErr
                       check_witness, closed_form_witness_dual,
                       closed_form_witness_primal, run_verification,
                       search_witness, StatePermutation)
-from convmacw.duality import (FourierMatrix, macwilliams_image, state_pairing_matrix,
-                              trace_exponents)
+from convmacw.adjacency import AdjMatrix
+from convmacw.duality import (FourierMatrix, fourier_transform, macwilliams_image,
+                              state_pairing_matrix, trace_exponents)
 from convmacw.exact import macwilliams_rows
 from convmacw.linalg import block_matrix
-from convmacw.statespace import connected_pairs, constant_code
+from convmacw.statespace import connected_pairs, constant_code, output_kernel
 from conftest import (BINARY_523_DUAL, CHAR_GRID_2_3, PERM_Q_BINARY, WITNESS_P_TERNARY,
                       WITNESS_Q_BINARY, projective_candidates, we)
 from oracles import (bucket_tensor, character_structure_checks,
@@ -86,10 +87,11 @@ def test_fourier_crosscheck_and_invariance(binary_pair, ternary_pair):
 def test_fourier_vanishes_off_kernel_orthogonal(binary_523, binary_523_dual):
     # swap roles so the kernel is nontrivial: dim 2, orthogonal dim 4
     pair = DualPair(binary_523_dual, binary_523)
-    assert pair.kernel.dim == 2
+    kernel = output_kernel(pair.cf)
+    assert kernel.dim == 2
     zero_cells = int(np.all(grid(pair.fourier) == 0, axis=2).sum())
     assert zero_cells == 64 - 2 ** 4
-    mask = orth_mask(pair.field, pairing_codes(pair.field, pair.delta), pair.kernel.basis)
+    mask = orth_mask(pair.field, pairing_codes(pair.field, pair.delta), kernel.basis)
     for i in range(8):
         for j in range(8):
             if not mask[i, j]:
@@ -457,3 +459,26 @@ def test_bucket_tensor_headroom(f2, f3):
                 np.full((2, 2, nw), 2 ** 61, dtype=np.int64)):
         with pytest.raises(GuardExceeded, match="float64 headroom"):
             bucket_tensor(lam, np.array(E), 2)
+
+
+@pytest.mark.parametrize("name", ["binary_pair", "ternary_pair"])
+def test_fourier_transform_headroom(request, name):
+    """The production transform refuses counts whose largest column sum of
+    |lam| reaches 2^52; one unit below, it still equals the bucket product.
+    The counts are a real pair's, scaled, on its own support."""
+    pair = request.getfixturevalue(name)
+    adj = pair.adj
+    sums = np.abs(adj.counts).sum(axis=0)
+    t = int(sums.argmax())
+    below = adj.counts * ((2 ** 52 - 1) // int(sums[t]))
+    below[0, t] += 2 ** 52 - 1 - below[:, t].sum()   # column t sums to 2^52 - 1
+    at = below.copy()
+    at[0, t] += 1
+    for counts, fires in ((below, False), (at, True)):
+        scaled = AdjMatrix(adj.field, adj.n, adj.delta, adj.index, counts)
+        assert int(np.abs(scaled.counts).sum(axis=0).max()) == 2 ** 52 - 1 + fires
+        if fires:
+            with pytest.raises(GuardExceeded, match="float64 headroom"):
+                fourier_transform(scaled, pair.cf)
+        else:
+            check_bucket_route(fourier_transform(scaled, pair.cf), scaled)

@@ -62,3 +62,20 @@ def test_parse_zpoly_parses_or_raises_value_error(spec):
         _parses_or_value_error(parse_zpoly, text, field)
 
     check()
+
+
+@pytest.mark.parametrize("spec", [(2,), (3,), (2, 2, [1, 1, 1])])
+def test_digits_split_by_whitespace_raise_value_error(spec):
+    """"1 2" is never 12: a digit, whitespace, then a digit is a parse
+    error wherever it stands, in a coefficient, a digit list or an exponent."""
+    field = FieldSpec(*spec)
+    digit = st.sampled_from("0123456789")
+
+    @FUZZ
+    @given(poly_text, digit, st.text(alphabet=" \t\n\r\x0b\x0c", min_size=1, max_size=3),
+           digit, poly_text)
+    def check(before, a, space, b, after):
+        with pytest.raises(ValueError):
+            parse_zpoly(before + a + space + b + after, field)
+
+    check()

@@ -41,8 +41,10 @@ def test_parse_and_format_roundtrip(f2, f3, f4):
         assert parse_zpoly(format_zpoly(p), field) == p
 
 
-def test_parse_whitespace_and_errors(f2, f3):
+def test_parse_whitespace_and_errors(f2, f3, f4):
     assert parse_zpoly(" 1 + z ^ 2 ", f2) == parse_zpoly("1+z^2", f2)
+    assert parse_zpoly("2 z", f3) == parse_zpoly("2z", f3)
+    assert parse_zpoly("[1,1] z + [ 0 , 1 ]", f4) == parse_zpoly("[1,1]z+[0,1]", f4)
     with pytest.raises(ValueError, match="column 3"):
         parse_zpoly("1+z^", f2)
     with pytest.raises(ValueError, match="column 1"):
@@ -118,6 +120,13 @@ def test_parse_zpoly_sums_its_terms(spec):
     (3, "1 + [1] z", "column 4: digit lists need an extension field"),
     (4, "[1,2,3]", "column 1: too many digits for GF(2^2): [1, 2, 3]"),
     (4, "[1,0,1]z", "column 1: too many digits for GF(2^2): [1, 0, 1]"),
+    (2, "1 z^2 3", "column 1: bad term '1 z^2 3'"),
+    (2, "z^1 0", "column 1: bad term 'z^1 0'"),
+    (3, "1 2", "column 1: bad term '1 2'"),
+    (3, "1 0z", "column 1: bad term '1 0z'"),
+    (3, "z + 1\t2", "column 4: bad term '1\\t2'"),
+    (4, "[1 1]", "column 1: bad term '[1 1]'"),
+    (4, "[1 0]z", "column 1: bad term '[1 0]z'"),
 ])
 def test_parse_errors_name_their_column(q, text, message):
     field = FieldSpec(2, 2, [1, 1, 1]) if q == 4 else FieldSpec(q)
