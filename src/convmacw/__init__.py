@@ -8,7 +8,7 @@ from .duality import (DualityReport, DualPair, FourierMatrix, SearchResult,
                       check_weak_identity, check_witness,
                       closed_form_witness_dual, closed_form_witness_primal,
                       fourier_transform, macwilliams_image, run_verification,
-                      search_witness, state_pairing_matrix)
+                      search_witness)
 from .errors import GuardExceeded, InternalCheckError
 from .exact import WePoly
 from .field import FieldElement, FieldSpec
@@ -18,7 +18,7 @@ from .polymat import (CodeProfile, PolyMatrix, ZPoly, code_degree,
                       parse_zpoly, smith_normal_form)
 from .statespace import (ControllerForm, PairSplit, coefficient_code,
                          connected_pairs, connected_pairs_orth, constant_code,
-                         controller_form, output_kernel, output_rep,
+                         controller_form, output_kernel, output_map,
                          pair_split)
 
 __version__ = "0.1.0"

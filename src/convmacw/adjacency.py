@@ -15,8 +15,7 @@ from .errors import GuardExceeded, InternalCheckError
 from .exact import WePoly, weight_counts
 from .field import code_index, span_blocks, span_indices, vector_codes
 from .linalg import FMat, block_matrix
-from .statespace import (ControllerForm, connected_pairs, constant_code,
-                         pair_output_rep)
+from .statespace import ControllerForm, connected_pairs, constant_code, output_map
 
 TRANSITION_LIMIT = 2 ** 24   # bound on q^(2*delta) * q^k
 PAIR_LIMIT = 2 ** 20         # bound on q^(delta+k) coset points
@@ -149,8 +148,8 @@ def adjacency_by_cosets(cf: ControllerForm, limit: int = PAIR_LIMIT) -> AdjMatri
     pairs, const = connected_pairs(cf), constant_code(cf)
     # output representatives are linear in the pair, so c @ [reps; const]
     # runs through the coset of each pair in turn, q^(k-r) points apiece
-    reps = [pair_output_rep(cf, b) for b in pairs.basis]
-    gen = vector_codes(reps + list(const.basis), cf.n)
+    reps = (pairs.matrix() @ output_map(cf)).rows
+    gen = vector_codes(reps + const.basis, cf.n)
     group = cf.field.q ** const.dim
     adj = AdjMatrix(cf.field, cf.n, cf.delta, pairs.point_indices(),
                     weight_counts(cf.field, gen, 0, points, group))

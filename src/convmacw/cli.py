@@ -243,8 +243,11 @@ def _witness_matrix(text: str, field: FieldSpec) -> FMat:
     if not isinstance(data, list) or any(   # a JSON integer loads as int, not bool or float
             not isinstance(r, list) or any(type(v) is not int for v in r) for r in data):
         raise ValueError("witness must be a nested integer array")
-    rows = [[field.element(v % field.q) for v in r] for r in data]
-    return FMat.from_rows(field, rows, len(data)) if data else FMat(field, 0, 0, [])
+    bad = next((v for r in data for v in r if not 0 <= v < field.q), None)
+    if bad is not None:   # entries are element codes, as the report prints them
+        raise ValueError(f"witness entry {bad} is not an element code of {field} "
+                         f"(0 to {field.q - 1})")
+    return FMat.from_rows(field, data, len(data)) if data else FMat(field, 0, 0, [])
 
 
 def _report_out(report, fmt: str) -> int:

@@ -23,11 +23,11 @@ from .adjacency import (AdjMatrix, StatePermutation, adjacency_by_cosets,
 from .errors import GuardExceeded, InternalCheckError
 from .exact import macwilliams_rows
 from .field import FieldSpec, index_codes, pair_indices, span_indices, vector_codes
-from .linalg import FMat, Subspace, block_matrix, deterministic_complement, vec_mat
+from .linalg import FMat, Subspace, deterministic_complement
 from .polymat import CodeProfile, PolyMatrix, dual_generator
 from .statespace import (ControllerForm, coefficient_code, connected_pairs,
                          connected_pairs_orth, controller_form, degree_guard,
-                         output_kernel, pair_split)
+                         output_kernel, output_map, pair_split)
 
 GRID_LIMIT = 2 ** 20     # bound on q^(2*delta), the full pair grid
 SEARCH_LIMIT = 2 ** 17   # bound on candidate row images the witness search examines
@@ -181,18 +181,6 @@ def macwilliams_image(fm: FourierMatrix, k: int, neg_perm: np.ndarray) -> Transf
     return TransformedMatrix(fm.field, fm.n, k, fm.delta, image[fm.at[neg_perm].T])
 
 
-def state_pairing_matrix(cf: ControllerForm, cf_dual: ControllerForm) -> FMat:
-    """Block matrix transporting dual state pairs into the primal
-    conjugated grid; its bilinear form against a primal pair equals the
-    form of the two representative outputs."""
-    f = cf.field
-    m11 = cf_dual.C @ cf.C.transpose()
-    m12 = cf_dual.C @ cf.BtD.transpose()
-    m21 = cf_dual.BtD @ cf.C.transpose()
-    m22 = FMat.zero(f, cf.delta, cf.delta)
-    return block_matrix(f, [[m11, m12], [m21, m22]])
-
-
 class DualPair:
     """A primal/dual encoder pair with cached derived structure.
 
@@ -255,7 +243,10 @@ class DualPair:
 
     @cached_property
     def pairing(self) -> FMat:
-        return state_pairing_matrix(self.cf, self.cf_dual)
+        """Gram matrix R_hat R^t of the two output maps: a dual pair v meets
+        a primal pair w through the form of their outputs, v M w^t.  The
+        D_hat D^t of its lower right block is the constant term of H G^t = 0."""
+        return output_map(self.cf_dual) @ output_map(self.cf).transpose()
 
     def profile_dicts(self) -> dict:
         def one(profile: CodeProfile, r_dual: int) -> dict:
@@ -287,10 +278,9 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     outside = deterministic_complement(output_kernel(pair.cf).orth(),
                                        Subspace.full(f, two_delta))
     split_dual = pair_split(pair.cf_dual)
-    source = list(split_dual.transversal.basis) + list(split_dual.kernel.basis) \
-        + list(split_dual.complement.basis)
-    target = [vec_mat(b, pair.pairing) for b in split_dual.transversal.basis] \
-        + list(connected_pairs_orth(pair.cf).basis) + list(outside.basis)
+    source = split_dual.transversal.basis + split_dual.kernel.basis + split_dual.complement.basis
+    target = (split_dual.transversal.matrix() @ pair.pairing).rows \
+        + connected_pairs_orth(pair.cf).basis + outside.basis
     if len(source) != two_delta:
         raise InternalCheckError("pair space bases do not fill the dimension")
     S = FMat.from_rows(f, source, two_delta)
@@ -341,15 +331,15 @@ def closed_form_witness_dual(pair: DualPair) -> FMat:
 
 
 def closed_form_witness_primal(pair: DualPair) -> FMat:
-    """Closed-form witness -C_hat D^t B when every primal Forney index is
-    at most one; asserts its invertibility and the full entrywise
+    """Closed-form witness -C_hat (B^t D)^t when every primal Forney index
+    is at most one; asserts its invertibility and the full entrywise
     identity."""
     if pair.cf.r != pair.delta:
         raise ValueError(
             "closed-form primal witness needs every Forney index <= 1; "
             "try the dual form or the projective search"
         )
-    return _closed_form(pair, -(pair.cf_dual.C @ pair.cf.D.transpose() @ pair.cf.B), "primal")
+    return _closed_form(pair, -(pair.cf_dual.C @ pair.cf.BtD.transpose()), "primal")
 
 
 @dataclass

@@ -251,9 +251,6 @@ class PolyMatrix:
     def to_strings(self) -> list[list[str]]:
         return [[format_zpoly(p) for p in r] for r in self.rows]
 
-    def entry(self, i: int, j: int) -> ZPoly:
-        return self.rows[i][j]
-
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.field, self.ncols, self.nrows,
                           [[self.rows[i][j] for i in range(self.nrows)]

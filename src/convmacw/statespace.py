@@ -2,8 +2,10 @@
 subspace machinery around its state space.
 
 States live in F^delta; state pairs live in F^delta x F^delta, stored as
-concatenated code vectors of length 2*delta.  All subspaces come out with
-canonical RREF bases, each built once per controller form.
+concatenated code vectors of length 2*delta.  A pair (X, Y) has the
+representative output X C + Y B^t D, the product (X, Y) R with the output
+map R of ``output_map``.  All subspaces come out with canonical RREF
+bases; they and R are built once per controller form.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from functools import wraps
 
 from .errors import GuardExceeded, InternalCheckError
 from .field import FieldSpec
-from .linalg import (FMat, Subspace, Vec, coeff_preimage,
-                     deterministic_complement, unit_vec, vec_mat)
+from .linalg import (FMat, Subspace, coeff_preimage, deterministic_complement,
+                     unit_vec)
 from .polymat import MAX_EXPONENT, CodeProfile, PolyMatrix
 
 
@@ -157,27 +159,21 @@ def connected_pairs_orth(cf: ControllerForm) -> Subspace:
     return connected_pairs(cf).orth()
 
 
-def output_rep(cf: ControllerForm, X: Vec, Y: Vec) -> Vec:
-    """Representative output X C + Y B^t D attached to a state pair."""
-    return tuple(cf.field.axpy(vec_mat(X, cf.C), 1, vec_mat(Y, cf.BtD)))
-
-
-def pair_output_rep(cf: ControllerForm, pair: Vec) -> Vec:
-    return output_rep(cf, pair[: cf.delta], pair[cf.delta:])
+@_per_form
+def output_map(cf: ControllerForm) -> FMat:
+    """The 2 delta x n matrix R with the rows of C, then those of B^t D:
+    the pair (X, Y) has the representative output (X, Y) R = X C + Y B^t D."""
+    return FMat(cf.field, 2 * cf.delta, cf.n, cf.C.rows + cf.BtD.rows)
 
 
 @_per_form
 def output_kernel(cf: ControllerForm) -> Subspace:
     """Connected pairs whose representative output is a constant codeword;
     adjacency entries are invariant along this space."""
-    field, delta_space = cf.field, connected_pairs(cf)
-    images = [pair_output_rep(cf, b) for b in delta_space.basis]
-    coeffs = coeff_preimage(field, images, constant_code(cf)) if images else None
-    if coeffs is None:
-        kernel = Subspace.zero(field, 2 * cf.delta)
-    else:
-        kernel = Subspace.from_rows(field, 2 * cf.delta,
-                                    (coeffs.matrix() @ delta_space.matrix()).rows)
+    field, pairs = cf.field, connected_pairs(cf).matrix()
+    images = (pairs @ output_map(cf)).rows
+    coeffs = coeff_preimage(field, images, constant_code(cf))
+    kernel = Subspace.from_rows(field, 2 * cf.delta, (coeffs.matrix() @ pairs).rows)
     _, r_dual = coefficient_code(cf)
     if kernel.dim != cf.delta - r_dual:
         raise InternalCheckError("output kernel has the wrong dimension")

@@ -2,8 +2,9 @@
 pipeline does not need (among them the pairing lemma and the correction
 block of the dual closed form: the production routes check only the full
 identity), the dense bucket product and the closed-form route to the
-conjugated matrix, subspace intersection, and FieldElement-level helpers
-to compare its int-code kernels against.  A check raises
+conjugated matrix, the block-wise representative output and pairing
+matrix, subspace intersection, and FieldElement-level helpers to compare
+its int-code kernels against.  A check raises
 InternalCheckError when its identity fails."""
 
 import itertools
@@ -259,6 +260,12 @@ def entry_we(matrix, i: int, j: int) -> WePoly:
 def _diag(field, size: int, ones) -> FMat:
     return FMat(field, size, size, [unit_vec(size, i) if ones(i) else (0,) * size
                                     for i in range(size)])
+
+
+def output_rep(cf, X, Y) -> tuple:
+    """Representative output X C + Y B^t D of the state pair (X, Y), one
+    product per block: the reference for (X, Y) @ output_map(cf)."""
+    return tuple(cf.field.axpy(vec_mat(X, cf.C), 1, vec_mat(Y, cf.BtD)))
 
 
 def check_controller_structure(cf):
@@ -574,6 +581,15 @@ def check_zeta_independence(pair) -> bool:
         if not np.array_equal(grid(other), grid(pair.fourier)):
             raise InternalCheckError("conjugated matrix depends on the root choice")
     return True
+
+
+def state_pairing_matrix(cf, cf_dual) -> FMat:
+    """The pairing matrix as four block products with a zero D_hat D^t
+    corner: the reference for DualPair.pairing, the Gram matrix of the
+    two output maps."""
+    f, d = cf.field, cf.delta
+    return block_matrix(f, [[cf_dual.C @ cf.C.transpose(), cf_dual.C @ cf.BtD.transpose()],
+                            [cf_dual.BtD @ cf.C.transpose(), FMat.zero(f, d, d)]])
 
 
 def check_pairing_lemma(pair) -> int:

@@ -6,6 +6,7 @@ import random
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from convmacw import (DualPair, FieldSpec, FMat, PolyMatrix, Subspace, WePoly,
                       coefficient_code, constant_code, controller_form,
                       dual_generator, run_verification, search_witness,
                       StatePermutation)
+from convmacw.cli import CodeDocument
 from convmacw.duality import trace_exponents
 from conftest import (ADJ_BINARY_523, ADJ_BINARY_523_DUAL, CHAR_GRID_2_3,
                       PERM_Q_BINARY, WITNESS_P_TERNARY, WITNESS_Q_BINARY,
@@ -32,8 +34,8 @@ from oracles import (character_structure_checks, check_bucket_route,
                      enumerate_vectors,
                      fraction_entry, int_matrix, matrix01, max_degree,
                      negation_perm, padded,
-                     random_minimal_encoder, same_code, sides, vec_dot,
-                     we_of_affine)
+                     random_minimal_encoder, same_code, sides,
+                     state_pairing_matrix, vec_dot, we_of_affine)
 
 
 def _stamp(name: str, started: float, bound: float | None = None) -> None:
@@ -232,11 +234,27 @@ def test_criterion_6g_conjugation_routes_and_invariance(corpus):
 
 
 def test_criterion_6h_pairing_and_transport(corpus):
+    """The pairing, the Gram matrix of the two output maps, is the
+    four-block matrix with a zero corner; the report's two routes to r_hat
+    (the coefficient code, the dual's Forney indices) agree."""
     started = time.perf_counter()
     for pair in corpus:
+        assert pair.r_dual == pair.cf_dual.r
+        assert pair.pairing == state_pairing_matrix(pair.cf, pair.cf_dual)
         assert check_pairing_lemma(pair) == pair.cf.r + pair.cf_dual.r
         check_transport(pair)
     _stamp("6h (pairing matrix facts and transport identity)", started)
+
+
+def test_criterion_6h_pinned_documents():
+    started = time.perf_counter()
+    paths = sorted((Path(__file__).resolve().parents[1] / "bench" / "pinned").glob("*/*.json"))
+    assert len(paths) == 28
+    for path in paths:
+        pair = DualPair(CodeDocument.from_path(str(path)).generator)
+        assert pair.r_dual == pair.cf_dual.r
+        assert pair.pairing == state_pairing_matrix(pair.cf, pair.cf_dual)
+    _stamp("6h pinned (r_hat routes and pairing on the 28 pinned documents)", started)
 
 
 def test_criterion_6i_weak_identity(corpus):

@@ -322,6 +322,32 @@ def test_verify_non_integer_witness_exit_1(ternary_doc, capsys, witness):
     assert captured.out == ""
 
 
+GF9_UNIT = {"field": {"p": 3, "s": 2, "modulus": [1, 0, 1]}, "generator": [["1+z", "1"]]}
+TERNARY = {"field": {"p": 3}, "generator": TERNARY_322}
+
+
+@pytest.mark.parametrize("doc,witness,bad", [
+    (GF9_UNIT, "[[-1]]", "-1 is not an element code of GF(3^2) (0 to 8)"),
+    (GF9_UNIT, "[[9]]", "9 is not an element code of GF(3^2) (0 to 8)"),
+    (GF9_UNIT, "[[2]]", None),
+    (GF9_UNIT, "[[8]]", None),
+    (TERNARY, "[[5,1],[0,1]]", "5 is not an element code of GF(3) (0 to 2)"),
+    (TERNARY, "[[1,0],[0,-1]]", "-1 is not an element code of GF(3) (0 to 2)"),
+], ids=["gf9-minus-1", "gf9-9", "gf9-2", "gf9-8", "ternary-5", "ternary-minus-1"])
+def test_verify_witness_entries_are_element_codes(tmp_path, capsys, doc, witness, bad):
+    """A witness entry is an element code, read as given: over GF(9) -1 is
+    not code 8 (2+2a) and 9 is not code 0; an entry outside [0, q) exits 1."""
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path), "--check-witness", witness, "--format", "json"])
+    captured = capsys.readouterr()
+    if bad:
+        assert (code, captured.out, captured.err) == (1, "", f"error: witness entry {bad}\n")
+    else:
+        assert code == 0
+        assert json.loads(captured.out)["witness"] == json.loads(witness)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "{doc}", "--bogus"],
     ["verify", "{doc}", "--mode", "nope"],

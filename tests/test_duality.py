@@ -12,7 +12,7 @@ from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, InternalCheckErr
                       search_witness, StatePermutation)
 from convmacw.adjacency import AdjMatrix
 from convmacw.duality import (FourierMatrix, fourier_transform, macwilliams_image,
-                              state_pairing_matrix, trace_exponents)
+                              trace_exponents)
 from convmacw.exact import macwilliams_rows
 from convmacw.linalg import block_matrix
 from convmacw.statespace import connected_pairs, constant_code, output_kernel
@@ -29,7 +29,8 @@ from oracles import (bucket_tensor, character_structure_checks,
                      fraction_entry, grid,
                      int_matrix, matrix01, negation_perm, orth_mask, padded,
                      pairing_codes,
-                     random_minimal_encoder, sides, vec_dot, we_of_affine)
+                     random_minimal_encoder, sides, state_pairing_matrix, vec_dot,
+                     we_of_affine)
 
 
 def test_character_grid_golden(f2):
@@ -191,7 +192,8 @@ def test_zeta_independence(ternary_pair):
 
 
 def test_pairing_matrix_golden(binary_pair):
-    M = state_pairing_matrix(binary_pair.cf, binary_pair.cf_dual)
+    M = binary_pair.pairing
+    assert M == state_pairing_matrix(binary_pair.cf, binary_pair.cf_dual)
     assert M.nrows == M.ncols == 6
     assert check_pairing_lemma(binary_pair) == 4  # r + r_hat = 1 + 3
 

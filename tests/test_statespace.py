@@ -8,12 +8,12 @@ import pytest
 
 from convmacw import (FieldSpec, PolyMatrix, Subspace, coefficient_code,
                       connected_pairs, connected_pairs_orth, constant_code,
-                      controller_form, output_kernel, output_rep, pair_split)
+                      controller_form, output_kernel, output_map, pair_split)
 from convmacw.cli import main
-from convmacw.statespace import pair_output_rep
+from convmacw.linalg import vec_mat
 from conftest import BINARY_523, LONG_00
 from oracles import (coefficient_matrix, enumerate_vectors, intersect, max_degree,
-                     points, random_minimal_encoder, vec_dot)
+                     output_rep, points, random_minimal_encoder, vec_dot)
 
 
 def _sub(field, ambient, int_rows):
@@ -125,15 +125,19 @@ def test_connected_pairs_orth_degenerate(f2):
 
 def test_output_rep_goldens(binary_523, f2):
     cf = controller_form(binary_523)
-    zero3 = (0,) * 3
-    assert output_rep(cf, zero3, zero3) == (0,) * 5
+    R = output_map(cf)
+    assert (R.nrows, R.ncols) == (6, 5)
+    assert vec_mat((0,) * 6, R) == (0,) * 5
     X = tuple(f2.element(c) for c in (0, 1, 1))
     Y = tuple(f2.element(c) for c in (0, 0, 1))
-    assert output_rep(cf, X, Y) == (1, 1, 1, 0, 0)
+    assert vec_mat(X + Y, R) == (1, 1, 1, 0, 0)
     # the representative vanishes on the disconnected directions
     split = pair_split(cf)
     for v in points(split.complement):
-        assert pair_output_rep(cf, v) == (0,) * 5
+        assert vec_mat(v, R) == (0,) * 5
+    # and is X C + Y B^t D on every pair
+    for v in enumerate_vectors(f2, 6):
+        assert vec_mat(v, R) == output_rep(cf, v[:3], v[3:])
 
 
 def test_output_kernel_dims(binary_523, binary_523_dual, f2):
@@ -159,7 +163,7 @@ def test_image_decomposition(binary_523, f2):
     # representative outputs plus constants fill the coefficient code
     cf = controller_form(binary_523)
     cc = constant_code(cf)
-    images = [pair_output_rep(cf, b) for b in connected_pairs(cf).basis]
+    images = [vec_mat(b, output_map(cf)) for b in connected_pairs(cf).basis]
     span = Subspace.from_rows(f2, 5, images) + cc
     assert span == coefficient_code(cf)[0]
     # row space of D splits as the first r rows' space plus the constants
@@ -176,7 +180,7 @@ def test_transversal_hits_every_coset_once(binary_523_dual, f2):
     span, r_hat = coefficient_code(cfd)
     seen = set()
     for v in points(split.transversal):
-        rep = pair_output_rep(cfd, v)
+        rep = vec_mat(v, output_map(cfd))
         # canonicalize the coset by reducing against the constant code
         red = list(rep)
         for row in cc.basis:
