@@ -247,7 +247,9 @@ def _witness_matrix(text: str, field: FieldSpec) -> FMat:
     if bad is not None:   # entries are element codes, as the report prints them
         raise ValueError(f"witness entry {bad} is not an element code of {field} "
                          f"(0 to {field.q - 1})")
-    return FMat.from_rows(field, data, len(data)) if data else FMat(field, 0, 0, [])
+    if any(len(r) != len(data[0]) for r in data):
+        raise ValueError("witness rows differ in length")
+    return FMat(field, len(data), len(data[0]) if data else 0, data)
 
 
 def _report_out(report, fmt: str) -> int:

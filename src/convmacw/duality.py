@@ -1,6 +1,7 @@
 """Duality engine: the trace exponents of the character grid, two-sided
 character conjugation of adjacency matrices, the transformation sending a
-code's adjacency matrix to its dual's, closed-form witnesses when one
+code's adjacency matrix to its dual's, the weak identity through an
+explicit reordering of the state pairs, closed-form witnesses when one
 side has all indices <= 1, the projective witness search, and the
 unit-memory per-entry formulas.
 
@@ -23,11 +24,11 @@ from .adjacency import (AdjMatrix, StatePermutation, adjacency_by_cosets,
 from .errors import GuardExceeded, InternalCheckError
 from .exact import macwilliams_rows
 from .field import FieldSpec, index_codes, pair_indices, span_indices, vector_codes
-from .linalg import FMat, Subspace, deterministic_complement
+from .linalg import FMat, right_null_space, rref, unit_vec
 from .polymat import CodeProfile, PolyMatrix, dual_generator
 from .statespace import (ControllerForm, coefficient_code, connected_pairs,
                          connected_pairs_orth, controller_form, degree_guard,
-                         output_kernel, output_map, pair_split)
+                         output_map)
 
 GRID_LIMIT = 2 ** 20     # bound on q^(2*delta), the full pair grid
 SEARCH_LIMIT = 2 ** 17   # bound on candidate row images the witness search examines
@@ -266,35 +267,57 @@ class WeakIdentityReport:
     entries_checked: int
 
 
+def _units_off_pivots(field: FieldSpec, rows, ncols: int) -> list[tuple]:
+    """The unit vectors e_j of F^ncols off the pivot columns j of the
+    RREF of ``rows``: they complete any basis of the rows' span."""
+    _, pivots = rref(field, rows, ncols)
+    return [unit_vec(ncols, j) for j in range(ncols) if j not in pivots]
+
+
 def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
-    """Build the explicit reordering automorphism from the pairing matrix
-    plus deterministic basis-matching isomorphisms, and verify that it
-    carries the entrywise transform onto the dual adjacency matrix: the
-    bases fill the pair space, the map is invertible, and every entry
-    matches.  Where the pieces land (the pairing lemma) is a test oracle."""
+    """Build an explicit reordering automorphism phi of the pair space and
+    verify that it carries the entrywise transform onto the dual adjacency
+    matrix: phi is invertible and every entry matches.
+
+    Row i of the RREF basis B_hat of the dual's connected pairs goes to its
+    pairing image B_hat_i M, plus the j-th basis row of the pair orthogonal
+    when i is the pivot of the j-th row of the RREF basis of the
+    combinations M kills.  So v phi - v M lies in the pair orthogonal, along
+    which the transform is constant, and the corrected images are
+    independent, as M's image meets the pair orthogonal only in 0.  Unit
+    vectors off the pivots complete both sides to bases of the pair space.
+    """
     tnum = pair.transformed.numer
     f = pair.field
     two_delta = 2 * pair.delta
-    outside = deterministic_complement(output_kernel(pair.cf).orth(),
-                                       Subspace.full(f, two_delta))
-    split_dual = pair_split(pair.cf_dual)
-    source = split_dual.transversal.basis + split_dual.kernel.basis + split_dual.complement.basis
-    target = (split_dual.transversal.matrix() @ pair.pairing).rows \
-        + connected_pairs_orth(pair.cf).basis + outside.basis
-    if len(source) != two_delta:
-        raise InternalCheckError("pair space bases do not fill the dimension")
-    S = FMat.from_rows(f, source, two_delta)
-    T = FMat.from_rows(f, target, two_delta)
-    fmat = S.inverse() @ T
-    if not fmat.is_invertible():
+    pairs = connected_pairs(pair.cf_dual).basis
+    images = FMat.from_rows(f, pairs, two_delta) @ pair.pairing
+    killed = right_null_space(f, images.transpose())
+    orth = connected_pairs_orth(pair.cf).basis
+    if len(killed) != len(orth):
+        raise InternalCheckError(
+            f"weak identity: the pairing kills {len(killed)} dual pair directions, "
+            f"but the pair orthogonal has dimension {len(orth)}")
+    target = list(images.rows)
+    for combination, w in zip(killed, orth):
+        i = next(j for j, c in enumerate(combination) if c)
+        target[i] = f.axpy(target[i], 1, w)
+    S = FMat.from_rows(f, pairs + tuple(_units_off_pivots(f, pairs, two_delta)), two_delta)
+    T = FMat.from_rows(f, target + _units_off_pivots(f, target, two_delta), two_delta)
+    # S is invertible by construction, so phi = S^-1 T is invertible iff T is
+    if not T.is_invertible():
         raise InternalCheckError("reordering map is singular")
+    fmat = S.inverse() @ T
 
     size = f.q ** pair.delta
     # pair (X, Y) has index X * size + Y, its canonical index in F^(2 delta),
     # and the entrywise transform at (X, Y) is the transformed matrix at (Y, -X)
     x, y = np.divmod(pair_indices(f, vector_codes(fmat.rows, two_delta)), size)
-    if not np.array_equal(pair.dual_scaled, tnum[y, pair.neg_perm[x]]):
-        raise InternalCheckError("reordered transform does not match the dual")
+    moved = tnum[y, pair.neg_perm[x]]
+    if not np.array_equal(pair.dual_scaled, moved):
+        X, Y = np.argwhere((pair.dual_scaled != moved).any(axis=2))[0]
+        raise InternalCheckError(
+            f"reordered transform does not match the dual at pair (X, Y) = ({X}, {Y})")
     return WeakIdentityReport(entries_checked=size * size)
 
 
@@ -451,6 +474,9 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
 
 def check_witness(pair: DualPair, P: FMat) -> tuple[bool, int]:
     """Validate a supplied witness; returns (valid, mismatching entries)."""
+    if (P.nrows, P.ncols) != (pair.delta, pair.delta):
+        raise ValueError(f"witness matrix is {P.nrows}x{P.ncols}, but delta = {pair.delta} "
+                         f"needs {pair.delta}x{pair.delta}")
     if not P.is_invertible():
         raise ValueError("witness matrix is singular")
     return _identity_holds(pair, P)

@@ -30,10 +30,6 @@ class WePoly:
     def empty(cls) -> "WePoly":
         return cls(())
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def coefficient(self, j: int) -> int:
         return self.coeffs[j] if 0 <= j < len(self.coeffs) else 0
 

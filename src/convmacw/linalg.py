@@ -1,5 +1,6 @@
 """Exact linear algebra over a finite field: shape-aware matrices,
-reduced row echelon form, kernels, and canonical subspaces.
+reduced row echelon form, right null spaces, and subspaces with
+canonical RREF bases, their sums and orthogonals.
 
 Vectors are tuples of entry codes (see :mod:`convmacw.field`); every
 constructor and function here also takes FieldElement entries of its
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InternalCheckError
 from .field import FieldSpec, span_indices, vector_codes
 
 Vec = tuple  # tuple[int, ...] of entry codes
@@ -78,9 +78,6 @@ class FMat:
             )
         return FMat(self.field, self.nrows, other.ncols,
                     [vec_mat(r, other) for r in self.rows])
-
-    def is_zero(self) -> bool:
-        return not any(any(r) for r in self.rows)
 
     def _same_shape(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -215,10 +212,6 @@ class Subspace:
         return cls(field, ambient, basis)
 
     @classmethod
-    def zero(cls, field: FieldSpec, ambient: int) -> "Subspace":
-        return cls(field, ambient, ())
-
-    @classmethod
     def full(cls, field: FieldSpec, ambient: int) -> "Subspace":
         return cls(field, ambient, FMat.identity(field, ambient).rows)
 
@@ -228,9 +221,6 @@ class Subspace:
 
     def matrix(self) -> FMat:
         return FMat(self.field, self.dim, self.ambient, self.basis)
-
-    def contains(self, vec: Vec) -> bool:
-        return self.coordinates(vec) is not None
 
     def coordinates(self, vec: Vec) -> Vec | None:
         """Coefficients of vec over the basis, or None if outside."""
@@ -259,9 +249,6 @@ class Subspace:
         return Subspace(self.field, self.ambient,
                         right_null_space(self.field, self.matrix()))
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(r) for r in self.basis)
-
     def codes(self) -> np.ndarray:
         """The basis as a (dim, ambient) array of entry codes."""
         return vector_codes(self.basis, self.ambient)
@@ -288,40 +275,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def deterministic_complement(base: Subspace, within: Subspace) -> Subspace:
-    """The complement of ``base`` inside ``within`` (base <= within) that
-    a greedy scan of the points of ``within`` in canonical index order
-    keeps, read off the RREF basis of ``within`` from its last row: each
-    row outside the span so far is the scan's next pick.  Indices are
-    big-endian and code 1 is the least nonzero entry.  Let r be the last
-    row outside a span S.  The rows after r lie in S and span the points
-    leading after r's pivot; points leading before it have larger
-    indices; c r plus later rows exceeds r unless it is r, as each later
-    row sets its own pivot entry, zero in r.  So r is the first point of
-    ``within`` outside S.
-    """
-    if not base.is_subspace_of(within):
-        raise ValueError("base is not contained in the enclosing space")
-    span, picked = base, []
-    for row in reversed(within.basis):
-        if not span.contains(row):
-            picked.append(row)
-            span = Subspace.from_rows(base.field, base.ambient, span.basis + (row,))
-    comp = Subspace.from_rows(base.field, base.ambient, picked)
-    if comp.dim != within.dim - base.dim:
-        raise InternalCheckError("complement extension failed")
-    return comp
-
-
-def coeff_preimage(field: FieldSpec, vectors, target: Subspace) -> Subspace:
-    """{c : sum(c_i * vectors_i) in target} as a subspace of F^len(vectors)."""
-    m = len(vectors)
-    if m == 0:
-        return Subspace.zero(field, 0)
-    tb = target.basis
-    stacked = FMat.from_rows(field, list(vectors) + list(tb), target.ambient)
-    left = right_null_space(field, stacked.transpose())
-    proj = [v[:m] for v in left]
-    return Subspace.from_rows(field, m, proj)

@@ -42,14 +42,6 @@ class ZPoly:
         p.field, p.coeffs = field, coeffs
         return p
 
-    @classmethod
-    def zero(cls, field: FieldSpec) -> "ZPoly":
-        return cls._of(field, ())
-
-    @classmethod
-    def one(cls, field: FieldSpec) -> "ZPoly":
-        return cls._of(field, (1,))
-
     @property
     def degree(self):
         """Degree, with the zero polynomial at -inf."""

@@ -1,5 +1,5 @@
-"""Controller canonical form of a minimal basic encoder and the linear
-subspace machinery around its state space.
+"""Controller canonical form of a minimal basic encoder, its two block
+codes, and the connected state pairs with their orthogonal.
 
 States live in F^delta; state pairs live in F^delta x F^delta, stored as
 concatenated code vectors of length 2*delta.  A pair (X, Y) has the
@@ -15,8 +15,7 @@ from functools import wraps
 
 from .errors import GuardExceeded, InternalCheckError
 from .field import FieldSpec
-from .linalg import (FMat, Subspace, coeff_preimage, deterministic_complement,
-                     unit_vec)
+from .linalg import FMat, Subspace, unit_vec
 from .polymat import MAX_EXPONENT, CodeProfile, PolyMatrix
 
 
@@ -44,17 +43,6 @@ class ControllerForm:
     @property
     def r(self) -> int:
         return self.profile.r
-
-
-@dataclass(frozen=True)
-class PairSplit:
-    """Direct sum decomposition of the state-pair space: a transversal of
-    the entry-invariance kernel inside the connected pairs, the kernel
-    itself, and the complement spanning the disconnected directions."""
-
-    transversal: Subspace
-    kernel: Subspace
-    complement: Subspace
 
 
 def _per_form(build):
@@ -164,39 +152,3 @@ def output_map(cf: ControllerForm) -> FMat:
     """The 2 delta x n matrix R with the rows of C, then those of B^t D:
     the pair (X, Y) has the representative output (X, Y) R = X C + Y B^t D."""
     return FMat(cf.field, 2 * cf.delta, cf.n, cf.C.rows + cf.BtD.rows)
-
-
-@_per_form
-def output_kernel(cf: ControllerForm) -> Subspace:
-    """Connected pairs whose representative output is a constant codeword;
-    adjacency entries are invariant along this space."""
-    field, pairs = cf.field, connected_pairs(cf).matrix()
-    images = (pairs @ output_map(cf)).rows
-    coeffs = coeff_preimage(field, images, constant_code(cf))
-    kernel = Subspace.from_rows(field, 2 * cf.delta, (coeffs.matrix() @ pairs).rows)
-    _, r_dual = coefficient_code(cf)
-    if kernel.dim != cf.delta - r_dual:
-        raise InternalCheckError("output kernel has the wrong dimension")
-    return kernel
-
-
-@_per_form
-def pair_split(cf: ControllerForm) -> PairSplit:
-    """Split the pair space as transversal + kernel + disconnected part.
-
-    The transversal is the lexicographically first complement of the
-    kernel inside the connected pairs, read off their RREF basis without
-    a scan, so the decomposition is deterministic.
-    """
-    field, delta = cf.field, cf.delta
-    delta_space, kernel = connected_pairs(cf), output_kernel(cf)
-    rows = [(0,) * delta + unit_vec(delta, i)
-            for i in range(delta) if i not in cf.block_starts]
-    complement = Subspace.from_rows(field, 2 * delta, rows)
-    transversal = deterministic_complement(kernel, delta_space)
-    total = transversal.dim + kernel.dim + complement.dim
-    if total != 2 * delta:
-        raise InternalCheckError("pair space split dimensions do not add up")
-    if (transversal + kernel + complement) != Subspace.full(field, 2 * delta):
-        raise InternalCheckError("pair space split does not span everything")
-    return PairSplit(transversal=transversal, kernel=kernel, complement=complement)

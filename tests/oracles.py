@@ -3,11 +3,12 @@ pipeline does not need (among them the pairing lemma and the correction
 block of the dual closed form: the production routes check only the full
 identity), the dense bucket product and the closed-form route to the
 conjugated matrix, the block-wise representative output and pairing
-matrix, subspace intersection, and FieldElement-level helpers to compare
-its int-code kernels against.  A check raises
-InternalCheckError when its identity fails."""
+matrix, the pair split with its output kernel, subspace intersection,
+and FieldElement-level helpers to compare its int-code kernels against.
+A check raises InternalCheckError when its identity fails."""
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +24,7 @@ from convmacw.field import (code_index, index_codes, linear_map, span_blocks,
 from convmacw.linalg import block_matrix, right_null_space, unit_vec, vec_mat
 from convmacw.polymat import _smith_form, is_basic, is_minimal
 from convmacw.statespace import (coefficient_code, connected_pairs,
-                                 connected_pairs_orth, constant_code,
-                                 output_kernel, pair_split)
+                                 connected_pairs_orth, constant_code, output_map)
 
 _CHUNK = 2 ** 18   # elements per transient array in the closed-form incidence sum
 
@@ -110,7 +110,7 @@ def coefficient_matrix(G: PolyMatrix, power: int) -> FMat:
 
 def encode(u, G: PolyMatrix):
     """Codeword u @ G for a message vector of polynomials."""
-    zero = ZPoly.zero(G.field)
+    zero = ZPoly(G.field)
     out = [zero] * G.ncols
     for ui, row in zip(u, G.rows, strict=True):
         for j in range(G.ncols):
@@ -172,7 +172,7 @@ def random_minimal_encoder(rng, field, n: int, k: int, delta: int,
 def padded(f: WePoly, n: int) -> tuple[int, ...]:
     """Coefficients of f, constant term first, padded with zeros to n + 1."""
     if len(f.coeffs) > n + 1:
-        raise ValueError(f"degree {f.degree} exceeds bound {n}")
+        raise ValueError(f"degree {len(f.coeffs) - 1} exceeds bound {n}")
     return f.coeffs + (0,) * (n + 1 - len(f.coeffs))
 
 
@@ -268,12 +268,52 @@ def output_rep(cf, X, Y) -> tuple:
     return tuple(cf.field.axpy(vec_mat(X, cf.C), 1, vec_mat(Y, cf.BtD)))
 
 
+PairSplit = namedtuple("PairSplit", "transversal kernel complement")
+
+
+def pair_split(cf) -> PairSplit:
+    """Direct sum decomposition of the state-pair space: the kernel of
+    connected pairs whose representative output is a constant codeword
+    (adjacency entries are invariant along it), a transversal of it inside
+    the connected pairs, and the pairs (0, e_i) off the block starts,
+    which span the disconnected directions.  The kernel comes from the
+    coefficients c with c (B R) in the constant code, for B the RREF basis
+    of the connected pairs; the transversal is the rows of B off the
+    pivots of those coefficients."""
+    field, delta = cf.field, cf.delta
+    pairs = connected_pairs(cf).matrix()
+    images = (pairs @ output_map(cf)).rows
+    stacked = FMat.from_rows(field, images + constant_code(cf).basis, cf.n)
+    # every pivot of the RREF lies among the first len(images) columns, as
+    # the constant code's basis is independent: the cut rows stay RREF
+    coeffs = [v[:len(images)] for v in right_null_space(field, stacked.transpose())]
+    kernel = Subspace.from_rows(field, 2 * delta,
+                                (FMat.from_rows(field, coeffs, len(images)) @ pairs).rows)
+    if kernel.dim != delta - coefficient_code(cf)[1]:
+        raise InternalCheckError("output kernel has the wrong dimension")
+    pivots = {next(j for j, c in enumerate(v) if c) for v in coeffs}
+    transversal = Subspace.from_rows(field, 2 * delta, [
+        row for i, row in enumerate(pairs.rows) if i not in pivots])
+    complement = Subspace.from_rows(field, 2 * delta, [
+        (0,) * delta + unit_vec(delta, i) for i in range(delta) if i not in cf.block_starts])
+    if transversal.dim + kernel.dim + complement.dim != 2 * delta:
+        raise InternalCheckError("pair space split dimensions do not add up")
+    if transversal + kernel + complement != Subspace.full(field, 2 * delta):
+        raise InternalCheckError("pair space split does not span everything")
+    return PairSplit(transversal, kernel, complement)
+
+
+def output_kernel(cf) -> Subspace:
+    """Connected pairs whose representative output is a constant codeword."""
+    return pair_split(cf).kernel
+
+
 def check_controller_structure(cf):
     """Shift-block identities that hold for every controller form, and
     full rank of D = G(0)."""
     field, delta, k, r = cf.field, cf.delta, cf.k, cf.r
     A, B = cf.A, cf.B
-    if not (A @ B.transpose()).is_zero():
+    if A @ B.transpose() != FMat.zero(field, delta, k):
         raise InternalCheckError("A @ B^t != 0")
     if B @ B.transpose() != _diag(field, k, lambda i: i < r):
         raise InternalCheckError("B @ B^t is not diag(I_r, 0)")
@@ -303,7 +343,7 @@ def check_transfer(G: PolyMatrix, cf):
         if block @ cf.C != coefficient_matrix(G_sorted, level):
             raise InternalCheckError(f"z^{level} coefficient mismatch")
         block = block @ cf.A
-    if not (block @ cf.C).is_zero():
+    if block @ cf.C != FMat.zero(G.field, cf.k, cf.n):
         raise InternalCheckError("transfer expansion extends past the degree")
 
 
@@ -603,7 +643,7 @@ def check_pairing_lemma(pair) -> int:
     two_delta = 2 * pair.delta
     image = Subspace.from_rows(f, two_delta, M.rows)
     for row in image.basis:
-        if not kernel_orth.contains(row):
+        if kernel_orth.coordinates(row) is None:
             raise InternalCheckError("pairing image leaves the kernel orthogonal")
     for b in split_dual.kernel.basis + split_dual.complement.basis:
         if any(vec_mat(b, M)):
@@ -649,7 +689,7 @@ def check_correction_block(pair, Q: FMat, M1: FMat | None = None):
     if (pair.pairing + M1) != rotation:
         raise InternalCheckError("pairing plus correction is not the rotation block")
     image = Subspace.from_rows(f, 2 * d, M1.rows)
-    if not image.is_subspace_of(connected_pairs_orth(pair.cf)):
+    if image + connected_pairs_orth(pair.cf) != connected_pairs_orth(pair.cf):
         raise InternalCheckError("correction image leaves the pair orthogonal")
     left_kernel = Subspace(f, 2 * d, right_null_space(f, M1.transpose()))
     if intersect(pair_split(pair.cf_dual).kernel, left_kernel).dim != 0:

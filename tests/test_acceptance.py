@@ -130,7 +130,7 @@ def test_criterion_6a_controller_form_identities(corpus):
     for pair in corpus:
         for cf in (pair.cf, pair.cf_dual):
             f, d, k, r = cf.field, cf.delta, cf.k, cf.r
-            assert (cf.A @ cf.B.transpose()).is_zero()
+            assert cf.A @ cf.B.transpose() == FMat.zero(f, d, k)
             bbt = cf.B @ cf.B.transpose()
             assert bbt.to_int_rows() == [
                 [1 if i == j and i < r else 0 for j in range(k)]

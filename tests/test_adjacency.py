@@ -8,10 +8,9 @@ from convmacw import (FieldSpec, FMat, GuardExceeded, PolyMatrix, WePoly,
                       adjacency_by_cosets, adjacency_by_transitions,
                       controller_form, StatePermutation)
 from convmacw.polymat import make_minimal_basic, parse_zpoly
-from convmacw.statespace import pair_split
 from conftest import (ADJ_BINARY_523, ADJ_BINARY_523_DUAL, projective_candidates,
                       we)
-from oracles import (conjugate, entry_sums, int_matrix, matrix01, points,
+from oracles import (conjugate, entry_sums, int_matrix, matrix01, pair_split, points,
                      random_minimal_encoder, same_code, vector_index)
 
 

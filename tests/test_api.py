@@ -16,7 +16,9 @@ ENTRY_POINTS = {"FieldSpec", "FMat", "PolyMatrix", "is_basic", "is_minimal",
                 "check_weak_identity", "search_witness",
                 "closed_form_witness_dual", "closed_form_witness_primal",
                 "check_unit_memory", "build_parser", "CodeDocument",
-                "FieldSpec.trace", "AdjMatrix.entry", "FieldSpec.element"}
+                "FieldSpec.trace", "AdjMatrix.entry", "FieldSpec.element",
+                "FieldSpec.zero", "FMat.zero", "Subspace.coordinates",
+                "PolyMatrix.transpose", "PolyMatrix.is_zero"}
 
 
 def _definitions(tree):

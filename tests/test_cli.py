@@ -348,6 +348,27 @@ def test_verify_witness_entries_are_element_codes(tmp_path, capsys, doc, witness
         assert json.loads(captured.out)["witness"] == json.loads(witness)
 
 
+@pytest.mark.parametrize("witness,error", [
+    ("[[1,0]]", "witness matrix is 1x2, but delta = 1 needs 1x1"),
+    ("[[1,0],[0,1]]", "witness matrix is 2x2, but delta = 1 needs 1x1"),
+    ("[[1],[0,1]]", "witness rows differ in length"),
+    ("[[]]", "witness matrix is 1x0, but delta = 1 needs 1x1"),
+    ("[[0]]", "witness matrix is singular"),
+    ("[[2]]", None),
+], ids=["1x2", "2x2", "ragged", "1x0", "singular", "valid"])
+def test_verify_witness_shape_is_checked_against_delta(tmp_path, capsys, witness, error):
+    """A witness of the wrong shape is named with its own shape and delta,
+    before the singularity test."""
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"field": {"p": 3}, "generator": [["1+z", "1"]]}))
+    code = main(["verify", str(path), "--check-witness", witness])
+    captured = capsys.readouterr()
+    if error:
+        assert (code, captured.out, captured.err) == (1, "", f"error: {error}\n")
+    else:
+        assert code == 0 and "verdict: verified" in captured.out
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "{doc}", "--bogus"],
     ["verify", "{doc}", "--mode", "nope"],
@@ -567,6 +588,21 @@ def test_dual_certificate_failure_exit_4(binary_doc, capsys, monkeypatch, fault,
     assert main(["dual", binary_doc]) == 4
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"internal check failed: {message}\n")
+
+
+def test_weak_identity_failure_names_the_pair(capsys, monkeypatch):
+    """A weak identity that fails names the first pair (X, Y), in row-major
+    order, where the dual entry and the reordered transform differ."""
+    def corrupted(pair):
+        dense = pair.adj_dual.dense_coefficients() * pair.transformed.denom
+        dense[2, 5, 0] += 1
+        return dense
+
+    monkeypatch.setattr(duality.DualPair, "dual_scaled", property(corrupted))
+    assert main(["verify", "bench/pinned/search/00-q2-n5k2d4.json", "--mode", "weak"]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal check failed: reordered transform "
+                                                "does not match the dual at pair (X, Y) = (2, 5)\n")
 
 
 GF9_422 = {"field": {"p": 3, "s": 2, "modulus": [1, 0, 1]},

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ import pytest
 from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, InternalCheckError,
                       PolyMatrix, WePoly, check_unit_memory, check_weak_identity,
                       check_witness, closed_form_witness_dual,
-                      closed_form_witness_primal, run_verification,
+                      closed_form_witness_primal, dual_generator, run_verification,
                       search_witness, StatePermutation)
 from convmacw.adjacency import AdjMatrix
+from convmacw.cli import CodeDocument
 from convmacw.duality import (FourierMatrix, fourier_transform, macwilliams_image,
                               trace_exponents)
 from convmacw.exact import macwilliams_rows
 from convmacw.linalg import block_matrix
-from convmacw.statespace import connected_pairs, constant_code, output_kernel
+from convmacw.statespace import connected_pairs, connected_pairs_orth, constant_code
 from conftest import (BINARY_523_DUAL, CHAR_GRID_2_3, PERM_Q_BINARY, WITNESS_P_TERNARY,
                       WITNESS_Q_BINARY, projective_candidates, we)
 from oracles import (bucket_tensor, character_structure_checks,
@@ -27,10 +29,12 @@ from oracles import (bucket_tensor, character_structure_checks,
                      entry_multisets_equal,
                      entrywise, enumerate_vectors, fourier_conjugate,
                      fraction_entry, grid,
-                     int_matrix, matrix01, negation_perm, orth_mask, padded,
-                     pairing_codes,
+                     int_matrix, matrix01, negation_perm, orth_mask, output_kernel,
+                     padded, pairing_codes,
                      random_minimal_encoder, sides, state_pairing_matrix, vec_dot,
                      we_of_affine)
+
+PINNED = Path(__file__).resolve().parents[1] / "bench" / "pinned"
 
 
 def test_character_grid_golden(f2):
@@ -217,6 +221,26 @@ def test_weak_identity(binary_pair, ternary_pair):
         report = check_weak_identity(pair)
         assert report.entries_checked == pair.field.q ** (2 * pair.delta)
         assert entry_multisets_equal(pair)
+
+
+@pytest.mark.parametrize("doc,swap,corrections,completion,entries", [
+    ([["1", "1"]], False, 0, 0, 1),
+    ("grid/05-q9-n4k2d2.json", False, 0, 0, 6561),
+    ("grid/01-q3-n6k2d4.json", False, 2, 0, 6561),
+    ("grid/01-q3-n6k2d4.json", True, 0, 2, 6561),
+    ("search/02-q3-n4k2d3.json", False, 1, 1, 729),
+], ids=["delta0", "r-rhat-delta", "rhat-delta", "swapped", "both-parts"])
+def test_weak_identity_map_parts(doc, swap, corrections, completion, entries):
+    """The reordering map adds the delta - r rows of the pair orthogonal to
+    as many pairing images and completes the delta - r_hat directions off
+    the dual's connected pairs with unit vectors; with either part empty
+    or not it carries the transform onto the dual at every entry."""
+    G = (PolyMatrix.from_strings(FieldSpec(2), doc) if isinstance(doc, list)
+         else CodeDocument.from_path(str(PINNED / doc)).generator)
+    pair = DualPair(dual_generator(G), G) if swap else DualPair(G)
+    assert connected_pairs_orth(pair.cf).dim == corrections
+    assert 2 * pair.delta - connected_pairs(pair.cf_dual).dim == completion
+    assert check_weak_identity(pair).entries_checked == entries
 
 
 def test_closed_form_witness_dual_golden(binary_pair):

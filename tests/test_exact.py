@@ -28,7 +28,7 @@ def test_root_powers_sum_to_zero(p):
 def test_wepoly_basics():
     w = WePoly((1, 0, 0, 1))
     assert str(w) == "1 + W^3"
-    assert w.degree == 3
+    assert w.coeffs == (1, 0, 0, 1)
     assert w + WePoly((0, 1)) == WePoly((1, 1, 0, 1))
     assert 2 * WePoly((1, 1)) == WePoly((2, 2))
     assert WePoly((0, 0)) == WePoly.empty()

@@ -1,8 +1,8 @@
 """The int-code point kernel and the routines rebuilt on it, each against
 a plain FieldElement reference kept here: subspace points (including
-dim 0 and ambient 0), the greedy complement scan, coset enumerators,
-state translations and negation, the trace-exponent table, projective
-classes and the coset-built adjacency matrix.  The additive kernel, its
+dim 0 and ambient 0), coset enumerators, state translations and
+negation, the trace-exponent table, projective classes and the
+coset-built adjacency matrix.  The additive kernel, its
 field addition and the weight counts built on it are also checked
 against the lift-and-matmul kernel of ``oracles.span_blocks_reference``."""
 
@@ -15,14 +15,11 @@ import pytest
 from convmacw import (FieldSpec, Subspace, adjacency_by_cosets, controller_form,
                       dual_generator)
 from convmacw import field as fieldmod
-from convmacw import linalg
 from convmacw.duality import trace_exponents
-from convmacw.errors import InternalCheckError
 from convmacw.exact import WePoly, weight_counts
 from convmacw.field import (add_codes, code_index, index_codes, linear_map, span_blocks,
                             span_indices)
-from convmacw.linalg import deterministic_complement
-from oracles import (enumerate_vectors, intersect, negation_perm, points,
+from oracles import (enumerate_vectors, negation_perm, points,
                      projective_classes, random_minimal_encoder, shift_perm,
                      span_blocks_reference, vec_dot, vector_index, we_of_affine)
 
@@ -50,19 +47,6 @@ def _reference_points(space):
             v = [x + c * space.field.elements[y] for x, y in zip(v, b)]
         out.append(tuple(v))
     return out
-
-
-def _reference_complement(base, within):
-    """The greedy scan: points of ``within`` by canonical index, each kept
-    when it leaves the span so far."""
-    span, picked = base, []
-    for v in sorted(_reference_points(within), key=vector_index):
-        if len(picked) == within.dim - base.dim:
-            break
-        if not span.contains(v):
-            picked.append(v)
-            span = span + Subspace.from_rows(base.field, base.ambient, [v])
-    return Subspace.from_rows(base.field, base.ambient, picked)
 
 
 def _subspaces(rng, field):
@@ -226,66 +210,6 @@ def test_index_codes_inverts_code_index(field):
     codes = index_codes(field, idx, 3)
     assert codes.tolist() == [[a.code for a in v] for v in enumerate_vectors(field, 3)]
     assert np.array_equal(code_index(field, codes), idx)
-
-
-# every field of the benchmark corpus
-CORPUS_FIELDS = {2: (2,), 3: (3,), 4: (2, 2, [1, 1, 1]), 5: (5,), 7: (7,),
-                 8: (2, 3, [1, 1, 0, 1]), 9: (3, 2, [1, 0, 1])}
-
-
-@pytest.mark.parametrize("q", sorted(CORPUS_FIELDS), ids=lambda q: f"q={q}")
-def test_complement_matches_greedy_scan(q):
-    """``within`` full and proper, base zero, within itself or a random
-    subspace between, ambient up to 6 over GF(2)."""
-    field = FieldSpec(*CORPUS_FIELDS[q])
-    rng = random.Random(31 * q)
-    top = 6 if q == 2 else 4 if q <= 4 else 3
-    cases = set()
-    for ambient, _ in itertools.product(range(top + 1), range(4)):
-        for full in (True, False):
-            rows = ambient if full else max(ambient - 1, 0)
-            within = _random_subspace(rng, field, ambient, rows)
-            # a random subspace of ``within``, spanned by some of its points
-            between = Subspace.from_rows(field, ambient, rng.sample(
-                _reference_points(within), max(within.dim - 1, 0)))
-            for base in (Subspace.zero(field, ambient), within, between):
-                comp = deterministic_complement(base, within)
-                assert comp == _reference_complement(base, within)
-                assert comp.dim == within.dim - base.dim
-                if within.dim:
-                    cases.add((within.dim == ambient, "zero" if base.dim == 0 else
-                               "within" if base == within else "between"))
-    assert cases == set(itertools.product((True, False),
-                                          ("zero", "within", "between")))
-
-
-@pytest.mark.parametrize("spec,ambient", [((2,), 40), ((3, 2, [1, 0, 1]), 12)],
-                         ids=["q=2-ambient40", "q=9-ambient12"])
-def test_complement_enumerates_no_points(spec, ambient, monkeypatch):
-    """A scan would walk 2^40 (9^12) points; the closed form reads the
-    basis of ``within`` only."""
-    field = FieldSpec(*spec)
-    rng = random.Random(ambient)
-    within = _random_subspace(rng, field, ambient, ambient - 3)
-    base = Subspace.from_rows(field, ambient, within.basis[::3])
-
-    def refuse(*args):
-        raise AssertionError("a point enumeration was called")
-    monkeypatch.setattr(Subspace, "point_indices", refuse)
-    monkeypatch.setattr(fieldmod, "span_indices", refuse)
-    monkeypatch.setattr(linalg, "span_indices", refuse)
-    for b, w in ((base, within), (base, Subspace.full(field, ambient))):
-        comp = deterministic_complement(b, w)
-        assert comp.dim == w.dim - b.dim
-        assert comp + b == w and intersect(comp, b).dim == 0
-
-
-def test_complement_failure_is_an_internal_check(f2, monkeypatch):
-    base, within = Subspace.zero(f2, 2), Subspace.full(f2, 2)
-    # a span that claims every vector leaves no pick
-    monkeypatch.setattr(Subspace, "contains", lambda self, vec: True)
-    with pytest.raises(InternalCheckError, match="complement extension failed"):
-        deterministic_complement(base, within)
 
 
 def test_we_of_affine_matches_reference(field):
