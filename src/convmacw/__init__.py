@@ -1,10 +1,8 @@
 """Exact weight adjacency matrices and MacWilliams duality for
 convolutional codes over finite fields."""
 
-from .adjacency import (AdjMatrix, StatePermutation, adjacency_by_cosets,
-                        adjacency_by_transitions)
-from .duality import (DualityReport, DualPair, FourierMatrix, SearchResult,
-                      TransformedMatrix, check_unit_memory,
+from .adjacency import AdjMatrix, adjacency_by_cosets, adjacency_by_transitions
+from .duality import (DualityReport, DualPair, SearchResult, check_unit_memory,
                       check_weak_identity, check_witness,
                       closed_form_witness_dual, closed_form_witness_primal,
                       fourier_transform, macwilliams_image, run_verification,

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import GuardExceeded, InternalCheckError
 from .exact import WePoly, weight_counts
-from .field import code_index, span_blocks, span_indices, vector_codes
-from .linalg import FMat, block_matrix
+from .field import code_index, span_blocks, vector_codes
+from .linalg import block_matrix
 from .statespace import ControllerForm, connected_pairs, constant_code, output_map
 
 TRANSITION_LIMIT = 2 ** 24   # bound on q^(2*delta) * q^k
@@ -156,18 +156,3 @@ def adjacency_by_cosets(cf: ControllerForm, limit: int = PAIR_LIMIT) -> AdjMatri
     _check_invariants(adj, cf)
     return adj
 
-
-class StatePermutation:
-    """Permutation of state indices induced by an invertible matrix acting
-    on the state space by right multiplication."""
-
-    __slots__ = ("perm",)
-
-    def __init__(self, P: FMat, delta: int | None = None):
-        codes = np.array(P.to_int_rows(), dtype=np.int64).reshape(1, P.nrows, P.ncols)
-        images = span_indices(P.field, codes[0])
-        # a square map is a bijection iff only the zero state maps to zero
-        if (P.nrows != P.ncols or delta not in (None, P.nrows)
-                or np.count_nonzero(images == 0) != 1):
-            raise ValueError("state transformation matrix is singular or misshapen")
-        self.perm = tuple(images.tolist())

@@ -110,6 +110,8 @@ def _parse_limits(args) -> dict:
         if name not in args.limit_names:
             raise ValueError(f"unknown limit {name!r} for {args.command}; "
                              f"accepted: {', '.join(args.limit_names)}")
+        if not value.isdecimal() or int(value) < 1:
+            raise ValueError(f"--limit {name} wants a positive integer, got {value!r}")
         out[name] = int(value)
     return out
 
@@ -290,8 +292,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_macw(args) -> int:
-    field = FieldSpec(args.p, args.s,
-                      [int(d) for d in args.modulus.split(",")] if args.modulus else None)
+    digits = args.modulus.split(",") if args.modulus else []
+    if not all(d.isdecimal() for d in digits):
+        raise ValueError(f"--modulus wants comma-separated digits, got {args.modulus!r}")
+    field = FieldSpec(args.p, args.s, [int(d) for d in digits] or None)
     if args.delta < 0:
         raise ValueError("delta must be >= 0")
     dualmod.grid_guard(field.q, args.delta, _parse_limits(args).get("grid", dualmod.GRID_LIMIT))

@@ -19,16 +19,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .adjacency import (AdjMatrix, StatePermutation, adjacency_by_cosets,
-                        coset_guard)
+from .adjacency import AdjMatrix, adjacency_by_cosets, coset_guard
 from .errors import GuardExceeded, InternalCheckError
 from .exact import macwilliams_rows
 from .field import FieldSpec, index_codes, pair_indices, span_indices, vector_codes
 from .linalg import FMat, right_null_space, rref, unit_vec
 from .polymat import CodeProfile, PolyMatrix, dual_generator
-from .statespace import (ControllerForm, coefficient_code, connected_pairs,
-                         connected_pairs_orth, controller_form, degree_guard,
-                         output_map)
+from .statespace import (ControllerForm, connected_pairs, connected_pairs_orth,
+                         controller_form, degree_guard, output_map)
 
 GRID_LIMIT = 2 ** 20     # bound on q^(2*delta), the full pair grid
 SEARCH_LIMIT = 2 ** 17   # bound on candidate row images the witness search examines
@@ -52,25 +50,6 @@ def trace_exponents(field: FieldSpec, dim: int) -> np.ndarray:
     return table
 
 
-class FourierMatrix:
-    """Adjacency matrix conjugated on both sides by the character grid.
-
-    Entries are exact rationals over the common denominator q^delta: entry
-    (X, Y) has the integer coefficients ``rows[at[X, Y]]``, one row of
-    ``rows`` per point of F_q^m, ``at`` the (q^delta, q^delta) index grid.
-    """
-
-    __slots__ = ("field", "delta", "n", "rows", "at", "denom")
-
-    def __init__(self, field: FieldSpec, delta: int, n: int, rows: np.ndarray, at: np.ndarray):
-        self.field = field
-        self.delta = delta
-        self.n = n
-        self.rows = rows
-        self.at = at
-        self.denom = field.q ** delta
-
-
 def _orbit_labels(field: FieldSpec, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """Labels of the F_p^* orbits of the pairs u = (u1, u2) in F^a x F^b,
     a, b >= 1, as (q^a, q^b) grids at (u1, u2) and at (u1, -u2).  F_p
@@ -91,8 +70,11 @@ def _orbit_labels(field: FieldSpec, a: int, b: int) -> tuple[np.ndarray, np.ndar
     return label, label[:, scaled[1][p - 1]]
 
 
-def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> FourierMatrix:
-    """Two-sided character conjugation as a Fourier transform on F_q^m.
+def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided character conjugation as a Fourier transform on F_q^m,
+    exact over the denominator q^delta: entry (X, Y) has the integer
+    coefficients ``rows[at[X, Y]]``, one row of ``rows`` per point of F_q^m,
+    ``at`` the (q^delta, q^delta) index grid.
 
     The support is the m-dim connected pairs with RREF basis B, so row c of
     the counts is lam(c) at pair c B: the index grows with c.  Entry (X, Y)
@@ -136,31 +118,18 @@ def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> FourierMatrix:
     # integer quotient is exact in float64
     s0 -= (lam.sum(axis=0)[:, None] - s0) / (p - 1)
     rows = s0.transpose(0, 2, 1).astype(np.int64, order="C").reshape(-1, width)
-    return FourierMatrix(field, adj.delta, adj.n, rows, at)
+    return rows, at
 
 
-class TransformedMatrix:
-    """Candidate for the dual adjacency matrix: the MacWilliams transform
-    applied entrywise to the conjugated, transposed, de-conjugated
-    adjacency matrix, scaled by q^(-k).  Integer tensor over q^(delta+k)."""
-
-    __slots__ = ("field", "n", "k", "delta", "numer", "denom")
-
-    def __init__(self, field: FieldSpec, n: int, k: int, delta: int,
-                 numer: np.ndarray):
-        self.field = field
-        self.n = n
-        self.k = k
-        self.delta = delta
-        self.numer = numer
-        self.denom = field.q ** (delta + k)
-
-
-def macwilliams_image(fm: FourierMatrix, k: int, neg_perm: np.ndarray) -> TransformedMatrix:
+def macwilliams_image(field: FieldSpec, rows: np.ndarray, at: np.ndarray,
+                      neg_perm: np.ndarray) -> np.ndarray:
     """Entrywise MacWilliams transform of the conjugation of the
-    transposed adjacency matrix, scaled by q^(-k).
+    transposed adjacency matrix, scaled by q^(-k): the candidate for the
+    dual adjacency matrix, a (q^delta, q^delta, n+1) int64 tensor over
+    q^(delta+k), from the conjugated ``rows`` and ``at`` of a code of
+    dimension k.
 
-    H runs once per row of ``fm``; conjugating the transpose is index
+    H runs once per row of ``rows``; conjugating the transpose is index
     algebra on its index grid: the (X, Y) entry of the de-conjugated
     transpose is the (-Y, X) entry of the two-sided conjugation, because
     the grid squares to the negation permutation ``neg_perm``, the index
@@ -170,16 +139,17 @@ def macwilliams_image(fm: FourierMatrix, k: int, neg_perm: np.ndarray) -> Transf
     the largest column sum of |H|, so that bound is checked, in exact
     integers, before the product.
     """
-    rows = macwilliams_rows(fm.n, fm.field.q)
-    colsum = max(sum(abs(r[t]) for r in rows) for t in range(fm.n + 1))
-    bound = int(np.abs(fm.rows).max(initial=0)) * colsum
+    n = rows.shape[1] - 1
+    h = macwilliams_rows(n, field.q)
+    colsum = max(sum(abs(r[t]) for r in h) for t in range(n + 1))
+    bound = int(np.abs(rows).max(initial=0)) * colsum
     if bound >= 2 ** 62:
         raise GuardExceeded(
             f"MacWilliams transform bound max|entry| * max column sum of |H| "
             f"= {bound} >= 2^62 (int64 headroom)"
         )
-    image = fm.rows @ np.array(rows, dtype=np.int64)
-    return TransformedMatrix(fm.field, fm.n, k, fm.delta, image[fm.at[neg_perm].T])
+    image = rows @ np.array(h, dtype=np.int64)
+    return image[at[neg_perm].T]
 
 
 class DualPair:
@@ -225,22 +195,22 @@ class DualPair:
     def adj_dual(self) -> AdjMatrix:
         return adjacency_by_cosets(self.cf_dual)
 
-    @cached_property
-    def r_dual(self) -> int:
-        return coefficient_code(self.cf)[1]
+    r_dual = property(lambda self: self.cf_dual.r)   # r_hat, the dual's r
 
     @cached_property
-    def fourier(self) -> FourierMatrix:
+    def fourier(self) -> tuple[np.ndarray, np.ndarray]:
         return fourier_transform(self.adj, self.cf)
 
     @cached_property
-    def transformed(self) -> TransformedMatrix:
-        return macwilliams_image(self.fourier, self.k, self.neg_perm)
+    def transformed(self) -> np.ndarray:
+        """The entrywise transform's numerators over q^(delta+k)."""
+        return macwilliams_image(self.field, *self.fourier, self.neg_perm)
 
     @cached_property
     def dual_scaled(self) -> np.ndarray:
+        """The dense dual adjacency matrix over the transform's denominator."""
         dense = self.adj_dual.dense_coefficients()
-        return np.multiply(dense, self.transformed.denom, out=dense)
+        return np.multiply(dense, self.field.q ** (self.delta + self.k), out=dense)
 
     @cached_property
     def pairing(self) -> FMat:
@@ -287,7 +257,6 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     independent, as M's image meets the pair orthogonal only in 0.  Unit
     vectors off the pivots complete both sides to bases of the pair space.
     """
-    tnum = pair.transformed.numer
     f = pair.field
     two_delta = 2 * pair.delta
     pairs = connected_pairs(pair.cf_dual).basis
@@ -313,30 +282,39 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     # pair (X, Y) has index X * size + Y, its canonical index in F^(2 delta),
     # and the entrywise transform at (X, Y) is the transformed matrix at (Y, -X)
     x, y = np.divmod(pair_indices(f, vector_codes(fmat.rows, two_delta)), size)
-    moved = tnum[y, pair.neg_perm[x]]
-    if not np.array_equal(pair.dual_scaled, moved):
-        X, Y = np.argwhere((pair.dual_scaled != moved).any(axis=2))[0]
-        raise InternalCheckError(
-            f"reordered transform does not match the dual at pair (X, Y) = ({X}, {Y})")
+    _require(pair, pair.transformed[y, pair.neg_perm[x]], "reordered transform")
     return WeakIdentityReport(entries_checked=size * size)
 
 
-def _identity_holds(pair: DualPair, P: FMat) -> tuple[bool, int]:
-    """Entrywise check of the conjugated identity for a given witness."""
-    tnum = pair.transformed.numer
-    perm = np.array(StatePermutation(P, pair.delta).perm, dtype=np.int64)
-    moved = tnum[np.ix_(perm, perm)]
-    mism = int(np.any(pair.dual_scaled != moved, axis=2).sum())
-    return mism == 0, mism
+def _mismatches(pair: DualPair, moved: np.ndarray) -> np.ndarray:
+    """The pairs (X, Y), in row-major order, where ``moved`` differs from
+    the scaled dual adjacency matrix: the one entrywise comparison."""
+    if np.array_equal(pair.dual_scaled, moved):
+        return np.empty((0, 2), dtype=np.int64)
+    return np.argwhere((pair.dual_scaled != moved).any(axis=2))
+
+
+def _require(pair: DualPair, moved: np.ndarray, identity: str):
+    """Raise, naming ``identity`` and its first mismatching pair, unless
+    ``moved`` is the scaled dual adjacency matrix."""
+    bad = _mismatches(pair, moved)
+    if len(bad):
+        raise InternalCheckError(f"{identity} does not match the dual at pair "
+                                 f"(X, Y) = ({bad[0, 0]}, {bad[0, 1]})")
+
+
+def _witness_moved(pair: DualPair, P: FMat) -> np.ndarray:
+    """The transform with both states relabelled by X -> X P: the right
+    side of the identity for the witness P."""
+    perm = span_indices(pair.field, vector_codes(P.rows, pair.delta))
+    return pair.transformed[np.ix_(perm, perm)]
 
 
 def _closed_form(pair: DualPair, P: FMat, side: str) -> FMat:
     """Assert a closed-form witness invertible and its full entrywise identity."""
     if not P.is_invertible():
         raise InternalCheckError(f"closed-form {side} witness is singular")
-    ok, mism = _identity_holds(pair, P)
-    if not ok:
-        raise InternalCheckError(f"{side}-side identity failed at {mism} entries")
+    _require(pair, _witness_moved(pair, P), f"{side}-side witness")
     return P
 
 
@@ -379,20 +357,20 @@ def _mix(h: np.ndarray) -> np.ndarray:
     return h ^ (h >> np.uint64(31))
 
 
-def _state_colours(tables: np.ndarray) -> np.ndarray:
-    """Colour of every state of each (size, size, w) table in a stack: a
-    hash of its diagonal entry and of the sorted entries of its row and of
-    its column.  A witness maps each state to one of the same colour, and
-    equal entries hash equal, so a collision only weakens the pruning."""
-    size, w = tables.shape[-2:]
-    entry = _mix(np.ascontiguousarray(tables, dtype=np.int64).view(np.uint64)
+def _state_colours(table: np.ndarray) -> np.ndarray:
+    """Colour of every state of a (size, size, w) table: a hash of its
+    diagonal entry and of the sorted entries of its row and of its column.
+    A witness maps each state to one of the same colour, and equal entries
+    hash equal, so a collision only weakens the pruning."""
+    size, w = table.shape[1:]
+    entry = _mix(np.ascontiguousarray(table, dtype=np.int64).view(np.uint64)
                  @ _mix(np.arange(1, w + 1, dtype=np.uint64)))
     place = _mix(np.arange(1, size + 1, dtype=np.uint64))
-    rows = _mix(np.sort(entry, axis=-1) @ place)
-    cols = _mix(np.sort(entry, axis=-2).swapaxes(-1, -2) @ place)
+    rows = _mix(np.sort(entry, axis=1) @ place)
+    cols = _mix(np.sort(entry, axis=0).T @ place)
     # compared as int64, whose loops the pipeline has already loaded: uint64
     # comparisons touch about 0.16 MB of fresh pages in every process
-    return _mix(_mix(entry.diagonal(axis1=-2, axis2=-1) + rows) + cols).view(np.int64)
+    return _mix(_mix(entry.diagonal() + rows) + cols).view(np.int64)
 
 
 def _candidate_position(field: FieldSpec, rows: list[int]) -> int:
@@ -429,8 +407,9 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
     examined, q^delta per expanded node."""
     field, delta = pair.field, pair.delta
     q, size = field.q, field.q ** delta
-    target, tnum = pair.dual_scaled, pair.transformed.numer
-    want, have = _state_colours(np.stack([target, tnum]))
+    target, tnum = pair.dual_scaled, pair.transformed
+    # one table at a time: a stack would copy both dense tensors
+    want, have = _state_colours(target), _state_colours(tnum)
     first = np.zeros(size, dtype=bool)
     for m in range(delta):
         first[q ** m:2 * q ** m] = True
@@ -473,13 +452,14 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
 
 
 def check_witness(pair: DualPair, P: FMat) -> tuple[bool, int]:
-    """Validate a supplied witness; returns (valid, mismatching entries)."""
+    """Validate a supplied witness; returns (valid, mismatching pairs)."""
     if (P.nrows, P.ncols) != (pair.delta, pair.delta):
         raise ValueError(f"witness matrix is {P.nrows}x{P.ncols}, but delta = {pair.delta} "
                          f"needs {pair.delta}x{pair.delta}")
     if not P.is_invertible():
         raise ValueError("witness matrix is singular")
-    return _identity_holds(pair, P)
+    count = len(_mismatches(pair, _witness_moved(pair, P)))
+    return count == 0, count
 
 
 def check_unit_memory(pair: DualPair) -> int:
@@ -494,8 +474,7 @@ def check_unit_memory(pair: DualPair) -> int:
     lam00, lam01, row1 = lam[0, 0], lam[0, 1], lam[1].sum(axis=0)
     inner = lam00 + q * lam - lam01 - row1
     inner[0, 0] = lam00 + (q - 1) * (lam01 + row1)
-    if not np.array_equal(pair.dual_scaled, inner @ ht):
-        raise InternalCheckError("per-entry unit-memory formula failed")
+    _require(pair, inner @ ht, "unit-memory formula")
     return q * q
 
 

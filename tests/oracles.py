@@ -14,10 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from convmacw import (FMat, GuardExceeded, InternalCheckError, PolyMatrix,
-                      StatePermutation, Subspace, WePoly, ZPoly)
+                      Subspace, WePoly, ZPoly)
 from convmacw.adjacency import AdjMatrix
-from convmacw.duality import (FourierMatrix, TransformedMatrix, fourier_transform,
-                              trace_exponents)
+from convmacw.duality import fourier_transform, trace_exponents
 from convmacw.exact import macwilliams_rows, weight_counts
 from convmacw.field import (code_index, index_codes, linear_map, span_blocks,
                             span_indices, vector_codes)
@@ -214,7 +213,7 @@ def macwilliams_we(f: WePoly, n: int, q: int) -> WePoly:
 def conjugate(adj: AdjMatrix, P: FMat) -> AdjMatrix:
     """Relabel states by X -> X P: entry (X, Y) of the result is the old
     entry at (X P, Y P)."""
-    inv = np.argsort(StatePermutation(P, adj.delta).perm)
+    inv = np.argsort(state_perm(P))
     xs, ys = np.divmod(adj.index, adj.size)
     return AdjMatrix(adj.field, adj.n, adj.delta, inv[xs] * adj.size + inv[ys],
                      adj.counts)
@@ -236,20 +235,37 @@ def entry_sums(adj: AdjMatrix, cf) -> tuple[WePoly, WePoly]:
     return acc, total
 
 
+def state_perm(P: FMat) -> np.ndarray:
+    """The index of X P for every state X, for a square invertible P;
+    raises ValueError otherwise."""
+    perm = span_indices(P.field, vector_codes(P.rows, P.ncols))
+    # a square map is a bijection iff only the zero state maps to zero
+    if P.nrows != P.ncols or np.count_nonzero(perm == 0) != 1:
+        raise ValueError("state transformation matrix is singular or misshapen")
+    return perm
+
+
 def grid(matrix) -> np.ndarray:
-    """The (size, size, n+1) numerators of a FourierMatrix or
-    TransformedMatrix, one row per state pair."""
-    return matrix.rows[matrix.at] if isinstance(matrix, FourierMatrix) else matrix.numer
+    """The (size, size, n+1) numerators of a conjugated matrix, given as
+    its (rows, at), or of a transformed matrix, one row per state pair."""
+    return matrix[0][matrix[1]] if isinstance(matrix, tuple) else matrix
 
 
-def fraction_entry(matrix, i: int, j: int) -> tuple[Fraction, ...]:
-    """Entry (i, j) of a FourierMatrix or TransformedMatrix as rationals."""
-    return tuple(Fraction(int(c), matrix.denom) for c in grid(matrix)[i, j])
+def transform_denom(pair) -> int:
+    """q^(delta+k), the denominator of the pair's transformed matrix; the
+    conjugated matrix's is q^delta."""
+    return pair.field.q ** (pair.delta + pair.k)
 
 
-def entry_we(matrix, i: int, j: int) -> WePoly:
+def fraction_entry(matrix, denom: int, i: int, j: int) -> tuple[Fraction, ...]:
+    """Entry (i, j) of a conjugated or transformed matrix over ``denom``
+    as rationals."""
+    return tuple(Fraction(int(c), denom) for c in grid(matrix)[i, j])
+
+
+def entry_we(matrix, denom: int, i: int, j: int) -> WePoly:
     """Entry (i, j) as an integer enumerator; raises if not integral."""
-    vals = fraction_entry(matrix, i, j)
+    vals = fraction_entry(matrix, denom, i, j)
     if any(v.denominator != 1 for v in vals):
         raise ValueError("entry is not an integer polynomial")
     return WePoly([int(v) for v in vals])
@@ -400,10 +416,11 @@ def bucket_tensor(lam: np.ndarray, E: np.ndarray, p: int) -> np.ndarray:
     return buckets
 
 
-def fourier_conjugate(adj: AdjMatrix, zeta_exponent: int = 1) -> FourierMatrix:
+def fourier_conjugate(adj: AdjMatrix, zeta_exponent: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Conjugate the dense adjacency matrix on both sides by the character
     grid of root zeta^d, bucket by exponent and collapse to exact
-    rationals; the result indexes its rows by flat pair index."""
+    rationals over q^delta; the result is (rows, at) with the rows indexed
+    by flat pair index."""
     p, size = adj.field.p, adj.field.q ** adj.delta
     E = zeta_exponent * trace_exponents(adj.field, adj.delta) % p
     buckets = bucket_tensor(adj.dense_coefficients(), E, p)
@@ -412,8 +429,7 @@ def fourier_conjugate(adj: AdjMatrix, zeta_exponent: int = 1) -> FourierMatrix:
     if not (buckets[1:] == buckets[p - 1]).all():
         raise InternalCheckError("cyclotomic coefficients did not collapse to rationals")
     numer = buckets[0] - buckets[p - 1]
-    return FourierMatrix(adj.field, adj.delta, adj.n, numer.reshape(size ** 2, -1),
-                         np.arange(size ** 2).reshape(size, size))
+    return numer.reshape(size ** 2, -1), np.arange(size ** 2).reshape(size, size)
 
 
 def check_bucket_route(fm, adj: AdjMatrix):
@@ -545,12 +561,11 @@ def check_side_routes(pair):
 
 # -- identities of the duality pipeline -------------------------------------
 
-def entrywise(pair) -> TransformedMatrix:
-    """The transform of each conjugated entry where it stands:
-    transformed[X, Y] is entrywise[-Y, X], so this is index algebra."""
-    t = pair.transformed
-    numer = t.numer[:, pair.neg_perm].transpose(1, 0, 2)
-    return TransformedMatrix(t.field, t.n, t.k, t.delta, numer)
+def entrywise(pair) -> np.ndarray:
+    """The transform of each conjugated entry where it stands, over
+    q^(delta+k): transformed[X, Y] is entrywise[-Y, X], so this is index
+    algebra."""
+    return pair.transformed[:, pair.neg_perm].transpose(1, 0, 2)
 
 
 def check_transform_routes(pair):
@@ -559,10 +574,9 @@ def check_transform_routes(pair):
     transform at (-Y, X)."""
     rows = np.array(macwilliams_rows(pair.n, pair.field.q), dtype=np.int64)
     direct = np.einsum("xyj,jt->xyt", grid(pair.fourier), rows)
-    if not np.array_equal(entrywise(pair).numer, direct):
+    if not np.array_equal(entrywise(pair), direct):
         raise InternalCheckError("entrywise transform differs from the direct one")
-    if not np.array_equal(pair.transformed.numer,
-                          direct[pair.neg_perm].transpose(1, 0, 2)):
+    if not np.array_equal(pair.transformed, direct[pair.neg_perm].transpose(1, 0, 2)):
         raise InternalCheckError("transformed[X, Y] is not entrywise[-Y, X]")
 
 def character_structure_checks(field, delta: int, zeta_exponent: int = 1,
@@ -587,8 +601,7 @@ def character_structure_checks(field, delta: int, zeta_exponent: int = 1,
     if not np.array_equal(neg[neg], np.arange(size)):
         raise InternalCheckError("negation permutation is not an involution")
     if P is not None:
-        perm = np.array(StatePermutation(P, delta).perm)
-        perm_t = np.array(StatePermutation(P.transpose(), delta).perm)
+        perm, perm_t = state_perm(P), state_perm(P.transpose())
         if not np.array_equal(E[perm], E[:, perm_t]):
             raise InternalCheckError("column-permutation identity failed")
 
@@ -708,7 +721,7 @@ def check_transport(pair) -> int:
     # the same coefficients c give v = c @ basis and v M = c @ (basis M)
     x, y = np.divmod(dspace.point_indices(), size)
     wx, wy = np.divmod(span_indices(pair.field, moved), size)
-    if not np.array_equal(pair.dual_scaled[x, y], entrywise(pair).numer[wx, wy]):
+    if not np.array_equal(pair.dual_scaled[x, y], entrywise(pair)[wx, wy]):
         raise InternalCheckError("transport identity failed at a dual pair")
     return len(x)
 
@@ -718,7 +731,7 @@ def entry_multisets_equal(pair) -> bool:
     of entries (the weak identity without its reordering)."""
     size = pair.field.q ** pair.delta
     flat_dual = pair.dual_scaled.reshape(size * size, -1)
-    tnum = pair.transformed.numer.reshape(size * size, -1)
+    tnum = pair.transformed.reshape(size * size, -1)
     return np.array_equal(flat_dual[np.lexsort(flat_dual.T)], tnum[np.lexsort(tnum.T)])
 
 

@@ -6,12 +6,12 @@ import pytest
 
 from convmacw import (FieldSpec, FMat, GuardExceeded, PolyMatrix, WePoly,
                       adjacency_by_cosets, adjacency_by_transitions,
-                      controller_form, StatePermutation)
+                      controller_form)
 from convmacw.polymat import make_minimal_basic, parse_zpoly
 from conftest import (ADJ_BINARY_523, ADJ_BINARY_523_DUAL, projective_candidates,
                       we)
 from oracles import (conjugate, entry_sums, int_matrix, matrix01, pair_split, points,
-                     random_minimal_encoder, same_code, vector_index)
+                     random_minimal_encoder, same_code, state_perm, vector_index)
 
 
 def _assert_matches_grid(adj, grid):
@@ -85,7 +85,7 @@ def test_conjugation_moves_entries(binary_523, f2):
     adj = adjacency_by_cosets(controller_form(binary_523))
     P = int_matrix(f2, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     moved = conjugate(adj, P)
-    perm = StatePermutation(P).perm
+    perm = state_perm(P).tolist()
     for (i, j), w in adj.entries.items():
         # entry (X, Y) of the conjugate is the old entry at (XP, YP)
         assert moved.entries[(perm.index(i), perm.index(j))] == w
@@ -201,6 +201,5 @@ def test_json_and_text_rendering(binary_523):
 
 def test_permutation_matrix_rendering(f2):
     P = int_matrix(f2, [[0, 1], [1, 0]])
-    sp = StatePermutation(P)
-    assert matrix01(sp.perm) == ((1, 0, 0, 0), (0, 0, 1, 0),
-                                 (0, 1, 0, 0), (0, 0, 0, 1))
+    assert matrix01(state_perm(P).tolist()) == ((1, 0, 0, 0), (0, 0, 1, 0),
+                                                (0, 1, 0, 0), (0, 0, 0, 1))

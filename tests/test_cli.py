@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from convmacw import WePoly, adjacency, duality, polymat
 from convmacw.cli import CodeDocument, main
 from convmacw.field import FieldElement, FieldSpec
+from convmacw.linalg import FMat
 from convmacw.polymat import code_degree
 from conftest import (BINARY_523, CHAR_GRID_2_3, LONG_00, TERNARY_322,
                       WITNESS_P_TERNARY)
@@ -178,6 +180,29 @@ def test_limit_names_a_command_ignores_exit_1(binary_doc, capsys, argv, accepted
     assert captured.out == ""
     assert captured.err.startswith("error: unknown limit ")
     assert captured.err.endswith(f"; accepted: {accepted}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "DOC", "--limit", "grid=abc"], "--limit grid wants a positive integer, got 'abc'"),
+    (["verify", "DOC", "--limit", "grid=1e3"], "--limit grid wants a positive integer, got '1e3'"),
+    (["verify", "DOC", "--limit", "grid=0"], "--limit grid wants a positive integer, got '0'"),
+    (["verify", "DOC", "--limit", "grid=-5"], "--limit grid wants a positive integer, got '-5'"),
+    (["search-p", "DOC", "--limit", "search=0"],
+     "--limit search wants a positive integer, got '0'"),
+    (["adjacency", "DOC", "--limit", "pairs=2.5"],
+     "--limit pairs wants a positive integer, got '2.5'"),
+    (["macw", "--p", "3", "--s", "2", "--modulus", "1,x", "--delta", "1"],
+     "--modulus wants comma-separated digits, got '1,x'"),
+    (["macw", "--p", "3", "--s", "2", "--modulus", "1,-1,1", "--delta", "1"],
+     "--modulus wants comma-separated digits, got '1,-1,1'"),
+], ids=["letters", "float", "zero", "negative", "search-zero", "pairs-float",
+        "modulus-letter", "modulus-negative"])
+def test_limit_and_modulus_values_name_their_flag(binary_doc, capsys, argv, message):
+    """A value that is not a positive integer (a modulus digit: not a
+    decimal digit string) exits 1 naming its flag; a zero limit would
+    otherwise refuse every code with exit 2."""
+    assert main([binary_doc if a == "DOC" else a for a in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_consecutive_calls_share_no_limit_state(binary_doc, capsys):
@@ -590,19 +615,44 @@ def test_dual_certificate_failure_exit_4(binary_doc, capsys, monkeypatch, fault,
     assert (captured.out, captured.err) == ("", f"internal check failed: {message}\n")
 
 
-def test_weak_identity_failure_names_the_pair(capsys, monkeypatch):
-    """A weak identity that fails names the first pair (X, Y), in row-major
-    order, where the dual entry and the reordered transform differ."""
+@pytest.mark.parametrize("doc,mode,identity", [
+    ("search/00-q2-n5k2d4.json", "weak", "reordered transform"),
+    ("long/03-q3-n10k5d1.json", "auto", "unit-memory formula"),
+    ("long/03-q3-n10k5d1.json", "unit-memory", "unit-memory formula"),
+    ("grid/01-q3-n6k2d4.json", "theorem-q", "dual-side witness"),
+    ("grid/02-q5-n4k2d2.json", "theorem-p", "primal-side witness"),
+], ids=["weak", "unit-memory-auto", "unit-memory", "theorem-q", "theorem-p"])
+def test_entrywise_failure_names_the_identity_and_pair(capsys, monkeypatch, doc, mode,
+                                                       identity):
+    """Every entrywise identity that fails names itself and the first pair
+    (X, Y), in row-major order, where the dual entry and its side of the
+    identity differ: here the dual entry (0, 1) is off by one."""
     def corrupted(pair):
-        dense = pair.adj_dual.dense_coefficients() * pair.transformed.denom
-        dense[2, 5, 0] += 1
+        dense = pair.adj_dual.dense_coefficients() * pair.field.q ** (pair.delta + pair.k)
+        dense[0, 1, 0] += 1
         return dense
 
     monkeypatch.setattr(duality.DualPair, "dual_scaled", property(corrupted))
-    assert main(["verify", "bench/pinned/search/00-q2-n5k2d4.json", "--mode", "weak"]) == 4
+    assert main(["verify", f"bench/pinned/{doc}", "--mode", mode]) == 4
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "internal check failed: reordered transform "
-                                                "does not match the dual at pair (X, Y) = (2, 5)\n")
+    assert (captured.out, captured.err) == ("", f"internal check failed: {identity} does "
+                                                f"not match the dual at pair (X, Y) = (0, 1)\n")
+
+
+def test_singular_closed_form_witness_exit_4(binary_doc, capsys, monkeypatch):
+    """A closed-form witness that is not invertible is a failed check, not a
+    verdict: with B_hat^t D_hat zeroed, -B_hat^t D_hat C^t is the zero map."""
+    real = duality.controller_form
+
+    def zeroed(G):
+        cf = real(G)
+        return dataclasses.replace(cf, BtD=FMat.zero(cf.field, cf.delta, cf.n))
+
+    monkeypatch.setattr(duality, "controller_form", zeroed)
+    assert main(["verify", binary_doc, "--mode", "theorem-q"]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "internal check failed: closed-form dual witness is singular\n")
 
 
 GF9_422 = {"field": {"p": 3, "s": 2, "modulus": [1, 0, 1]},

@@ -10,11 +10,10 @@ from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, InternalCheckErr
                       PolyMatrix, WePoly, check_unit_memory, check_weak_identity,
                       check_witness, closed_form_witness_dual,
                       closed_form_witness_primal, dual_generator, run_verification,
-                      search_witness, StatePermutation)
+                      search_witness)
 from convmacw.adjacency import AdjMatrix
 from convmacw.cli import CodeDocument
-from convmacw.duality import (FourierMatrix, fourier_transform, macwilliams_image,
-                              trace_exponents)
+from convmacw.duality import fourier_transform, macwilliams_image, trace_exponents
 from convmacw.exact import macwilliams_rows
 from convmacw.linalg import block_matrix
 from convmacw.statespace import connected_pairs, connected_pairs_orth, constant_code
@@ -31,8 +30,8 @@ from oracles import (bucket_tensor, character_structure_checks,
                      fraction_entry, grid,
                      int_matrix, matrix01, negation_perm, orth_mask, output_kernel,
                      padded, pairing_codes,
-                     random_minimal_encoder, sides, state_pairing_matrix, vec_dot,
-                     we_of_affine)
+                     random_minimal_encoder, sides, state_pairing_matrix, state_perm,
+                     transform_denom, vec_dot, we_of_affine)
 
 PINNED = Path(__file__).resolve().parents[1] / "bench" / "pinned"
 
@@ -78,7 +77,7 @@ def test_fourier_entry_golden(binary_pair):
     fm = binary_pair.fourier
     scaled = we("1+5W+10W^2+10W^3+5W^4+W^5")
     expected = tuple(Fraction(c, 8) for c in padded(scaled, 5))
-    assert fraction_entry(fm, 0, 0) == expected
+    assert fraction_entry(fm, 8, 0, 0) == expected
 
 
 def test_fourier_crosscheck_and_invariance(binary_pair, ternary_pair):
@@ -160,10 +159,10 @@ def test_transformed_entry_census(binary_pair, ternary_pair):
         target = we_of_affine(pair.field, (0,) * pair.n, dual_const.basis)
         zeros = 0
         equal_const = 0
-        size = t.numer.shape[0]
+        size = t.shape[0]
         for i in range(size):
             for j in range(size):
-                vals = fraction_entry(t, i, j)
+                vals = fraction_entry(t, transform_denom(pair), i, j)
                 if not any(vals):
                     zeros += 1
                 elif all(v.denominator == 1 for v in vals) and \
@@ -179,13 +178,13 @@ def test_transformed_degree_zero_is_block_dual(f2):
     G = PolyMatrix.from_strings(f2, [["1", "0", "1"], ["0", "1", "1"]])
     pair = DualPair(G)
     t = pair.transformed
-    assert t.numer.shape == (1, 1, 4)
+    assert t.shape == (1, 1, 4)
     dual_counts = [0] * 4
     for v in enumerate_vectors(f2, 3):
         if all(vec_dot(v, tuple(f2.element(c) for c in row)) == f2.zero
                for row in ([1, 0, 1], [0, 1, 1])):
             dual_counts[sum(1 for a in v if a)] += 1
-    assert entry_we(t, 0, 0) == WePoly(dual_counts)
+    assert entry_we(t, transform_denom(pair), 0, 0) == WePoly(dual_counts)
 
 
 def test_zeta_independence(ternary_pair):
@@ -213,7 +212,7 @@ def test_transport_zero_pair(binary_pair):
     # the zero pair maps to the zero pair, giving the block-style entry
     t = entrywise(binary_pair)
     lhs = binary_pair.dual_scaled[0, 0]
-    assert np.array_equal(lhs, t.numer[0, 0])
+    assert np.array_equal(lhs, t[0, 0])
 
 
 def test_weak_identity(binary_pair, ternary_pair):
@@ -246,20 +245,19 @@ def test_weak_identity_map_parts(doc, swap, corrections, completion, entries):
 def test_closed_form_witness_dual_golden(binary_pair):
     Q = closed_form_witness_dual(binary_pair)
     assert Q.to_int_rows() == WITNESS_Q_BINARY
-    sp = StatePermutation(Q)
-    assert [list(r) for r in matrix01(sp.perm)] == PERM_Q_BINARY
+    assert [list(r) for r in matrix01(state_perm(Q))] == PERM_Q_BINARY
 
 
 def test_full_identity_verified_entrywise(binary_pair):
     # recompute the conjugated identity with plain Fractions, all entries
     Q = closed_form_witness_dual(binary_pair)
-    perm = StatePermutation(Q).perm
-    t = binary_pair.transformed
+    perm = state_perm(Q)
+    t, denom = binary_pair.transformed, transform_denom(binary_pair)
     checked = 0
     for i in range(8):
         for j in range(8):
             lhs = padded(binary_pair.adj_dual.entry(i, j), 5)
-            rhs = fraction_entry(t, perm[i], perm[j])
+            rhs = fraction_entry(t, denom, perm[i], perm[j])
             assert tuple(Fraction(c) for c in lhs) == rhs
             checked += 1
     assert checked == 64
@@ -442,18 +440,17 @@ def test_transform_int64_headroom(f2):
     colsum = max(sum(abs(r[t]) for r in rows) for t in range(n + 1))
     neg = negation_perm(f2, 1)
 
-    def synthetic(peak):
-        return FourierMatrix(f2, 1, n, np.full((4, n + 1), peak, dtype=np.int64),
-                             np.arange(4).reshape(2, 2))
+    def synthetic(peak):   # the conjugated rows and index grid of a delta = 1 code
+        return np.full((4, n + 1), peak, dtype=np.int64), np.arange(4).reshape(2, 2)
 
     peak = (2 ** 62 - 1) // colsum
     exact = [peak * sum(r[t] for r in rows) for t in range(n + 1)]
-    image = macwilliams_image(synthetic(peak), 1, neg).numer
+    image = macwilliams_image(f2, *synthetic(peak), neg)
     assert image[0, 0].tolist() == exact
     assert image[1, 0].tolist() == exact
     for fm in (synthetic(peak + 1), synthetic(2 ** 40)):
         with pytest.raises(GuardExceeded, match="int64 headroom"):
-            macwilliams_image(fm, 1, neg)
+            macwilliams_image(f2, *fm, neg)
 
 
 def _reference_buckets(lam, E, p):
