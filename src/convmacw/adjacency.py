@@ -14,7 +14,6 @@ import numpy as np
 from .errors import GuardExceeded, InternalCheckError
 from .exact import WePoly, weight_counts
 from .field import code_index, span_blocks, vector_codes
-from .linalg import block_matrix
 from .statespace import ControllerForm, connected_pairs, constant_code, output_map
 
 TRANSITION_LIMIT = 2 ** 24   # bound on q^(2*delta) * q^k
@@ -111,8 +110,8 @@ def adjacency_by_transitions(cf: ControllerForm,
             f"transition enumeration needs q^(2*delta+k) = {cost} > limit {limit}"
         )
     # (X, u) -> (X A + u B, X C + u D) as one linear map, X varying slowest
-    gen = vector_codes(block_matrix(cf.field, [[cf.A, cf.C], [cf.B, cf.D]]).rows,
-                       cf.delta + cf.n)
+    gen = vector_codes([a + c for a, c in zip(cf.A.rows, cf.C.rows)]
+                       + [b + d for b, d in zip(cf.B.rows, cf.D.rows)], cf.delta + cf.n)
     width, blocks = cf.n + 1, []
     for start, block in span_blocks(cf.field, gen):
         xs = (start + np.arange(len(block))) // q ** cf.k

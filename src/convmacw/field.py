@@ -11,6 +11,7 @@ that takes codes also takes elements of its field (:meth:`FieldSpec.codes`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import index
 
@@ -36,7 +37,8 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# -- dense polynomials over Z/p as trimmed int tuples (constant term first) --
+# -- polynomials as trimmed code tuples, constant term first: over GF(p)
+# they build GF(p^s) from its modulus, over GF(q) they analyse encoders --
 
 def _ptrim(c):
     i = len(c)
@@ -45,44 +47,49 @@ def _ptrim(c):
     return tuple(c[:i])
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
+def _addmul(field: FieldSpec, out: list, f, b) -> list:
+    """Add f b into the code list out (grown, not trimmed): by the
+    tables, past them (q > 256) by ``FieldSpec.axpy``'s raw operations."""
+    add, mul = field._add_t, field._mul_t
+    out += [0] * (len(f) + len(b) - 1 - len(out))
+    for i, c in enumerate(f):
+        if c and mul is None:
+            out[i:i + len(b)] = field.axpy(out[i:i + len(b)], c, b)
+        elif c:
+            cb = mul[c]
+            for j, y in enumerate(b, i):
+                out[j] = add[out[j]][cb[y]]
+    return out
 
 
-def _pmod(a, m, p):
-    """Remainder of a modulo m over Z/p; m need not be monic."""
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and any(a):
-        da = len(a) - 1
-        if a[da] == 0:
-            a.pop()
-            continue
-        f = (a[da] * inv_lead) % p
-        shift = da - dm
-        for j, c in enumerate(m):
-            a[shift + j] = (a[shift + j] - f * c) % p
-        a.pop()
-    return _ptrim(a)
+def _axpy(field: FieldSpec, a: tuple, f, b) -> tuple:
+    """The codes of a + f b."""
+    return _ptrim(_addmul(field, list(a), f, b)) if f and b else a
 
 
-def _irreducible(mod, p):
-    """Trial division by every monic divisor candidate of degree <= s//2."""
-    s = len(mod) - 1
-    for d in range(1, s // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            cand = tail + (1,)
-            if not _pmod(mod, cand, p):
-                return False
-    return True
+def _divmod(field: FieldSpec, a: tuple, b: tuple):
+    """The codes of the quotient and remainder of a by a nonzero b."""
+    inv = field.inv(b[-1])
+    if len(b) == 1:
+        return tuple(field.scale(inv, a)), ()
+    rem = list(a)
+    quot = [0] * max(len(rem) - len(b) + 1, 0)
+    while True:
+        while rem and not rem[-1]:
+            rem.pop()
+        shift = len(rem) - len(b)
+        if shift < 0:
+            break
+        quot[shift] = f = field.mul(rem[-1], inv)
+        rem[shift:] = field.axpy(rem[shift:], field.neg(f), b)
+        rem.pop()
+    return tuple(quot), tuple(rem)
+
+
+@functools.cache
+def _prime_field(p: int) -> FieldSpec:
+    """GF(p), whose polynomials build every GF(p^s)."""
+    return FieldSpec(p)
 
 
 class FieldElement:
@@ -97,12 +104,7 @@ class FieldElement:
     @property
     def digits(self) -> tuple[int, ...]:
         """Length-s residue digits, constant term first."""
-        p, s, c = self.field.p, self.field.s, self.code
-        out = []
-        for _ in range(s):
-            out.append(c % p)
-            c //= p
-        return tuple(out)
+        return tuple(self.field._digits(self.code))
 
     def _coerce(self, other):
         if not isinstance(other, FieldElement):
@@ -206,7 +208,11 @@ class FieldSpec:
                 raise ValueError(
                     f"modulus must be monic of degree {s} (got {list(modulus)})"
                 )
-            if not _irreducible(mod, p):
+            # trial division by every monic polynomial of degree <= s/2
+            gfp = _prime_field(p)
+            if any(not _divmod(gfp, mod, tail + (1,))[1]
+                   for d in range(1, s // 2 + 1)
+                   for tail in itertools.product(range(p), repeat=d)):
                 raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.p = p
         self.s = s
@@ -268,9 +274,9 @@ class FieldSpec:
     def _mul_raw(self, a, b):
         if self.s == 1:
             return (a * b) % self.p
-        prod = _pmul(_ptrim(self._digits(a)), _ptrim(self._digits(b)), self.p)
-        red = _pmod(prod, self.modulus, self.p)
-        return self._pack(list(red) + [0] * (self.s - len(red)))
+        gfp = _prime_field(self.p)
+        prod = _axpy(gfp, (), _ptrim(self._digits(a)), _ptrim(self._digits(b)))
+        return self._pack(_divmod(gfp, prod, self.modulus)[1])
 
     # code arithmetic: the tables when built, else the raw operations
     def add(self, a: int, b: int) -> int:

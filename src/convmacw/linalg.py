@@ -131,28 +131,6 @@ def vec_mat(v: Vec, m: FMat) -> Vec:
     return tuple(out)
 
 
-def block_matrix(field: FieldSpec, grid) -> FMat:
-    """Assemble a matrix from a 2-d grid of FMat blocks with matching dims."""
-    rows = []
-    ncols = None
-    for block_row in grid:
-        height = block_row[0].nrows
-        for b in block_row:
-            if b.nrows != height:
-                raise ValueError("inconsistent block heights")
-        width = sum(b.ncols for b in block_row)
-        if ncols is None:
-            ncols = width
-        elif ncols != width:
-            raise ValueError("inconsistent block widths")
-        for i in range(height):
-            row = []
-            for b in block_row:
-                row.extend(b.rows[i])
-            rows.append(tuple(row))
-    return FMat(field, len(rows), ncols or 0, rows)
-
-
 def rref(field: FieldSpec, rows, ncols: int):
     """Reduced row echelon form of code rows; returns (nonzero rows, pivot
     columns)."""
@@ -211,10 +189,6 @@ class Subspace:
         basis, _ = rref(field, rows, ambient)
         return cls(field, ambient, basis)
 
-    @classmethod
-    def full(cls, field: FieldSpec, ambient: int) -> "Subspace":
-        return cls(field, ambient, FMat.identity(field, ambient).rows)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -244,8 +218,6 @@ class Subspace:
 
     def orth(self) -> "Subspace":
         """Orthogonal complement under the canonical bilinear form."""
-        if self.dim == 0:
-            return Subspace.full(self.field, self.ambient)
         return Subspace(self.field, self.ambient,
                         right_null_space(self.field, self.matrix()))
 

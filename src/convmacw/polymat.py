@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .field import FieldSpec, _ptrim
+from .field import FieldSpec, _addmul, _axpy, _divmod, _ptrim
 from .linalg import FMat, right_null_space
 
 NEG_INF = float("-inf")
@@ -92,47 +92,6 @@ class ZPoly:
 
     def __repr__(self):
         return f"ZPoly({format_zpoly(self)})"
-
-
-# -- the kernel: polynomials as trimmed code tuples, constant term first --
-
-def _addmul(field: FieldSpec, out: list, f, b) -> list:
-    """Add f b into the code list out (grown, not trimmed): by the
-    tables, past them (q > 256) by ``FieldSpec.axpy``'s raw operations."""
-    add, mul = field._add_t, field._mul_t
-    out += [0] * (len(f) + len(b) - 1 - len(out))
-    for i, c in enumerate(f):
-        if c and mul is None:
-            out[i:i + len(b)] = field.axpy(out[i:i + len(b)], c, b)
-        elif c:
-            cb = mul[c]
-            for j, y in enumerate(b, i):
-                out[j] = add[out[j]][cb[y]]
-    return out
-
-
-def _axpy(field: FieldSpec, a: tuple, f, b) -> tuple:
-    """The codes of a + f b."""
-    return _ptrim(_addmul(field, list(a), f, b)) if f and b else a
-
-
-def _divmod(field: FieldSpec, a: tuple, b: tuple):
-    """The codes of the quotient and remainder of a by a nonzero b."""
-    inv = field.inv(b[-1])
-    if len(b) == 1:
-        return tuple(field.scale(inv, a)), ()
-    rem = list(a)
-    quot = [0] * max(len(rem) - len(b) + 1, 0)
-    while True:
-        while rem and not rem[-1]:
-            rem.pop()
-        shift = len(rem) - len(b)
-        if shift < 0:
-            break
-        quot[shift] = f = field.mul(rem[-1], inv)
-        rem[shift:] = field.axpy(rem[shift:], field.neg(f), b)
-        rem.pop()
-    return tuple(quot), tuple(rem)
 
 
 def _dot(field: FieldSpec, a, b) -> tuple:

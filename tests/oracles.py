@@ -20,7 +20,7 @@ from convmacw.duality import fourier_transform, trace_exponents
 from convmacw.exact import macwilliams_rows, weight_counts
 from convmacw.field import (code_index, index_codes, linear_map, span_blocks,
                             span_indices, vector_codes)
-from convmacw.linalg import block_matrix, right_null_space, unit_vec, vec_mat
+from convmacw.linalg import right_null_space, unit_vec, vec_mat
 from convmacw.polymat import _smith_form, is_basic, is_minimal
 from convmacw.statespace import (coefficient_code, connected_pairs,
                                  connected_pairs_orth, constant_code, output_map)
@@ -55,6 +55,28 @@ def vec_dot(a, b):
 def int_matrix(field, rows) -> FMat:
     """Matrix of integers, reduced into the prime subfield."""
     return FMat.from_rows(field, [[field.from_int(v) for v in r] for r in rows])
+
+
+def block_matrix(field, grid) -> FMat:
+    """Assemble a matrix from a 2-d grid of FMat blocks with matching dims."""
+    rows = []
+    ncols = None
+    for block_row in grid:
+        height = block_row[0].nrows
+        for b in block_row:
+            if b.nrows != height:
+                raise ValueError("inconsistent block heights")
+        width = sum(b.ncols for b in block_row)
+        if ncols is None:
+            ncols = width
+        elif ncols != width:
+            raise ValueError("inconsistent block widths")
+        for i in range(height):
+            row = []
+            for b in block_row:
+                row.extend(b.rows[i])
+            rows.append(tuple(row))
+    return FMat(field, len(rows), ncols or 0, rows)
 
 
 def span_blocks_reference(field, basis, lo: int = 0, hi: int | None = None, chunk: int = 2 ** 16):
@@ -314,7 +336,8 @@ def pair_split(cf) -> PairSplit:
         (0,) * delta + unit_vec(delta, i) for i in range(delta) if i not in cf.block_starts])
     if transversal.dim + kernel.dim + complement.dim != 2 * delta:
         raise InternalCheckError("pair space split dimensions do not add up")
-    if transversal + kernel + complement != Subspace.full(field, 2 * delta):
+    if transversal + kernel + complement != Subspace(
+            field, 2 * delta, FMat.identity(field, 2 * delta).rows):
         raise InternalCheckError("pair space split does not span everything")
     return PairSplit(transversal, kernel, complement)
 

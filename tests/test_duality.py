@@ -15,11 +15,10 @@ from convmacw.adjacency import AdjMatrix
 from convmacw.cli import CodeDocument
 from convmacw.duality import fourier_transform, macwilliams_image, trace_exponents
 from convmacw.exact import macwilliams_rows
-from convmacw.linalg import block_matrix
 from convmacw.statespace import connected_pairs, connected_pairs_orth, constant_code
 from conftest import (BINARY_523_DUAL, CHAR_GRID_2_3, PERM_Q_BINARY, WITNESS_P_TERNARY,
                       WITNESS_Q_BINARY, projective_candidates, we)
-from oracles import (bucket_tensor, character_structure_checks,
+from oracles import (block_matrix, bucket_tensor, character_structure_checks,
                      check_bucket_route, check_correction_block,
                      check_fourier_closed_form,
                      check_orth_translation_invariance, check_pairing_lemma,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -42,6 +43,40 @@ def test_field_validation():
         FieldSpec(2, 1, [1, 1])  # modulus not accepted for prime fields
     with pytest.raises(ValueError):
         FieldSpec(2, 2, [1, 1])  # wrong degree
+
+
+def _monic(p, degree):
+    """Every monic polynomial of the degree over Z/p, constant term first."""
+    return [tail + (1,) for tail in itertools.product(range(p), repeat=degree)]
+
+
+@pytest.mark.parametrize("p, s, irreducible", [
+    (2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 2, 3), (3, 3, 8), (5, 2, 10),
+])
+def test_every_small_modulus_is_classified(p, s, irreducible):
+    """A monic modulus is accepted exactly when it is no product of two
+    monic factors of positive degree; Gauss's count of the accepted ones.
+    At (2, 4) this rejects x^4 + x^2 + 1 = (x^2 + x + 1)^2, which has no
+    root."""
+    products = set()
+    for d in range(1, s):
+        for a in _monic(p, d):
+            for b in _monic(p, s - d):
+                prod = [0] * (s + 1)
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        prod[i + j] = (prod[i + j] + x * y) % p
+                products.add(tuple(prod))
+    accepted = []
+    for mod in _monic(p, s):
+        try:
+            FieldSpec(p, s, mod)
+        except ValueError:
+            assert mod in products, mod
+        else:
+            assert mod not in products, mod
+            accepted.append(mod)
+    assert len(accepted) == irreducible
 
 
 def test_mixed_field_operations_rejected(f2, f3):

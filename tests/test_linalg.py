@@ -3,8 +3,8 @@ import random
 import pytest
 
 from convmacw import FieldSpec, FMat, Subspace
-from convmacw.linalg import block_matrix, right_null_space, unit_vec, vec_mat
-from oracles import int_matrix, intersect, points, vector_index
+from convmacw.linalg import right_null_space, unit_vec, vec_mat
+from oracles import block_matrix, int_matrix, intersect, points, vector_index
 
 
 def _random_subspace(rng, field, ambient, max_rows=None):
@@ -69,6 +69,9 @@ def test_orthogonal_complement_properties(q):
         u = _random_subspace(rng, field, ambient)
         assert u.orth().orth() == u
         assert u.dim + u.orth().dim == ambient
+    for ambient in (0, 1, 3):
+        full = Subspace(field, ambient, FMat.identity(field, ambient).rows)
+        assert Subspace(field, ambient, ()).orth() == full
 
 
 @pytest.mark.parametrize("q", [2, 3])

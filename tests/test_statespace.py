@@ -83,7 +83,7 @@ def test_constant_code_goldens(binary_523, binary_523_dual, f2):
 def test_coefficient_code_goldens(binary_523, binary_523_dual, f2):
     cf = controller_form(binary_523)
     span, r_hat = coefficient_code(cf)
-    assert span == Subspace.full(f2, 5)
+    assert span == Subspace(f2, 5, FMat.identity(f2, 5).rows)
     assert r_hat == 3
     cfd = controller_form(binary_523_dual)
     span_d, r_hat_d = coefficient_code(cfd)
