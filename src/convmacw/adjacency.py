@@ -128,22 +128,21 @@ def adjacency_by_transitions(cf: ControllerForm,
     return adj
 
 
-def coset_guard(q: int, delta: int, k: int, limit: int = PAIR_LIMIT) -> int:
-    """The coset point count q^(delta+k) of a code of dimension k; raises
-    past ``limit``."""
+def coset_guard(q: int, delta: int, k: int, limit: int = PAIR_LIMIT):
+    """Raise when the coset point count q^(delta+k) of a code of dimension
+    k passes ``limit``."""
     points = q ** (delta + k)
     if points > limit:
         raise GuardExceeded(
             f"coset enumeration needs q^(delta+k) = {points} points > limit {limit}"
         )
-    return points
 
 
 def adjacency_by_cosets(cf: ControllerForm, limit: int = PAIR_LIMIT) -> AdjMatrix:
     """Walk only the connected pairs; each entry is the weight enumerator
     of the coset (representative output + constant code)."""
     # q^(delta+r) connected pairs, each a coset of q^(k-r) points
-    points = coset_guard(cf.field.q, cf.delta, cf.k, limit)
+    coset_guard(cf.field.q, cf.delta, cf.k, limit)
     pairs, const = connected_pairs(cf), constant_code(cf)
     # output representatives are linear in the pair, so c @ [reps; const]
     # runs through the coset of each pair in turn, q^(k-r) points apiece
@@ -151,7 +150,7 @@ def adjacency_by_cosets(cf: ControllerForm, limit: int = PAIR_LIMIT) -> AdjMatri
     gen = vector_codes(reps + const.basis, cf.n)
     group = cf.field.q ** const.dim
     adj = AdjMatrix(cf.field, cf.n, cf.delta, pairs.point_indices(),
-                    weight_counts(cf.field, gen, 0, points, group))
+                    weight_counts(cf.field, gen, group))
     _check_invariants(adj, cf)
     return adj
 

@@ -29,7 +29,7 @@ from .field import FieldSpec
 from .linalg import FMat
 from .polymat import (PolyMatrix, basic_diagnostic, dual_generator, is_minimal,
                       make_minimal_basic)
-from .statespace import coefficient_code, constant_code, controller_form
+from .statespace import coefficient_code, constant_code, controller_form, degree_guard
 
 
 class CodeDocument:
@@ -65,6 +65,8 @@ class CodeDocument:
             raise ValueError("generator rows have inconsistent lengths")
         gen = PolyMatrix.from_strings(field, grid)
         label = data.get("label")
+        if label is not None and not isinstance(label, str):
+            raise ValueError('"label" must be a string')
         return cls(field, gen, label)
 
     @classmethod
@@ -152,9 +154,8 @@ def cmd_info(args) -> int:
         return 1
     minimal, indices = is_minimal(G)
     info["minimal"] = minimal
-    cf = controller_form(G) if minimal else None
+    cf = controller_form(G if minimal else make_minimal_basic(G))
     if not minimal:
-        cf = controller_form(make_minimal_basic(G))
         info["note"] = "invariants computed from a canonicalized minimal encoder"
     prof = cf.profile
     const = constant_code(cf)
@@ -298,6 +299,7 @@ def cmd_macw(args) -> int:
     field = FieldSpec(args.p, args.s, [int(d) for d in digits] or None)
     if args.delta < 0:
         raise ValueError("delta must be >= 0")
+    degree_guard(args.delta)
     dualmod.grid_guard(field.q, args.delta, _parse_limits(args).get("grid", dualmod.GRID_LIMIT))
     if not 1 <= args.zeta_exponent < field.p:
         raise ValueError(f"zeta exponent must be in [1, {field.p})")

@@ -1,9 +1,9 @@
 """Duality engine: the trace exponents of the character grid, two-sided
 character conjugation of adjacency matrices, the transformation sending a
 code's adjacency matrix to its dual's, the weak identity through an
-explicit reordering of the state pairs, closed-form witnesses when one
-side has all indices <= 1, the projective witness search, and the
-unit-memory per-entry formulas.
+explicit reordering of the state pairs, one closed-form witness W and
+its negative for codes where one side has all indices <= 1, the
+projective witness search, and the unit-memory per-entry formulas.
 
 Everything is exact: the heavy grids are integer tensors over explicit
 denominators (powers of q).  Conjugation is a Fourier transform on the
@@ -219,6 +219,26 @@ class DualPair:
         D_hat D^t of its lower right block is the constant term of H G^t = 0."""
         return output_map(self.cf_dual) @ output_map(self.cf).transpose()
 
+    @cached_property
+    def closed_form(self) -> FMat:
+        """W = (B_hat^t D_hat + A_hat^t C_hat) C^t, asserted invertible and
+        checked entrywise once per pair: the first term of the witness built
+        from the dual realization, and the whole of it when A or A_hat is 0.
+
+        Row s_i + j of B_hat^t D_hat + A_hat^t C_hat is coefficient j of dual
+        row i, H_(i,j).  If A_hat = 0 (r_hat = delta), W = B_hat^t D_hat C^t.
+        If A = 0 (r = delta), entry (s_i + j, l) of W + C_hat (B^t D)^t is
+        H_(i,j) . G_(l,1) + H_(i,j+1) . G_(l,0), the z^(j+1) coefficient of
+        H_i G_l^t, which is 0.  Scaling every state by c in F_q^* leaves
+        both the dual adjacency matrix and the transform unchanged, so c W
+        is a witness whenever W is: one check covers W and -W."""
+        d = self.cf_dual
+        W = (d.BtD + d.A.transpose() @ d.C) @ self.cf.C.transpose()
+        if not W.is_invertible():
+            raise InternalCheckError("closed-form witness is singular")
+        _require(self, _witness_moved(self, W), "closed-form witness")
+        return W
+
     def profile_dicts(self) -> dict:
         def one(profile: CodeProfile, r_dual: int) -> dict:
             return {
@@ -310,37 +330,29 @@ def _witness_moved(pair: DualPair, P: FMat) -> np.ndarray:
     return pair.transformed[np.ix_(perm, perm)]
 
 
-def _closed_form(pair: DualPair, P: FMat, side: str) -> FMat:
-    """Assert a closed-form witness invertible and its full entrywise identity."""
-    if not P.is_invertible():
-        raise InternalCheckError(f"closed-form {side} witness is singular")
-    _require(pair, _witness_moved(pair, P), f"{side}-side witness")
-    return P
-
-
 def closed_form_witness_dual(pair: DualPair) -> FMat:
-    """Closed-form witness -B_hat^t D_hat C^t when every dual Forney index
-    is at most one; asserts its invertibility and the full entrywise identity.
-    The correction block relating it to the pairing matrix is a test
-    oracle."""
+    """Closed-form witness -W (see ``DualPair.closed_form``) when every
+    dual Forney index is at most one; asserts its invertibility and the
+    full entrywise identity.  The correction block relating it to the
+    pairing matrix is a test oracle."""
     if pair.r_dual != pair.delta:
         raise ValueError(
             "closed-form dual witness needs every dual Forney index <= 1; "
             "try the primal form or the projective search"
         )
-    return _closed_form(pair, -(pair.cf_dual.BtD @ pair.cf.C.transpose()), "dual")
+    return -pair.closed_form
 
 
 def closed_form_witness_primal(pair: DualPair) -> FMat:
-    """Closed-form witness -C_hat (B^t D)^t when every primal Forney index
-    is at most one; asserts its invertibility and the full entrywise
-    identity."""
+    """Closed-form witness W (see ``DualPair.closed_form``) when every
+    primal Forney index is at most one; asserts its invertibility and the
+    full entrywise identity."""
     if pair.cf.r != pair.delta:
         raise ValueError(
             "closed-form primal witness needs every Forney index <= 1; "
             "try the dual form or the projective search"
         )
-    return _closed_form(pair, -(pair.cf_dual.C @ pair.cf.BtD.transpose()), "primal")
+    return pair.closed_form
 
 
 @dataclass
@@ -521,8 +533,7 @@ def run_verification(G: PolyMatrix, mode: str = "auto",
         if pair.delta == 1:
             details["entries"] = check_unit_memory(pair)
             wit = closed_form_witness_dual(pair)
-            agree = closed_form_witness_primal(pair)
-            details["primal_witness"] = agree.to_int_rows()
+            details["primal_witness"] = closed_form_witness_primal(pair).to_int_rows()
             theorem_used = "delta=1"
         elif pair.r_dual == pair.delta:
             wit = closed_form_witness_dual(pair)

@@ -71,17 +71,16 @@ class WePoly:
         return f"WePoly({self})"
 
 
-def weight_counts(field: FieldSpec, gen: np.ndarray, lo: int, hi: int,
-                  group: int) -> np.ndarray:
-    """Hamming-weight counts of the points c @ gen for every c with
-    canonical index in [lo, hi), one row per run of ``group`` consecutive
-    c: a ((hi - lo) // group, n + 1) array.  Weights are counted from the
-    entry codes, never from an index in F^n, which can overflow int64."""
+def weight_counts(field: FieldSpec, gen: np.ndarray, group: int) -> np.ndarray:
+    """Hamming-weight counts of the points c @ gen for every c, one row per
+    run of ``group`` consecutive c in canonical order: a (q^dim // group,
+    n + 1) array.  Weights are counted from the entry codes, never from an
+    index in F^n, which can overflow int64."""
     width = gen.shape[1] + 1
-    out = np.zeros(((hi - lo) // group, width), dtype=np.int64)
-    for start, block in span_blocks(field, gen, lo, hi):
-        first = (start - lo) // group
-        rows = (np.arange(start, start + len(block)) - lo) // group - first
+    out = np.zeros((field.q ** len(gen) // group, width), dtype=np.int64)
+    for start, block in span_blocks(field, gen):
+        first = start // group
+        rows = np.arange(start, start + len(block)) // group - first
         keys = rows * width + np.count_nonzero(block, axis=1)
         out[first:first + rows[-1] + 1] += np.bincount(
             keys, minlength=(rows[-1] + 1) * width).reshape(-1, width)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from operator import index
 
 import numpy as np
@@ -23,18 +24,8 @@ _TABLE_MAX = 256
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    """Trial division; FieldSpec bounds n by 2^16 first."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # -- polynomials as trimmed code tuples, constant term first: over GF(p)
@@ -421,11 +412,11 @@ def linear_map(field: FieldSpec, matrices):
     return apply
 
 
-def span_blocks(field: FieldSpec, basis, lo: int = 0, hi: int | None = None):
+def span_blocks(field: FieldSpec, basis):
     """Yield ``(start, codes)`` blocks of the entry codes of c @ basis for
-    every c with canonical index in [lo, hi) (default all q^dim), in order.
-    A (dim, ambient) basis gives (count, ambient) blocks, an (N, dim,
-    ambient) stack (count, N, ambient) ones; dim 0 gives the zero point.
+    every c, in canonical order of c.  A (dim, ambient) basis gives
+    (count, ambient) blocks, an (N, dim, ambient) stack (count, N, ambient)
+    ones; dim 0 gives the zero point.
 
     Points are built by field addition: the q^L points of the last L
     coordinates form one table, an iterated outer sum of each row's q
@@ -437,7 +428,7 @@ def span_blocks(field: FieldSpec, basis, lo: int = 0, hi: int | None = None):
     stack = basis if basis.ndim == 3 else basis[None]
     count, dim, ambient = stack.shape
     q, width = field.q, count * ambient
-    hi = q ** dim if hi is None else hi
+    total = q ** dim
     shape = (count, ambient) if basis.ndim == 3 else (ambient,)
     step = max(1, _CHUNK // (width * field.s or 1))
     low = min(dim, 1)
@@ -459,19 +450,18 @@ def span_blocks(field: FieldSpec, basis, lo: int = 0, hi: int | None = None):
             out = add_codes(field, out, mults[digits[:, i], i])
         return out
 
-    start = lo
-    while start < hi:
+    start = 0
+    while start < total:
         pre, j = divmod(start, t)
         # whole prefixes, about one block's worth, or one prefix a block at a time
-        end = min(hi, (pre + step // t) * t if t <= step else min(start + step, (pre + 1) * t))
+        end = min(total, (pre + step // t) * t if t <= step else min(start + step, (pre + 1) * t))
         last = -(-end // t)
         if dim == low:   # the table is the whole span
             block = table[start:end]
         elif last == pre + 1:
             block = add_codes(field, prefixes(pre, last), table[j:j + end - start])
-        else:
+        else:   # whole prefixes: start and end are multiples of t
             block = add_codes(field, prefixes(pre, last)[:, None], table)
-            block = block.reshape((last - pre) * t, width)[j:j + end - start]
         yield start, block.reshape(end - start, *shape)
         start = end
 

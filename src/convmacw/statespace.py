@@ -77,24 +77,15 @@ def controller_form(G: PolyMatrix) -> ControllerForm:
     r = profile.r
     delta = profile.delta
 
-    starts, ends = [], []
-    pos = 0
-    for i in range(r):
-        starts.append(pos)
-        pos += degs[i]
-        ends.append(pos - 1)
-
-    a_rows = [[0] * delta for _ in range(delta)]
-    for s, e in zip(starts, ends):
-        for t in range(s, e):
-            a_rows[t][t + 1] = 1
-    b_rows = [[0] * delta for _ in range(k)]
-    for i, s in enumerate(starts):
-        b_rows[i][s] = 1
-    c_rows = []
-    for i in range(r):
-        for nu in range(1, degs[i] + 1):
-            c_rows.append([p.coefficient(nu) for p in rows[i]])
+    # block i holds states starts[i] .. ends[i], one per power z^1 .. z^deg_i
+    starts = [sum(degs[:i]) for i in range(r)]
+    ends = [s + d - 1 for s, d in zip(starts, degs)]
+    zero = (0,) * delta
+    # A shifts each block by one state; B feeds input i into its block's start
+    a_rows = [zero if t in ends else unit_vec(delta, t + 1) for t in range(delta)]
+    b_rows = [unit_vec(delta, s) for s in starts] + [zero] * (k - r)
+    c_rows = [[p.coefficient(nu) for p in rows[i]]
+              for i in range(r) for nu in range(1, degs[i] + 1)]
     d_rows = [[p.coefficient(0) for p in row] for row in rows]
 
     A = FMat(field, delta, delta, a_rows)

@@ -1,10 +1,11 @@
 """Second routes kept for the tests: identity checks the production
 pipeline does not need (among them the pairing lemma and the correction
 block of the dual closed form: the production routes check only the full
-identity), the dense bucket product and the closed-form route to the
-conjugated matrix, the block-wise representative output and pairing
-matrix, the pair split with its output kernel, subspace intersection,
-and FieldElement-level helpers to compare its int-code kernels against.
+identity), the two closed-form witness products of the paper, the dense
+bucket product and the closed-form route to the conjugated matrix, the
+block-wise representative output and pairing matrix, the pair split with
+its output kernel, subspace intersection, and FieldElement-level helpers
+to compare its int-code kernels against.
 A check raises InternalCheckError when its identity fails."""
 
 import itertools
@@ -203,7 +204,8 @@ def we_of_affine(field, offset, basis) -> WePoly:
 
     The basis vectors must be linearly independent.  The points are
     c @ [offset; basis] for every c whose leading coordinate is 1, i.e.
-    the canonical indices [q^dim, 2 q^dim).
+    the canonical indices [q^dim, 2 q^dim): row 1 of the counts per run of
+    q^dim.
     """
     n = len(offset)
     for b in basis:
@@ -213,7 +215,7 @@ def we_of_affine(field, offset, basis) -> WePoly:
         return WePoly((1,))
     size = field.q ** len(basis)
     gen = vector_codes([field.codes(offset), *map(field.codes, basis)], n)
-    return WePoly(weight_counts(field, gen, size, 2 * size, size)[0].tolist())
+    return WePoly(weight_counts(field, gen, size)[1].tolist())
 
 
 def macwilliams_transform(coeffs, n: int, q: int):
@@ -666,6 +668,20 @@ def state_pairing_matrix(cf, cf_dual) -> FMat:
     f, d = cf.field, cf.delta
     return block_matrix(f, [[cf_dual.C @ cf.C.transpose(), cf_dual.C @ cf.BtD.transpose()],
                             [cf_dual.BtD @ cf.C.transpose(), FMat.zero(f, d, d)]])
+
+
+def dual_side_witness(pair) -> FMat:
+    """-B_hat^t D_hat C^t, the closed form of the paper when every dual
+    Forney index is at most one: the agreement reference for
+    ``closed_form_witness_dual``."""
+    return -(pair.cf_dual.BtD @ pair.cf.C.transpose())
+
+
+def primal_side_witness(pair) -> FMat:
+    """-C_hat (B^t D)^t, the closed form of the paper when every Forney
+    index is at most one: the agreement reference for
+    ``closed_form_witness_primal``."""
+    return -(pair.cf_dual.C @ pair.cf.BtD.transpose())
 
 
 def check_pairing_lemma(pair) -> int:

@@ -483,6 +483,15 @@ def test_macw_zeta_exponent(capsys):
     assert captured.err == "error: delta must be >= 0\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("delta", ["100000", "7000", "257"])
+def test_macw_applies_the_degree_cap(capsys, delta):
+    """The fixed delta cap of verify comes before the grid guard, so no
+    q^(2 delta) of thousands of digits is formatted or printed."""
+    assert main(["macw", "--p", "2", "--delta", delta]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: code degree delta = {delta} > limit 256\n")
+
+
 def test_macw_extension_field(capsys):
     assert main(["macw", "--p", "2", "--s", "2", "--modulus", "1,1,1",
                  "--delta", "1", "--format", "json"]) == 0
@@ -533,6 +542,8 @@ def test_non_minimal_input_message(tmp_path, capsys):
     ({"field": {"p": True}, "generator": [["1"]]}, "must be integers"),
     ({"field": {"p": 2, "s": 2, "modulus": "111"}, "generator": [["1"]]},
      "must be integers"),
+    ({"label": {"a": [1]}, "field": {"p": 2}, "generator": [["1+z", "1"]]},
+     '"label" must be a string'),
 ])
 def test_malformed_documents_exit_1(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
@@ -619,8 +630,8 @@ def test_dual_certificate_failure_exit_4(binary_doc, capsys, monkeypatch, fault,
     ("search/00-q2-n5k2d4.json", "weak", "reordered transform"),
     ("long/03-q3-n10k5d1.json", "auto", "unit-memory formula"),
     ("long/03-q3-n10k5d1.json", "unit-memory", "unit-memory formula"),
-    ("grid/01-q3-n6k2d4.json", "theorem-q", "dual-side witness"),
-    ("grid/02-q5-n4k2d2.json", "theorem-p", "primal-side witness"),
+    ("grid/01-q3-n6k2d4.json", "theorem-q", "closed-form witness"),
+    ("grid/02-q5-n4k2d2.json", "theorem-p", "closed-form witness"),
 ], ids=["weak", "unit-memory-auto", "unit-memory", "theorem-q", "theorem-p"])
 def test_entrywise_failure_names_the_identity_and_pair(capsys, monkeypatch, doc, mode,
                                                        identity):
@@ -641,7 +652,9 @@ def test_entrywise_failure_names_the_identity_and_pair(capsys, monkeypatch, doc,
 
 def test_singular_closed_form_witness_exit_4(binary_doc, capsys, monkeypatch):
     """A closed-form witness that is not invertible is a failed check, not a
-    verdict: with B_hat^t D_hat zeroed, -B_hat^t D_hat C^t is the zero map."""
+    verdict: the dual indices are all one, so A_hat = 0, and with
+    B_hat^t D_hat zeroed W = (B_hat^t D_hat + A_hat^t C_hat) C^t is the zero
+    map."""
     real = duality.controller_form
 
     def zeroed(G):
@@ -652,7 +665,7 @@ def test_singular_closed_form_witness_exit_4(binary_doc, capsys, monkeypatch):
     assert main(["verify", binary_doc, "--mode", "theorem-q"]) == 4
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
-        "", "internal check failed: closed-form dual witness is singular\n")
+        "", "internal check failed: closed-form witness is singular\n")
 
 
 GF9_422 = {"field": {"p": 3, "s": 2, "modulus": [1, 0, 1]},

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,8 +10,8 @@ import pytest
 from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, InternalCheckError,
                       PolyMatrix, WePoly, check_unit_memory, check_weak_identity,
                       check_witness, closed_form_witness_dual,
-                      closed_form_witness_primal, dual_generator, run_verification,
-                      search_witness)
+                      closed_form_witness_primal, dual_generator, duality,
+                      run_verification, search_witness)
 from convmacw.adjacency import AdjMatrix
 from convmacw.cli import CodeDocument
 from convmacw.duality import fourier_transform, macwilliams_image, trace_exponents
@@ -23,12 +24,13 @@ from oracles import (block_matrix, bucket_tensor, character_structure_checks,
                      check_fourier_closed_form,
                      check_orth_translation_invariance, check_pairing_lemma,
                      check_transform_routes, check_transport,
-                     check_zeta_independence, correction_block, entry_we,
+                     check_zeta_independence, correction_block, dual_side_witness,
+                     entry_we,
                      entry_multisets_equal,
                      entrywise, enumerate_vectors, fourier_conjugate,
                      fraction_entry, grid,
                      int_matrix, matrix01, negation_perm, orth_mask, output_kernel,
-                     padded, pairing_codes,
+                     padded, pairing_codes, primal_side_witness,
                      random_minimal_encoder, sides, state_pairing_matrix, state_perm,
                      transform_denom, vec_dot, we_of_affine)
 
@@ -364,6 +366,95 @@ def test_unit_memory_both_closed_forms_agree(f3):
     Q = closed_form_witness_dual(pair)
     P = closed_form_witness_primal(pair)
     assert Q.is_invertible() and P.is_invertible()
+
+
+def _closed_form_agreement(pairs) -> Counter:
+    """Compare both public closed forms with the paper's products wherever
+    they apply; count the pairs compared on each side, and the primal-side
+    ones whose dual has an index >= 2, where A_hat != 0 and
+    W = (B_hat^t D_hat + A_hat^t C_hat) C^t needs its second term."""
+    seen = Counter()
+    for pair in pairs:
+        if pair.r_dual == pair.delta:
+            assert closed_form_witness_dual(pair) == dual_side_witness(pair)
+            seen["dual"] += 1
+        if pair.cf.r == pair.delta:
+            assert closed_form_witness_primal(pair) == primal_side_witness(pair)
+            seen["primal"] += 1
+            seen["primal, dual index >= 2"] += max(pair.cf_dual.profile.forney_indices) >= 2
+    return seen
+
+
+def test_closed_forms_match_the_paper_products_on_the_corpus(corpus):
+    seen = _closed_form_agreement(corpus)
+    assert min(seen["dual"], seen["primal"], seen["primal, dual index >= 2"]) > 0
+
+
+def test_closed_forms_match_the_paper_products_on_pinned_documents():
+    paths = sorted(PINNED.glob("*/*.json"))
+    assert len(paths) == 28
+    seen = _closed_form_agreement(DualPair(CodeDocument.from_path(str(path)).generator)
+                                  for path in paths)
+    assert seen == {"dual": 15, "primal": 7, "primal, dual index >= 2": 0}
+
+
+@pytest.mark.parametrize("spec", [(5,), (7,), (2, 3, [1, 1, 0, 1]), (3, 2, [2, 2, 1])],
+                         ids=["q=5", "q=7", "q=8", "q=9"])
+def test_closed_forms_match_the_paper_products_over_larger_fields(spec):
+    """The fields of acceptance criterion 8, with (3, 2) and (4, 2) codes of
+    indices (1, 1), whose duals have an index 2 or (1, 1)."""
+    field = FieldSpec(*spec)
+    rng = random.Random(field.q)
+    shapes = [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2), (4, 2, 2), (5, 2, 2), (4, 3, 3)]
+    pairs = [DualPair(random_minimal_encoder(rng, field, n, k, delta))
+             for n, k, delta in shapes for _ in range(3)]
+    seen = _closed_form_agreement(pairs)
+    assert min(seen["dual"], seen["primal"], seen["primal, dual index >= 2"]) > 0
+
+
+def test_one_closed_form_check_per_pair(f3, monkeypatch):
+    """W is built and checked once per pair: delta = 1 auto compares the
+    grid twice (the unit-memory formula and W), and theorem-q then
+    theorem-p on one pair compares it once."""
+    calls = []
+    real = duality._mismatches
+
+    def counting(pair, moved):
+        calls.append(pair)
+        return real(pair, moved)
+
+    monkeypatch.setattr(duality, "_mismatches", counting)
+    G = PolyMatrix.from_strings(f3, [["1+z", "2", "1"]])
+    report = run_verification(G)
+    assert (report.theorem_used, report.verdict) == ("delta=1", "verified")
+    assert len(calls) == 2
+    calls.clear()
+    pair = DualPair(G)
+    Q, P = closed_form_witness_dual(pair), closed_form_witness_primal(pair)
+    assert len(calls) == 1 and Q == -P
+
+
+def test_scaled_witness_moves_the_transform_alike(corpus):
+    """c W relabels the transform as W does for every c in F_q^*, since
+    scaling every state leaves the transform and the dual adjacency matrix
+    unchanged: the one check of W covers -W."""
+    checked = 0
+    for pair in corpus:
+        if pair.cf.r == pair.delta:
+            W = closed_form_witness_primal(pair)
+        elif pair.r_dual == pair.delta:
+            W = -closed_form_witness_dual(pair)
+        else:
+            continue
+        f, moved = pair.field, duality._witness_moved(pair, W)
+        for c in range(1, f.q):
+            scaled = FMat(f, pair.delta, pair.delta, [f.scale(c, r) for r in W.rows])
+            assert np.array_equal(duality._witness_moved(pair, scaled), moved)
+            perm = state_perm(FMat(f, pair.delta, pair.delta,
+                                   [f.scale(c, r) for r in FMat.identity(f, pair.delta).rows]))
+            assert np.array_equal(pair.dual_scaled[np.ix_(perm, perm)], pair.dual_scaled)
+        checked += 1
+    assert checked > 0
 
 
 def test_run_verification_auto_modes(binary_523, ternary_322, f2):

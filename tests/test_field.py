@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convmacw import FieldSpec
+from convmacw.field import _is_prime
 from oracles import enumerate_vectors, vector_index
 
 
@@ -30,6 +31,18 @@ def test_extension_field_basics(f4):
     assert w.inverse() == w1
     assert w.digits == (0, 1)
     assert f4.from_digits([1, 1]) == w1
+
+
+def test_primality_matches_a_sieve():
+    """Trial division agrees with the sieve of Eratosthenes on every
+    characteristic FieldSpec can accept (p <= 2^16) and below 2."""
+    bound = 2 ** 16
+    sieve = [False, False] + [True] * (bound - 1)
+    for i in range(2, 257):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, bound + 1, i))
+    assert [n for n in range(-3, bound + 1) if _is_prime(n)] == [
+        n for n in range(bound + 1) if sieve[n]]
 
 
 def test_field_validation():

@@ -70,16 +70,17 @@ def test_points_match_reference(field, monkeypatch):
 
 
 def test_span_blocks_cover_ranges(field, monkeypatch):
+    """Small blocks cover the whole span in order, the blocks of a stacked
+    basis as well as those of a plain one."""
     rng = random.Random(17 * field.q)
     space = _random_subspace(rng, field, 4, 2)
     full = np.concatenate([b for _, b in span_blocks(field, space.codes())])
     monkeypatch.setattr(fieldmod, "_CHUNK", 5)
-    lo, hi = 1, field.q ** 2 - 1
-    starts, blocks = zip(*span_blocks(field, space.codes(), lo, hi))
-    assert starts[0] == lo and len(blocks) > 1
-    assert np.array_equal(np.concatenate(blocks), full[lo:hi])
+    starts, blocks = zip(*span_blocks(field, space.codes()))
+    assert starts[0] == 0 and len(blocks) > 1
+    assert np.array_equal(np.concatenate(blocks), full)
     stacked = np.stack([space.codes(), space.codes()[::-1]])
-    for start, block in span_blocks(field, stacked, lo, hi):
+    for start, block in span_blocks(field, stacked):
         assert block.shape == (len(block), 2, 4)
         assert np.array_equal(block[:, 0], full[start:start + len(block)])
 
@@ -104,71 +105,68 @@ def test_add_codes_every_branch(name):
     assert got.tolist() == code_index(field, np.array(sums)).tolist()
 
 
-def _kernel_cases(q):
-    """Bases (plain and stacked, dim 0 and width 0 among them) and ranges
-    [lo, hi) that miss block boundaries; ranges stay short over large q."""
+def _kernel_cases(field, chunk):
+    """Bases, plain and stacked, dim 0 and width 0 among them, with the
+    most points a block holds; only spans of at most 2^17 points in at most
+    4096 blocks, so GF(257) reaches dim 2 with the default blocks."""
     for shape in ((0, 3), (2, 0), (1, 4), (2, 3), (3, 2), (3, 2, 2), (4, 2, 1), (2, 0, 2)):
-        dim = shape[-2]
-        total = q ** dim
-        ranges = [(0, None), (1, total - 1)] if total <= 4096 else []
-        ranges.append((total // 3 + 1, min(total, total // 3 + 300)))
-        yield shape, ranges
+        width = shape[-1] * (shape[0] if len(shape) == 3 else 1)
+        step = max(1, chunk // (width * field.s or 1))
+        if field.q ** shape[-2] <= min(2 ** 17, 4096 * step):
+            yield shape, step
 
 
 @pytest.mark.parametrize("name", sorted(BRANCH_FIELDS))
 @pytest.mark.parametrize("chunk", [2 ** 16, 7], ids=["chunk-default", "chunk-7"])
 def test_span_blocks_match_reference_kernel(name, chunk, monkeypatch):
     """The additive kernel yields the points of the lift-and-matmul kernel,
-    in order, in consecutive blocks, and ``span_indices`` their indices."""
+    in order, in consecutive blocks of at most ``_CHUNK`` digits (or one
+    point), and ``span_indices`` their indices."""
     field = FieldSpec(*BRANCH_FIELDS[name])
     rng = np.random.default_rng(field.q + chunk)
     monkeypatch.setattr(fieldmod, "_CHUNK", chunk)
-    for shape, ranges in _kernel_cases(field.q):
+    for shape, step in _kernel_cases(field, chunk):
         basis = rng.integers(0, field.q, shape)
-        for lo, hi in ranges:
-            got = list(span_blocks(field, basis, lo, hi))
-            ref = [b for _, b in span_blocks_reference(field, basis, lo, hi)]
-            if not ref:   # an empty range
-                assert not got
-                continue
-            want = np.concatenate(ref)
-            starts, blocks = zip(*got)
-            assert starts[0] == lo
-            assert list(starts[1:]) == [s + len(b) for s, b in zip(starts, blocks)][:-1]
-            assert np.array_equal(np.concatenate(blocks), want), (shape, lo, hi)
-            # no block passes _CHUNK digits (or one point)
-            width = shape[-1] * (shape[0] if len(shape) == 3 else 1)
-            assert max(map(len, blocks)) <= max(1, chunk // (width * field.s or 1))
-        if field.q ** shape[-2] <= 4096:
-            full = np.concatenate([b for _, b in span_blocks_reference(field, basis)])
-            assert np.array_equal(span_indices(field, basis), code_index(field, full))
+        starts, blocks = zip(*span_blocks(field, basis))
+        want = np.concatenate([b for _, b in span_blocks_reference(field, basis)])
+        assert starts[0] == 0
+        assert list(starts[1:]) == [s + len(b) for s, b in zip(starts, blocks)][:-1]
+        assert np.array_equal(np.concatenate(blocks), want), shape
+        assert max(map(len, blocks)) <= step
+        assert np.array_equal(span_indices(field, basis), code_index(field, want))
 
 
-def test_large_field_span_walks_a_table_at_a_time():
-    """Over GF(65521) the table holds one whole coordinate: a dim-1 span and
-    a window of a dim-2 span come out in a handful of blocks, not one
-    block (or one Python step) per point of the prefix."""
+def test_large_field_span_walks_a_table_at_a_time(monkeypatch):
+    """Over GF(65521) the table holds one whole coordinate, so a dim-1 span
+    comes out in a handful of blocks, not one block per point; over
+    GF(257) at dim 2 with blocks of 64 points each prefix is walked a
+    piece of its table at a time, five blocks a prefix."""
     field = FieldSpec(65521)
-    for basis, lo, hi in (([[1, 3]], 0, None), ([[1, 3], [5, 0]], 7 * 65521 + 11, 9 * 65521 + 5)):
-        blocks = list(span_blocks(field, basis, lo, hi))
-        assert len(blocks) <= 8
-        want = np.concatenate([b for _, b in span_blocks_reference(field, basis, lo, hi)])
-        assert np.array_equal(np.concatenate([b for _, b in blocks]), want)
+    blocks = list(span_blocks(field, [[1, 3]]))
+    assert len(blocks) <= 8
+    want = np.concatenate([b for _, b in span_blocks_reference(field, [[1, 3]])])
+    assert np.array_equal(np.concatenate([b for _, b in blocks]), want)
+    field = FieldSpec(257)
+    monkeypatch.setattr(fieldmod, "_CHUNK", 128)
+    starts, blocks = zip(*span_blocks(field, [[1, 3], [5, 0]]))
+    assert len(blocks) == 257 * 5
+    assert all(s // 257 == (s + len(b) - 1) // 257 for s, b in zip(starts, blocks))
+    want = np.concatenate([b for _, b in span_blocks_reference(field, [[1, 3], [5, 0]])])
+    assert np.array_equal(np.concatenate(blocks), want)
 
 
 def test_weight_counts_match_reference(field, monkeypatch):
-    """Counts per run of ``group`` points, over a range off the block
-    boundaries, with blocks of a few points each."""
+    """Counts per run of ``group`` points, with blocks of a few points each,
+    so runs straddle block boundaries."""
     rng = random.Random(3 * field.q)
     gen = np.array([[rng.randrange(field.q) for _ in range(4)] for _ in range(3)])
-    group, q3 = field.q, field.q ** 3
-    lo, hi = group, q3 - group
-    want = np.zeros(((hi - lo) // group, 5), dtype=np.int64)
-    for start, block in span_blocks_reference(field, gen, lo, hi):
+    group = field.q
+    want = np.zeros((field.q ** 2, 5), dtype=np.int64)
+    for start, block in span_blocks_reference(field, gen):
         for i, row in enumerate(block.tolist(), start):
-            want[(i - lo) // group, sum(1 for c in row if c)] += 1
+            want[i // group, sum(1 for c in row if c)] += 1
     monkeypatch.setattr(fieldmod, "_CHUNK", 11)
-    assert np.array_equal(weight_counts(field, gen, lo, hi, group), want)
+    assert np.array_equal(weight_counts(field, gen, group), want)
 
 
 @pytest.mark.parametrize("spec", [(257,), (2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1])])
