@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GuardExceeded, InternalCheckError
+from .errors import GuardExceeded, InternalCheckError, power_text
 from .exact import WePoly, weight_counts
 from .field import code_index, span_blocks, vector_codes
 from .statespace import ControllerForm, connected_pairs, constant_code, output_map
@@ -104,11 +104,9 @@ def adjacency_by_transitions(cf: ControllerForm,
     """Enumerate every (state, input) transition straight from the
     definition; this is the independent oracle for the coset builder."""
     q = cf.field.q
-    cost = q ** (2 * cf.delta) * q ** cf.k
-    if cost > limit:
-        raise GuardExceeded(
-            f"transition enumeration needs q^(2*delta+k) = {cost} > limit {limit}"
-        )
+    if q ** (2 * cf.delta + cf.k) > limit:
+        raise GuardExceeded(f"transition enumeration needs q^(2*delta+k) = "
+                            f"{power_text(q, 2 * cf.delta + cf.k)} > limit {limit}")
     # (X, u) -> (X A + u B, X C + u D) as one linear map, X varying slowest
     gen = vector_codes([a + c for a, c in zip(cf.A.rows, cf.C.rows)]
                        + [b + d for b, d in zip(cf.B.rows, cf.D.rows)], cf.delta + cf.n)
@@ -131,11 +129,9 @@ def adjacency_by_transitions(cf: ControllerForm,
 def coset_guard(q: int, delta: int, k: int, limit: int = PAIR_LIMIT):
     """Raise when the coset point count q^(delta+k) of a code of dimension
     k passes ``limit``."""
-    points = q ** (delta + k)
-    if points > limit:
-        raise GuardExceeded(
-            f"coset enumeration needs q^(delta+k) = {points} points > limit {limit}"
-        )
+    if q ** (delta + k) > limit:
+        raise GuardExceeded(f"coset enumeration needs q^(delta+k) = "
+                            f"{power_text(q, delta + k)} points > limit {limit}")
 
 
 def adjacency_by_cosets(cf: ControllerForm, limit: int = PAIR_LIMIT) -> AdjMatrix:

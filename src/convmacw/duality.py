@@ -5,9 +5,11 @@ explicit reordering of the state pairs, one closed-form witness W and
 its negative for codes where one side has all indices <= 1, the
 projective witness search, and the unit-memory per-entry formulas.
 
-Everything is exact: the heavy grids are integer tensors over explicit
-denominators (powers of q).  Conjugation is a Fourier transform on the
-connected pairs, whose count sums run in float64 (BLAS) below 2^53.
+Everything is exact: both sides of the identity are (rows, grid) tables,
+integer coefficient rows over explicit denominators (powers of q) read
+through an index grid with one int per state pair.  Conjugation is a
+Fourier transform on the connected pairs, whose count sums run in
+float64 (BLAS) below 2^53.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .adjacency import AdjMatrix, adjacency_by_cosets, coset_guard
-from .errors import GuardExceeded, InternalCheckError
+from .errors import GuardExceeded, InternalCheckError, power_text
 from .exact import macwilliams_rows
 from .field import FieldSpec, index_codes, pair_indices, span_indices, vector_codes
 from .linalg import FMat, right_null_space, rref, unit_vec
@@ -30,15 +32,16 @@ from .statespace import (ControllerForm, connected_pairs, connected_pairs_orth,
 
 GRID_LIMIT = 2 ** 20     # bound on q^(2*delta), the full pair grid
 SEARCH_LIMIT = 2 ** 17   # bound on candidate row images the witness search examines
+_BLOCK = 2 ** 12         # pairs whose rows one table comparison gathers at a time
 
 
 def grid_guard(q: int, delta: int, limit: int = GRID_LIMIT, width: int = 1):
     """Raise when the state-pair count q^(2 delta) passes ``limit``; the
     message gives the bytes of one int64 grid of ``width`` values a pair."""
-    pairs = q ** (2 * delta)
-    if pairs > limit:
-        raise GuardExceeded(f"pair grid q^(2*delta) = {pairs} > limit {limit} ({8 * width * pairs}"
-                            f" bytes per int64 grid of {width} values a pair)")
+    if q ** (2 * delta) > limit:
+        raise GuardExceeded(f"pair grid q^(2*delta) = {power_text(q, 2 * delta)} > limit {limit} "
+                            f"({power_text(q, 2 * delta, 8 * width)} bytes per int64 grid of "
+                            f"{width} values a pair)")
 
 
 def trace_exponents(field: FieldSpec, dim: int) -> np.ndarray:
@@ -122,12 +125,12 @@ def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> tuple[np.ndarray, n
 
 
 def macwilliams_image(field: FieldSpec, rows: np.ndarray, at: np.ndarray,
-                      neg_perm: np.ndarray) -> np.ndarray:
+                      neg_perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise MacWilliams transform of the conjugation of the
     transposed adjacency matrix, scaled by q^(-k): the candidate for the
-    dual adjacency matrix, a (q^delta, q^delta, n+1) int64 tensor over
-    q^(delta+k), from the conjugated ``rows`` and ``at`` of a code of
-    dimension k.
+    dual adjacency matrix over q^(delta+k), from the conjugated ``rows``
+    and ``at`` of a code of dimension k, as a (rows, grid) table whose
+    entry (X, Y) is ``rows[grid[X, Y]]``.
 
     H runs once per row of ``rows``; conjugating the transpose is index
     algebra on its index grid: the (X, Y) entry of the de-conjugated
@@ -148,8 +151,7 @@ def macwilliams_image(field: FieldSpec, rows: np.ndarray, at: np.ndarray,
             f"MacWilliams transform bound max|entry| * max column sum of |H| "
             f"= {bound} >= 2^62 (int64 headroom)"
         )
-    image = rows @ np.array(h, dtype=np.int64)
-    return image[at[neg_perm].T]
+    return rows @ np.array(h, dtype=np.int64), at[neg_perm].T
 
 
 class DualPair:
@@ -202,15 +204,22 @@ class DualPair:
         return fourier_transform(self.adj, self.cf)
 
     @cached_property
-    def transformed(self) -> np.ndarray:
-        """The entrywise transform's numerators over q^(delta+k)."""
+    def transformed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entrywise transform's numerators over q^(delta+k), as a
+        (rows, grid) table."""
         return macwilliams_image(self.field, *self.fourier, self.neg_perm)
 
     @cached_property
-    def dual_scaled(self) -> np.ndarray:
-        """The dense dual adjacency matrix over the transform's denominator."""
-        dense = self.adj_dual.dense_coefficients()
-        return np.multiply(dense, self.field.q ** (self.delta + self.k), out=dense)
+    def dual_scaled(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dual adjacency matrix over the transform's denominator, as a
+        (rows, grid) table: row 0 is zero, row i the i-th support entry's
+        scaled counts, and the grid is 0 off the support."""
+        adj = self.adj_dual
+        rows = np.zeros((len(adj.index) + 1, self.n + 1), dtype=np.int64)
+        np.multiply(adj.counts, self.field.q ** (self.delta + self.k), out=rows[1:])
+        grid = np.zeros(adj.size * adj.size, dtype=np.int64)
+        grid[adj.index] = np.arange(1, len(rows))
+        return rows, grid.reshape(adj.size, adj.size)
 
     @cached_property
     def pairing(self) -> FMat:
@@ -302,19 +311,43 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     # pair (X, Y) has index X * size + Y, its canonical index in F^(2 delta),
     # and the entrywise transform at (X, Y) is the transformed matrix at (Y, -X)
     x, y = np.divmod(pair_indices(f, vector_codes(fmat.rows, two_delta)), size)
-    _require(pair, pair.transformed[y, pair.neg_perm[x]], "reordered transform")
+    rows, grid = pair.transformed
+    _require(pair, (rows, grid[y, pair.neg_perm[x]]), "reordered transform")
     return WeakIdentityReport(entries_checked=size * size)
 
 
-def _mismatches(pair: DualPair, moved: np.ndarray) -> np.ndarray:
-    """The pairs (X, Y), in row-major order, where ``moved`` differs from
-    the scaled dual adjacency matrix: the one entrywise comparison."""
-    if np.array_equal(pair.dual_scaled, moved):
-        return np.empty((0, 2), dtype=np.int64)
-    return np.argwhere((pair.dual_scaled != moved).any(axis=2))
+def _differ(table: tuple, nonzero: np.ndarray, d_rows: np.ndarray, support: np.ndarray,
+            theirs: np.ndarray) -> np.ndarray | None:
+    """The pairs where a (rows, grid) ``table`` differs from the dual, as a
+    bool grid, or None where they agree.  The dual is given on its support
+    S: the flat positions ``support`` of its nonzero entries, whose rows are
+    ``d_rows[theirs]``; ``nonzero`` marks the nonzero rows of ``table``.
+    Two exact parts and no dense gather: the rows of ``table`` on S, a
+    block of pairs at a time, and its count of nonzero entries.  Once the
+    rows on S agree, all |S| of them are nonzero, so a count of |S| leaves
+    no nonzero entry off S."""
+    rows, grid = table
+    ours, bad = grid.ravel()[support], nonzero[grid]
+    blocks = [slice(i, i + _BLOCK) for i in range(0, len(support), _BLOCK)]
+    if np.count_nonzero(bad) == len(support) and all(
+            np.array_equal(rows[ours[b]], d_rows[theirs[b]]) for b in blocks):
+        return None
+    for b in blocks:
+        bad.flat[support[b]] = (rows[ours[b]] != d_rows[theirs[b]]).any(axis=1)
+    return bad
 
 
-def _require(pair: DualPair, moved: np.ndarray, identity: str):
+def _mismatches(pair: DualPair, moved: tuple) -> np.ndarray:
+    """The pairs (X, Y), in row-major order, where the (rows, grid) table
+    ``moved`` differs from the scaled dual adjacency matrix: the one
+    entrywise comparison."""
+    d_rows, d_grid = pair.dual_scaled
+    support = np.flatnonzero(d_grid)   # its grid is 0 exactly at its zero entries
+    bad = _differ(moved, moved[0].any(axis=1), d_rows, support, d_grid.ravel()[support])
+    return np.empty((0, 2), dtype=np.int64) if bad is None else np.argwhere(bad)
+
+
+def _require(pair: DualPair, moved: tuple, identity: str):
     """Raise, naming ``identity`` and its first mismatching pair, unless
     ``moved`` is the scaled dual adjacency matrix."""
     bad = _mismatches(pair, moved)
@@ -323,11 +356,12 @@ def _require(pair: DualPair, moved: np.ndarray, identity: str):
                                  f"(X, Y) = ({bad[0, 0]}, {bad[0, 1]})")
 
 
-def _witness_moved(pair: DualPair, P: FMat) -> np.ndarray:
+def _witness_moved(pair: DualPair, P: FMat) -> tuple:
     """The transform with both states relabelled by X -> X P: the right
-    side of the identity for the witness P."""
+    side of the identity for the witness P, as a (rows, grid) table."""
     perm = span_indices(pair.field, vector_codes(P.rows, pair.delta))
-    return pair.transformed[np.ix_(perm, perm)]
+    rows, grid = pair.transformed
+    return rows, grid[np.ix_(perm, perm)]
 
 
 def closed_form_witness_dual(pair: DualPair) -> FMat:
@@ -369,20 +403,21 @@ def _mix(h: np.ndarray) -> np.ndarray:
     return h ^ (h >> np.uint64(31))
 
 
-def _state_colours(table: np.ndarray) -> np.ndarray:
-    """Colour of every state of a (size, size, w) table: a hash of its
-    diagonal entry and of the sorted entries of its row and of its column.
-    A witness maps each state to one of the same colour, and equal entries
-    hash equal, so a collision only weakens the pruning."""
-    size, w = table.shape[1:]
-    entry = _mix(np.ascontiguousarray(table, dtype=np.int64).view(np.uint64)
-                 @ _mix(np.arange(1, w + 1, dtype=np.uint64)))
-    place = _mix(np.arange(1, size + 1, dtype=np.uint64))
-    rows = _mix(np.sort(entry, axis=1) @ place)
-    cols = _mix(np.sort(entry, axis=0).T @ place)
+def _state_colours(table: tuple) -> np.ndarray:
+    """Colour of every state of a (rows, grid) table: a hash of its
+    diagonal entry and of the sorted entries of its row and of its column,
+    each distinct row hashed once.  A witness maps each state to one of
+    the same colour, and equal entries hash equal, so a collision only
+    weakens the pruning."""
+    rows, grid = table
+    weights = _mix(np.arange(1, rows.shape[1] + 1, dtype=np.uint64))
+    entry = _mix(np.ascontiguousarray(rows, dtype=np.int64).view(np.uint64) @ weights)[grid]
+    place = _mix(np.arange(1, len(grid) + 1, dtype=np.uint64))
+    by_row = _mix(np.sort(entry, axis=1) @ place)
+    by_col = _mix(np.sort(entry, axis=0).T @ place)
     # compared as int64, whose loops the pipeline has already loaded: uint64
     # comparisons touch about 0.16 MB of fresh pages in every process
-    return _mix(_mix(entry.diagonal() + rows) + cols).view(np.int64)
+    return _mix(_mix(entry.diagonal() + by_row) + by_col).view(np.int64)
 
 
 def _candidate_position(field: FieldSpec, rows: list[int]) -> int:
@@ -419,9 +454,17 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
     examined, q^delta per expanded node."""
     field, delta = pair.field, pair.delta
     q, size = field.q, field.q ** delta
-    target, tnum = pair.dual_scaled, pair.transformed
-    # one table at a time: a stack would copy both dense tensors
-    want, have = _state_colours(target), _state_colours(tnum)
+    (d_rows, d_grid), (t_rows, t_grid) = pair.dual_scaled, pair.transformed
+    want, have = _state_colours(pair.dual_scaled), _state_colours(pair.transformed)
+    nonzero = t_rows.any(axis=1)
+    # the dual's side of the prefix check at each depth: its support on the
+    # span of e_1, ..., e_depth, and the rows there
+    dual_blocks = []
+    for depth in range(delta + 1):
+        span = np.arange(q ** depth) * q ** (delta - depth)
+        block = d_grid[span[:, None], span].ravel()
+        support = np.flatnonzero(block)
+        dual_blocks.append((support, block[support]))
     first = np.zeros(size, dtype=bool)
     for m in range(delta):
         first[q ** m:2 * q ** m] = True
@@ -430,8 +473,8 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
     def visit(rows: list[int], image: np.ndarray) -> list[int] | None:
         nonlocal examined
         depth = len(rows)
-        span = np.arange(q ** depth) * q ** (delta - depth)
-        if not np.array_equal(target[span[:, None], span], tnum[image[:, None], image]):
+        if _differ((t_rows, t_grid[image[:, None], image]), nonzero, d_rows,
+                   *dual_blocks[depth]) is not None:
             return None
         if depth == delta:
             return rows
@@ -486,7 +529,8 @@ def check_unit_memory(pair: DualPair) -> int:
     lam00, lam01, row1 = lam[0, 0], lam[0, 1], lam[1].sum(axis=0)
     inner = lam00 + q * lam - lam01 - row1
     inner[0, 0] = lam00 + (q - 1) * (lam01 + row1)
-    _require(pair, inner @ ht, "unit-memory formula")
+    table = (inner @ ht).reshape(q * q, -1), np.arange(q * q).reshape(q, q)
+    _require(pair, table, "unit-memory formula")
     return q * q
 
 

@@ -21,6 +21,7 @@ import numpy as np
 # Full multiplication/addition tables are only built below this size;
 # larger fields fall back to digit-wise arithmetic per operation.
 _TABLE_MAX = 256
+_BLOCK_MAX = 64   # bound on p^h for the F_p^h addition table: at most 2^12 int64 entries
 
 
 def _is_prime(n: int) -> bool:
@@ -81,6 +82,23 @@ def _divmod(field: FieldSpec, a: tuple, b: tuple):
 def _prime_field(p: int) -> FieldSpec:
     """GF(p), whose polynomials build every GF(p^s)."""
     return FieldSpec(p)
+
+
+@functools.cache
+def _digit_sums(p: int) -> tuple[int, np.ndarray]:
+    """(h, table) for the most base-p digits h with p^h <= _BLOCK_MAX: the
+    (p^h, p^h) int64 table of the digit-wise sums mod p of two blocks of h
+    digits, which is the addition table of F_p^h."""
+    h = 1
+    while p ** (h + 1) <= _BLOCK_MAX:
+        h += 1
+    # the digit-wise sum of codes x, y is p times that of x // p and y // p,
+    # plus (x + y) % p
+    digit = (np.arange(p)[:, None] + np.arange(p)) % p
+    table = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(h):
+        table = (p * table[:, None, :, None] + digit[:, None]).reshape(p * len(table), -1)
+    return h, table
 
 
 class FieldElement:
@@ -220,6 +238,10 @@ class FieldSpec:
         # the trace of a is that of multiplication by a, linear in its digits
         self._traces = np.trace(self._lift.reshape(s, s, s), axis1=1, axis2=2).tolist()
         self._add_t = self._add_np = self._mul_t = self._inv_t = self._neg_t = None
+        if 2 < p <= _BLOCK_MAX:
+            # cached now, not amid a computation, where the table would keep
+            # the heap from shrinking after it (about 0.1 MB of peak RSS)
+            _digit_sums(p)
         if self.q <= _TABLE_MAX:
             # digit-wise sums, and products from the F_p lift of the kernel
             codes = np.arange(self.q, dtype=np.int64)
@@ -477,7 +499,9 @@ def add_codes(field: FieldSpec, a, b, length: int = 1):
     F^length given by their indices.  Both are digit vectors over F_p,
     which addition adds digit by digit: XOR at p = 2, else a gather from
     the add table up to q = 256 (faster than a sum mod p), a sum mod p
-    over a larger prime field and a base-p loop otherwise."""
+    over a larger prime field, and otherwise one gather per block of h
+    base-p digits from the addition table of F_p^h, or a sum mod p per digit
+    past p = 64."""
     p = field.p
     if p == 2:
         return a ^ b
@@ -485,10 +509,11 @@ def add_codes(field: FieldSpec, a, b, length: int = 1):
         return field._add_np[a, b]
     if length == 1 and field.s == 1:
         return (a + b) % p
-    out, place = np.zeros(np.broadcast(a, b).shape, dtype=np.int64), 1
-    for _ in range(length * field.s):
-        out = out + (a // place + b // place) % p * place
-        place *= p
+    h, table = _digit_sums(p) if p <= _BLOCK_MAX else (1, None)
+    base, out = p ** h, np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    for place in base ** np.arange(-(-length * field.s // h), dtype=np.int64):
+        x, y = a // place % base, b // place % base
+        out += table[x, y] * place if table is not None else (x + y) % p * place
     return out
 
 

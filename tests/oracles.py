@@ -4,8 +4,9 @@ block of the dual closed form: the production routes check only the full
 identity), the two closed-form witness products of the paper, the dense
 bucket product and the closed-form route to the conjugated matrix, the
 block-wise representative output and pairing matrix, the pair split with
-its output kernel, subspace intersection, and FieldElement-level helpers
-to compare its int-code kernels against.
+its output kernel, subspace intersection, the dense comparison and state
+colours of (rows, grid) tables, and FieldElement-level helpers to compare
+its int-code kernels against.
 A check raises InternalCheckError when its identity fails."""
 
 import itertools
@@ -269,10 +270,49 @@ def state_perm(P: FMat) -> np.ndarray:
     return perm
 
 
-def grid(matrix) -> np.ndarray:
-    """The (size, size, n+1) numerators of a conjugated matrix, given as
-    its (rows, at), or of a transformed matrix, one row per state pair."""
-    return matrix[0][matrix[1]] if isinstance(matrix, tuple) else matrix
+def dense(table) -> np.ndarray:
+    """The (size, size, n+1) numerators of a (rows, grid) table, whose
+    entry (X, Y) is rows[grid[X, Y]]: a conjugated matrix (rows, at), the
+    transformed matrix or the scaled dual.  A dense tensor passes through."""
+    return table[0][table[1]] if isinstance(table, tuple) else table
+
+
+def to_table(tensor: np.ndarray) -> tuple:
+    """The (rows, grid) table of a dense (size, size, w) tensor in the form
+    of ``DualPair.dual_scaled``: row 0 is zero, then one row per nonzero
+    entry in row-major order, and the grid is 0 at the zero entries."""
+    flat = tensor.reshape(-1, tensor.shape[-1])
+    support = np.flatnonzero(flat.any(axis=1))
+    rows = np.zeros((len(support) + 1, flat.shape[1]), dtype=np.int64)
+    rows[1:] = flat[support]
+    grid = np.zeros(len(flat), dtype=np.int64)
+    grid[support] = np.arange(1, len(rows))
+    return rows, grid.reshape(tensor.shape[:2])
+
+
+def dense_mismatches(dual, moved) -> np.ndarray:
+    """The pairs (X, Y), in row-major order, where two tables differ, from
+    the dense comparison of every coefficient of every pair."""
+    return np.argwhere((dense(dual) != dense(moved)).any(axis=2))
+
+
+def _mix(h: np.ndarray) -> np.ndarray:
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
+
+
+def dense_state_colours(tensor: np.ndarray) -> np.ndarray:
+    """The search's state colours hashed pair by pair from a dense
+    (size, size, w) tensor: one hash per entry, then its diagonal and the
+    sorted hashes of its row and of its column."""
+    size, w = tensor.shape[1:]
+    entry = _mix(np.ascontiguousarray(tensor, dtype=np.int64).view(np.uint64)
+                 @ _mix(np.arange(1, w + 1, dtype=np.uint64)))
+    place = _mix(np.arange(1, size + 1, dtype=np.uint64))
+    rows = _mix(np.sort(entry, axis=1) @ place)
+    cols = _mix(np.sort(entry, axis=0).T @ place)
+    return _mix(_mix(entry.diagonal() + rows) + cols).view(np.int64)
 
 
 def transform_denom(pair) -> int:
@@ -284,7 +324,7 @@ def transform_denom(pair) -> int:
 def fraction_entry(matrix, denom: int, i: int, j: int) -> tuple[Fraction, ...]:
     """Entry (i, j) of a conjugated or transformed matrix over ``denom``
     as rationals."""
-    return tuple(Fraction(int(c), denom) for c in grid(matrix)[i, j])
+    return tuple(Fraction(int(c), denom) for c in dense(matrix)[i, j])
 
 
 def entry_we(matrix, denom: int, i: int, j: int) -> WePoly:
@@ -460,7 +500,7 @@ def fourier_conjugate(adj: AdjMatrix, zeta_exponent: int = 1) -> tuple[np.ndarra
 def check_bucket_route(fm, adj: AdjMatrix):
     """The production conjugated matrix ``fm`` of ``adj`` equals the dense
     bucket product."""
-    if not np.array_equal(grid(fm), grid(fourier_conjugate(adj))):
+    if not np.array_equal(dense(fm), dense(fourier_conjugate(adj))):
         raise InternalCheckError("Fourier transform and bucket product disagree on "
                                  "the conjugated matrix")
 
@@ -557,7 +597,7 @@ def fourier_closed_form(adj: AdjMatrix, cf) -> np.ndarray:
 
 def check_fourier_closed_form(fm, adj: AdjMatrix, cf):
     """The conjugated matrix ``fm`` of ``adj`` equals the closed form."""
-    if not np.array_equal(grid(fm) * (adj.field.q - 1), fourier_closed_form(adj, cf)):
+    if not np.array_equal(dense(fm) * (adj.field.q - 1), fourier_closed_form(adj, cf)):
         raise InternalCheckError("direct product and closed form disagree on the "
                                  "conjugated matrix")
 
@@ -590,7 +630,7 @@ def entrywise(pair) -> np.ndarray:
     """The transform of each conjugated entry where it stands, over
     q^(delta+k): transformed[X, Y] is entrywise[-Y, X], so this is index
     algebra."""
-    return pair.transformed[:, pair.neg_perm].transpose(1, 0, 2)
+    return dense(pair.transformed)[:, pair.neg_perm].transpose(1, 0, 2)
 
 
 def check_transform_routes(pair):
@@ -598,10 +638,10 @@ def check_transform_routes(pair):
     it stands, computed here directly, and transformed[X, Y] is that
     transform at (-Y, X)."""
     rows = np.array(macwilliams_rows(pair.n, pair.field.q), dtype=np.int64)
-    direct = np.einsum("xyj,jt->xyt", grid(pair.fourier), rows)
+    direct = np.einsum("xyj,jt->xyt", dense(pair.fourier), rows)
     if not np.array_equal(entrywise(pair), direct):
         raise InternalCheckError("entrywise transform differs from the direct one")
-    if not np.array_equal(pair.transformed, direct[pair.neg_perm].transpose(1, 0, 2)):
+    if not np.array_equal(dense(pair.transformed), direct[pair.neg_perm].transpose(1, 0, 2)):
         raise InternalCheckError("transformed[X, Y] is not entrywise[-Y, X]")
 
 def character_structure_checks(field, delta: int, zeta_exponent: int = 1,
@@ -646,7 +686,7 @@ def check_orth_translation_invariance(fm, cf):
     for pair in np.concatenate([b for _, b in span_blocks(cf.field, orth.codes())]):
         pu = shift_perm(cf.field, pair[: cf.delta])
         pv = shift_perm(cf.field, pair[cf.delta:])
-        if not np.array_equal(grid(fm)[np.ix_(pu, pv)], grid(fm)):
+        if not np.array_equal(dense(fm)[np.ix_(pu, pv)], dense(fm)):
             raise InternalCheckError("translation invariance along the pair "
                                      "orthogonal failed")
 
@@ -656,7 +696,7 @@ def check_zeta_independence(pair) -> bool:
     it is the production conjugated matrix, which takes no root."""
     for d in range(1, pair.field.p):
         other = fourier_conjugate(pair.adj, d)
-        if not np.array_equal(grid(other), grid(pair.fourier)):
+        if not np.array_equal(dense(other), dense(pair.fourier)):
             raise InternalCheckError("conjugated matrix depends on the root choice")
     return True
 
@@ -760,7 +800,7 @@ def check_transport(pair) -> int:
     # the same coefficients c give v = c @ basis and v M = c @ (basis M)
     x, y = np.divmod(dspace.point_indices(), size)
     wx, wy = np.divmod(span_indices(pair.field, moved), size)
-    if not np.array_equal(pair.dual_scaled[x, y], entrywise(pair)[wx, wy]):
+    if not np.array_equal(dense(pair.dual_scaled)[x, y], entrywise(pair)[wx, wy]):
         raise InternalCheckError("transport identity failed at a dual pair")
     return len(x)
 
@@ -769,8 +809,8 @@ def entry_multisets_equal(pair) -> bool:
     """The dual matrix and the transformed matrix hold the same multiset
     of entries (the weak identity without its reordering)."""
     size = pair.field.q ** pair.delta
-    flat_dual = pair.dual_scaled.reshape(size * size, -1)
-    tnum = pair.transformed.reshape(size * size, -1)
+    flat_dual = dense(pair.dual_scaled).reshape(size * size, -1)
+    tnum = dense(pair.transformed).reshape(size * size, -1)
     return np.array_equal(flat_dual[np.lexsort(flat_dual.T)], tnum[np.lexsort(tnum.T)])
 
 

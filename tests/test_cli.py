@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from convmacw import WePoly, adjacency, duality, polymat
@@ -16,7 +17,7 @@ from convmacw.linalg import FMat
 from convmacw.polymat import code_degree
 from conftest import (BINARY_523, CHAR_GRID_2_3, LONG_00, TERNARY_322,
                       WITNESS_P_TERNARY)
-from oracles import same_code
+from oracles import same_code, to_table
 
 # a pinned benchmark document: GF(5) (4, 2), delta = 2, closed-form route
 GRID_DOC = "bench/pinned/grid/02-q5-n4k2d2.json"
@@ -279,6 +280,26 @@ def test_verify_guards_precede_controller_form(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(
         f"error: coset enumeration needs q^(delta+k) = {2 ** 257} points")
     assert calls == []
+
+
+@pytest.mark.parametrize("args,document,message", [
+    (["macw", "--p", "65521", "--delta", "256"], None,
+     "pair grid q^(2*delta) = 65521^512 > limit 1048576 (8 * 65521^512 bytes per int64 "
+     "grid of 1 values a pair)"),
+    (["verify", "DOC"], {"field": {"p": 65521}, "generator": [["1+z^200", "1"]]},
+     "coset enumeration needs q^(delta+k) = 65521^201 points > limit 1048576"),
+], ids=["grid", "cosets"])
+def test_guard_refusals_stay_one_short_line(tmp_path, capsys, args, document, message):
+    """A count past 80 digits prints as a power: q^(2 delta) here has 2467
+    digits, and q^(delta+k) 968."""
+    if document is not None:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(document))
+        args = [str(path) if a == "DOC" else a for a in args]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert len(captured.err.encode()) < 200
 
 
 def test_dual_roundtrip(binary_doc, capsys, tmp_path):
@@ -641,13 +662,63 @@ def test_entrywise_failure_names_the_identity_and_pair(capsys, monkeypatch, doc,
     def corrupted(pair):
         dense = pair.adj_dual.dense_coefficients() * pair.field.q ** (pair.delta + pair.k)
         dense[0, 1, 0] += 1
-        return dense
+        return to_table(dense)
 
     monkeypatch.setattr(duality.DualPair, "dual_scaled", property(corrupted))
     assert main(["verify", f"bench/pinned/{doc}", "--mode", mode]) == 4
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"internal check failed: {identity} does "
                                                 f"not match the dual at pair (X, Y) = (0, 1)\n")
+
+
+@pytest.mark.parametrize("doc,mode,identity,mutation", [
+    ("search/00-q2-n5k2d4.json", "weak", "reordered transform", "nonzero off the support"),
+    ("search/00-q2-n5k2d4.json", "weak", "reordered transform", "count changed"),
+    ("search/00-q2-n5k2d4.json", "weak", "reordered transform", "support entry zeroed"),
+    ("long/03-q3-n10k5d1.json", "unit-memory", "unit-memory formula", "count changed"),
+    ("long/03-q3-n10k5d1.json", "unit-memory", "unit-memory formula", "support entry zeroed"),
+    ("grid/01-q3-n6k2d4.json", "theorem-q", "closed-form witness", "count changed"),
+    ("grid/01-q3-n6k2d4.json", "theorem-q", "closed-form witness", "support entry zeroed"),
+    ("dual of grid/00-q2-n8k2d6.json", "theorem-p", "closed-form witness",
+     "nonzero off the support"),
+    ("grid/02-q5-n4k2d2.json", "theorem-p", "closed-form witness", "count changed"),
+])
+def test_mutated_dual_table_names_its_first_pair(capsys, monkeypatch, tmp_path, doc, mode,
+                                                 identity, mutation):
+    """Both parts of the table comparison name the first failing pair in
+    row-major order.  The scaled dual is mutated at the last two pairs of
+    one kind: a nonzero row put at two pairs off its support, or a count
+    changed at two support pairs (the row part fails), or two support
+    entries zeroed, so the other side has more nonzero entries than the
+    dual (the count part fails)."""
+    if doc.startswith("dual of "):   # r = delta and a dual support short of the grid
+        assert main(["dual", f"bench/pinned/{doc[8:]}"]) == 0
+        path = tmp_path / "dual.json"
+        path.write_text(capsys.readouterr().out)
+    else:
+        path = f"bench/pinned/{doc}"
+    real, first = duality.DualPair.dual_scaled.func, []
+
+    def mutated(pair):
+        rows, grid = real(pair)
+        rows, grid = np.vstack([rows, rows[1:2]]), grid.copy()
+        flat = grid.reshape(-1)
+        at = np.flatnonzero(flat == 0 if mutation == "nonzero off the support" else flat)[-2:]
+        if mutation == "nonzero off the support":
+            flat[at] = len(rows) - 1
+        elif mutation == "count changed":
+            rows[flat[at], -1] += 1
+        else:
+            flat[at] = 0
+        first[:] = divmod(int(at[0]), len(grid))
+        return rows, grid
+
+    monkeypatch.setattr(duality.DualPair, "dual_scaled", property(mutated))
+    assert main(["verify", str(path), "--mode", mode]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"internal check failed: {identity} does "
+                                                f"not match the dual at pair (X, Y) = "
+                                                f"({first[0]}, {first[1]})\n")
 
 
 def test_singular_closed_form_witness_exit_4(binary_doc, capsys, monkeypatch):

@@ -24,11 +24,12 @@ from oracles import (block_matrix, bucket_tensor, character_structure_checks,
                      check_fourier_closed_form,
                      check_orth_translation_invariance, check_pairing_lemma,
                      check_transform_routes, check_transport,
-                     check_zeta_independence, correction_block, dual_side_witness,
+                     check_zeta_independence, correction_block, dense,
+                     dense_mismatches, dense_state_colours, dual_side_witness,
                      entry_we,
                      entry_multisets_equal,
                      entrywise, enumerate_vectors, fourier_conjugate,
-                     fraction_entry, grid,
+                     fraction_entry,
                      int_matrix, matrix01, negation_perm, orth_mask, output_kernel,
                      padded, pairing_codes, primal_side_witness,
                      random_minimal_encoder, sides, state_pairing_matrix, state_perm,
@@ -94,13 +95,13 @@ def test_fourier_vanishes_off_kernel_orthogonal(binary_523, binary_523_dual):
     pair = DualPair(binary_523_dual, binary_523)
     kernel = output_kernel(pair.cf)
     assert kernel.dim == 2
-    zero_cells = int(np.all(grid(pair.fourier) == 0, axis=2).sum())
+    zero_cells = int(np.all(dense(pair.fourier) == 0, axis=2).sum())
     assert zero_cells == 64 - 2 ** 4
     mask = orth_mask(pair.field, pairing_codes(pair.field, pair.delta), kernel.basis)
     for i in range(8):
         for j in range(8):
             if not mask[i, j]:
-                assert not grid(pair.fourier)[i, j].any()
+                assert not dense(pair.fourier)[i, j].any()
 
 
 def test_fourier_bucket_collapse(ternary_pair):
@@ -115,7 +116,7 @@ def test_fourier_bucket_collapse(ternary_pair):
         assert buckets.shape[0] == p
         for j in range(1, p - 1):
             assert np.array_equal(buckets[j], buckets[p - 1])
-        assert np.array_equal(buckets[0] - buckets[p - 1], grid(fm))
+        assert np.array_equal(buckets[0] - buckets[p - 1], dense(fm))
 
 
 @pytest.mark.parametrize("spec,rows,m,m_dual", [
@@ -178,7 +179,7 @@ def test_transformed_degree_zero_is_block_dual(f2):
     # enumerator identity, checked against brute-force dual enumeration
     G = PolyMatrix.from_strings(f2, [["1", "0", "1"], ["0", "1", "1"]])
     pair = DualPair(G)
-    t = pair.transformed
+    t = dense(pair.transformed)
     assert t.shape == (1, 1, 4)
     dual_counts = [0] * 4
     for v in enumerate_vectors(f2, 3):
@@ -192,7 +193,7 @@ def test_zeta_independence(ternary_pair):
     assert check_zeta_independence(ternary_pair)
     # and the conjugated grids at both roots agree entry by entry
     other = fourier_conjugate(ternary_pair.adj, zeta_exponent=2)
-    assert np.array_equal(grid(other), grid(ternary_pair.fourier))
+    assert np.array_equal(dense(other), dense(ternary_pair.fourier))
 
 
 def test_pairing_matrix_golden(binary_pair):
@@ -212,7 +213,7 @@ def test_pairing_lemma_and_transport(binary_pair, ternary_pair):
 def test_transport_zero_pair(binary_pair):
     # the zero pair maps to the zero pair, giving the block-style entry
     t = entrywise(binary_pair)
-    lhs = binary_pair.dual_scaled[0, 0]
+    lhs = dense(binary_pair.dual_scaled)[0, 0]
     assert np.array_equal(lhs, t[0, 0])
 
 
@@ -449,12 +450,66 @@ def test_scaled_witness_moves_the_transform_alike(corpus):
         f, moved = pair.field, duality._witness_moved(pair, W)
         for c in range(1, f.q):
             scaled = FMat(f, pair.delta, pair.delta, [f.scale(c, r) for r in W.rows])
-            assert np.array_equal(duality._witness_moved(pair, scaled), moved)
+            assert np.array_equal(dense(duality._witness_moved(pair, scaled)), dense(moved))
             perm = state_perm(FMat(f, pair.delta, pair.delta,
                                    [f.scale(c, r) for r in FMat.identity(f, pair.delta).rows]))
-            assert np.array_equal(pair.dual_scaled[np.ix_(perm, perm)], pair.dual_scaled)
+            target = dense(pair.dual_scaled)
+            assert np.array_equal(target[np.ix_(perm, perm)], target)
         checked += 1
     assert checked > 0
+
+
+def _pinned_pairs() -> list:
+    paths = sorted(PINNED.glob("*/*.json"))
+    assert len(paths) == 28
+    return [DualPair(CodeDocument.from_path(str(path)).generator) for path in paths]
+
+
+def test_table_comparison_matches_the_dense_one_on_pinned_documents(monkeypatch):
+    """The two-part comparison of (rows, grid) tables finds the pairs that
+    a comparison of every coefficient of every pair finds, in row-major
+    order: for W, for the weak identity's reordered transform, and for 20
+    random invertible witnesses per pinned document, which fail both on
+    the dual's support and off it; ``check_witness`` counts them."""
+    moved = []
+    monkeypatch.setattr(duality, "_require", lambda pair, table, identity: moved.append(table))
+    rng, kinds = random.Random(23), Counter()
+    for pair in _pinned_pairs():
+        f, d = pair.field, pair.delta
+        moved.clear()
+        check_weak_identity(pair)
+        try:
+            pair.closed_form   # W, checked through the patched _require
+        except InternalCheckError:   # W is singular: no table to compare
+            pass
+        for table in moved:
+            reference = dense_mismatches(pair.dual_scaled, table)
+            assert np.array_equal(duality._mismatches(pair, table), reference)
+            kinds["W or weak map", len(reference) > 0] += 1
+        for _ in range(20):
+            P = FMat(f, d, d, [[f.element(rng.randrange(f.q)) for _ in range(d)]
+                               for _ in range(d)])
+            if not P.is_invertible():
+                continue
+            table = duality._witness_moved(pair, P)
+            reference = dense_mismatches(pair.dual_scaled, table)
+            assert np.array_equal(duality._mismatches(pair, table), reference)
+            assert check_witness(pair, P) == (len(reference) == 0, len(reference))
+            on_support = dense(pair.dual_scaled)[tuple(reference.T)].any(axis=1)
+            kinds["on the support"] += int(on_support.sum())
+            kinds["off the support"] += int((~on_support).sum())
+    assert kinds["on the support"] > 0 and kinds["off the support"] > 0
+    # the weak map fits all 28; W is no witness on some codes past its closed forms
+    assert kinds["W or weak map", False] >= 28 and kinds["W or weak map", True] > 0
+
+
+def test_state_colours_match_the_dense_hashes(corpus):
+    """Hashing each distinct row once and gathering through the grid gives
+    the colours of hashing every pair of the dense tensor."""
+    for pair in corpus + _pinned_pairs():
+        for table in (pair.dual_scaled, pair.transformed):
+            assert np.array_equal(duality._state_colours(table),
+                                  dense_state_colours(dense(table)))
 
 
 def test_run_verification_auto_modes(binary_523, ternary_322, f2):
@@ -535,7 +590,7 @@ def test_transform_int64_headroom(f2):
 
     peak = (2 ** 62 - 1) // colsum
     exact = [peak * sum(r[t] for r in rows) for t in range(n + 1)]
-    image = macwilliams_image(f2, *synthetic(peak), neg)
+    image = dense(macwilliams_image(f2, *synthetic(peak), neg))
     assert image[0, 0].tolist() == exact
     assert image[1, 0].tolist() == exact
     for fm in (synthetic(peak + 1), synthetic(2 ** 40)):

@@ -86,10 +86,13 @@ def test_span_blocks_cover_ranges(field, monkeypatch):
 
 
 # one or two fields per branch of field addition: XOR (GF(2), GF(8)), the
-# add table (GF(5), GF(9)), a sum mod p (GF(257)) and the base-p loop past
-# the tables (GF(3^6))
+# add table (GF(5), GF(9), GF(17)), a sum mod p (GF(257)) and, past the
+# tables and for vectors, blocks of h digits through the addition table of
+# F_p^h (h = 3 at p = 3, 2 at p = 5 and 1 at p = 17; vectors of GF(5)^3
+# end on a partial block) or one digit at a time mod p past p = 64
 BRANCH_FIELDS = {"gf2": (2,), "gf8": (2, 3, [1, 1, 0, 1]), "gf5": (5,), "gf9": (3, 2, [2, 2, 1]),
-                 "gf257": (257,), "gf729": (3, 6, [1, 0, 0, 0, 1, 1, 1])}
+                 "gf17": (17,), "gf257": (257,), "gf729": (3, 6, [1, 0, 0, 0, 1, 1, 1]),
+                 "gf625": (5, 4, [1, 0, 1, 1, 1])}
 
 
 @pytest.mark.parametrize("name", sorted(BRANCH_FIELDS))

@@ -17,8 +17,8 @@ from convmacw.duality import SEARCH_LIMIT, _candidate_position
 from convmacw.field import code_index, span_indices, vector_codes
 from convmacw.linalg import vec_mat
 from conftest import projective_candidates
-from oracles import (enumerate_vectors, random_minimal_encoder, state_perm,
-                     vector_index)
+from oracles import (dense, enumerate_vectors, random_minimal_encoder, state_perm,
+                     to_table, vector_index)
 
 GF4 = (2, 2, [1, 1, 1])
 GF8 = (2, 3, [1, 1, 0, 1])
@@ -90,9 +90,9 @@ def test_candidate_count_is_projective_linear_group_order(spec):
     rng = random.Random(q)
     for delta in (1, 2):
         pair = DualPair(random_minimal_encoder(rng, field, 3, 1, delta))
-        perturbed = pair.dual_scaled.copy()
+        perturbed = dense(pair.dual_scaled)
         perturbed[0, 0, 0] += 1    # every linear map fixes state 0
-        pair.dual_scaled = perturbed
+        pair.dual_scaled = to_table(perturbed)
         result = search_witness(pair)
         assert result.witness is None
         assert result.tested == _gl_order(q, delta) // (q - 1)
@@ -108,14 +108,14 @@ def test_repeated_searches_are_identical(f3, ternary_322, ternary_322_dual):
         pair = DualPair(random_minimal_encoder(rng, f3, 4, 2, 2))
         if pair.r_dual < pair.delta and pair.cf.r < pair.delta:
             pairs.append(pair)
-    tables = [(p.dual_scaled.copy(), p.transformed.copy()) for p in pairs]
+    tables = [(dense(p.dual_scaled), dense(p.transformed)) for p in pairs]
     first = [search_witness(p) for p in pairs]
     assert all(r.witness is not None for r in first)
     for _ in range(2):
         assert [search_witness(p) for p in reversed(pairs)] == first[::-1]
     for p, (target, tnum) in zip(pairs, tables):
-        assert np.array_equal(p.dual_scaled, target)
-        assert np.array_equal(p.transformed, tnum)
+        assert np.array_equal(dense(p.dual_scaled), target)
+        assert np.array_equal(dense(p.transformed), tnum)
 
 
 @pytest.mark.parametrize("spec", [257, (2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1])])
@@ -156,7 +156,7 @@ def _reference_search(pair: DualPair):
     tested = 0
     for tested, P in enumerate(projective_candidates(pair.field, pair.delta), start=1):
         perm = state_perm(P)
-        if np.array_equal(pair.dual_scaled, pair.transformed[np.ix_(perm, perm)]):
+        if np.array_equal(dense(pair.dual_scaled), dense(pair.transformed)[np.ix_(perm, perm)]):
             return P, tested
     return None, tested
 
@@ -196,8 +196,9 @@ def test_search_matches_reference_on_demo_pairs(binary_pair, ternary_pair):
 
 
 def _table_pair(field, delta, target, tnum):
-    """Just what the search reads from a pair, for synthetic tables."""
-    return SimpleNamespace(field=field, delta=delta, dual_scaled=target, transformed=tnum)
+    """Just what the search reads from a pair, for synthetic dense tables."""
+    return SimpleNamespace(field=field, delta=delta, dual_scaled=to_table(target),
+                           transformed=to_table(tnum))
 
 
 @pytest.mark.parametrize("spec,delta", [(2, 3), (3, 2), (GF4, 2)])
@@ -232,7 +233,7 @@ def test_colour_step_peaks_below_one_dense_tensor(f2):
     refuses, it allocates less than one dense (q^delta, q^delta, n+1)
     tensor.  A stack of the two tables would copy both."""
     pair = DualPair(random_minimal_encoder(random.Random(1), f2, 12, 2, 8))
-    tables = pair.dual_scaled, pair.transformed   # built before the measurement
+    tables = dense(pair.dual_scaled), pair.transformed   # built before the measurement
     tracemalloc.start()
     try:
         with pytest.raises(GuardExceeded):
@@ -245,9 +246,9 @@ def test_colour_step_peaks_below_one_dense_tensor(f2):
 
 def test_search_exhaustion_is_an_outcome(ternary_322, ternary_322_dual):
     pair = DualPair(ternary_322, ternary_322_dual)
-    perturbed = pair.dual_scaled.copy()
+    perturbed = dense(pair.dual_scaled)
     perturbed[0, 0, 0] += 1    # every linear map fixes state 0
-    pair.dual_scaled = perturbed
+    pair.dual_scaled = to_table(perturbed)
     result = search_witness(pair)
     assert result.witness is None
     assert result.tested == len(list(projective_candidates(pair.field, pair.delta))) == 24
