@@ -22,8 +22,9 @@ PAIR_LIMIT = 2 ** 20         # bound on q^(delta+k) coset points
 
 class AdjMatrix:
     """Sparse q^delta x q^delta matrix of weight enumerators: ``index``
-    holds the sorted flat pair indices X * q^delta + Y of the support,
-    ``counts`` their (support, n+1) coefficient rows, both read-only int64."""
+    holds the increasing flat pair indices X * q^delta + Y of the support,
+    ``counts`` their (support, n+1) coefficient rows, both read-only int64
+    and kept as given: an unsorted ``index`` is a failed check."""
 
     __slots__ = ("field", "n", "delta", "size", "index", "counts")
 
@@ -32,9 +33,10 @@ class AdjMatrix:
         self.n = n
         self.delta = delta
         self.size = field.q ** delta
-        order = np.argsort(index, kind="stable")
-        self.index = np.asarray(index, dtype=np.int64)[order]
-        self.counts = np.asarray(counts, dtype=np.int64)[order]
+        self.index = np.asarray(index, dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        if np.any(self.index[1:] <= self.index[:-1]):
+            raise InternalCheckError("adjacency support index is not increasing")
         self.index.flags.writeable = self.counts.flags.writeable = False
 
     @property
@@ -141,7 +143,9 @@ def adjacency_by_cosets(cf: ControllerForm, limit: int = PAIR_LIMIT) -> AdjMatri
     coset_guard(cf.field.q, cf.delta, cf.k, limit)
     pairs, const = connected_pairs(cf), constant_code(cf)
     # output representatives are linear in the pair, so c @ [reps; const]
-    # runs through the coset of each pair in turn, q^(k-r) points apiece
+    # runs through the coset of each pair in turn, q^(k-r) points apiece;
+    # the span order of an RREF basis is increasing index order, so the
+    # pairs come sorted
     reps = (pairs.matrix() @ output_map(cf)).rows
     gen = vector_codes(reps + const.basis, cf.n)
     group = cf.field.q ** const.dim

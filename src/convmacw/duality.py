@@ -5,11 +5,13 @@ explicit reordering of the state pairs, one closed-form witness W and
 its negative for codes where one side has all indices <= 1, the
 projective witness search, and the unit-memory per-entry formulas.
 
-Everything is exact: both sides of the identity are (rows, grid) tables,
-integer coefficient rows over explicit denominators (powers of q) read
-through an index grid with one int per state pair.  Conjugation is a
-Fourier transform on the connected pairs, whose count sums run in
-float64 (BLAS) below 2^53.
+Everything is exact: the transform's side of the identity is a (rows,
+grid) table, integer coefficient rows over the denominator q^(delta+k)
+read through an index grid with one int per state pair, and it is
+compared with the dual adjacency matrix's own sparse counts times that
+denominator, a block of support pairs at a time.  Conjugation is a
+Fourier transform on the connected pairs, streamed over the weight
+coefficients, whose count sums run in float64 (BLAS) below 2^53.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .statespace import (ControllerForm, connected_pairs, connected_pairs_orth,
 
 GRID_LIMIT = 2 ** 20     # bound on q^(2*delta), the full pair grid
 SEARCH_LIMIT = 2 ** 17   # bound on candidate row images the witness search examines
-_BLOCK = 2 ** 12         # pairs whose rows one table comparison gathers at a time
+_BLOCK = 2 ** 12         # pairs a table comparison gathers at a time; points x
+                         # coefficients a Fourier pass covers (one column at least)
 
 
 def grid_guard(q: int, delta: int, limit: int = GRID_LIMIT, width: int = 1):
@@ -89,39 +92,52 @@ def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> tuple[np.ndarray, n
     e^-1 u1, and with R = M_1 lam N_1 the terms e != 0 sum R(c u1, -c u2)
     over c in F_p^*: R summed over the F_p^* orbit of (u1, -u2), one
     bincount over orbit labels.  Two float64 products (BLAS) and the
-    bincount are exact, as no sum passes max_t sum |lam[:, t]| < 2^52."""
+    bincount are exact, as no sum passes max_t sum |lam[:, t]| < 2^52.
+
+    The weight coefficients t are independent, so the transform streams
+    over them, max(1, _BLOCK // q^m) columns a pass, each written as a
+    contiguous column of the buffer whose transpose is ``rows``: besides
+    the counts and the output it holds the masks, the orbit labels and a
+    few columns of temporaries."""
     field, p, q, width = adj.field, adj.field.p, adj.field.q, adj.n + 1
     pairs, lam = connected_pairs(cf), adj.counts
-    if np.abs(lam).sum(axis=0).max(initial=0) >= 2 ** 52:
+    bound = sum(np.abs(lam[i:i + _BLOCK]).sum(axis=0) for i in range(0, len(lam), _BLOCK))
+    if bound.max() >= 2 ** 52:
         raise GuardExceeded("character product bound max_t sum |lam[:, :, t]| >= 2^52 "
                             "(float64 headroom)")
     at = pair_indices(field, pairs.codes().T)
     a, b = (pairs.dim + 1) // 2, pairs.dim // 2
     ea = trace_exponents(field, a)
-    eb = ea[:q ** b, :q ** b]   # the first q^b states of F^a are (0, y): the b-dim table
-    # rows (c1, t), columns c2, so both products are 2-d matmuls: lam N_e
-    # for e = 0 and, unless b = 0 (then N has exponent 0 only, so R = 0), 1
-    lam_t = lam.reshape(q ** a, q ** b, width).transpose(0, 2, 1).reshape(-1, q ** b)
-    lam_t = lam_t.astype(np.float64)
-    right = {e: lam_t @ (eb == e) for e in range(2 if b else 1)}
-
-    def product(e):   # M_e lam N_e with rows u1 and columns (t, u2)
-        return ((ea == e) @ right.pop(e).reshape(q ** a, -1)).reshape(q ** a, width, q ** b)
-
-    s0 = product(0)
-    if b and p == 2:   # F_2^* = {1} and -u2 = u2
-        s0 += product(1)
-    elif b:
+    # M_e for e = 0 and, unless b = 0 (then N has exponent 0 only, so R =
+    # 0), 1; the first q^b states of F^a are (0, y), so N_e is a corner of M_e
+    masks = [(ea == e).astype(np.float64) for e in range(2 if b else 1)]
+    del ea   # freed before the passes
+    if b and p != 2:
         label, negated = _orbit_labels(field, a, b)
-        r = product(1)
-        for t in range(width):
-            s0[:, t] += np.bincount(label.ravel(), r[:, t].ravel(), label.size)[negated]
-        del r   # freed before the last two grids
-    # (p S_0 - sum lam) / (p - 1), with no term past the 2^52 bound, so the
-    # integer quotient is exact in float64
-    s0 -= (lam.sum(axis=0)[:, None] - s0) / (p - 1)
-    rows = s0.transpose(0, 2, 1).astype(np.int64, order="C").reshape(-1, width)
-    return rows, at
+
+    def product(part, e):   # M_e lam N_e with rows u1 and columns (t, u2)
+        right = (part @ masks[e][:q ** b, :q ** b]).reshape(q ** a, -1)
+        return (masks[e] @ right).reshape(q ** a, -1, q ** b)
+
+    total, step = lam.sum(axis=0), max(1, _BLOCK // len(lam))
+    columns = np.empty((width, len(lam)), dtype=np.int64)
+    for c in (slice(t, t + step) for t in range(0, width, step)):
+        # rows (c1, t), columns c2, so both products are 2-d matmuls
+        part = lam[:, c].reshape(q ** a, q ** b, -1).transpose(0, 2, 1)
+        part = part.astype(np.float64, order="C").reshape(-1, q ** b)
+        s0 = product(part, 0)
+        if b and p == 2:   # F_2^* = {1} and -u2 = u2
+            s0 += product(part, 1)
+        elif b:
+            r = product(part, 1)
+            for t in range(r.shape[1]):
+                s0[:, t] += np.bincount(label.ravel(), r[:, t].ravel(), label.size)[negated]
+            del r   # freed before the last two temporaries
+        # (p S_0 - sum lam) / (p - 1), with no term past the 2^52 bound, so
+        # the integer quotient is exact in float64
+        s0 -= (total[c, None] - s0) / (p - 1)
+        columns.reshape(width, q ** a, q ** b)[c] = s0.transpose(1, 0, 2)
+    return columns.T, at
 
 
 def macwilliams_image(field: FieldSpec, rows: np.ndarray, at: np.ndarray,
@@ -145,7 +161,7 @@ def macwilliams_image(field: FieldSpec, rows: np.ndarray, at: np.ndarray,
     n = rows.shape[1] - 1
     h = macwilliams_rows(n, field.q)
     colsum = max(sum(abs(r[t]) for r in h) for t in range(n + 1))
-    bound = int(np.abs(rows).max(initial=0)) * colsum
+    bound = max(int(rows.max(initial=0)), -int(rows.min(initial=0))) * colsum
     if bound >= 2 ** 62:
         raise GuardExceeded(
             f"MacWilliams transform bound max|entry| * max column sum of |H| "
@@ -158,9 +174,12 @@ class DualPair:
     """A primal/dual encoder pair with cached derived structure.
 
     Checks the size guards, which need only (q, n, k, delta), then builds
-    the controller forms; the adjacency matrices, conjugated grid and
-    transforms appear lazily.  The state-pair subspaces are the statespace
-    functions' own, cached once per controller form.
+    the controller forms; the adjacency matrices and the transformed table
+    appear lazily.  Each large array is held once: the identity compares
+    the transformed table with the dual's own counts times ``scale``, and
+    the Fourier rows live only while the transform is built.  The
+    state-pair subspaces are the statespace functions' own, cached once
+    per controller form.
     """
 
     def __init__(self, G: PolyMatrix, G_dual: PolyMatrix | None = None,
@@ -182,6 +201,9 @@ class DualPair:
         self.n = self.cf.n
         self.k = self.cf.k
         self.delta = self.cf.delta
+        # the transform's denominator: it equals the dual adjacency matrix
+        # times this scale
+        self.scale = self.field.q ** (self.delta + self.k)
 
     @cached_property
     def neg_perm(self) -> np.ndarray:   # the index of -X for every state X
@@ -200,26 +222,17 @@ class DualPair:
     r_dual = property(lambda self: self.cf_dual.r)   # r_hat, the dual's r
 
     @cached_property
-    def fourier(self) -> tuple[np.ndarray, np.ndarray]:
-        return fourier_transform(self.adj, self.cf)
-
-    @cached_property
     def transformed(self) -> tuple[np.ndarray, np.ndarray]:
         """The entrywise transform's numerators over q^(delta+k), as a
-        (rows, grid) table."""
-        return macwilliams_image(self.field, *self.fourier, self.neg_perm)
+        (rows, grid) table; the Fourier rows it comes from are not kept."""
+        return macwilliams_image(self.field, *fourier_transform(self.adj, self.cf),
+                                 self.neg_perm)
 
-    @cached_property
-    def dual_scaled(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dual adjacency matrix over the transform's denominator, as a
-        (rows, grid) table: row 0 is zero, row i the i-th support entry's
-        scaled counts, and the grid is 0 off the support."""
-        adj = self.adj_dual
-        rows = np.zeros((len(adj.index) + 1, self.n + 1), dtype=np.int64)
-        np.multiply(adj.counts, self.field.q ** (self.delta + self.k), out=rows[1:])
-        grid = np.zeros(adj.size * adj.size, dtype=np.int64)
-        grid[adj.index] = np.arange(1, len(rows))
-        return rows, grid.reshape(adj.size, adj.size)
+    # names bench/worker.py's duality.fourier and duality.transform stages
+    # warm: the Fourier rows, built afresh and not kept, and the dual the
+    # identity compares with, its own counts
+    fourier = property(lambda self: fourier_transform(self.adj, self.cf))
+    dual_scaled = property(lambda self: self.adj_dual)
 
     @cached_property
     def pairing(self) -> FMat:
@@ -316,40 +329,44 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     return WeakIdentityReport(entries_checked=size * size)
 
 
-def _differ(table: tuple, nonzero: np.ndarray, d_rows: np.ndarray, support: np.ndarray,
-            theirs: np.ndarray) -> np.ndarray | None:
+def _differ(table: tuple, nonzero: np.ndarray, counts: np.ndarray, scale: int,
+            support: np.ndarray, theirs: np.ndarray | None = None) -> np.ndarray | None:
     """The pairs where a (rows, grid) ``table`` differs from the dual, as a
     bool grid, or None where they agree.  The dual is given on its support
-    S: the flat positions ``support`` of its nonzero entries, whose rows are
-    ``d_rows[theirs]``; ``nonzero`` marks the nonzero rows of ``table``.
-    Two exact parts and no dense gather: the rows of ``table`` on S, a
-    block of pairs at a time, and its count of nonzero entries.  Once the
-    rows on S agree, all |S| of them are nonzero, so a count of |S| leaves
-    no nonzero entry off S."""
+    S: the increasing flat positions ``support`` of its nonzero entries,
+    which are ``scale`` times ``counts[theirs]``, or times ``counts`` itself
+    when ``theirs`` is None; ``nonzero`` marks the nonzero rows of
+    ``table``.  Two exact parts and no dense gather: the rows of ``table``
+    on S, a block of pairs at a time, and its count of nonzero entries.
+    Once the rows on S agree, all |S| of them are nonzero, so a count of |S|
+    leaves no nonzero entry off S."""
     rows, grid = table
-    ours, bad = grid.ravel()[support], nonzero[grid]
+    flat, bad = grid.ravel(), nonzero[grid]
     blocks = [slice(i, i + _BLOCK) for i in range(0, len(support), _BLOCK)]
-    if np.count_nonzero(bad) == len(support) and all(
-            np.array_equal(rows[ours[b]], d_rows[theirs[b]]) for b in blocks):
+
+    def differs(b):   # whether each pair of block b differs from the dual
+        dual = counts[b] if theirs is None else counts[theirs[b]]
+        return (rows[flat[support[b]]] != dual * scale).any(axis=1)
+
+    if np.count_nonzero(bad) == len(support) and not any(differs(b).any() for b in blocks):
         return None
     for b in blocks:
-        bad.flat[support[b]] = (rows[ours[b]] != d_rows[theirs[b]]).any(axis=1)
+        bad.flat[support[b]] = differs(b)
     return bad
 
 
 def _mismatches(pair: DualPair, moved: tuple) -> np.ndarray:
     """The pairs (X, Y), in row-major order, where the (rows, grid) table
-    ``moved`` differs from the scaled dual adjacency matrix: the one
-    entrywise comparison."""
-    d_rows, d_grid = pair.dual_scaled
-    support = np.flatnonzero(d_grid)   # its grid is 0 exactly at its zero entries
-    bad = _differ(moved, moved[0].any(axis=1), d_rows, support, d_grid.ravel()[support])
+    ``moved`` differs from the dual adjacency matrix times ``pair.scale``:
+    the one entrywise comparison, a slice of the dual's counts at a time."""
+    adj = pair.adj_dual
+    bad = _differ(moved, moved[0].any(axis=1), adj.counts, pair.scale, adj.index)
     return np.empty((0, 2), dtype=np.int64) if bad is None else np.argwhere(bad)
 
 
 def _require(pair: DualPair, moved: tuple, identity: str):
     """Raise, naming ``identity`` and its first mismatching pair, unless
-    ``moved`` is the scaled dual adjacency matrix."""
+    ``moved`` is the dual adjacency matrix times ``pair.scale``."""
     bad = _mismatches(pair, moved)
     if len(bad):
         raise InternalCheckError(f"{identity} does not match the dual at pair "
@@ -403,16 +420,31 @@ def _mix(h: np.ndarray) -> np.ndarray:
     return h ^ (h >> np.uint64(31))
 
 
-def _state_colours(table: tuple) -> np.ndarray:
-    """Colour of every state of a (rows, grid) table: a hash of its
-    diagonal entry and of the sorted entries of its row and of its column,
-    each distinct row hashed once.  A witness maps each state to one of
-    the same colour, and equal entries hash equal, so a collision only
-    weakens the pruning."""
-    rows, grid = table
+def _row_hashes(rows: np.ndarray, scale: int = 1) -> np.ndarray:
+    """One hash per coefficient row of ``scale`` times ``rows``, the zero
+    row hashing to 0.  The weighted sum wraps mod 2^64, so scaling it
+    gives the hash of the scaled row: (c s) . w = s (c . w)."""
     weights = _mix(np.arange(1, rows.shape[1] + 1, dtype=np.uint64))
-    entry = _mix(np.ascontiguousarray(rows, dtype=np.int64).view(np.uint64) @ weights)[grid]
-    place = _mix(np.arange(1, len(grid) + 1, dtype=np.uint64))
+    return _mix(np.ascontiguousarray(rows, dtype=np.int64).view(np.uint64) @ weights
+                * np.uint64(scale))
+
+
+def _dual_hashes(pair: DualPair) -> np.ndarray:
+    """The (q^delta, q^delta) entry hashes of the dual adjacency matrix
+    times ``pair.scale``, from its own counts: 0 off its support."""
+    adj = pair.adj_dual
+    entry = np.zeros(adj.size * adj.size, dtype=np.uint64)
+    entry[adj.index] = _row_hashes(adj.counts, pair.scale)
+    return entry.reshape(adj.size, adj.size)
+
+
+def _state_colours(entry: np.ndarray) -> np.ndarray:
+    """Colour of every state from the (q^delta, q^delta) grid of entry
+    hashes: a hash of its diagonal entry and of the sorted entries of its
+    row and of its column.  A witness maps each state to one of the same
+    colour, and equal entries hash equal, so a collision only weakens the
+    pruning."""
+    place = _mix(np.arange(1, len(entry) + 1, dtype=np.uint64))
     by_row = _mix(np.sort(entry, axis=1) @ place)
     by_col = _mix(np.sort(entry, axis=0).T @ place)
     # compared as int64, whose loops the pipeline has already loaded: uint64
@@ -454,17 +486,21 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
     examined, q^delta per expanded node."""
     field, delta = pair.field, pair.delta
     q, size = field.q, field.q ** delta
-    (d_rows, d_grid), (t_rows, t_grid) = pair.dual_scaled, pair.transformed
-    want, have = _state_colours(pair.dual_scaled), _state_colours(pair.transformed)
+    adj, (t_rows, t_grid) = pair.adj_dual, pair.transformed
+    want = _state_colours(_dual_hashes(pair))
+    have = _state_colours(_row_hashes(t_rows)[t_grid])
     nonzero = t_rows.any(axis=1)
     # the dual's side of the prefix check at each depth: its support on the
-    # span of e_1, ..., e_depth, and the rows there
+    # span of e_1, ..., e_depth, as positions in that block and in the
+    # dual's counts; at depth delta the block is the whole grid
     dual_blocks = []
-    for depth in range(delta + 1):
+    for depth in range(delta):
         span = np.arange(q ** depth) * q ** (delta - depth)
-        block = d_grid[span[:, None], span].ravel()
-        support = np.flatnonzero(block)
-        dual_blocks.append((support, block[support]))
+        flat = (span[:, None] * size + span).ravel()
+        pos = np.minimum(np.searchsorted(adj.index, flat), len(adj.index) - 1)
+        hit = adj.index[pos] == flat
+        dual_blocks.append((np.flatnonzero(hit), pos[hit]))
+    dual_blocks.append((adj.index, None))
     first = np.zeros(size, dtype=bool)
     for m in range(delta):
         first[q ** m:2 * q ** m] = True
@@ -473,8 +509,8 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
     def visit(rows: list[int], image: np.ndarray) -> list[int] | None:
         nonlocal examined
         depth = len(rows)
-        if _differ((t_rows, t_grid[image[:, None], image]), nonzero, d_rows,
-                   *dual_blocks[depth]) is not None:
+        if _differ((t_rows, t_grid[image[:, None], image]), nonzero, adj.counts,
+                   pair.scale, *dual_blocks[depth]) is not None:
             return None
         if depth == delta:
             return rows
@@ -519,8 +555,8 @@ def check_witness(pair: DualPair, P: FMat) -> tuple[bool, int]:
 
 def check_unit_memory(pair: DualPair) -> int:
     """For degree-one codes, verify the two-case per-entry formula: it
-    gives the scaled dual adjacency matrix from the code's own adjacency
-    matrix.  Returns the entries checked."""
+    gives the dual adjacency matrix times ``pair.scale`` from the code's
+    own adjacency matrix.  Returns the entries checked."""
     if pair.delta != 1:
         raise ValueError("unit-memory formulas need delta = 1")
     q = pair.field.q

@@ -240,8 +240,9 @@ def conjugate(adj: AdjMatrix, P: FMat) -> AdjMatrix:
     entry at (X P, Y P)."""
     inv = np.argsort(state_perm(P))
     xs, ys = np.divmod(adj.index, adj.size)
-    return AdjMatrix(adj.field, adj.n, adj.delta, inv[xs] * adj.size + inv[ys],
-                     adj.counts)
+    index = inv[xs] * adj.size + inv[ys]
+    order = np.argsort(index)   # AdjMatrix takes its support in increasing order
+    return AdjMatrix(adj.field, adj.n, adj.delta, index[order], adj.counts[order])
 
 
 def entry_sums(adj: AdjMatrix, cf) -> tuple[WePoly, WePoly]:
@@ -278,9 +279,9 @@ def dense(table) -> np.ndarray:
 
 
 def to_table(tensor: np.ndarray) -> tuple:
-    """The (rows, grid) table of a dense (size, size, w) tensor in the form
-    of ``DualPair.dual_scaled``: row 0 is zero, then one row per nonzero
-    entry in row-major order, and the grid is 0 at the zero entries."""
+    """The (rows, grid) table of a dense (size, size, w) tensor: row 0 is
+    zero, then one row per nonzero entry in row-major order, and the grid
+    is 0 at the zero entries."""
     flat = tensor.reshape(-1, tensor.shape[-1])
     support = np.flatnonzero(flat.any(axis=1))
     rows = np.zeros((len(support) + 1, flat.shape[1]), dtype=np.int64)
@@ -288,6 +289,22 @@ def to_table(tensor: np.ndarray) -> tuple:
     grid = np.zeros(len(flat), dtype=np.int64)
     grid[support] = np.arange(1, len(rows))
     return rows, grid.reshape(tensor.shape[:2])
+
+
+def scaled_dual(pair) -> tuple:
+    """The dual adjacency matrix over the transform's denominator, its
+    counts times ``pair.scale``, as a (rows, grid) table: row i is the i-th
+    support entry.  The production comparisons read the dual's own counts
+    instead."""
+    return to_table(pair.adj_dual.dense_coefficients() * pair.scale)
+
+
+def sparse(field, delta: int, tensor: np.ndarray) -> AdjMatrix:
+    """The adjacency matrix holding the nonzero entries of a dense
+    (q^delta, q^delta, n+1) tensor, in row-major order."""
+    flat = tensor.reshape(-1, tensor.shape[-1])
+    index = np.flatnonzero(flat.any(axis=1))
+    return AdjMatrix(field, flat.shape[1] - 1, delta, index, flat[index])
 
 
 def dense_mismatches(dual, moved) -> np.ndarray:
@@ -605,7 +622,7 @@ def check_fourier_closed_form(fm, adj: AdjMatrix, cf):
 def sides(pair):
     """(encoder, controller form, adjacency matrix, conjugated matrix) of
     the code, then of its dual; both sides share the pair grid."""
-    yield pair.G, pair.cf, pair.adj, pair.fourier
+    yield pair.G, pair.cf, pair.adj, fourier_transform(pair.adj, pair.cf)
     yield (pair.G_dual, pair.cf_dual, pair.adj_dual,
            fourier_transform(pair.adj_dual, pair.cf_dual))
 
@@ -638,7 +655,7 @@ def check_transform_routes(pair):
     it stands, computed here directly, and transformed[X, Y] is that
     transform at (-Y, X)."""
     rows = np.array(macwilliams_rows(pair.n, pair.field.q), dtype=np.int64)
-    direct = np.einsum("xyj,jt->xyt", dense(pair.fourier), rows)
+    direct = np.einsum("xyj,jt->xyt", dense(fourier_transform(pair.adj, pair.cf)), rows)
     if not np.array_equal(entrywise(pair), direct):
         raise InternalCheckError("entrywise transform differs from the direct one")
     if not np.array_equal(dense(pair.transformed), direct[pair.neg_perm].transpose(1, 0, 2)):
@@ -694,9 +711,9 @@ def check_orth_translation_invariance(fm, cf):
 def check_zeta_independence(pair) -> bool:
     """The bucket product is the same for every primitive root choice, and
     it is the production conjugated matrix, which takes no root."""
+    fm = dense(fourier_transform(pair.adj, pair.cf))
     for d in range(1, pair.field.p):
-        other = fourier_conjugate(pair.adj, d)
-        if not np.array_equal(dense(other), dense(pair.fourier)):
+        if not np.array_equal(dense(fourier_conjugate(pair.adj, d)), fm):
             raise InternalCheckError("conjugated matrix depends on the root choice")
     return True
 
@@ -800,7 +817,7 @@ def check_transport(pair) -> int:
     # the same coefficients c give v = c @ basis and v M = c @ (basis M)
     x, y = np.divmod(dspace.point_indices(), size)
     wx, wy = np.divmod(span_indices(pair.field, moved), size)
-    if not np.array_equal(dense(pair.dual_scaled)[x, y], entrywise(pair)[wx, wy]):
+    if not np.array_equal(dense(scaled_dual(pair))[x, y], entrywise(pair)[wx, wy]):
         raise InternalCheckError("transport identity failed at a dual pair")
     return len(x)
 
@@ -809,7 +826,7 @@ def entry_multisets_equal(pair) -> bool:
     """The dual matrix and the transformed matrix hold the same multiset
     of entries (the weak identity without its reordering)."""
     size = pair.field.q ** pair.delta
-    flat_dual = dense(pair.dual_scaled).reshape(size * size, -1)
+    flat_dual = dense(scaled_dual(pair)).reshape(size * size, -1)
     tnum = dense(pair.transformed).reshape(size * size, -1)
     return np.array_equal(flat_dual[np.lexsort(flat_dual.T)], tnum[np.lexsort(tnum.T)])
 

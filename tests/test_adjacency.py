@@ -2,11 +2,13 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from convmacw import (FieldSpec, FMat, GuardExceeded, PolyMatrix, WePoly,
-                      adjacency_by_cosets, adjacency_by_transitions,
+from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, InternalCheckError,
+                      PolyMatrix, WePoly, adjacency_by_cosets, adjacency_by_transitions,
                       controller_form)
+from convmacw.adjacency import AdjMatrix
 from convmacw.polymat import make_minimal_basic, parse_zpoly
 from conftest import (ADJ_BINARY_523, ADJ_BINARY_523_DUAL, projective_candidates,
                       we)
@@ -182,6 +184,34 @@ def test_coset_builder_allocates_no_pair_grid(f2):
     assert adj.support_size() == len(adj.entries) == 2 ** 15
     assert peak < 2 ** 26   # the 2^28 grid would need 2^28 bytes as bools alone
     assert not adj.index.flags.writeable and not adj.counts.flags.writeable
+
+
+def test_adjacency_keeps_its_arrays_and_rejects_an_unsorted_support(binary_523):
+    """AdjMatrix holds the arrays it is given, read-only, with no reordered
+    copy; a support index that is not increasing is a failed check."""
+    adj = adjacency_by_cosets(controller_form(binary_523))
+    index, counts = adj.index.copy(), adj.counts.copy()
+    kept = AdjMatrix(adj.field, adj.n, adj.delta, index, counts)
+    assert kept.index is index and kept.counts is counts
+    assert not index.flags.writeable and not counts.flags.writeable
+    for bad in (index[::-1], np.concatenate([index[:1], index[:-1]])):   # unsorted, repeated
+        with pytest.raises(InternalCheckError, match="not increasing"):
+            AdjMatrix(adj.field, adj.n, adj.delta, bad, counts)
+
+
+def test_coset_builder_holds_one_copy_of_the_counts(f2):
+    """The dual's counts of binary (12,2) delta = 8 (2^15 support pairs of
+    13 coefficients, 3.4 MB) are built once and kept as built: the
+    builder's peak stays below two copies of them."""
+    pair = DualPair(random_minimal_encoder(random.Random(1), f2, 12, 2, 8))
+    tracemalloc.start()
+    try:
+        adj = adjacency_by_cosets(pair.cf_dual)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert adj.counts.nbytes == 2 ** 15 * 13 * 8
+    assert peak < 2 * adj.counts.nbytes
 
 
 def test_json_and_text_rendering(binary_523):

@@ -17,7 +17,7 @@ from convmacw.linalg import FMat
 from convmacw.polymat import code_degree
 from conftest import (BINARY_523, CHAR_GRID_2_3, LONG_00, TERNARY_322,
                       WITNESS_P_TERNARY)
-from oracles import same_code, to_table
+from oracles import same_code, sparse
 
 # a pinned benchmark document: GF(5) (4, 2), delta = 2, closed-form route
 GRID_DOC = "bench/pinned/grid/02-q5-n4k2d2.json"
@@ -660,11 +660,11 @@ def test_entrywise_failure_names_the_identity_and_pair(capsys, monkeypatch, doc,
     (X, Y), in row-major order, where the dual entry and its side of the
     identity differ: here the dual entry (0, 1) is off by one."""
     def corrupted(pair):
-        dense = pair.adj_dual.dense_coefficients() * pair.field.q ** (pair.delta + pair.k)
+        dense = adjacency.adjacency_by_cosets(pair.cf_dual).dense_coefficients()
         dense[0, 1, 0] += 1
-        return to_table(dense)
+        return sparse(pair.field, pair.delta, dense)
 
-    monkeypatch.setattr(duality.DualPair, "dual_scaled", property(corrupted))
+    monkeypatch.setattr(duality.DualPair, "adj_dual", property(corrupted))
     assert main(["verify", f"bench/pinned/{doc}", "--mode", mode]) == 4
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"internal check failed: {identity} does "
@@ -686,34 +686,35 @@ def test_entrywise_failure_names_the_identity_and_pair(capsys, monkeypatch, doc,
 def test_mutated_dual_table_names_its_first_pair(capsys, monkeypatch, tmp_path, doc, mode,
                                                  identity, mutation):
     """Both parts of the table comparison name the first failing pair in
-    row-major order.  The scaled dual is mutated at the last two pairs of
-    one kind: a nonzero row put at two pairs off its support, or a count
-    changed at two support pairs (the row part fails), or two support
-    entries zeroed, so the other side has more nonzero entries than the
-    dual (the count part fails)."""
+    row-major order.  The dual adjacency matrix is mutated at the last two
+    pairs of one kind: its first support entry put at two pairs off its
+    support, or a count changed at two support pairs (the row part fails),
+    or two support entries zeroed, so the other side has more nonzero
+    entries than the dual (the count part fails)."""
     if doc.startswith("dual of "):   # r = delta and a dual support short of the grid
         assert main(["dual", f"bench/pinned/{doc[8:]}"]) == 0
         path = tmp_path / "dual.json"
         path.write_text(capsys.readouterr().out)
     else:
         path = f"bench/pinned/{doc}"
-    real, first = duality.DualPair.dual_scaled.func, []
+    first = []
 
     def mutated(pair):
-        rows, grid = real(pair)
-        rows, grid = np.vstack([rows, rows[1:2]]), grid.copy()
-        flat = grid.reshape(-1)
-        at = np.flatnonzero(flat == 0 if mutation == "nonzero off the support" else flat)[-2:]
+        adj = adjacency.adjacency_by_cosets(pair.cf_dual)
+        dense = adj.dense_coefficients()
+        flat = dense.reshape(-1, adj.n + 1)
+        nonzero = flat.any(axis=1)
+        at = np.flatnonzero(~nonzero if mutation == "nonzero off the support" else nonzero)[-2:]
         if mutation == "nonzero off the support":
-            flat[at] = len(rows) - 1
+            flat[at] = adj.counts[0]
         elif mutation == "count changed":
-            rows[flat[at], -1] += 1
+            flat[at, -1] += 1
         else:
             flat[at] = 0
-        first[:] = divmod(int(at[0]), len(grid))
-        return rows, grid
+        first[:] = divmod(int(at[0]), adj.size)
+        return sparse(pair.field, pair.delta, dense)
 
-    monkeypatch.setattr(duality.DualPair, "dual_scaled", property(mutated))
+    monkeypatch.setattr(duality.DualPair, "adj_dual", property(mutated))
     assert main(["verify", str(path), "--mode", mode]) == 4
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"internal check failed: {identity} does "

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +33,8 @@ from oracles import (block_matrix, bucket_tensor, character_structure_checks,
                      fraction_entry,
                      int_matrix, matrix01, negation_perm, orth_mask, output_kernel,
                      padded, pairing_codes, primal_side_witness,
-                     random_minimal_encoder, sides, state_pairing_matrix, state_perm,
+                     random_minimal_encoder, scaled_dual, sides, state_pairing_matrix,
+                     state_perm,
                      transform_denom, vec_dot, we_of_affine)
 
 PINNED = Path(__file__).resolve().parents[1] / "bench" / "pinned"
@@ -76,7 +78,7 @@ def test_character_structure_with_permutation(f2, f3):
 
 
 def test_fourier_entry_golden(binary_pair):
-    fm = binary_pair.fourier
+    fm = fourier_transform(binary_pair.adj, binary_pair.cf)
     scaled = we("1+5W+10W^2+10W^3+5W^4+W^5")
     expected = tuple(Fraction(c, 8) for c in padded(scaled, 5))
     assert fraction_entry(fm, 8, 0, 0) == expected
@@ -95,13 +97,14 @@ def test_fourier_vanishes_off_kernel_orthogonal(binary_523, binary_523_dual):
     pair = DualPair(binary_523_dual, binary_523)
     kernel = output_kernel(pair.cf)
     assert kernel.dim == 2
-    zero_cells = int(np.all(dense(pair.fourier) == 0, axis=2).sum())
+    fm = dense(fourier_transform(pair.adj, pair.cf))
+    zero_cells = int(np.all(fm == 0, axis=2).sum())
     assert zero_cells == 64 - 2 ** 4
     mask = orth_mask(pair.field, pairing_codes(pair.field, pair.delta), kernel.basis)
     for i in range(8):
         for j in range(8):
             if not mask[i, j]:
-                assert not dense(pair.fourier)[i, j].any()
+                assert not fm[i, j].any()
 
 
 def test_fourier_bucket_collapse(ternary_pair):
@@ -110,7 +113,7 @@ def test_fourier_bucket_collapse(ternary_pair):
     rational b_0 - b_(p-1)."""
     rng = random.Random(5)
     for pair in (ternary_pair, DualPair(random_minimal_encoder(rng, FieldSpec(5), 3, 1, 1))):
-        p, fm = pair.field.p, pair.fourier
+        p, fm = pair.field.p, fourier_transform(pair.adj, pair.cf)
         E = trace_exponents(pair.field, pair.delta)
         buckets = bucket_tensor(pair.adj.dense_coefficients(), E, p)
         assert buckets.shape[0] == p
@@ -193,7 +196,8 @@ def test_zeta_independence(ternary_pair):
     assert check_zeta_independence(ternary_pair)
     # and the conjugated grids at both roots agree entry by entry
     other = fourier_conjugate(ternary_pair.adj, zeta_exponent=2)
-    assert np.array_equal(dense(other), dense(ternary_pair.fourier))
+    assert np.array_equal(dense(other),
+                          dense(fourier_transform(ternary_pair.adj, ternary_pair.cf)))
 
 
 def test_pairing_matrix_golden(binary_pair):
@@ -213,7 +217,7 @@ def test_pairing_lemma_and_transport(binary_pair, ternary_pair):
 def test_transport_zero_pair(binary_pair):
     # the zero pair maps to the zero pair, giving the block-style entry
     t = entrywise(binary_pair)
-    lhs = dense(binary_pair.dual_scaled)[0, 0]
+    lhs = dense(scaled_dual(binary_pair))[0, 0]
     assert np.array_equal(lhs, t[0, 0])
 
 
@@ -453,7 +457,7 @@ def test_scaled_witness_moves_the_transform_alike(corpus):
             assert np.array_equal(dense(duality._witness_moved(pair, scaled)), dense(moved))
             perm = state_perm(FMat(f, pair.delta, pair.delta,
                                    [f.scale(c, r) for r in FMat.identity(f, pair.delta).rows]))
-            target = dense(pair.dual_scaled)
+            target = dense(scaled_dual(pair))
             assert np.array_equal(target[np.ix_(perm, perm)], target)
         checked += 1
     assert checked > 0
@@ -483,7 +487,7 @@ def test_table_comparison_matches_the_dense_one_on_pinned_documents(monkeypatch)
         except InternalCheckError:   # W is singular: no table to compare
             pass
         for table in moved:
-            reference = dense_mismatches(pair.dual_scaled, table)
+            reference = dense_mismatches(scaled_dual(pair), table)
             assert np.array_equal(duality._mismatches(pair, table), reference)
             kinds["W or weak map", len(reference) > 0] += 1
         for _ in range(20):
@@ -492,10 +496,10 @@ def test_table_comparison_matches_the_dense_one_on_pinned_documents(monkeypatch)
             if not P.is_invertible():
                 continue
             table = duality._witness_moved(pair, P)
-            reference = dense_mismatches(pair.dual_scaled, table)
+            reference = dense_mismatches(scaled_dual(pair), table)
             assert np.array_equal(duality._mismatches(pair, table), reference)
             assert check_witness(pair, P) == (len(reference) == 0, len(reference))
-            on_support = dense(pair.dual_scaled)[tuple(reference.T)].any(axis=1)
+            on_support = dense(scaled_dual(pair))[tuple(reference.T)].any(axis=1)
             kinds["on the support"] += int(on_support.sum())
             kinds["off the support"] += int((~on_support).sum())
     assert kinds["on the support"] > 0 and kinds["off the support"] > 0
@@ -505,11 +509,15 @@ def test_table_comparison_matches_the_dense_one_on_pinned_documents(monkeypatch)
 
 def test_state_colours_match_the_dense_hashes(corpus):
     """Hashing each distinct row once and gathering through the grid gives
-    the colours of hashing every pair of the dense tensor."""
+    the colours of hashing every pair of the dense tensor; on the dual,
+    hashing its own counts and scaling the hash gives those of the scaled
+    dual."""
     for pair in corpus + _pinned_pairs():
-        for table in (pair.dual_scaled, pair.transformed):
-            assert np.array_equal(duality._state_colours(table),
-                                  dense_state_colours(dense(table)))
+        rows, grid = pair.transformed
+        assert np.array_equal(duality._state_colours(duality._row_hashes(rows)[grid]),
+                              dense_state_colours(dense(pair.transformed)))
+        assert np.array_equal(duality._state_colours(duality._dual_hashes(pair)),
+                              dense_state_colours(dense(scaled_dual(pair))))
 
 
 def test_run_verification_auto_modes(binary_523, ternary_322, f2):
@@ -650,3 +658,30 @@ def test_fourier_transform_headroom(request, name):
                 fourier_transform(scaled, pair.cf)
         else:
             check_bucket_route(fourier_transform(scaled, pair.cf), scaled)
+
+
+@pytest.mark.parametrize("source", [
+    "grid/05-q9-n4k2d2.json",
+    [["z" if j == i else "1" if j == i + 1 else "0" for j in range(7)] for i in range(6)],
+], ids=["gf9-m4", "dual-of-1-to-z6-m12"])
+def test_fourier_transform_holds_its_output_and_a_few_columns(source):
+    """The transform streams over the weight coefficients: besides its
+    rows and index grid it holds at most twelve coefficient columns of q^m
+    values (the masks, the orbit labels and one pass's temporaries), not
+    copies of the whole (q^m, n+1) counts.  GF(9) delta = 2 has m = 4, and
+    the dual of [1, z, ..., z^6] (binary, delta = 6) m = 12."""
+    if isinstance(source, str):
+        G = CodeDocument.from_path(str(PINNED / source)).generator
+    else:
+        G = PolyMatrix.from_strings(FieldSpec(2), source)
+    pair = DualPair(G)
+    adj = pair.adj   # built before the measurement
+    tracemalloc.start()
+    try:
+        rows, at = fourier_transform(adj, pair.cf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column = len(adj.counts) * 8
+    assert rows.shape == adj.counts.shape and len(adj.counts) in (9 ** 4, 2 ** 12)
+    assert peak < rows.nbytes + at.nbytes + 12 * column
