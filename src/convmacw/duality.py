@@ -27,7 +27,7 @@ from .adjacency import AdjMatrix, adjacency_by_cosets, coset_guard
 from .errors import GuardExceeded, InternalCheckError, power_text
 from .exact import macwilliams_rows
 from .field import FieldSpec, index_codes, pair_indices, span_indices, vector_codes
-from .linalg import FMat, right_null_space, rref, unit_vec
+from .linalg import FMat, _rref, right_null_space, unit_vec
 from .polymat import CodeProfile, PolyMatrix, dual_generator
 from .statespace import (ControllerForm, connected_pairs, connected_pairs_orth,
                          controller_form, degree_guard, output_map)
@@ -148,15 +148,17 @@ def macwilliams_image(field: FieldSpec, rows: np.ndarray, at: np.ndarray,
     and ``at`` of a code of dimension k, as a (rows, grid) table whose
     entry (X, Y) is ``rows[grid[X, Y]]``.
 
-    H runs once per row of ``rows``; conjugating the transpose is index
-    algebra on its index grid: the (X, Y) entry of the de-conjugated
-    transpose is the (-Y, X) entry of the two-sided conjugation, because
-    the grid squares to the negation permutation ``neg_perm``, the index
-    of -X for every state X.
+    H runs once per row of ``rows``, in place, ``_BLOCK`` rows at a time,
+    so no second copy of the rows is made: ``rows`` is consumed, and the
+    returned table holds it.  Conjugating the transpose is index algebra
+    on its index grid: the (X, Y) entry of the de-conjugated transpose is
+    the (-Y, X) entry of the two-sided conjugation, because the grid
+    squares to the negation permutation ``neg_perm``, the index of -X for
+    every state X.
 
     The transform runs in int64.  No partial sum exceeds max|entry| times
     the largest column sum of |H|, so that bound is checked, in exact
-    integers, before the product.
+    integers, before any row is overwritten.
     """
     n = rows.shape[1] - 1
     h = macwilliams_rows(n, field.q)
@@ -167,7 +169,10 @@ def macwilliams_image(field: FieldSpec, rows: np.ndarray, at: np.ndarray,
             f"MacWilliams transform bound max|entry| * max column sum of |H| "
             f"= {bound} >= 2^62 (int64 headroom)"
         )
-    return rows @ np.array(h, dtype=np.int64), at[neg_perm].T
+    h = np.array(h, dtype=np.int64)
+    for i in range(0, len(rows), _BLOCK):
+        rows[i:i + _BLOCK] = rows[i:i + _BLOCK] @ h
+    return rows, at[neg_perm].T
 
 
 class DualPair:
@@ -279,11 +284,11 @@ class WeakIdentityReport:
     entries_checked: int
 
 
-def _units_off_pivots(field: FieldSpec, rows, ncols: int) -> list[tuple]:
+def _units_off_pivots(field: FieldSpec, rows, ncols: int) -> tuple:
     """The unit vectors e_j of F^ncols off the pivot columns j of the
     RREF of ``rows``: they complete any basis of the rows' span."""
-    _, pivots = rref(field, rows, ncols)
-    return [unit_vec(ncols, j) for j in range(ncols) if j not in pivots]
+    _, pivots = _rref(field, rows, ncols)
+    return tuple(unit_vec(ncols, j) for j in range(ncols) if j not in pivots)
 
 
 def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
@@ -302,7 +307,7 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     f = pair.field
     two_delta = 2 * pair.delta
     pairs = connected_pairs(pair.cf_dual).basis
-    images = FMat.from_rows(f, pairs, two_delta) @ pair.pairing
+    images = FMat._of(f, len(pairs), two_delta, pairs) @ pair.pairing
     killed = right_null_space(f, images.transpose())
     orth = connected_pairs_orth(pair.cf).basis
     if len(killed) != len(orth):
@@ -312,9 +317,10 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     target = list(images.rows)
     for combination, w in zip(killed, orth):
         i = next(j for j, c in enumerate(combination) if c)
-        target[i] = f.axpy(target[i], 1, w)
-    S = FMat.from_rows(f, pairs + tuple(_units_off_pivots(f, pairs, two_delta)), two_delta)
-    T = FMat.from_rows(f, target + _units_off_pivots(f, target, two_delta), two_delta)
+        target[i] = tuple(f.axpy(target[i], 1, w))
+    S = FMat._of(f, two_delta, two_delta, pairs + _units_off_pivots(f, pairs, two_delta))
+    target = tuple(target) + _units_off_pivots(f, target, two_delta)
+    T = FMat._of(f, len(target), two_delta, target)
     # S is invertible by construction, so phi = S^-1 T is invertible iff T is
     if not T.is_invertible():
         raise InternalCheckError("reordering map is singular")
@@ -537,8 +543,8 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
     if rows is None:   # |GL(delta, q)| / (q - 1) classes, one for delta = 0
         total = math.prod(size - q ** l for l in range(delta)) // (q - 1) if delta else 1
         return SearchResult(witness=None, tested=total, examined=examined)
-    return SearchResult(witness=FMat(field, delta, delta,
-                                     index_codes(field, rows, delta).tolist()),
+    witness = tuple(map(tuple, index_codes(field, rows, delta).tolist()))
+    return SearchResult(witness=FMat._of(field, delta, delta, witness),
                         tested=_candidate_position(field, rows), examined=examined)
 
 

@@ -195,7 +195,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "s", "q", "modulus", "_key", "_elems", "_add_t", "_add_np",
-                 "_mul_t", "_inv_t", "_neg_t", "_lift", "_traces")
+                 "_mul_t", "_mul_np", "_inv_t", "_neg_t", "_lift", "_traces")
 
     def __init__(self, p: int, s: int = 1, modulus=None):
         if s < 1:
@@ -237,7 +237,7 @@ class FieldSpec:
         self._lift.setflags(write=False)
         # the trace of a is that of multiplication by a, linear in its digits
         self._traces = np.trace(self._lift.reshape(s, s, s), axis1=1, axis2=2).tolist()
-        self._add_t = self._add_np = self._mul_t = self._inv_t = self._neg_t = None
+        self._add_t = self._add_np = self._mul_t = self._mul_np = self._inv_t = self._neg_t = None
         if 2 < p <= _BLOCK_MAX:
             # cached now, not amid a computation, where the table would keep
             # the heap from shrinking after it (about 0.1 MB of peak RSS)
@@ -255,6 +255,8 @@ class FieldSpec:
                 self._add_np = add
                 add.setflags(write=False)
             self._mul_t = mul.tolist()
+            self._mul_np = mul   # the point kernel's multiples of a basis row
+            mul.setflags(write=False)
             self._neg_t = ((-digits) % p @ powers).tolist()
             self._inv_t = [None] + inv[1:].tolist()
 
@@ -409,7 +411,9 @@ def linear_map(field: FieldSpec, matrices):
     entry-code matrices.
 
     GF(p^s) is lifted to F_p once, so all images come from one matmul
-    mod p, with no q x q table and one path for every field.  The matmul
+    mod p, with no q x q table and one path for every field.  It builds a
+    field's multiplication table, and gives ``multiples`` past q = 256,
+    where there is no table to gather from.  The matmul
     runs in float64 (BLAS): its sums are at most m s (p - 1)^2 < 2^53 for
     every supported field (p < 2^16), so every integer in it is exact.
     """
@@ -432,6 +436,16 @@ def linear_map(field: FieldSpec, matrices):
         return codes
 
     return apply
+
+
+def multiples(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """(q, *rows.shape) entry codes of c times the code array ``rows`` for
+    every c in canonical order: one gather on the multiplication table up
+    to q = 256, the F_p lift of ``linear_map`` past it."""
+    if field._mul_np is not None:
+        return field._mul_np[:, rows]
+    lift = linear_map(field, rows.reshape(-1, 1, 1))(np.arange(field.q).reshape(-1, 1))
+    return lift.reshape(field.q, *rows.shape)
 
 
 def span_blocks(field: FieldSpec, basis):
@@ -458,8 +472,7 @@ def span_blocks(field: FieldSpec, basis):
         low += 1
     # mults[c, i] holds the codes of c times row i, the rows of a stack's
     # matrices side by side
-    mults = linear_map(field, stack.transpose(1, 0, 2).reshape(dim, 1, width))(
-        np.arange(q).reshape(q, 1))
+    mults = multiples(field, stack.transpose(1, 0, 2).reshape(dim, width))
     table = mults[:, dim - low] if dim else np.zeros((1, width), dtype=np.int64)
     for i in range(dim - low + 1, dim):
         table = add_codes(field, table[:, None], mults[None, :, i]).reshape(len(table) * q, width)

@@ -2,10 +2,16 @@
 reduced row echelon form, right null spaces, and subspaces with
 canonical RREF bases, their sums and orthogonals.
 
-Vectors are tuples of entry codes (see :mod:`convmacw.field`); every
-constructor and function here also takes FieldElement entries of its
-field, read as their codes.  Matrices carry their shape explicitly so
-zero-dimensional edges (empty state spaces, duals of full codes) work
+Vectors are tuples of entry codes (see :mod:`convmacw.field`).  The
+public entry points, the ``FMat`` and ``Subspace`` constructors,
+``FMat.from_rows``, ``Subspace.from_rows``, ``Subspace.coordinates``,
+``rref`` and ``vec_mat``, check what comes in and also take FieldElement
+entries of its field, read as their codes.  Whatever the package builds
+from codes it already holds (products, sums, inverses, RREF results,
+orthogonals) goes through the unchecked ``_of`` constructors and the
+codes-only ``_rref`` and ``_vec_mat``; ``right_null_space`` takes an
+``FMat``, whose rows are codes.  Matrices carry their shape explicitly
+so zero-dimensional edges (empty state spaces, duals of full codes) work
 uniformly.
 """
 
@@ -38,6 +44,13 @@ class FMat:
         self.rows = rows
 
     @classmethod
+    def _of(cls, field: FieldSpec, nrows: int, ncols: int, rows: tuple) -> "FMat":
+        """Wrap a tuple of code-tuple rows built here, unchecked."""
+        m = object.__new__(cls)
+        m.field, m.nrows, m.ncols, m.rows = field, nrows, ncols, rows
+        return m
+
+    @classmethod
     def from_rows(cls, field: FieldSpec, rows, ncols: int | None = None) -> "FMat":
         rows = [tuple(r) for r in rows]
         if ncols is None:
@@ -48,53 +61,53 @@ class FMat:
 
     @classmethod
     def identity(cls, field: FieldSpec, m: int) -> "FMat":
-        return cls(field, m, m, [unit_vec(m, i) for i in range(m)])
+        return cls._of(field, m, m, tuple(unit_vec(m, i) for i in range(m)))
 
     @classmethod
     def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "FMat":
-        return cls(field, nrows, ncols, [(0,) * ncols] * nrows)
+        return cls._of(field, nrows, ncols, ((0,) * ncols,) * nrows)
 
     def transpose(self) -> "FMat":
-        return FMat(self.field, self.ncols, self.nrows,
-                    list(zip(*self.rows)) or [()] * self.ncols)
+        return FMat._of(self.field, self.ncols, self.nrows,
+                        tuple(zip(*self.rows)) or ((),) * self.ncols)
 
     def __add__(self, other: "FMat") -> "FMat":
         self._same_shape(other)
-        return FMat(self.field, self.nrows, self.ncols,
-                    [self.field.axpy(a, 1, b) for a, b in zip(self.rows, other.rows)])
+        return FMat._of(self.field, self.nrows, self.ncols, tuple(
+            tuple(self.field.axpy(a, 1, b)) for a, b in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "FMat") -> "FMat":
         return self + (-other)
 
     def __neg__(self) -> "FMat":
         minus = self.field.neg(1)
-        return FMat(self.field, self.nrows, self.ncols,
-                    [self.field.scale(minus, r) for r in self.rows])
+        return FMat._of(self.field, self.nrows, self.ncols,
+                        tuple(tuple(self.field.scale(minus, r)) for r in self.rows))
 
     def __matmul__(self, other: "FMat") -> "FMat":
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
             )
-        return FMat(self.field, self.nrows, other.ncols,
-                    [vec_mat(r, other) for r in self.rows])
+        return FMat._of(self.field, self.nrows, other.ncols,
+                        tuple(_vec_mat(r, other) for r in self.rows))
 
     def _same_shape(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
 
     def rank(self) -> int:
-        return len(rref(self.field, self.rows, self.ncols)[0])
+        return len(_rref(self.field, self.rows, self.ncols)[0])
 
     def inverse(self) -> "FMat":
         if self.nrows != self.ncols:
             raise ValueError("only square matrices can be inverted")
         m = self.nrows
         aug = [self.rows[i] + unit_vec(m, i) for i in range(m)]
-        reduced, pivots = rref(self.field, aug, 2 * m)
+        reduced, pivots = _rref(self.field, aug, 2 * m)
         if pivots[:m] != tuple(range(m)) or len(pivots) != m:
             raise ValueError("matrix is singular")
-        return FMat(self.field, m, m, [r[m:] for r in reduced])
+        return FMat._of(self.field, m, m, tuple(r[m:] for r in reduced))
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -124,8 +137,13 @@ def vec_mat(v: Vec, m: FMat) -> Vec:
     """Row vector times matrix."""
     if len(v) != m.nrows:
         raise ValueError(f"vector length {len(v)} does not match {m.nrows} rows")
+    return _vec_mat(m.field.codes(v), m)
+
+
+def _vec_mat(v: Vec, m: FMat) -> Vec:
+    """Row vector of codes times matrix, unchecked."""
     out = (0,) * m.ncols
-    for c, row in zip(m.field.codes(v), m.rows):
+    for c, row in zip(v, m.rows):
         if c:
             out = m.field.axpy(out, c, row)
     return tuple(out)
@@ -134,7 +152,12 @@ def vec_mat(v: Vec, m: FMat) -> Vec:
 def rref(field: FieldSpec, rows, ncols: int):
     """Reduced row echelon form of code rows; returns (nonzero rows, pivot
     columns)."""
-    work = [list(field.codes(r)) for r in rows]
+    return _rref(field, map(field.codes, rows), ncols)
+
+
+def _rref(field: FieldSpec, rows, ncols: int):
+    """``rref`` of code rows, unchecked."""
+    work = list(map(list, rows))
     pivots = []
     r = 0
     for c in range(ncols):
@@ -157,7 +180,7 @@ def rref(field: FieldSpec, rows, ncols: int):
 
 def right_null_space(field: FieldSpec, m: FMat) -> tuple[Vec, ...]:
     """RREF basis of {v : m @ v^t = 0}, i.e. the orthogonal of m's rows."""
-    reduced, pivots = rref(field, m.rows, m.ncols)
+    reduced, pivots = _rref(field, m.rows, m.ncols)
     free = [j for j in range(m.ncols) if j not in pivots]
     basis = []
     for j in free:
@@ -166,8 +189,7 @@ def right_null_space(field: FieldSpec, m: FMat) -> tuple[Vec, ...]:
         for r, pc in zip(reduced, pivots):
             v[pc] = field.neg(r[j])
         basis.append(v)
-    reduced2, _ = rref(field, basis, m.ncols)
-    return reduced2
+    return _rref(field, basis, m.ncols)[0]
 
 
 class Subspace:
@@ -185,16 +207,27 @@ class Subspace:
         self.basis = tuple(map(field.codes, basis))
 
     @classmethod
+    def _of(cls, field: FieldSpec, ambient: int, basis: tuple) -> "Subspace":
+        """Wrap an RREF tuple of code-tuple rows built here, unchecked."""
+        space = object.__new__(cls)
+        space.field, space.ambient, space.basis = field, ambient, basis
+        return space
+
+    @classmethod
     def from_rows(cls, field: FieldSpec, ambient: int, rows) -> "Subspace":
-        basis, _ = rref(field, rows, ambient)
-        return cls(field, ambient, basis)
+        return cls._of(field, ambient, rref(field, rows, ambient)[0])
+
+    @classmethod
+    def _span(cls, field: FieldSpec, ambient: int, rows) -> "Subspace":
+        """The span of code rows built here, unchecked."""
+        return cls._of(field, ambient, _rref(field, rows, ambient)[0])
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def matrix(self) -> FMat:
-        return FMat(self.field, self.dim, self.ambient, self.basis)
+        return FMat._of(self.field, self.dim, self.ambient, self.basis)
 
     def coordinates(self, vec: Vec) -> Vec | None:
         """Coefficients of vec over the basis, or None if outside."""
@@ -214,12 +247,12 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._compatible(other)
-        return Subspace.from_rows(self.field, self.ambient, self.basis + other.basis)
+        return Subspace._span(self.field, self.ambient, self.basis + other.basis)
 
     def orth(self) -> "Subspace":
         """Orthogonal complement under the canonical bilinear form."""
-        return Subspace(self.field, self.ambient,
-                        right_null_space(self.field, self.matrix()))
+        return Subspace._of(self.field, self.ambient,
+                            right_null_space(self.field, self.matrix()))
 
     def codes(self) -> np.ndarray:
         """The basis as a (dim, ambient) array of entry codes."""

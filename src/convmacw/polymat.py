@@ -347,8 +347,8 @@ def _leading_left_kernel(field: FieldSpec, rows, ncols: int):
     if -1 in degs:
         raise ValueError("rank-deficient matrix has degree undefined")
     lead = [[p[d] if len(p) > d else 0 for p in r] for r, d in zip(rows, degs)]
-    return degs, right_null_space(field, FMat(field, ncols, len(rows),
-                                              list(zip(*lead)) or [()] * ncols))
+    return degs, right_null_space(field, FMat._of(field, ncols, len(rows),
+                                                  tuple(zip(*lead)) or ((),) * ncols))
 
 
 def _row_reduce(field: FieldSpec, rows, ncols: int):

@@ -82,16 +82,16 @@ def controller_form(G: PolyMatrix) -> ControllerForm:
     ends = [s + d - 1 for s, d in zip(starts, degs)]
     zero = (0,) * delta
     # A shifts each block by one state; B feeds input i into its block's start
-    a_rows = [zero if t in ends else unit_vec(delta, t + 1) for t in range(delta)]
-    b_rows = [unit_vec(delta, s) for s in starts] + [zero] * (k - r)
-    c_rows = [[p.coefficient(nu) for p in rows[i]]
-              for i in range(r) for nu in range(1, degs[i] + 1)]
-    d_rows = [[p.coefficient(0) for p in row] for row in rows]
+    a_rows = tuple(zero if t in ends else unit_vec(delta, t + 1) for t in range(delta))
+    b_rows = tuple(unit_vec(delta, s) for s in starts) + (zero,) * (k - r)
+    c_rows = tuple(tuple(p.coefficient(nu) for p in rows[i])
+                   for i in range(r) for nu in range(1, degs[i] + 1))
+    d_rows = tuple(tuple(p.coefficient(0) for p in row) for row in rows)
 
-    A = FMat(field, delta, delta, a_rows)
-    B = FMat(field, k, delta, b_rows)
-    C = FMat(field, delta, n, c_rows)
-    D = FMat(field, k, n, d_rows)
+    A = FMat._of(field, delta, delta, a_rows)
+    B = FMat._of(field, k, delta, b_rows)
+    C = FMat._of(field, delta, n, c_rows)
+    D = FMat._of(field, k, n, d_rows)
     return ControllerForm(
         field=field, n=n, k=k, delta=delta,
         A=A, B=B, C=C, D=D, BtD=B.transpose() @ D,
@@ -106,14 +106,14 @@ def controller_form(G: PolyMatrix) -> ControllerForm:
 def constant_code(cf: ControllerForm) -> Subspace:
     """Block code of constant codewords: the span of the degree-zero rows
     of the encoder, which the controller form puts after the first r."""
-    return Subspace.from_rows(cf.field, cf.n, cf.D.rows[cf.r:])
+    return Subspace._span(cf.field, cf.n, cf.D.rows[cf.r:])
 
 
 @_per_form
 def coefficient_code(cf: ControllerForm) -> tuple[Subspace, int]:
     """Block code spanned by all coefficient rows of the encoder, and the
     count of nonzero dual Forney indices it determines."""
-    span = Subspace.from_rows(cf.field, cf.n, cf.C.rows + cf.D.rows)
+    span = Subspace._span(cf.field, cf.n, cf.C.rows + cf.D.rows)
     r_dual = span.dim - cf.k
     if not 0 <= r_dual <= cf.n - cf.k:
         raise InternalCheckError("coefficient code dimension out of range")
@@ -126,7 +126,7 @@ def connected_pairs(cf: ControllerForm) -> Subspace:
     field, delta = cf.field, cf.delta
     rows = [unit_vec(delta, i) + cf.A.rows[i] for i in range(delta)]
     rows += [(0,) * delta + cf.B.rows[j] for j in range(cf.k)]
-    space = Subspace.from_rows(field, 2 * delta, rows)
+    space = Subspace._span(field, 2 * delta, rows)
     if space.dim != delta + cf.r:
         raise InternalCheckError("connected pair space has the wrong dimension")
     return space
@@ -142,4 +142,4 @@ def connected_pairs_orth(cf: ControllerForm) -> Subspace:
 def output_map(cf: ControllerForm) -> FMat:
     """The 2 delta x n matrix R with the rows of C, then those of B^t D:
     the pair (X, Y) has the representative output (X, Y) R = X C + Y B^t D."""
-    return FMat(cf.field, 2 * cf.delta, cf.n, cf.C.rows + cf.BtD.rows)
+    return FMat._of(cf.field, 2 * cf.delta, cf.n, cf.C.rows + cf.BtD.rows)

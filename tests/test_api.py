@@ -17,7 +17,7 @@ ENTRY_POINTS = {"FieldSpec", "FMat", "PolyMatrix", "is_basic", "is_minimal",
                 "closed_form_witness_dual", "closed_form_witness_primal",
                 "check_unit_memory", "build_parser", "CodeDocument",
                 "FieldSpec.trace", "AdjMatrix.entry", "FieldSpec.element",
-                "FieldSpec.zero", "FMat.zero", "FMat.identity", "Subspace.coordinates",
+                "FieldSpec.zero", "FMat.zero", "FMat.identity", "Subspace.coordinates", "vec_mat",
                 "PolyMatrix.transpose", "PolyMatrix.is_zero"}
 
 

@@ -3,15 +3,23 @@ reduction, kernels, subspaces, matrix products, the Smith form and the
 polynomial row reduction agree entry for entry over table fields and
 over the table-free GF(257) and GF(2^9)."""
 
+import contextlib
+import io
+import json
 import random
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from convmacw import (FieldSpec, FMat, PolyMatrix, Subspace, ZPoly, code_degree,
-                      dual_generator, make_minimal_basic, smith_normal_form)
-from convmacw.cli import CodeDocument
+from convmacw import (DualPair, FieldSpec, FMat, PolyMatrix, Subspace, ZPoly, code_degree,
+                      dual_generator, make_minimal_basic, search_witness, smith_normal_form)
+from convmacw import field as fieldmod
+from convmacw.cli import CodeDocument, main
 from convmacw.linalg import rref, right_null_space, vec_mat
+from convmacw.statespace import (coefficient_code, connected_pairs, connected_pairs_orth,
+                                 constant_code, output_map)
 from oracles import (matmul_reference, random_minimal_encoder, right_null_space_reference,
                      row_reduce_reference, rref_reference, smith_reference, we_of_affine)
 
@@ -168,9 +176,88 @@ def test_row_reduction_matches_reference(q):
         _check_row_reduction(random_minimal_encoder(rng, field, n, k, delta), rng)
 
 
+PINNED = Path(__file__).resolve().parents[1] / "bench" / "pinned"
+
+
 def test_row_reduction_matches_reference_on_pinned_documents():
-    paths = sorted((Path(__file__).resolve().parents[1] / "bench" / "pinned").glob("*/*.json"))
+    paths = sorted(PINNED.glob("*/*.json"))
     assert len(paths) == 28
     rng = random.Random(28)
     for path in paths:
         _check_row_reduction(CodeDocument.from_path(str(path)).generator, rng)
+
+
+def _validated_again(obj):
+    """Rebuild an FMat or Subspace through its checking constructor (a
+    subspace through ``from_rows``, which re-reduces its basis): a result
+    built unchecked must equal it, and hold plain int code tuples."""
+    if isinstance(obj, FMat):
+        again, rows = FMat(obj.field, obj.nrows, obj.ncols, obj.rows), obj.rows
+    else:
+        again, rows = Subspace.from_rows(obj.field, obj.ambient, obj.basis), obj.basis
+    assert again == obj and hash(again) == hash(obj)
+    assert type(rows) is tuple
+    assert all(type(r) is tuple and all(type(x) is int for x in r) for r in rows)
+
+
+def test_unchecked_results_equal_validated_ones_on_pinned_documents():
+    """Every matrix and subspace a verify builds from codes, on the 28
+    pinned documents: the controller forms, their subspaces and output
+    maps, the pairing, the witness and matrix algebra on it."""
+    for path in sorted(PINNED.glob("*/*.json")):
+        pair = DualPair(CodeDocument.from_path(str(path)).generator)
+        for cf in (pair.cf, pair.cf_dual):
+            for m in (cf.A, cf.B, cf.C, cf.D, cf.BtD, output_map(cf)):
+                _validated_again(m)
+            for space in (constant_code(cf), coefficient_code(cf)[0],
+                          connected_pairs(cf), connected_pairs_orth(cf),
+                          connected_pairs(cf) + connected_pairs_orth(cf)):
+                _validated_again(space)
+            _validated_again(connected_pairs(cf).matrix())
+        _validated_again(pair.pairing)
+        if pair.delta in (pair.cf.r, pair.r_dual):
+            W = pair.closed_form
+        else:
+            W = search_witness(pair).witness
+        for m in (W, -W, W + W, W - W, W.transpose(), W.inverse(), W @ W.inverse(),
+                  FMat.identity(pair.field, pair.delta), FMat.zero(pair.field, 2, pair.delta)):
+            _validated_again(m)
+
+
+@pytest.mark.parametrize("name", ["search/03-q4-n3k1d2.json", "search/00-q2-n5k2d4.json"])
+def test_verify_checks_codes_only_at_the_boundary(name, monkeypatch):
+    """A verify op checks entry codes where they come in (parsing the
+    document and the ``--check-witness`` matrix), not on the matrices and
+    subspaces it builds, and walks points without the F_p lift:
+    ``linear_map`` runs only to build a field's tables."""
+    path = str(PINNED / name)
+    calls = Counter()
+    codes, lift = fieldmod.FieldSpec.codes, fieldmod.linear_map
+
+    def counted_codes(self, vec):
+        calls["codes"] += 1
+        return codes(self, vec)
+
+    def counted_lift(field, matrices):
+        if sys._getframe(1).f_code is not fieldmod.FieldSpec.__init__.__code__:
+            calls["linear_map"] += 1
+        return lift(field, matrices)
+
+    monkeypatch.setattr(fieldmod.FieldSpec, "codes", counted_codes)
+    monkeypatch.setattr(fieldmod, "linear_map", counted_lift)
+
+    def verify(*extra):
+        calls.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", path, "--format", "json", *extra]) == 0
+        return json.loads(out.getvalue())
+
+    G = CodeDocument.from_path(path).generator
+    entries = G.nrows * G.ncols   # one check per parsed polynomial at most
+    report = verify()
+    assert report["theorem_used"] == "conjecture-search"
+    assert calls["linear_map"] == 0 and calls["codes"] <= entries
+    witness = report["witness"]
+    assert verify("--check-witness", json.dumps(witness))["verdict"] == "verified"
+    assert calls["linear_map"] == 0 and calls["codes"] <= entries + len(witness)

@@ -17,8 +17,8 @@ from convmacw import (FieldSpec, Subspace, adjacency_by_cosets, controller_form,
 from convmacw import field as fieldmod
 from convmacw.duality import trace_exponents
 from convmacw.exact import WePoly, weight_counts
-from convmacw.field import (add_codes, code_index, index_codes, linear_map, span_blocks,
-                            span_indices)
+from convmacw.field import (add_codes, code_index, index_codes, linear_map, multiples,
+                            span_blocks, span_indices)
 from oracles import (enumerate_vectors, negation_perm, points,
                      projective_classes, random_minimal_encoder, shift_perm,
                      span_blocks_reference, vec_dot, vector_index, we_of_affine)
@@ -106,6 +106,27 @@ def test_add_codes_every_branch(name):
     assert add_codes(field, a, b).tolist() == sums
     got = add_codes(field, code_index(field, a), code_index(field, b), 3)
     assert got.tolist() == code_index(field, np.array(sums)).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_FIELDS))
+def test_multiples_match_the_lift(name):
+    """The q multiples of a code array: up to q = 256 one gather on the
+    multiplication table, equal to the F_p lift of ``linear_map``; past
+    it the lift itself, equal to products by ``FieldSpec.mul``."""
+    field = FieldSpec(*BRANCH_FIELDS[name])
+    rows = np.random.default_rng(field.q).integers(0, field.q, (3, 4))
+    got = multiples(field, rows)
+    assert got.shape == (field.q, 3, 4) and got.dtype == np.int64
+    if field.q <= 256:
+        assert field._mul_np is not None and not field._mul_np.flags.writeable
+        lift = linear_map(field, rows.reshape(3, 1, 4))(np.arange(field.q).reshape(-1, 1))
+        assert np.array_equal(got, lift)
+    else:
+        assert field._mul_np is None
+        cs = [0, 1, 2, field.q - 1] + np.random.default_rng(1).integers(0, field.q, 20).tolist()
+        for c in cs:
+            assert got[c].tolist() == [[field.mul(c, x) for x in r] for r in rows.tolist()]
+    assert multiples(field, rows[:0]).shape == (field.q, 0, 4)
 
 
 def _kernel_cases(field, chunk):
