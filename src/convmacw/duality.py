@@ -26,7 +26,8 @@ import numpy as np
 from .adjacency import AdjMatrix, adjacency_by_cosets, coset_guard
 from .errors import GuardExceeded, InternalCheckError, power_text
 from .exact import macwilliams_rows
-from .field import FieldSpec, index_codes, pair_indices, span_indices, vector_codes
+from .field import (FieldSpec, add_codes, code_index, index_codes, multiples, pair_indices,
+                    span_blocks, span_indices, vector_codes)
 from .linalg import FMat, _rref, right_null_space, unit_vec
 from .polymat import CodeProfile, PolyMatrix, dual_generator
 from .statespace import (ControllerForm, connected_pairs, connected_pairs_orth,
@@ -50,8 +51,9 @@ def grid_guard(q: int, delta: int, limit: int = GRID_LIMIT, width: int = 1):
 def trace_exponents(field: FieldSpec, dim: int) -> np.ndarray:
     """Read-only (q^dim, q^dim) int64 table of tr(x . y), states of F_q^dim
     in canonical order: the exponents of zeta in the character grid."""
+    # point c of the walk over the states as one basis is c . x for every x
     states = index_codes(field, np.arange(field.q ** dim), dim)
-    table = field.trace_table()[span_indices(field, states[:, :, None])]
+    table = field.trace_table()[np.concatenate([b for _, b in span_blocks(field, states.T)])]
     table.flags.writeable = False
     return table
 
@@ -529,9 +531,10 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
             ok &= first
         ok[image] = False
         children = np.flatnonzero(ok)
-        prefixes = np.broadcast_to(np.array(rows, dtype=np.int64), (len(children), depth))
-        images = span_indices(field, index_codes(
-            field, np.column_stack([prefixes, children]), delta))
+        # the span of rows + [w] is image + c w, c varying fastest
+        steps = code_index(field, multiples(field, index_codes(field, children, delta)))
+        images = add_codes(field, image[:, None, None], steps[None], delta).reshape(
+            q ** (depth + 1), len(children))
         fits = (have[images] == want[np.arange(q ** (depth + 1)) * q ** (delta - depth - 1), None])
         for j in np.flatnonzero(fits.all(axis=0)).tolist():
             found = visit(rows + [int(children[j])], images[:, j])
@@ -550,6 +553,8 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
 
 def check_witness(pair: DualPair, P: FMat) -> tuple[bool, int]:
     """Validate a supplied witness; returns (valid, mismatching pairs)."""
+    if P.field != pair.field:
+        raise ValueError(f"witness matrix is over {P.field}, but the code is over {pair.field}")
     if (P.nrows, P.ncols) != (pair.delta, pair.delta):
         raise ValueError(f"witness matrix is {P.nrows}x{P.ncols}, but delta = {pair.delta} "
                          f"needs {pair.delta}x{pair.delta}")

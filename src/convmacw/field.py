@@ -333,12 +333,17 @@ class FieldSpec:
 
     def codes(self, vec) -> tuple[int, ...]:
         """Entry codes of a sequence of codes or elements of this field; an
-        element of another field is rejected, not read as its bare code."""
+        element of another field is rejected, not read as its bare code,
+        and so is a code outside [0, q)."""
         if FieldElement in map(type, vec):
             for x in vec:
                 if isinstance(x, FieldElement) and x.field is not self and x.field != self:
                     raise ValueError(f"{x!r} is not an element of {self}")
-        return tuple(map(index, vec))
+        out = tuple(map(index, vec))
+        if out and not (min(out) >= 0 and max(out) < self.q):
+            bad = next(c for c in out if not 0 <= c < self.q)
+            raise ValueError(f"code {bad} is out of range for {self} (0 to {self.q - 1})")
+        return out
 
     # public surface
     @property
@@ -449,56 +454,38 @@ def multiples(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
 
 
 def span_blocks(field: FieldSpec, basis):
-    """Yield ``(start, codes)`` blocks of the entry codes of c @ basis for
-    every c, in canonical order of c.  A (dim, ambient) basis gives
-    (count, ambient) blocks, an (N, dim, ambient) stack (count, N, ambient)
-    ones; dim 0 gives the zero point.
+    """Yield ``(start, codes)`` blocks of the (count, ambient) entry codes
+    of c @ basis for every c, in canonical order of c, from a (dim,
+    ambient) basis; dim 0 gives the zero point.
 
     Points are built by field addition: the q^L points of the last L
     coordinates form one table, an iterated outer sum of each row's q
-    multiples, and a block adds a few prefix points (the first dim - L
-    coordinates) to it.  L is the most coordinates whose table fits in a
-    block of about ``_CHUNK`` digits, but at least one, so memory stays
-    flat and a large field is still walked a table at a time."""
+    multiples, and a block adds a few whole prefix points (the first
+    dim - L coordinates) to all of it.  L is the most coordinates whose
+    table fits in a block of about ``_CHUNK`` digits, 0 when one
+    coordinate's q multiples do not, so memory stays flat."""
     basis = np.asarray(basis, dtype=np.int64)
-    stack = basis if basis.ndim == 3 else basis[None]
-    count, dim, ambient = stack.shape
-    q, width = field.q, count * ambient
-    total = q ** dim
-    shape = (count, ambient) if basis.ndim == 3 else (ambient,)
-    step = max(1, _CHUNK // (width * field.s or 1))
-    low = min(dim, 1)
+    dim, ambient = basis.shape
+    q = field.q
+    step = max(1, _CHUNK // (ambient * field.s or 1))
+    low = 0
     while low < dim and q ** (low + 1) <= step:
         low += 1
-    # mults[c, i] holds the codes of c times row i, the rows of a stack's
-    # matrices side by side
-    mults = multiples(field, stack.transpose(1, 0, 2).reshape(dim, width))
-    table = mults[:, dim - low] if dim else np.zeros((1, width), dtype=np.int64)
+    mults = multiples(field, basis)   # mults[c, i] holds the codes of c times row i
+    table = mults[:, dim - low] if low else np.zeros((1, ambient), dtype=np.int64)
     for i in range(dim - low + 1, dim):
-        table = add_codes(field, table[:, None], mults[None, :, i]).reshape(len(table) * q, width)
-    t = len(table)
-
-    def prefixes(first, last):   # the points of the first dim - L coordinates
-        digits = index_codes(field, np.arange(first, last), dim - low)
-        out = np.zeros((last - first, width), dtype=np.int64)
+        table = add_codes(field, table[:, None], mults[None, :, i]).reshape(len(table) * q, ambient)
+    if low == dim:   # the table is the whole span
+        yield 0, table
+        return
+    total, per = q ** (dim - low), step // len(table)
+    for first in range(0, total, per):
+        digits = index_codes(field, np.arange(first, min(first + per, total)), dim - low)
+        prefixes = np.zeros((len(digits), ambient), dtype=np.int64)
         for i in range(dim - low):
-            out = add_codes(field, out, mults[digits[:, i], i])
-        return out
-
-    start = 0
-    while start < total:
-        pre, j = divmod(start, t)
-        # whole prefixes, about one block's worth, or one prefix a block at a time
-        end = min(total, (pre + step // t) * t if t <= step else min(start + step, (pre + 1) * t))
-        last = -(-end // t)
-        if dim == low:   # the table is the whole span
-            block = table[start:end]
-        elif last == pre + 1:
-            block = add_codes(field, prefixes(pre, last), table[j:j + end - start])
-        else:   # whole prefixes: start and end are multiples of t
-            block = add_codes(field, prefixes(pre, last)[:, None], table)
-        yield start, block.reshape(end - start, *shape)
-        start = end
+            prefixes = add_codes(field, prefixes, mults[digits[:, i], i])
+        block = add_codes(field, prefixes[:, None], table)
+        yield first * len(table), block.reshape(len(prefixes) * len(table), ambient)
 
 
 def span_indices(field: FieldSpec, basis) -> np.ndarray:

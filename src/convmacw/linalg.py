@@ -6,13 +6,15 @@ Vectors are tuples of entry codes (see :mod:`convmacw.field`).  The
 public entry points, the ``FMat`` and ``Subspace`` constructors,
 ``FMat.from_rows``, ``Subspace.from_rows``, ``Subspace.coordinates``,
 ``rref`` and ``vec_mat``, check what comes in and also take FieldElement
-entries of its field, read as their codes.  Whatever the package builds
-from codes it already holds (products, sums, inverses, RREF results,
-orthogonals) goes through the unchecked ``_of`` constructors and the
-codes-only ``_rref`` and ``_vec_mat``; ``right_null_space`` takes an
-``FMat``, whose rows are codes.  Matrices carry their shape explicitly
-so zero-dimensional edges (empty state spaces, duals of full codes) work
-uniformly.
+entries of its field, read as their codes: a code outside [0, q) or an
+element of another field raises ``ValueError``, and the ``Subspace``
+constructor checks row lengths and row-reduces its rows.  Whatever the
+package builds from codes it already holds (products, sums, inverses,
+RREF results, orthogonals) goes through the unchecked ``_of``
+constructors and the codes-only ``_rref`` and ``_vec_mat``;
+``right_null_space`` takes an ``FMat``, whose rows are codes.  Matrices
+carry their shape explicitly so zero-dimensional edges (empty state
+spaces, duals of full codes) work uniformly.
 """
 
 from __future__ import annotations
@@ -202,9 +204,12 @@ class Subspace:
     __slots__ = ("field", "ambient", "basis")
 
     def __init__(self, field: FieldSpec, ambient: int, basis):
+        rows = [tuple(r) for r in basis]
+        if any(len(r) != ambient for r in rows):
+            raise ValueError(f"rows do not all lie in F^{ambient}")
         self.field = field
         self.ambient = ambient
-        self.basis = tuple(map(field.codes, basis))
+        self.basis = rref(field, rows, ambient)[0]
 
     @classmethod
     def _of(cls, field: FieldSpec, ambient: int, basis: tuple) -> "Subspace":
@@ -215,7 +220,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field: FieldSpec, ambient: int, rows) -> "Subspace":
-        return cls._of(field, ambient, rref(field, rows, ambient)[0])
+        return cls(field, ambient, rows)
 
     @classmethod
     def _span(cls, field: FieldSpec, ambient: int, rows) -> "Subspace":

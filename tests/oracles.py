@@ -87,14 +87,12 @@ def span_blocks_reference(field, basis, lo: int = 0, hi: int | None = None, chun
     matmul mod p; same blocks of c @ basis as ``field.span_blocks``
     yields, but cut every ``chunk`` digits."""
     basis = np.asarray(basis, dtype=np.int64)
-    stack = basis if basis.ndim == 3 else basis[None]
-    count, dim, ambient = stack.shape
+    dim, ambient = basis.shape
     hi = field.q ** dim if hi is None else hi
-    step = max(1, chunk // ((dim + count * ambient) * field.s or 1))
-    image = linear_map(field, stack)
+    step = max(1, chunk // ((dim + ambient) * field.s or 1))
+    image = linear_map(field, basis[None])
     for start in range(lo, hi, step):
-        codes = image(index_codes(field, np.arange(start, min(start + step, hi)), dim))
-        yield start, codes if basis.ndim == 3 else codes[:, 0]
+        yield start, image(index_codes(field, np.arange(start, min(start + step, hi)), dim))[:, 0]
 
 
 def points(space: Subspace):
@@ -533,7 +531,7 @@ def pairing_codes(field, delta: int) -> np.ndarray:
     """The (q^delta, q^delta) table of the entry codes of X . Y, states in
     canonical order."""
     states = index_codes(field, np.arange(field.q ** delta), delta)
-    return span_indices(field, states[:, :, None]).T
+    return np.concatenate([b for _, b in span_blocks(field, states.T)]).T
 
 
 def negation_perm(field, delta: int) -> np.ndarray:

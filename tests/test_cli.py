@@ -17,7 +17,7 @@ from convmacw.linalg import FMat
 from convmacw.polymat import code_degree
 from conftest import (BINARY_523, CHAR_GRID_2_3, LONG_00, TERNARY_322,
                       WITNESS_P_TERNARY)
-from oracles import same_code, sparse
+from oracles import pairing_codes, same_code, sparse
 
 # a pinned benchmark document: GF(5) (4, 2), delta = 2, closed-form route
 GRID_DOC = "bench/pinned/grid/02-q5-n4k2d2.json"
@@ -357,6 +357,35 @@ def test_verify_modes(binary_doc, ternary_doc, capsys):
     assert "dual Forney" in err
 
 
+def test_verify_theorem_p_on_a_pinned_document(capsys):
+    assert main(["verify", GRID_DOC, "--mode", "theorem-p", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "verified" and payload["theorem_used"] == "r=delta"
+    assert payload["witness"] == [[1, 0], [1, 1]]
+
+
+def test_verify_unit_memory_on_a_pinned_document(capsys):
+    assert main(["verify", "bench/pinned/long/03-q3-n10k5d1.json", "--mode", "unit-memory",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "verified" and payload["theorem_used"] == "delta=1"
+    assert payload["details"]["entries"] == 9 and payload["witness"] is None
+
+
+def test_exhausted_search_is_a_counterexample_candidate(capsys, monkeypatch):
+    """A search that finds no witness reports the class count it tried,
+    the weak identity's theorem and exit 3, not a crash."""
+    classes = (27 - 1) * (27 - 3) * (27 - 9) // 2   # |GL(3, 3)| / |F_3^*|
+    monkeypatch.setattr(duality, "search_witness",
+                        lambda pair, limit: duality.SearchResult(witness=None, tested=classes))
+    assert main(["verify", "bench/pinned/search/02-q3-n4k2d3.json", "--mode", "search",
+                 "--format", "json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["theorem_used"] == "multiset-only"
+    assert payload["verdict"] == "counterexample-candidate" and payload["witness"] is None
+    assert payload["details"]["candidates_tested"] == classes
+
+
 @pytest.mark.parametrize("witness", [
     "[[[1]]]", "[[null,1],[1,1]]", "[[1e400,1],[0,1]]", "[[1.5,1],[0,1]]",
     "[[true,1],[0,1]]", '[["1",0],[0,1]]', "[1, 2]", "{}",
@@ -478,6 +507,20 @@ def test_macw_text_golden(capsys):
     grid = [[int(v) for v in line.split()] for line in out[:8]]
     assert grid == CHAR_GRID_2_3
     assert "scale: q^(-3/2)" in out[8]
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["--p", "3"], FieldSpec(3)),
+    (["--p", "3", "--s", "2", "--modulus", "1,0,1"], FieldSpec(3, 2, [1, 0, 1])),
+], ids=["gf3", "gf9"])
+def test_macw_text_odd_characteristic(capsys, argv, field):
+    """Past p = 2 the grid prints z^e with e = tr(X . Y), the pairing read
+    off its oracle and traced by ``FieldSpec.trace``."""
+    assert main(["macw", *argv, "--delta", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:-1] == [" ".join(f"z^{field.trace(c)}" for c in row)
+                        for row in pairing_codes(field, 2).tolist()]
+    assert out[-1] == f"scale: q^(-2/2) with q = {field.q}"
 
 
 def test_macw_json(capsys):

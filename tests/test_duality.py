@@ -357,6 +357,16 @@ def test_check_witness_rejects_wrong_matrix(ternary_pair, f3):
         check_witness(ternary_pair, FMat.zero(f3, 2, 2))
 
 
+def test_witness_over_another_field_is_rejected(binary_pair, binary_523, f3):
+    """A GF(3) matrix is no witness for a binary code, whatever its codes."""
+    # the identity, and its negative, whose entries 2 are no GF(2) codes
+    for P in (FMat.identity(f3, binary_pair.delta), -FMat.identity(f3, binary_pair.delta)):
+        with pytest.raises(ValueError, match="over GF\\(3\\), but the code is over GF\\(2\\)"):
+            check_witness(binary_pair, P)
+        with pytest.raises(ValueError, match="over GF\\(3\\)"):
+            run_verification(binary_523, witness=P)
+
+
 def test_unit_memory(f2, f3):
     for field, rows in [(f2, [["1+z", "1"]]), (f3, [["1+z", "2", "1"]])]:
         pair = DualPair(PolyMatrix.from_strings(field, rows))

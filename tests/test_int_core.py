@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -111,6 +112,25 @@ def test_elements_of_another_field_are_rejected(other):
     own = field.element(2)
     assert FMat.from_rows(field, [[own, 0]]) == FMat.from_rows(field, [[2, 0]])
     assert ZPoly(field, [1, own]).coeffs == (1, 2)
+
+
+def test_codes_outside_the_field_are_rejected():
+    """A code outside [0, q) raises ValueError naming the code and the
+    field at every public entry, instead of being stored and failing (or
+    passing) later: over GF(2) a 5 would break the rank, over GF(509) a
+    600 would make a matrix look invertible."""
+    f2, f509 = FieldSpec(2), FieldSpec(509)
+    for build, code, field in ((lambda: FMat(f2, 1, 1, [[5]]), 5, f2),
+                               (lambda: FMat(f509, 1, 1, [[600]]), 600, f509),
+                               (lambda: FMat.from_rows(f2, [[0, -1]]), -1, f2),
+                               (lambda: ZPoly(f2, [3, 1]), 3, f2),
+                               (lambda: rref(f2, [(2, 1)], 2), 2, f2),
+                               (lambda: vec_mat((1, 2), FMat.identity(f2, 2)), 2, f2),
+                               (lambda: Subspace.from_rows(f2, 2, [[1, 2]]), 2, f2),
+                               (lambda: Subspace(f2, 2, ()).coordinates((0, 7)), 7, f2)):
+        with pytest.raises(ValueError, match=re.escape(f"code {code} is out of range for {field}")):
+            build()
+    assert FMat(f509, 1, 1, [[508]]).is_invertible()
 
 
 def test_matmul_matches_reference(field):

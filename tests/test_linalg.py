@@ -60,6 +60,19 @@ def test_rref_canonical_and_membership(f3):
     assert s1.coordinates(tuple(f3.element(c) for c in (1, 0, 0))) is None
 
 
+def test_subspace_constructor_holds_a_canonical_basis(f2):
+    """The constructor row-reduces what it is given, as ``from_rows``
+    does, and rejects a row of the wrong length."""
+    space = Subspace(f2, 2, [(1, 0), (1, 1)])
+    assert space.basis == ((1, 0), (0, 1))
+    assert space.coordinates((0, 1)) == (0, 1)
+    assert space == Subspace.from_rows(f2, 2, [(1, 0), (1, 1)])
+    assert Subspace(f2, 2, [(1, 1), (1, 1)]).dim == 1
+    for build in (Subspace, Subspace.from_rows):
+        with pytest.raises(ValueError, match="F\\^3"):
+            build(f2, 3, [(1, 0)])
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_orthogonal_complement_properties(q):
     field = FieldSpec(q)

@@ -70,8 +70,8 @@ def test_points_match_reference(field, monkeypatch):
 
 
 def test_span_blocks_cover_ranges(field, monkeypatch):
-    """Small blocks cover the whole span in order, the blocks of a stacked
-    basis as well as those of a plain one."""
+    """Small blocks cover the whole span in order, the blocks of two bases
+    side by side as well as those of one."""
     rng = random.Random(17 * field.q)
     space = _random_subspace(rng, field, 4, 2)
     full = np.concatenate([b for _, b in span_blocks(field, space.codes())])
@@ -79,10 +79,10 @@ def test_span_blocks_cover_ranges(field, monkeypatch):
     starts, blocks = zip(*span_blocks(field, space.codes()))
     assert starts[0] == 0 and len(blocks) > 1
     assert np.array_equal(np.concatenate(blocks), full)
-    stacked = np.stack([space.codes(), space.codes()[::-1]])
-    for start, block in span_blocks(field, stacked):
-        assert block.shape == (len(block), 2, 4)
-        assert np.array_equal(block[:, 0], full[start:start + len(block)])
+    side_by_side = np.hstack([space.codes(), space.codes()[::-1]])
+    for start, block in span_blocks(field, side_by_side):
+        assert block.shape == (len(block), 8)
+        assert np.array_equal(block[:, :4], full[start:start + len(block)])
 
 
 # one or two fields per branch of field addition: XOR (GF(2), GF(8)), the
@@ -130,13 +130,13 @@ def test_multiples_match_the_lift(name):
 
 
 def _kernel_cases(field, chunk):
-    """Bases, plain and stacked, dim 0 and width 0 among them, with the
-    most points a block holds; only spans of at most 2^17 points in at most
+    """Basis shapes, dim 0 and width 0 among them, with the most points a
+    block holds; the last three are (N, dim, ambient) stacks laid side by
+    side as (dim, N ambient).  Only spans of at most 2^17 points in at most
     4096 blocks, so GF(257) reaches dim 2 with the default blocks."""
-    for shape in ((0, 3), (2, 0), (1, 4), (2, 3), (3, 2), (3, 2, 2), (4, 2, 1), (2, 0, 2)):
-        width = shape[-1] * (shape[0] if len(shape) == 3 else 1)
-        step = max(1, chunk // (width * field.s or 1))
-        if field.q ** shape[-2] <= min(2 ** 17, 4096 * step):
+    for shape in ((0, 3), (2, 0), (1, 4), (2, 3), (3, 2), (2, 6), (2, 4), (0, 4)):
+        step = max(1, chunk // (shape[1] * field.s or 1))
+        if field.q ** shape[0] <= min(2 ** 17, 4096 * step):
             yield shape, step
 
 
@@ -161,10 +161,10 @@ def test_span_blocks_match_reference_kernel(name, chunk, monkeypatch):
 
 
 def test_large_field_span_walks_a_table_at_a_time(monkeypatch):
-    """Over GF(65521) the table holds one whole coordinate, so a dim-1 span
-    comes out in a handful of blocks, not one block per point; over
-    GF(257) at dim 2 with blocks of 64 points each prefix is walked a
-    piece of its table at a time, five blocks a prefix."""
+    """Over GF(65521) one coordinate's multiples pass a block, so the table
+    is the zero point and a dim-1 span comes out in a handful of blocks of
+    whole prefixes, not one block per point; over GF(257) at dim 2 with
+    blocks of 64 points it comes out 64 prefix points a block."""
     field = FieldSpec(65521)
     blocks = list(span_blocks(field, [[1, 3]]))
     assert len(blocks) <= 8
@@ -173,8 +173,7 @@ def test_large_field_span_walks_a_table_at_a_time(monkeypatch):
     field = FieldSpec(257)
     monkeypatch.setattr(fieldmod, "_CHUNK", 128)
     starts, blocks = zip(*span_blocks(field, [[1, 3], [5, 0]]))
-    assert len(blocks) == 257 * 5
-    assert all(s // 257 == (s + len(b) - 1) // 257 for s, b in zip(starts, blocks))
+    assert len(blocks) == 1033 and max(map(len, blocks)) <= 64
     want = np.concatenate([b for _, b in span_blocks_reference(field, [[1, 3], [5, 0]])])
     assert np.array_equal(np.concatenate(blocks), want)
 

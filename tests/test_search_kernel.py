@@ -14,7 +14,7 @@ import pytest
 from convmacw import (DualPair, FieldSpec, FMat, GuardExceeded, run_verification,
                       search_witness)
 from convmacw.duality import SEARCH_LIMIT, _candidate_position
-from convmacw.field import code_index, span_indices, vector_codes
+from convmacw.field import code_index, span_blocks, span_indices, vector_codes
 from convmacw.linalg import vec_mat
 from conftest import projective_candidates
 from oracles import (dense, enumerate_vectors, random_minimal_encoder, scaled_dual,
@@ -82,10 +82,12 @@ def test_candidate_arrays_match_reference(spec, delta):
     positions = [_candidate_position(field, _row_indices(P)) for P in reference]
     assert positions == list(range(1, len(reference) + 1))
     assert len(reference) == (_gl_order(field.q, delta) // (field.q - 1) if delta else 1)
-    stack = np.array([P.to_int_rows() for P in reference],
-                     dtype=np.int64).reshape(len(reference), delta, delta)
-    assert span_indices(field, stack).T.tolist() == [_reference_perm(P, delta)
-                                                     for P in reference]
+    # the matrices side by side: one (delta, N delta) basis
+    side_by_side = np.array([P.to_int_rows() for P in reference], dtype=np.int64).reshape(
+        len(reference), delta, delta).transpose(1, 0, 2).reshape(delta, len(reference) * delta)
+    points = np.concatenate([b for _, b in span_blocks(field, side_by_side)])
+    images = code_index(field, points.reshape(field.q ** delta, len(reference), delta))
+    assert images.T.tolist() == [_reference_perm(P, delta) for P in reference]
 
 
 @pytest.mark.parametrize("spec", [2, 3, GF4, 5, 7, GF8, GF9])
