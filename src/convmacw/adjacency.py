@@ -47,6 +47,8 @@ class AdjMatrix:
                 zip(xs.tolist(), ys.tolist(), self.counts.tolist())}
 
     def entry(self, i: int, j: int) -> WePoly:
+        if not (0 <= i < self.size and 0 <= j < self.size):
+            raise ValueError(f"pair ({i}, {j}) is out of range for q^delta = {self.size} states")
         k = np.searchsorted(self.index, i * self.size + j)
         found = k < len(self.index) and self.index[k] == i * self.size + j
         return WePoly(self.counts[k].tolist() if found else ())

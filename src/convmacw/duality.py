@@ -5,13 +5,13 @@ explicit reordering of the state pairs, one closed-form witness W and
 its negative for codes where one side has all indices <= 1, the
 projective witness search, and the unit-memory per-entry formulas.
 
-Everything is exact: the transform's side of the identity is a (rows,
-grid) table, integer coefficient rows over the denominator q^(delta+k)
-read through an index grid with one int per state pair, and it is
-compared with the dual adjacency matrix's own sparse counts times that
-denominator, a block of support pairs at a time.  Conjugation is a
-Fourier transform on the connected pairs, streamed over the weight
-coefficients, whose count sums run in float64 (BLAS) below 2^53.
+Everything is exact: the transform is a (rows, map) table, integer rows
+over the denominator q^(delta+k), one per point of F_q^m, and a (2 delta,
+m) matrix L; entry (X, Y) is the row at the index of (X, Y) L.  An
+identity multiplies L by its relabelling, reads the product through the
+point index once and compares with the dual's own sparse counts times
+that denominator.  Conjugation is a Fourier transform on the connected
+pairs, streamed over the weight coefficients, exact in float64 (BLAS).
 """
 
 from __future__ import annotations
@@ -78,11 +78,11 @@ def _orbit_labels(field: FieldSpec, a: int, b: int) -> tuple[np.ndarray, np.ndar
     return label, label[:, scaled[1][p - 1]]
 
 
-def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> tuple[np.ndarray, np.ndarray]:
+def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> tuple[np.ndarray, FMat]:
     """Two-sided character conjugation as a Fourier transform on F_q^m,
-    exact over the denominator q^delta: entry (X, Y) has the integer
-    coefficients ``rows[at[X, Y]]``, one row of ``rows`` per point of F_q^m,
-    ``at`` the (q^delta, q^delta) index grid.
+    exact over the denominator q^delta, as a (rows, map) table: entry
+    (X, Y) has the integer coefficients of row (X, Y) B^t of ``rows``, one
+    row per point of F_q^m, and the map is the (2 delta, m) matrix B^t.
 
     The support is the m-dim connected pairs with RREF basis B, so row c of
     the counts is lam(c) at pair c B: the index grows with c.  Entry (X, Y)
@@ -107,7 +107,6 @@ def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> tuple[np.ndarray, n
     if bound.max() >= 2 ** 52:
         raise GuardExceeded("character product bound max_t sum |lam[:, :, t]| >= 2^52 "
                             "(float64 headroom)")
-    at = pair_indices(field, pairs.codes().T)
     a, b = (pairs.dim + 1) // 2, pairs.dim // 2
     ea = trace_exponents(field, a)
     # M_e for e = 0 and, unless b = 0 (then N has exponent 0 only, so R =
@@ -139,24 +138,22 @@ def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> tuple[np.ndarray, n
         # the integer quotient is exact in float64
         s0 -= (total[c, None] - s0) / (p - 1)
         columns.reshape(width, q ** a, q ** b)[c] = s0.transpose(1, 0, 2)
-    return columns.T, at
+    return columns.T, pairs.matrix().transpose()
 
 
-def macwilliams_image(field: FieldSpec, rows: np.ndarray, at: np.ndarray,
-                      neg_perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def macwilliams_image(field: FieldSpec, rows: np.ndarray, at: FMat) -> tuple[np.ndarray, FMat]:
     """Entrywise MacWilliams transform of the conjugation of the
     transposed adjacency matrix, scaled by q^(-k): the candidate for the
     dual adjacency matrix over q^(delta+k), from the conjugated ``rows``
-    and ``at`` of a code of dimension k, as a (rows, grid) table whose
-    entry (X, Y) is ``rows[grid[X, Y]]``.
+    and map ``at`` of a code of dimension k, as a (rows, map) table.
 
     H runs once per row of ``rows``, in place, ``_BLOCK`` rows at a time,
     so no second copy of the rows is made: ``rows`` is consumed, and the
-    returned table holds it.  Conjugating the transpose is index algebra
-    on its index grid: the (X, Y) entry of the de-conjugated transpose is
-    the (-Y, X) entry of the two-sided conjugation, because the grid
-    squares to the negation permutation ``neg_perm``, the index of -X for
-    every state X.
+    returned table holds it.  Conjugating the transpose is a change of
+    map: the (X, Y) entry of the de-conjugated transpose is the (-Y, X)
+    entry of the two-sided conjugation, and (X, Y) J = (-Y, X) for J =
+    [[0, I], [-I, 0]], so the map is J at, at's bottom half over its
+    negated top half.
 
     The transform runs in int64.  No partial sum exceeds max|entry| times
     the largest column sum of |H|, so that bound is checked, in exact
@@ -174,7 +171,9 @@ def macwilliams_image(field: FieldSpec, rows: np.ndarray, at: np.ndarray,
     h = np.array(h, dtype=np.int64)
     for i in range(0, len(rows), _BLOCK):
         rows[i:i + _BLOCK] = rows[i:i + _BLOCK] @ h
-    return rows, at[neg_perm].T
+    d = at.nrows // 2
+    top = FMat._of(field, d, at.ncols, at.rows[:d])
+    return rows, FMat._of(field, at.nrows, at.ncols, at.rows[d:] + (-top).rows)
 
 
 class DualPair:
@@ -212,11 +211,7 @@ class DualPair:
         # times this scale
         self.scale = self.field.q ** (self.delta + self.k)
 
-    @cached_property
-    def neg_perm(self) -> np.ndarray:   # the index of -X for every state X
-        return span_indices(self.field, self.field.neg(1) * np.eye(self.delta, dtype=np.int64))
-
-    geometry = property(lambda self: self.neg_perm)   # bench/worker.py's duality.geometry stage
+    geometry = property(lambda self: connected_pairs(self.cf))   # bench's duality.geometry
 
     @cached_property
     def adj(self) -> AdjMatrix:
@@ -229,11 +224,10 @@ class DualPair:
     r_dual = property(lambda self: self.cf_dual.r)   # r_hat, the dual's r
 
     @cached_property
-    def transformed(self) -> tuple[np.ndarray, np.ndarray]:
+    def transformed(self) -> tuple[np.ndarray, FMat]:
         """The entrywise transform's numerators over q^(delta+k), as a
-        (rows, grid) table; the Fourier rows it comes from are not kept."""
-        return macwilliams_image(self.field, *fourier_transform(self.adj, self.cf),
-                                 self.neg_perm)
+        (rows, map) table; the Fourier rows it comes from are not kept."""
+        return macwilliams_image(self.field, *fourier_transform(self.adj, self.cf))
 
     # names bench/worker.py's duality.fourier and duality.transform stages
     # warm: the Fourier rows, built afresh and not kept, and the dual the
@@ -328,13 +322,13 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
         raise InternalCheckError("reordering map is singular")
     fmat = S.inverse() @ T
 
-    size = f.q ** pair.delta
-    # pair (X, Y) has index X * size + Y, its canonical index in F^(2 delta),
-    # and the entrywise transform at (X, Y) is the transformed matrix at (Y, -X)
-    x, y = np.divmod(pair_indices(f, vector_codes(fmat.rows, two_delta)), size)
-    rows, grid = pair.transformed
-    _require(pair, (rows, grid[y, pair.neg_perm[x]]), "reordered transform")
-    return WeakIdentityReport(entries_checked=size * size)
+    # the reordered transform at (X, Y) is the transformed matrix at (y, -x)
+    # for (x, y) = (X, Y) phi, read by its map J B^t at (y, -x) J B^t =
+    # (x, y) B^t: the map is phi B^t, B the RREF basis of the connected pairs
+    rows, _ = pair.transformed
+    _require(pair, (rows, fmat @ connected_pairs(pair.cf).matrix().transpose()),
+             "reordered transform")
+    return WeakIdentityReport(entries_checked=f.q ** two_delta)
 
 
 def _differ(table: tuple, nonzero: np.ndarray, counts: np.ndarray, scale: int,
@@ -364,11 +358,14 @@ def _differ(table: tuple, nonzero: np.ndarray, counts: np.ndarray, scale: int,
 
 
 def _mismatches(pair: DualPair, moved: tuple) -> np.ndarray:
-    """The pairs (X, Y), in row-major order, where the (rows, grid) table
+    """The pairs (X, Y), in row-major order, where the (rows, map) table
     ``moved`` differs from the dual adjacency matrix times ``pair.scale``:
-    the one entrywise comparison, a slice of the dual's counts at a time."""
+    its map read through the point index once, then the one entrywise
+    comparison, a slice of the dual's counts at a time."""
+    rows, L = moved
+    grid = pair_indices(pair.field, vector_codes(L.rows, L.ncols))
     adj = pair.adj_dual
-    bad = _differ(moved, moved[0].any(axis=1), adj.counts, pair.scale, adj.index)
+    bad = _differ((rows, grid), rows.any(axis=1), adj.counts, pair.scale, adj.index)
     return np.empty((0, 2), dtype=np.int64) if bad is None else np.argwhere(bad)
 
 
@@ -383,10 +380,11 @@ def _require(pair: DualPair, moved: tuple, identity: str):
 
 def _witness_moved(pair: DualPair, P: FMat) -> tuple:
     """The transform with both states relabelled by X -> X P: the right
-    side of the identity for the witness P, as a (rows, grid) table."""
-    perm = span_indices(pair.field, vector_codes(P.rows, pair.delta))
-    rows, grid = pair.transformed
-    return rows, grid[np.ix_(perm, perm)]
+    side of the identity for the witness P, as a (rows, map) table whose
+    map is diag(P, P) L, P times each half of the transformed map L."""
+    d, (rows, L) = pair.delta, pair.transformed
+    top, bottom = (P @ FMat._of(pair.field, d, L.ncols, L.rows[i:i + d]) for i in (0, d))
+    return rows, FMat._of(pair.field, L.nrows, L.ncols, top.rows + bottom.rows)
 
 
 def closed_form_witness_dual(pair: DualPair) -> FMat:
@@ -494,7 +492,8 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
     examined, q^delta per expanded node."""
     field, delta = pair.field, pair.delta
     q, size = field.q, field.q ** delta
-    adj, (t_rows, t_grid) = pair.adj_dual, pair.transformed
+    adj, (t_rows, t_map) = pair.adj_dual, pair.transformed
+    t_grid = pair_indices(field, vector_codes(t_map.rows, t_map.ncols))
     want = _state_colours(_dual_hashes(pair))
     have = _state_colours(_row_hashes(t_rows)[t_grid])
     nonzero = t_rows.any(axis=1)
@@ -576,7 +575,7 @@ def check_unit_memory(pair: DualPair) -> int:
     lam00, lam01, row1 = lam[0, 0], lam[0, 1], lam[1].sum(axis=0)
     inner = lam00 + q * lam - lam01 - row1
     inner[0, 0] = lam00 + (q - 1) * (lam01 + row1)
-    table = (inner @ ht).reshape(q * q, -1), np.arange(q * q).reshape(q, q)
+    table = (inner @ ht).reshape(q * q, -1), FMat.identity(pair.field, 2)
     _require(pair, table, "unit-memory formula")
     return q * q
 

@@ -360,9 +360,7 @@ class FieldSpec:
         return self._elems
 
     def element(self, code: int) -> FieldElement:
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} out of range for {self}")
-        return self._elems[code]
+        return self._elems[self.codes((code,))[0]]
 
     def from_digits(self, digits) -> FieldElement:
         digs = [int(d) % self.p for d in digits]
@@ -381,9 +379,7 @@ class FieldSpec:
         """Trace to GF(p) of a code or element: the power sum a + a^p + ...
         + a^(p^(s-1)), which is the trace of multiplication by a as an
         F_p-linear map, so a digit-weighted sum of the basis traces."""
-        if isinstance(a, FieldElement) and a.field != self:
-            raise ValueError("element belongs to a different field")
-        return sum(d * t for d, t in zip(self._digits(index(a)), self._traces)) % self.p
+        return sum(d * t for d, t in zip(self._digits(self.codes((a,))[0]), self._traces)) % self.p
 
     def trace_table(self) -> np.ndarray:
         """The trace of every code, in code order, without a per-code call."""

@@ -5,8 +5,8 @@ identity), the two closed-form witness products of the paper, the dense
 bucket product and the closed-form route to the conjugated matrix, the
 block-wise representative output and pairing matrix, the pair split with
 its output kernel, subspace intersection, the dense comparison and state
-colours of (rows, grid) tables, and FieldElement-level helpers to compare
-its int-code kernels against.
+colours of (rows, map) and (rows, grid) tables, and FieldElement-level
+helpers to compare its int-code kernels against.
 A check raises InternalCheckError when its identity fails."""
 
 import itertools
@@ -20,8 +20,8 @@ from convmacw import (FMat, GuardExceeded, InternalCheckError, PolyMatrix,
 from convmacw.adjacency import AdjMatrix
 from convmacw.duality import fourier_transform, trace_exponents
 from convmacw.exact import macwilliams_rows, weight_counts
-from convmacw.field import (code_index, index_codes, linear_map, span_blocks,
-                            span_indices, vector_codes)
+from convmacw.field import (code_index, index_codes, linear_map, pair_indices,
+                            span_blocks, span_indices, vector_codes)
 from convmacw.linalg import right_null_space, unit_vec, vec_mat
 from convmacw.polymat import _smith_form, is_basic, is_minimal
 from convmacw.statespace import (coefficient_code, connected_pairs,
@@ -269,11 +269,21 @@ def state_perm(P: FMat) -> np.ndarray:
     return perm
 
 
+def index_grid(L: FMat) -> np.ndarray:
+    """The (q^d, q^d) grid of the index of (X, Y) L for a (2d, m) map L."""
+    return pair_indices(L.field, vector_codes(L.rows, L.ncols))
+
+
 def dense(table) -> np.ndarray:
-    """The (size, size, n+1) numerators of a (rows, grid) table, whose
-    entry (X, Y) is rows[grid[X, Y]]: a conjugated matrix (rows, at), the
-    transformed matrix or the scaled dual.  A dense tensor passes through."""
-    return table[0][table[1]] if isinstance(table, tuple) else table
+    """The (size, size, n+1) numerators of a table: a (rows, map) table,
+    whose entry (X, Y) is the row at the index of (X, Y) L (a conjugated
+    matrix or the transformed matrix), or a (rows, grid) table, whose entry
+    (X, Y) is rows[grid[X, Y]] (the scaled dual).  A dense tensor passes
+    through."""
+    if not isinstance(table, tuple):
+        return table
+    rows, at = table
+    return rows[index_grid(at) if isinstance(at, FMat) else at]
 
 
 def to_table(tensor: np.ndarray) -> tuple:
@@ -645,7 +655,8 @@ def entrywise(pair) -> np.ndarray:
     """The transform of each conjugated entry where it stands, over
     q^(delta+k): transformed[X, Y] is entrywise[-Y, X], so this is index
     algebra."""
-    return dense(pair.transformed)[:, pair.neg_perm].transpose(1, 0, 2)
+    neg = negation_perm(pair.field, pair.delta)
+    return dense(pair.transformed)[:, neg].transpose(1, 0, 2)
 
 
 def check_transform_routes(pair):
@@ -656,7 +667,8 @@ def check_transform_routes(pair):
     direct = np.einsum("xyj,jt->xyt", dense(fourier_transform(pair.adj, pair.cf)), rows)
     if not np.array_equal(entrywise(pair), direct):
         raise InternalCheckError("entrywise transform differs from the direct one")
-    if not np.array_equal(dense(pair.transformed), direct[pair.neg_perm].transpose(1, 0, 2)):
+    neg = negation_perm(pair.field, pair.delta)
+    if not np.array_equal(dense(pair.transformed), direct[neg].transpose(1, 0, 2)):
         raise InternalCheckError("transformed[X, Y] is not entrywise[-Y, X]")
 
 def character_structure_checks(field, delta: int, zeta_exponent: int = 1,

@@ -18,7 +18,7 @@ from convmacw import (DualPair, FieldSpec, FMat, PolyMatrix, Subspace, WePoly,
                       coefficient_code, constant_code, controller_form,
                       dual_generator, run_verification, search_witness)
 from convmacw.cli import CodeDocument
-from convmacw.duality import trace_exponents
+from convmacw.duality import fourier_transform, trace_exponents
 from conftest import (ADJ_BINARY_523, ADJ_BINARY_523_DUAL, CHAR_GRID_2_3,
                       PERM_Q_BINARY, WITNESS_P_TERNARY, WITNESS_Q_BINARY,
                       projective_candidates, we)
@@ -31,7 +31,7 @@ from oracles import (character_structure_checks, check_bucket_route,
                      check_zeta_independence, coefficient_matrix, entry_sums,
                      entry_multisets_equal, entry_we, entrywise,
                      enumerate_vectors,
-                     fraction_entry, int_matrix, matrix01, max_degree,
+                     fraction_entry, index_grid, int_matrix, matrix01, max_degree,
                      negation_perm, padded,
                      random_minimal_encoder, same_code, sides,
                      state_pairing_matrix, state_perm, transform_denom, vec_dot,
@@ -208,7 +208,10 @@ def test_criterion_6f_character_identities(corpus):
             continue
         seen.add(key)
         character_structure_checks(pair.field, pair.delta)
-        assert np.array_equal(pair.neg_perm, negation_perm(pair.field, pair.delta))
+        # the transformed map reads the conjugation's at (-Y, X)
+        neg = negation_perm(pair.field, pair.delta)
+        at = fourier_transform(pair.adj, pair.cf)[1]
+        assert np.array_equal(index_grid(pair.transformed[1]), index_grid(at)[neg].T)
     _stamp("6f (character matrix identities)", started)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 
@@ -197,6 +198,18 @@ def test_adjacency_keeps_its_arrays_and_rejects_an_unsorted_support(binary_523):
     for bad in (index[::-1], np.concatenate([index[:1], index[:-1]])):   # unsorted, repeated
         with pytest.raises(InternalCheckError, match="not increasing"):
             AdjMatrix(adj.field, adj.n, adj.delta, bad, counts)
+
+
+def test_entry_rejects_a_pair_off_the_state_grid(f2):
+    """entry(i, j) reads pair (i, j) of the q^delta x q^delta grid: a pair
+    off it raises, naming the pair and q^delta, instead of reading the
+    flat index i q^delta + j, another pair's entry or none."""
+    adj = adjacency_by_cosets(controller_form(PolyMatrix.from_strings(f2, [["1+z", "1"]])))
+    assert adj.size == 2 and adj.entry(1, 0) == we("W")
+    for i, j in ((0, 2), (0, -1), (2, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"pair ({i}, {j}) is out of range "
+                                                       f"for q^delta = 2 states")):
+            adj.entry(i, j)
 
 
 def test_coset_builder_holds_one_copy_of_the_counts(f2):

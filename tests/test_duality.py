@@ -30,7 +30,7 @@ from oracles import (block_matrix, bucket_tensor, character_structure_checks,
                      entry_we,
                      entry_multisets_equal,
                      entrywise, enumerate_vectors, fourier_conjugate,
-                     fraction_entry,
+                     fraction_entry, index_grid,
                      int_matrix, matrix01, negation_perm, orth_mask, output_kernel,
                      padded, pairing_codes, primal_side_witness,
                      random_minimal_encoder, scaled_dual, sides, state_pairing_matrix,
@@ -517,14 +517,37 @@ def test_table_comparison_matches_the_dense_one_on_pinned_documents(monkeypatch)
     assert kinds["W or weak map", False] >= 28 and kinds["W or weak map", True] > 0
 
 
+def test_identity_checks_read_one_pair_grid(f2):
+    """The weak identity and a witness check relabel the transform by
+    multiplying its map and read the product through the point index once:
+    on binary (12,2) delta = 8 (2^16 pairs, 0.5 MB an int64 grid) each
+    peaks below two int64 grids beyond what the pair holds, plus the two
+    (block, n+1) temporaries of one block of the comparison, where a
+    relabelling gathered from grids would hold the relabelled pairs, their
+    halves and the gathered grid at once."""
+    pair = DualPair(random_minimal_encoder(random.Random(1), f2, 12, 2, 8))
+    P = search_witness(pair).witness   # builds both tables before the measurement
+    check_weak_identity(pair)          # and the connected pairs, cached per form
+    grid, block = 2 ** 16 * 8, 2 * duality._BLOCK * (pair.n + 1) * 8
+    for check, want in ((lambda: check_weak_identity(pair).entries_checked, 2 ** 16),
+                        (lambda: check_witness(pair, P), (True, 0))):
+        tracemalloc.start()
+        try:
+            assert check() == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * grid + block
+
+
 def test_state_colours_match_the_dense_hashes(corpus):
     """Hashing each distinct row once and gathering through the grid gives
     the colours of hashing every pair of the dense tensor; on the dual,
     hashing its own counts and scaling the hash gives those of the scaled
     dual."""
     for pair in corpus + _pinned_pairs():
-        rows, grid = pair.transformed
-        assert np.array_equal(duality._state_colours(duality._row_hashes(rows)[grid]),
+        rows, at = pair.transformed
+        assert np.array_equal(duality._state_colours(duality._row_hashes(rows)[index_grid(at)]),
                               dense_state_colours(dense(pair.transformed)))
         assert np.array_equal(duality._state_colours(duality._dual_hashes(pair)),
                               dense_state_colours(dense(scaled_dual(pair))))
@@ -590,30 +613,36 @@ def test_guards(binary_523):
         search_witness(pair, limit=4)
 
 
-def test_negation_perm_cached_and_involution(ternary_pair):
-    neg = ternary_pair.neg_perm
-    assert ternary_pair.neg_perm is neg
-    assert np.array_equal(neg, negation_perm(ternary_pair.field, ternary_pair.delta))
+def test_transformed_map_reads_the_conjugation_at_minus_y_x(ternary_pair):
+    """The transformed table is H applied to the conjugation read at
+    (-Y, X), -Y through the negation permutation, an involution; and its
+    map reads the conjugation's map there."""
+    pair = ternary_pair
+    neg = negation_perm(pair.field, pair.delta)
     assert np.array_equal(neg[neg], np.arange(len(neg)))
+    rows, at = fourier_transform(pair.adj, pair.cf)
+    h = np.array(macwilliams_rows(pair.n, pair.field.q), dtype=np.int64)
+    direct = dense((rows @ h, at))
+    assert np.array_equal(dense(pair.transformed), direct[neg].transpose(1, 0, 2))
+    assert np.array_equal(index_grid(pair.transformed[1]), index_grid(at)[neg].T)
 
 
 def test_transform_int64_headroom(f2):
     n = 30
     rows = macwilliams_rows(n, 2)
     colsum = max(sum(abs(r[t]) for r in rows) for t in range(n + 1))
-    neg = negation_perm(f2, 1)
 
-    def synthetic(peak):   # the conjugated rows and index grid of a delta = 1 code
-        return np.full((4, n + 1), peak, dtype=np.int64), np.arange(4).reshape(2, 2)
+    def synthetic(peak):   # the conjugated rows and map of a delta = 1 code
+        return np.full((4, n + 1), peak, dtype=np.int64), FMat.identity(f2, 2)
 
     peak = (2 ** 62 - 1) // colsum
     exact = [peak * sum(r[t] for r in rows) for t in range(n + 1)]
-    image = dense(macwilliams_image(f2, *synthetic(peak), neg))
+    image = dense(macwilliams_image(f2, *synthetic(peak)))
     assert image[0, 0].tolist() == exact
     assert image[1, 0].tolist() == exact
     for fm in (synthetic(peak + 1), synthetic(2 ** 40)):
         with pytest.raises(GuardExceeded, match="int64 headroom"):
-            macwilliams_image(f2, *fm, neg)
+            macwilliams_image(f2, *fm)
 
 
 def _reference_buckets(lam, E, p):
@@ -676,9 +705,10 @@ def test_fourier_transform_headroom(request, name):
 ], ids=["gf9-m4", "dual-of-1-to-z6-m12"])
 def test_fourier_transform_holds_its_output_and_a_few_columns(source):
     """The transform streams over the weight coefficients: besides its
-    rows and index grid it holds at most twelve coefficient columns of q^m
-    values (the masks, the orbit labels and one pass's temporaries), not
-    copies of the whole (q^m, n+1) counts.  GF(9) delta = 2 has m = 4, and
+    rows it holds at most twelve coefficient columns of q^m values (the
+    masks, the orbit labels and one pass's temporaries), not copies of the
+    whole (q^m, n+1) counts, and no q^(2 delta) grid: its map is a
+    (2 delta, m) matrix.  GF(9) delta = 2 has m = 4, and
     the dual of [1, z, ..., z^6] (binary, delta = 6) m = 12."""
     if isinstance(source, str):
         G = CodeDocument.from_path(str(PINNED / source)).generator
@@ -694,4 +724,5 @@ def test_fourier_transform_holds_its_output_and_a_few_columns(source):
         tracemalloc.stop()
     column = len(adj.counts) * 8
     assert rows.shape == adj.counts.shape and len(adj.counts) in (9 ** 4, 2 ** 12)
-    assert peak < rows.nbytes + at.nbytes + 12 * column
+    assert (at.nrows, pair.field.q ** at.ncols) == (2 * pair.delta, len(rows))
+    assert peak < rows.nbytes + 12 * column

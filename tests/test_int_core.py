@@ -106,7 +106,8 @@ def test_elements_of_another_field_are_rejected(other):
                   lambda: ZPoly(field, [1, stray]),
                   lambda: rref(field, [[stray, 1]], 2),
                   lambda: vec_mat((stray, 1), FMat.identity(field, 2)),
-                  lambda: we_of_affine(field, (stray, 0), [(0, 1)])):
+                  lambda: we_of_affine(field, (stray, 0), [(0, 1)]),
+                  lambda: field.trace(stray)):
         with pytest.raises(ValueError, match="is not an element of"):
             build()
     own = field.element(2)
@@ -127,7 +128,10 @@ def test_codes_outside_the_field_are_rejected():
                                (lambda: rref(f2, [(2, 1)], 2), 2, f2),
                                (lambda: vec_mat((1, 2), FMat.identity(f2, 2)), 2, f2),
                                (lambda: Subspace.from_rows(f2, 2, [[1, 2]]), 2, f2),
-                               (lambda: Subspace(f2, 2, ()).coordinates((0, 7)), 7, f2)):
+                               (lambda: Subspace(f2, 2, ()).coordinates((0, 7)), 7, f2),
+                               (lambda: f2.element(5), 5, f2),
+                               (lambda: FieldSpec(3).trace(5), 5, FieldSpec(3)),
+                               (lambda: FieldSpec(3).trace(-1), -1, FieldSpec(3))):
         with pytest.raises(ValueError, match=re.escape(f"code {code} is out of range for {field}")):
             build()
     assert FMat(f509, 1, 1, [[508]]).is_invertible()

@@ -18,7 +18,7 @@ from convmacw.field import code_index, span_blocks, span_indices, vector_codes
 from convmacw.linalg import vec_mat
 from conftest import projective_candidates
 from oracles import (dense, enumerate_vectors, random_minimal_encoder, scaled_dual,
-                     sparse, state_perm, to_table, vector_index)
+                     sparse, state_perm, vector_index)
 
 GF4 = (2, 2, [1, 1, 1])
 GF8 = (2, 3, [1, 1, 0, 1])
@@ -207,7 +207,9 @@ def _table_pair(field, delta, target, tnum):
     """Just what the search reads from a pair, for synthetic dense tables:
     the dual ``target`` at scale one."""
     return SimpleNamespace(field=field, delta=delta, scale=1,
-                           adj_dual=sparse(field, delta, target), transformed=to_table(tnum))
+                           adj_dual=sparse(field, delta, target),
+                           transformed=(tnum.reshape(-1, tnum.shape[-1]),
+                                        FMat.identity(field, 2 * delta)))
 
 
 @pytest.mark.parametrize("spec,delta", [(2, 3), (3, 2), (GF4, 2)])
