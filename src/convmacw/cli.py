@@ -227,6 +227,9 @@ def cmd_dual(args) -> int:
     doc = CodeDocument.from_path(args.file)
     G = _require_minimal(doc)
     H = dual_generator(G)
+    if not H.nrows:
+        raise ValueError("the dual of a full code (k = n) is the zero code, "
+                         "which a code document cannot hold")
     label = f"{doc.label} (dual)" if doc.label else None
     out = CodeDocument(doc.field, H, label).to_dict()
     # dual_generator raised InternalCheckError unless every entry of H G^t is

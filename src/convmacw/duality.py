@@ -1,17 +1,18 @@
 """Duality engine: the trace exponents of the character grid, two-sided
 character conjugation of adjacency matrices, the transformation sending a
-code's adjacency matrix to its dual's, the weak identity through an
-explicit reordering of the state pairs, one closed-form witness W and
-its negative for codes where one side has all indices <= 1, the
-projective witness search, and the unit-memory per-entry formulas.
+code's adjacency matrix to its dual's, the weak identity through a map
+of the state pairs onto F_q^m, one closed-form witness W and its
+negative for codes where one side has all indices <= 1, the projective
+witness search, and the unit-memory per-entry formulas.
 
 Everything is exact: the transform is a (rows, map) table, integer rows
 over the denominator q^(delta+k), one per point of F_q^m, and a (2 delta,
-m) matrix L; entry (X, Y) is the row at the index of (X, Y) L.  An
-identity multiplies L by its relabelling, reads the product through the
-point index once and compares with the dual's own sparse counts times
-that denominator.  Conjugation is a Fourier transform on the connected
-pairs, streamed over the weight coefficients, exact in float64 (BLAS).
+m) matrix L; entry (X, Y) is the row at the index of (X, Y) L.  A witness
+multiplies L by its relabelling, and the weak identity builds its own
+map; either is read through the point index once and compared with the
+dual's own sparse counts times that denominator.  Conjugation is a
+Fourier transform on the connected pairs, streamed over the weight
+coefficients, exact in float64 (BLAS).
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .errors import GuardExceeded, InternalCheckError, power_text
 from .exact import macwilliams_rows
 from .field import (FieldSpec, add_codes, code_index, index_codes, multiples, pair_indices,
                     span_blocks, span_indices, vector_codes)
-from .linalg import FMat, _rref, right_null_space, unit_vec
+from .linalg import FMat, _rref, unit_vec
 from .polymat import CodeProfile, PolyMatrix, dual_generator
-from .statespace import (ControllerForm, connected_pairs, connected_pairs_orth,
-                         controller_form, degree_guard, output_map)
+from .statespace import (ControllerForm, connected_pairs, controller_form, degree_guard,
+                         output_map)
 
 GRID_LIMIT = 2 ** 20     # bound on q^(2*delta), the full pair grid
 SEARCH_LIMIT = 2 ** 17   # bound on candidate row images the witness search examines
@@ -58,26 +59,6 @@ def trace_exponents(field: FieldSpec, dim: int) -> np.ndarray:
     return table
 
 
-def _orbit_labels(field: FieldSpec, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Labels of the F_p^* orbits of the pairs u = (u1, u2) in F^a x F^b,
-    a, b >= 1, as (q^a, q^b) grids at (u1, u2) and at (u1, -u2).  F_p
-    scales every base-p digit of an index, so a label is the index of the
-    multiple c u whose leading nonzero digit is 1 (0 for u = 0)."""
-    p = field.p
-    inverse = np.array([0] + [pow(d, -1, p) for d in range(1, p)])
-    units, scaled = [], []
-    for dim in (a, b):
-        places = p ** np.arange(dim * field.s - 1, -1, -1)
-        digits = np.arange(field.q ** dim)[:, None] // places % p
-        units.append(inverse[digits[np.arange(len(digits)), np.argmax(digits != 0, axis=1)]])
-        # scaled[c, u] is the index of c u, for every c in F_p
-        scaled.append(np.arange(p)[:, None, None] * digits % p @ places)
-    c = np.where(units[0][:, None] != 0, units[0][:, None], units[1])
-    size_a, size_b = field.q ** a, field.q ** b
-    label = scaled[0][c, np.arange(size_a)[:, None]] * size_b + scaled[1][c, np.arange(size_b)]
-    return label, label[:, scaled[1][p - 1]]
-
-
 def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> tuple[np.ndarray, FMat]:
     """Two-sided character conjugation as a Fourier transform on F_q^m,
     exact over the denominator q^delta, as a (rows, map) table: entry
@@ -90,17 +71,16 @@ def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> tuple[np.ndarray, F
     keeps lam, so (p - 1) F = p S_0 - sum lam for S_0(u) the sum of lam over
     tr(c . u) = 0.  Split c in halves of ceil(m/2) and floor(m/2) entries:
     S_0 is sum_e M_e lam N_(-e) for the 0/1 masks M_e, N_e of trace e.  The
-    trace is F_p-linear, so for e != 0 M_e is M_1 with row u1 moved to
-    e^-1 u1, and with R = M_1 lam N_1 the terms e != 0 sum R(c u1, -c u2)
-    over c in F_p^*: R summed over the F_p^* orbit of (u1, -u2), one
-    bincount over orbit labels.  Two float64 products (BLAS) and the
-    bincount are exact, as no sum passes max_t sum |lam[:, t]| < 2^52.
+    trace is F_p-linear, so substituting e c for c turns the term e != 0
+    into the term 1: S_0 = M_0 lam N_0 + (p - 1) M_1 lam N_(p-1), two float64
+    products (BLAS) each, exact, as no sum passes max_t sum |lam[:, t]| <
+    2^52.
 
     The weight coefficients t are independent, so the transform streams
     over them, max(1, _BLOCK // q^m) columns a pass, each written as a
     contiguous column of the buffer whose transpose is ``rows``: besides
-    the counts and the output it holds the masks, the orbit labels and a
-    few columns of temporaries."""
+    the counts and the output it holds the masks and a few columns of
+    temporaries."""
     field, p, q, width = adj.field, adj.field.p, adj.field.q, adj.n + 1
     pairs, lam = connected_pairs(cf), adj.counts
     bound = sum(np.abs(lam[i:i + _BLOCK]).sum(axis=0) for i in range(0, len(lam), _BLOCK))
@@ -109,15 +89,15 @@ def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> tuple[np.ndarray, F
                             "(float64 headroom)")
     a, b = (pairs.dim + 1) // 2, pairs.dim // 2
     ea = trace_exponents(field, a)
-    # M_e for e = 0 and, unless b = 0 (then N has exponent 0 only, so R =
-    # 0), 1; the first q^b states of F^a are (0, y), so N_e is a corner of M_e
-    masks = [(ea == e).astype(np.float64) for e in range(2 if b else 1)]
+    # M_e for e = 0 and, unless b = 0 (then N has exponent 0 only, so the
+    # terms e != 0 are 0), 1 and p - 1: two masks at p = 2.  M_1 stands for
+    # the p - 1 terms, a factor 1 at p = 2, where it is also N_(-1); the
+    # first q^b states of F^a are (0, y), so N_e is a corner of M_e
+    masks = {e: (ea == e) * float(p - 1 if e == 1 else 1) for e in ({0, 1, p - 1} if b else {0})}
     del ea   # freed before the passes
-    if b and p != 2:
-        label, negated = _orbit_labels(field, a, b)
 
-    def product(part, e):   # M_e lam N_e with rows u1 and columns (t, u2)
-        right = (part @ masks[e][:q ** b, :q ** b]).reshape(q ** a, -1)
+    def product(part, e):   # M_e lam N_(-e) with rows u1 and columns (t, u2)
+        right = (part @ masks[-e % p][:q ** b, :q ** b]).reshape(q ** a, -1)
         return (masks[e] @ right).reshape(q ** a, -1, q ** b)
 
     total, step = lam.sum(axis=0), max(1, _BLOCK // len(lam))
@@ -127,13 +107,8 @@ def fourier_transform(adj: AdjMatrix, cf: ControllerForm) -> tuple[np.ndarray, F
         part = lam[:, c].reshape(q ** a, q ** b, -1).transpose(0, 2, 1)
         part = part.astype(np.float64, order="C").reshape(-1, q ** b)
         s0 = product(part, 0)
-        if b and p == 2:   # F_2^* = {1} and -u2 = u2
+        if b:
             s0 += product(part, 1)
-        elif b:
-            r = product(part, 1)
-            for t in range(r.shape[1]):
-                s0[:, t] += np.bincount(label.ravel(), r[:, t].ravel(), label.size)[negated]
-            del r   # freed before the last two temporaries
         # (p S_0 - sum lam) / (p - 1), with no term past the 2^52 bound, so
         # the integer quotient is exact in float64
         s0 -= (total[c, None] - s0) / (p - 1)
@@ -288,46 +263,31 @@ def _units_off_pivots(field: FieldSpec, rows, ncols: int) -> tuple:
 
 
 def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
-    """Build an explicit reordering automorphism phi of the pair space and
-    verify that it carries the entrywise transform onto the dual adjacency
-    matrix: phi is invertible and every entry matches.
+    """Build a map Lambda of the pair space onto F_q^m and verify that the
+    transform's rows read through it are the dual adjacency matrix at
+    every entry.  The transform reads its rows through an onto map too,
+    and two onto maps F^(2 delta) -> F^m differ by an invertible phi, so
+    this proves the transform equals the dual after reordering the pairs.
 
-    Row i of the RREF basis B_hat of the dual's connected pairs goes to its
-    pairing image B_hat_i M, plus the j-th basis row of the pair orthogonal
-    when i is the pivot of the j-th row of the RREF basis of the
-    combinations M kills.  So v phi - v M lies in the pair orthogonal, along
-    which the transform is constant, and the corrected images are
-    independent, as M's image meets the pair orthogonal only in 0.  Unit
-    vectors off the pivots complete both sides to bases of the pair space.
+    Lambda = S^-1 [B_hat M B^t; E]: B_hat and B are the RREF bases of the
+    dual's and the code's connected pairs, M the pairing, S is B_hat
+    completed by the unit vectors off its pivots and E the unit vectors of
+    F^m off the pivots of B_hat M B^t.  So a dual connected pair v reads
+    row v M B^t, the transform at (y, -x) for (x, y) = v M.  Lambda has
+    2 delta rows, and is onto, iff B_hat M B^t has rank r + r_hat.
     """
-    f = pair.field
-    two_delta = 2 * pair.delta
-    pairs = connected_pairs(pair.cf_dual).basis
-    images = FMat._of(f, len(pairs), two_delta, pairs) @ pair.pairing
-    killed = right_null_space(f, images.transpose())
-    orth = connected_pairs_orth(pair.cf).basis
-    if len(killed) != len(orth):
+    f, two_delta = pair.field, 2 * pair.delta
+    dual_pairs = connected_pairs(pair.cf_dual).basis
+    at = connected_pairs(pair.cf).matrix().transpose()
+    images = FMat._of(f, len(dual_pairs), two_delta, dual_pairs) @ pair.pairing @ at
+    completion = _units_off_pivots(f, images.rows, at.ncols)
+    if len(dual_pairs) + len(completion) != two_delta:
         raise InternalCheckError(
-            f"weak identity: the pairing kills {len(killed)} dual pair directions, "
-            f"but the pair orthogonal has dimension {len(orth)}")
-    target = list(images.rows)
-    for combination, w in zip(killed, orth):
-        i = next(j for j, c in enumerate(combination) if c)
-        target[i] = tuple(f.axpy(target[i], 1, w))
-    S = FMat._of(f, two_delta, two_delta, pairs + _units_off_pivots(f, pairs, two_delta))
-    target = tuple(target) + _units_off_pivots(f, target, two_delta)
-    T = FMat._of(f, len(target), two_delta, target)
-    # S is invertible by construction, so phi = S^-1 T is invertible iff T is
-    if not T.is_invertible():
-        raise InternalCheckError("reordering map is singular")
-    fmat = S.inverse() @ T
-
-    # the reordered transform at (X, Y) is the transformed matrix at (y, -x)
-    # for (x, y) = (X, Y) phi, read by its map J B^t at (y, -x) J B^t =
-    # (x, y) B^t: the map is phi B^t, B the RREF basis of the connected pairs
-    rows, _ = pair.transformed
-    _require(pair, (rows, fmat @ connected_pairs(pair.cf).matrix().transpose()),
-             "reordered transform")
+            f"weak identity: B_hat M B^t has rank {at.ncols - len(completion)}, "
+            f"but r + r_hat = {pair.cf.r + pair.r_dual}")
+    S = FMat._of(f, two_delta, two_delta, dual_pairs + _units_off_pivots(f, dual_pairs, two_delta))
+    L = S.inverse() @ FMat._of(f, two_delta, at.ncols, images.rows + completion)
+    _require(pair, (pair.transformed[0], L), "reordered transform")
     return WeakIdentityReport(entries_checked=f.q ** two_delta)
 
 

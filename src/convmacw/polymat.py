@@ -132,10 +132,16 @@ def parse_zpoly(text: str, field: FieldSpec) -> ZPoly:
             raise ValueError(
                 f"parse error at column {col}: digit lists need an extension field"
             )
+        if list_c is not None:   # "[]" has no digit, but no digit may be empty
+            start = chunk.index("[") + 1
+            digits = chunk[start:chunk.index("]")].split(",")
+            empty = next((i for i, d in enumerate(digits) if not d.strip()), None)
+            if len(digits) > 1 and empty is not None:
+                at = col + start + sum(len(d) + 1 for d in digits[:empty])
+                raise ValueError(f"parse error at column {at}: empty digit in {list_c!r}")
         try:
             if list_c is not None:
-                coeff = field.from_digits(
-                    [int(d) for d in list_c[1:-1].split(",") if d != ""])
+                coeff = field.from_digits([int(d) for d in digits if d.strip()])
             else:
                 coeff = field.one if int_c is None else field.from_int(int(int_c))
             power = 0 if zpart is None else 1 if exp is None else int(exp)

@@ -18,7 +18,7 @@ ENTRY_POINTS = {"FieldSpec", "FMat", "PolyMatrix", "is_basic", "is_minimal",
                 "check_unit_memory", "build_parser", "CodeDocument",
                 "FieldSpec.trace", "AdjMatrix.entry", "FieldSpec.element",
                 "FieldSpec.zero", "FMat.zero", "FMat.identity", "Subspace.coordinates", "vec_mat",
-                "PolyMatrix.transpose", "PolyMatrix.is_zero"}
+                "PolyMatrix.transpose", "PolyMatrix.is_zero", "connected_pairs_orth"}
 
 
 def _definitions(tree):

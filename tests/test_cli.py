@@ -668,6 +668,31 @@ def test_internal_check_failure_exit_4(binary_doc, capsys, monkeypatch):
     assert err == "internal check failed: oracle adjacency disagrees with coset route\n"
 
 
+def test_dual_of_a_full_code_is_refused(tmp_path, capsys):
+    """The dual of a k = n code is the zero code, which has no generator
+    rows, and a code document needs a non-empty grid: exit 1, no output."""
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps({"field": {"p": 2}, "generator": [["1", "0"], ["0", "1"]]}))
+    assert main(["dual", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the dual of a full code (k = n) is the zero code, "
+                            "which a code document cannot hold\n")
+
+
+def test_weak_identity_refuses_a_pairing_of_the_wrong_rank(binary_doc, capsys, monkeypatch):
+    """A pairing that loses rank leaves the map onto F_q^m short of 2 delta
+    rows: verify --mode weak stops with exit 4, naming the weak identity
+    and both ranks (r + r_hat = 1 + 3 for this code)."""
+    monkeypatch.setattr(duality.DualPair, "pairing", property(
+        lambda pair: FMat.zero(pair.field, 2 * pair.delta, 2 * pair.delta)))
+    assert main(["verify", binary_doc, "--mode", "weak"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal check failed: weak identity: B_hat M B^t has rank 0, "
+                            "but r + r_hat = 4\n")
+
+
 @pytest.mark.parametrize("fault,message", [
     ("orthogonality", "kernel construction lost orthogonality"),
     ("degree", "dual code degree mismatch"),

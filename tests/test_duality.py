@@ -19,7 +19,7 @@ from convmacw.duality import fourier_transform, macwilliams_image, trace_exponen
 from convmacw.exact import macwilliams_rows
 from convmacw.statespace import connected_pairs, connected_pairs_orth, constant_code
 from conftest import (BINARY_523_DUAL, CHAR_GRID_2_3, PERM_Q_BINARY, WITNESS_P_TERNARY,
-                      WITNESS_Q_BINARY, projective_candidates, we)
+                      WITNESS_Q_BINARY, projective_candidates, sample_corpus, we)
 from oracles import (block_matrix, bucket_tensor, character_structure_checks,
                      check_bucket_route, check_correction_block,
                      check_fourier_closed_form,
@@ -143,7 +143,7 @@ def test_fourier_transform_matches_bucket_product(spec, rows, m, m_dual):
     bucket product on both sides: at m = 0 (delta = 0), at odd m, where the
     two halves of the coefficient space differ in size, at m = 2 delta,
     over extension fields, and over GF(p) for p = 3 to 127, where the
-    terms of trace e != 0 come from one product summed over F_p^* orbits.  The transform reads the
+    terms of trace e != 0 come from the term 1 taken p - 1 times.  The transform reads the
     sorted counts as span-coefficient order, which they are."""
     pair = DualPair(PolyMatrix.from_strings(FieldSpec(*spec), rows))
     assert (connected_pairs(pair.cf).dim, connected_pairs(pair.cf_dual).dim) == (m, m_dual)
@@ -246,6 +246,65 @@ def test_weak_identity_map_parts(doc, swap, corrections, completion, entries):
     assert connected_pairs_orth(pair.cf).dim == corrections
     assert 2 * pair.delta - connected_pairs(pair.cf_dual).dim == completion
     assert check_weak_identity(pair).entries_checked == entries
+
+
+@pytest.mark.parametrize("doc,swap", [
+    ([["1", "1"]], False),
+    ("grid/05-q9-n4k2d2.json", False),
+    ("grid/01-q3-n6k2d4.json", True),
+    ("search/02-q3-n4k2d3.json", False),
+    ("search/00-q2-n5k2d4.json", False),
+], ids=["delta0", "r-rhat-delta", "swapped", "both-parts", "binary"])
+def test_weak_identity_map_is_onto_and_the_pairing_on_dual_pairs(monkeypatch, doc, swap):
+    """The weak identity reads the transform's rows through a 2 delta x m
+    map Lambda of rank m, onto F_q^m, that is M B^t on the dual's
+    connected pairs B_hat."""
+    maps = []
+    real = duality._require
+    monkeypatch.setattr(duality, "_require",
+                        lambda pair, moved, identity: (maps.append(moved[1]),
+                                                       real(pair, moved, identity)))
+    G = (PolyMatrix.from_strings(FieldSpec(2), doc) if isinstance(doc, list)
+         else CodeDocument.from_path(str(PINNED / doc)).generator)
+    pair = DualPair(dual_generator(G), G) if swap else DualPair(G)
+    check_weak_identity(pair)
+    (L,) = maps
+    B, B_hat = connected_pairs(pair.cf).matrix(), connected_pairs(pair.cf_dual).matrix()
+    assert (L.nrows, L.ncols, L.rank()) == (2 * pair.delta, B.nrows, B.nrows)
+    assert B_hat @ L == B_hat @ pair.pairing @ B.transpose()
+
+
+@pytest.mark.parametrize("spec", [(3,), (2, 2, [1, 1, 1]), (5,), (7,), (2, 3, [1, 1, 0, 1]),
+                                  (3, 2, [2, 2, 1])],
+                         ids=["gf3", "gf4", "gf5", "gf7", "gf8", "gf9"])
+def test_every_nonzero_trace_term_is_the_term_one(spec):
+    """Substituting e c for c, e in F_p^*, keeps lam and scales the trace
+    by e, so the term M_e lam N_(-e) of S_0 is M_1 lam N_(-1) for every e
+    != 0: the Fourier transform takes one product for all p - 1 of them.
+    Checked in exact integers on both sides of random codes and of the
+    pinned documents over the field, with the trace_exponents masks."""
+    field = FieldSpec(*spec)
+    pairs = sample_corpus(random.Random(field.q), field, 6, 2)
+    pairs += [DualPair(CodeDocument.from_path(str(path)).generator)
+              for path in sorted(PINNED.glob(f"*/*-q{field.q}-*.json"))]
+    p, q, nonzero = field.p, field.q, 0
+    for pair in pairs:
+        for _, cf, adj, _ in sides(pair):
+            m = connected_pairs(cf).dim
+            a, b = (m + 1) // 2, m // 2
+            ea = trace_exponents(field, a)
+            lam = adj.counts.reshape(q ** a, q ** b, -1)
+
+            def term(e):
+                left = (ea == e).astype(np.int64)
+                right = (ea[:q ** b, :q ** b] == -e % p).astype(np.int64)
+                return np.tensordot(np.tensordot(left, lam, axes=(1, 0)), right, axes=(1, 0))
+
+            one = term(1)
+            nonzero += bool(one.any())
+            for e in range(2, p):
+                assert np.array_equal(term(e), one), (pair.G, e)
+    assert nonzero
 
 
 def test_closed_form_witness_dual_golden(binary_pair):
@@ -706,7 +765,7 @@ def test_fourier_transform_headroom(request, name):
 def test_fourier_transform_holds_its_output_and_a_few_columns(source):
     """The transform streams over the weight coefficients: besides its
     rows it holds at most twelve coefficient columns of q^m values (the
-    masks, the orbit labels and one pass's temporaries), not copies of the
+    masks and one pass's temporaries), not copies of the
     whole (q^m, n+1) counts, and no q^(2 delta) grid: its map is a
     (2 delta, m) matrix.  GF(9) delta = 2 has m = 4, and
     the dual of [1, z, ..., z^6] (binary, delta = 6) m = 12."""

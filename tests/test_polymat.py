@@ -135,6 +135,20 @@ def test_parse_errors_name_their_column(q, text, message):
     assert str(err.value) == "parse error at " + message
 
 
+@pytest.mark.parametrize("text,column", [
+    ("[,1]", 2), ("[1,,2]", 4), ("[,]", 2), ("[1,2,]", 6), ("1 + [1, ,2]z", 8),
+])
+def test_empty_digit_in_a_list_is_a_parse_error(text, column):
+    """An empty digit is an error at its column, not dropped: over GF(9)
+    "[,1]" would read as 1, not alpha.  "[]" has no digit at all, and
+    reads as 0."""
+    field = FieldSpec(3, 2, [2, 2, 1])
+    with pytest.raises(ValueError) as err:
+        parse_zpoly(text, field)
+    assert str(err.value).startswith(f"parse error at column {column}: empty digit in ")
+    assert parse_zpoly("[ ]", field).is_zero()
+
+
 def test_zpoly_arithmetic(f3):
     rng = random.Random(3)
     for _ in range(60):

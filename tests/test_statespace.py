@@ -234,7 +234,7 @@ BUILDERS = (constant_code, coefficient_code, connected_pairs, connected_pairs_or
 
 @pytest.mark.parametrize("doc, mode, built", [
     (LONG_00, "auto", {"connected_pairs", "constant_code"}),
-    (BINARY_523, "weak", {"connected_pairs", "connected_pairs_orth", "constant_code"}),
+    (BINARY_523, "weak", {"connected_pairs", "constant_code"}),
 ], ids=["binary-long00", "binary-523-weak"])
 def test_verify_builds_each_subspace_once_per_form(tmp_path, capsys, doc, mode, built):
     """One verify run builds exactly the state-space subspaces its route
