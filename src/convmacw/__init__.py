@@ -15,7 +15,6 @@ from .polymat import (CodeProfile, PolyMatrix, ZPoly, code_degree,
                       dual_generator, is_basic, is_minimal, make_minimal_basic,
                       parse_zpoly, smith_normal_form)
 from .statespace import (ControllerForm, coefficient_code, connected_pairs,
-                         connected_pairs_orth, constant_code, controller_form,
-                         output_map)
+                         constant_code, controller_form, output_map)
 
 __version__ = "0.1.0"

@@ -9,10 +9,11 @@ Everything is exact: the transform is a (rows, map) table, integer rows
 over the denominator q^(delta+k), one per point of F_q^m, and a (2 delta,
 m) matrix L; entry (X, Y) is the row at the index of (X, Y) L.  A witness
 multiplies L by its relabelling, and the weak identity builds its own
-map; either is read through the point index once and compared with the
-dual's own sparse counts times that denominator.  Conjugation is a
-Fourier transform on the connected pairs, streamed over the weight
-coefficients, exact in float64 (BLAS).
+map; either is read through the point index a block at a time and
+compared with the dual's own sparse counts times that denominator.  The
+search prunes on entry hashes and checks each leaf that way.
+Conjugation is a Fourier transform on the connected pairs, streamed over
+the weight coefficients, exact in float64 (BLAS).
 """
 
 from __future__ import annotations
@@ -291,42 +292,27 @@ def check_weak_identity(pair: DualPair) -> WeakIdentityReport:
     return WeakIdentityReport(entries_checked=f.q ** two_delta)
 
 
-def _differ(table: tuple, nonzero: np.ndarray, counts: np.ndarray, scale: int,
-            support: np.ndarray, theirs: np.ndarray | None = None) -> np.ndarray | None:
-    """The pairs where a (rows, grid) ``table`` differs from the dual, as a
-    bool grid, or None where they agree.  The dual is given on its support
-    S: the increasing flat positions ``support`` of its nonzero entries,
-    which are ``scale`` times ``counts[theirs]``, or times ``counts`` itself
-    when ``theirs`` is None; ``nonzero`` marks the nonzero rows of
-    ``table``.  Two exact parts and no dense gather: the rows of ``table``
-    on S, a block of pairs at a time, and its count of nonzero entries.
-    Once the rows on S agree, all |S| of them are nonzero, so a count of |S|
-    leaves no nonzero entry off S."""
-    rows, grid = table
-    flat, bad = grid.ravel(), nonzero[grid]
-    blocks = [slice(i, i + _BLOCK) for i in range(0, len(support), _BLOCK)]
-
-    def differs(b):   # whether each pair of block b differs from the dual
-        dual = counts[b] if theirs is None else counts[theirs[b]]
-        return (rows[flat[support[b]]] != dual * scale).any(axis=1)
-
-    if np.count_nonzero(bad) == len(support) and not any(differs(b).any() for b in blocks):
-        return None
-    for b in blocks:
-        bad.flat[support[b]] = differs(b)
-    return bad
-
-
 def _mismatches(pair: DualPair, moved: tuple) -> np.ndarray:
     """The pairs (X, Y), in row-major order, where the (rows, map) table
     ``moved`` differs from the dual adjacency matrix times ``pair.scale``:
-    its map read through the point index once, then the one entrywise
-    comparison, a slice of the dual's counts at a time."""
-    rows, L = moved
-    grid = pair_indices(pair.field, vector_codes(L.rows, L.ncols))
-    adj = pair.adj_dual
-    bad = _differ((rows, grid), rows.any(axis=1), adj.counts, pair.scale, adj.index)
-    return np.empty((0, 2), dtype=np.int64) if bad is None else np.argwhere(bad)
+    the one exact comparison of a table with the dual.  The map is read
+    through the point index a block of rows (about ``_BLOCK`` pairs) at a
+    time, never as a whole int64 grid: each pair of the block with a
+    nonzero row starts out differing, then its pairs on the dual's support
+    (sorted, so a slice of the dual's counts) are compared with them."""
+    (rows, L), field, adj, size = moved, pair.field, pair.adj_dual, pair.adj_dual.size
+    codes = vector_codes(L.rows, L.ncols)
+    x, y = span_indices(field, codes[:pair.delta]), span_indices(field, codes[pair.delta:])
+    nonzero, step, bad = rows.any(axis=1), max(1, _BLOCK // size), np.empty(size * size, bool)
+    lo = 0   # the dual's support entries before the block
+    for X in range(0, size, step):
+        i, at = X * size, add_codes(field, x[X:X + step, None], y, L.ncols).ravel()
+        bad[i:i + len(at)] = nonzero[at]
+        hi = lo + int(np.count_nonzero(adj.index[lo:lo + len(at)] < i + len(at)))
+        support, dual = adj.index[lo:hi], adj.counts[lo:hi] * pair.scale
+        bad[support] = (rows[at[support - i]] != dual).any(axis=1)
+        lo = hi
+    return np.argwhere(bad.reshape(size, size)) if bad.any() else np.empty((0, 2), np.int64)
 
 
 def _require(pair: DualPair, moved: tuple, identity: str):
@@ -445,47 +431,41 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
     Depth-first over the rows of P: row i is the image of e_i, tried in
     increasing state index, so the order is the lexicographic one.  A row
     is admissible when its state has the colour of e_i and lies outside
-    the span of the rows before it; a node survives when the identity
-    holds on the span of its rows, which at depth delta is the full check.
-    ``tested`` is the witness's 1-based position in that order, or the
-    class count on exhaustion.  ``limit`` bounds the candidate row images
-    examined, q^delta per expanded node."""
+    the span of the rows before it.  A node survives when the transform's
+    entry hashes equal the dual's on the span of its rows: equal entries
+    hash equal, so no prefix of a witness is pruned, and a collision only
+    costs nodes.  At depth delta ``_mismatches`` checks the full identity
+    exactly.  ``tested`` is the witness's 1-based position in that order,
+    or the class count on exhaustion.  ``limit`` bounds the candidate row
+    images examined, q^delta per expanded node."""
     field, delta = pair.field, pair.delta
     q, size = field.q, field.q ** delta
-    adj, (t_rows, t_map) = pair.adj_dual, pair.transformed
-    t_grid = pair_indices(field, vector_codes(t_map.rows, t_map.ncols))
-    want = _state_colours(_dual_hashes(pair))
-    have = _state_colours(_row_hashes(t_rows)[t_grid])
-    nonzero = t_rows.any(axis=1)
-    # the dual's side of the prefix check at each depth: its support on the
-    # span of e_1, ..., e_depth, as positions in that block and in the
-    # dual's counts; at depth delta the block is the whole grid
-    dual_blocks = []
-    for depth in range(delta):
-        span = np.arange(q ** depth) * q ** (delta - depth)
-        flat = (span[:, None] * size + span).ravel()
-        pos = np.minimum(np.searchsorted(adj.index, flat), len(adj.index) - 1)
-        hit = adj.index[pos] == flat
-        dual_blocks.append((np.flatnonzero(hit), pos[hit]))
-    dual_blocks.append((adj.index, None))
+    dual = _dual_hashes(pair)
+    want = _state_colours(dual)
+    dual = dual[::q, ::q].copy()   # a prefix spans states at stride q^(delta - depth) >= q
+    t_rows, t_map = pair.transformed
+    t_hash = _row_hashes(t_rows)[pair_indices(field, vector_codes(t_map.rows, t_map.ncols))]
+    have = _state_colours(t_hash)
     first = np.zeros(size, dtype=bool)
     for m in range(delta):
         first[q ** m:2 * q ** m] = True
     examined = 0
 
-    def visit(rows: list[int], image: np.ndarray) -> list[int] | None:
+    def visit(rows: list[int], image: np.ndarray) -> tuple[list[int], FMat] | None:
         nonlocal examined
         depth = len(rows)
-        if _differ((t_rows, t_grid[image[:, None], image]), nonzero, adj.counts,
-                   pair.scale, *dual_blocks[depth]) is not None:
+        if depth == delta:   # P's rows are the chosen states: check it exactly
+            codes = index_codes(field, rows, delta).tolist()
+            P = FMat._of(field, delta, delta, tuple(map(tuple, codes)))
+            return None if len(_mismatches(pair, _witness_moved(pair, P))) else (rows, P)
+        stride = q ** (delta - depth - 1)
+        if (t_hash[image[:, None], image] != dual[::stride, ::stride]).any():
             return None
-        if depth == delta:
-            return rows
         if examined + size > limit:
             raise GuardExceeded(f"witness search would examine more than "
                                 f"{limit} candidate row images")
         examined += size
-        ok = have == want[q ** (delta - depth - 1)]
+        ok = have == want[stride]
         if depth == 0:
             ok &= first
         ok[image] = False
@@ -494,20 +474,19 @@ def search_witness(pair: DualPair, limit: int = SEARCH_LIMIT) -> SearchResult:
         steps = code_index(field, multiples(field, index_codes(field, children, delta)))
         images = add_codes(field, image[:, None, None], steps[None], delta).reshape(
             q ** (depth + 1), len(children))
-        fits = (have[images] == want[np.arange(q ** (depth + 1)) * q ** (delta - depth - 1), None])
+        fits = (have[images] == want[np.arange(q ** (depth + 1)) * stride, None])
         for j in np.flatnonzero(fits.all(axis=0)).tolist():
             found = visit(rows + [int(children[j])], images[:, j])
             if found is not None:
                 return found
         return None
 
-    rows = visit([], np.zeros(1, dtype=np.int64))
-    if rows is None:   # |GL(delta, q)| / (q - 1) classes, one for delta = 0
+    found = visit([], np.zeros(1, dtype=np.int64))
+    if found is None:   # |GL(delta, q)| / (q - 1) classes, one for delta = 0
         total = math.prod(size - q ** l for l in range(delta)) // (q - 1) if delta else 1
         return SearchResult(witness=None, tested=total, examined=examined)
-    witness = tuple(map(tuple, index_codes(field, rows, delta).tolist()))
-    return SearchResult(witness=FMat._of(field, delta, delta, witness),
-                        tested=_candidate_position(field, rows), examined=examined)
+    return SearchResult(witness=found[1], tested=_candidate_position(field, found[0]),
+                        examined=examined)
 
 
 def check_witness(pair: DualPair, P: FMat) -> tuple[bool, int]:

@@ -105,6 +105,7 @@ def _dot(field: FieldSpec, a, b) -> tuple:
 
 _TERM_RE = re.compile(r"^(?:(-?\d+)|(\[[0-9,\s-]*\]))?(z(?:\^(\d+))?)?$")
 _SPLIT_DIGITS = re.compile(r"\d\s+\d")   # "1 2" is an error, not 12
+_DIGIT_RE = re.compile(r"-?[0-9]+")
 
 
 def parse_zpoly(text: str, field: FieldSpec) -> ZPoly:
@@ -132,13 +133,17 @@ def parse_zpoly(text: str, field: FieldSpec) -> ZPoly:
             raise ValueError(
                 f"parse error at column {col}: digit lists need an extension field"
             )
-        if list_c is not None:   # "[]" has no digit, but no digit may be empty
+        if list_c is not None:   # "[]" has no digit, but each digit is an integer
             start = chunk.index("[") + 1
             digits = chunk[start:chunk.index("]")].split(",")
-            empty = next((i for i, d in enumerate(digits) if not d.strip()), None)
-            if len(digits) > 1 and empty is not None:
-                at = col + start + sum(len(d) + 1 for d in digits[:empty])
-                raise ValueError(f"parse error at column {at}: empty digit in {list_c!r}")
+            at = col + start   # the column of each digit's slot
+            for d in digits:
+                if d.strip() and not _DIGIT_RE.fullmatch(d.strip()):
+                    raise ValueError(f"parse error at column {at + len(d) - len(d.lstrip())}: "
+                                     f"bad digit {d.strip()!r} in {list_c!r}")
+                if not d.strip() and len(digits) > 1:
+                    raise ValueError(f"parse error at column {at}: empty digit in {list_c!r}")
+                at += len(d) + 1
         try:
             if list_c is not None:
                 coeff = field.from_digits([int(d) for d in digits if d.strip()])

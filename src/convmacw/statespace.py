@@ -133,12 +133,6 @@ def connected_pairs(cf: ControllerForm) -> Subspace:
 
 
 @_per_form
-def connected_pairs_orth(cf: ControllerForm) -> Subspace:
-    """Orthogonal of the connected pairs."""
-    return connected_pairs(cf).orth()
-
-
-@_per_form
 def output_map(cf: ControllerForm) -> FMat:
     """The 2 delta x n matrix R with the rows of C, then those of B^t D:
     the pair (X, Y) has the representative output (X, Y) R = X C + Y B^t D."""

@@ -24,8 +24,7 @@ from convmacw.field import (code_index, index_codes, linear_map, pair_indices,
                             span_blocks, span_indices, vector_codes)
 from convmacw.linalg import right_null_space, unit_vec, vec_mat
 from convmacw.polymat import _smith_form, is_basic, is_minimal
-from convmacw.statespace import (coefficient_code, connected_pairs,
-                                 connected_pairs_orth, constant_code, output_map)
+from convmacw.statespace import coefficient_code, connected_pairs, constant_code, output_map
 
 _CHUNK = 2 ** 18   # elements per transient array in the closed-form incidence sum
 
@@ -462,6 +461,12 @@ def check_constant_code(cf):
         raise InternalCheckError("two routes to the constant code disagree")
     if via_kernel.dim != cf.k - cf.r:
         raise InternalCheckError("constant code has the wrong dimension")
+
+
+def connected_pairs_orth(cf) -> Subspace:
+    """Orthogonal of the connected pairs: the pair orthogonal the tests
+    reason with, which no route of the package builds."""
+    return connected_pairs(cf).orth()
 
 
 def check_connected_pairs_orth(cf):

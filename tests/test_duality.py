@@ -17,7 +17,7 @@ from convmacw.adjacency import AdjMatrix
 from convmacw.cli import CodeDocument
 from convmacw.duality import fourier_transform, macwilliams_image, trace_exponents
 from convmacw.exact import macwilliams_rows
-from convmacw.statespace import connected_pairs, connected_pairs_orth, constant_code
+from convmacw.statespace import connected_pairs, constant_code
 from conftest import (BINARY_523_DUAL, CHAR_GRID_2_3, PERM_Q_BINARY, WITNESS_P_TERNARY,
                       WITNESS_Q_BINARY, projective_candidates, sample_corpus, we)
 from oracles import (block_matrix, bucket_tensor, character_structure_checks,
@@ -25,7 +25,7 @@ from oracles import (block_matrix, bucket_tensor, character_structure_checks,
                      check_fourier_closed_form,
                      check_orth_translation_invariance, check_pairing_lemma,
                      check_transform_routes, check_transport,
-                     check_zeta_independence, correction_block, dense,
+                     check_zeta_independence, connected_pairs_orth, correction_block, dense,
                      dense_mismatches, dense_state_colours, dual_side_witness,
                      entry_we,
                      entry_multisets_equal,
@@ -574,6 +574,27 @@ def test_table_comparison_matches_the_dense_one_on_pinned_documents(monkeypatch)
     assert kinds["on the support"] > 0 and kinds["off the support"] > 0
     # the weak map fits all 28; W is no witness on some codes past its closed forms
     assert kinds["W or weak map", False] >= 28 and kinds["W or weak map", True] > 0
+
+
+def test_search_is_exact_under_hash_collisions(monkeypatch):
+    """The search prunes on entry hashes and checks each leaf exactly, so a
+    collision costs only nodes: with every hash reduced mod 3 (zero still
+    hashes to 0, equal rows still hash equal) it returns the witness and
+    position of the unpatched search on every pinned document."""
+    paths = sorted(PINNED.glob("*/*.json"))
+    pairs = [DualPair(CodeDocument.from_path(str(path)).generator) for path in paths]
+    exact = [search_witness(pair) for pair in pairs]
+    real = duality._row_hashes
+    monkeypatch.setattr(duality, "_row_hashes",
+                        lambda rows, scale=1: real(rows, scale) % np.uint64(3))
+    examined = {}
+    for path, pair, want in zip(paths, pairs, exact):
+        got = search_witness(pair)
+        assert (got.witness, got.tested) == (want.witness, want.tested), path.name
+        assert got.examined >= want.examined
+        examined[path.parent.name, path.name] = want.examined, got.examined
+    # the collisions happened: prefixes that only hash alike were expanded
+    assert examined["search", "00-q2-n5k2d4.json"] == (64, 30080)
 
 
 def test_identity_checks_read_one_pair_grid(f2):

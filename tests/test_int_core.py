@@ -19,10 +19,10 @@ from convmacw import (DualPair, FieldSpec, FMat, PolyMatrix, Subspace, ZPoly, co
 from convmacw import field as fieldmod
 from convmacw.cli import CodeDocument, main
 from convmacw.linalg import rref, right_null_space, vec_mat
-from convmacw.statespace import (coefficient_code, connected_pairs, connected_pairs_orth,
-                                 constant_code, output_map)
-from oracles import (matmul_reference, random_minimal_encoder, right_null_space_reference,
-                     row_reduce_reference, rref_reference, smith_reference, we_of_affine)
+from convmacw.statespace import coefficient_code, connected_pairs, constant_code, output_map
+from oracles import (connected_pairs_orth, matmul_reference, random_minimal_encoder,
+                     right_null_space_reference, row_reduce_reference, rref_reference,
+                     smith_reference, we_of_affine)
 
 FIELDS = {"2": (2,), "3": (3,), "4": (2, 2, [1, 1, 1]), "5": (5,), "7": (7,),
           "8": (2, 3, [1, 1, 0, 1]), "9": (3, 2, [2, 2, 1]), "257": (257,),

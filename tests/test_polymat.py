@@ -149,6 +149,19 @@ def test_empty_digit_in_a_list_is_a_parse_error(text, column):
     assert parse_zpoly("[ ]", field).is_zero()
 
 
+@pytest.mark.parametrize("text,column,digit", [
+    ("[-]", 2, "-"), ("[1,-]", 4, "-"), ("z+[ -1, -]", 9, "-"), ("[1-2]", 2, "1-2"),
+    ("[1, --1]z", 5, "--1"),
+])
+def test_bad_digit_in_a_list_is_a_parse_error(text, column, digit):
+    """A digit that is no integer is named at its own column, not the
+    term's, and Python's int() message is not passed through."""
+    field = FieldSpec(3, 2, [2, 2, 1])
+    with pytest.raises(ValueError) as err:
+        parse_zpoly(text, field)
+    assert str(err.value).startswith(f"parse error at column {column}: bad digit {digit!r} in ")
+
+
 def test_zpoly_arithmetic(f3):
     rng = random.Random(3)
     for _ in range(60):

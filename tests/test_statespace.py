@@ -7,13 +7,12 @@ from pathlib import Path
 import pytest
 
 from convmacw import (FieldSpec, FMat, PolyMatrix, Subspace, coefficient_code,
-                      connected_pairs, connected_pairs_orth, constant_code,
-                      controller_form, output_map)
+                      connected_pairs, constant_code, controller_form, output_map)
 from convmacw.cli import main
 from convmacw.linalg import vec_mat
 from conftest import BINARY_523, LONG_00
-from oracles import (coefficient_matrix, enumerate_vectors, intersect, max_degree,
-                     output_kernel, output_rep, pair_split, points,
+from oracles import (coefficient_matrix, connected_pairs_orth, enumerate_vectors,
+                     intersect, max_degree, output_kernel, output_rep, pair_split, points,
                      random_minimal_encoder, vec_dot)
 
 
@@ -229,7 +228,7 @@ def test_transfer_reconstruction_random():
                 power = power @ cf.A
 
 
-BUILDERS = (constant_code, coefficient_code, connected_pairs, connected_pairs_orth)
+BUILDERS = (constant_code, coefficient_code, connected_pairs)
 
 
 @pytest.mark.parametrize("doc, mode, built", [
@@ -239,7 +238,8 @@ BUILDERS = (constant_code, coefficient_code, connected_pairs, connected_pairs_or
 def test_verify_builds_each_subspace_once_per_form(tmp_path, capsys, doc, mode, built):
     """One verify run builds exactly the state-space subspaces its route
     reads, each at most once per controller form, however many stages
-    read it: the closed-form route needs no pair orthogonal."""
+    read it: the connected pairs and the constant code, never the
+    coefficient code, which only `info` reads."""
     names = {b.__wrapped__.__code__: b.__name__ for b in BUILDERS}
     builds = collections.Counter()
 
